@@ -29,17 +29,6 @@ namespace
 {
 
 MachineConfig
-evalFabric()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
-MachineConfig
 faultedFabric(int dead_pes, int dead_links)
 {
     MachineConfig config = evalFabric();

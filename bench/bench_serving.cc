@@ -54,17 +54,6 @@ using namespace marionette::serve;
 namespace
 {
 
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
 /** Strict integer parse: the whole string must be a number in
  *  [lo, hi] — garbage and out-of-range values are rejected. */
 bool
@@ -347,7 +336,7 @@ main(int argc, char **argv)
     if (smoke)
         requests = 16;
 
-    const MachineConfig fabric = primaryFabric();
+    const MachineConfig fabric = evalFabric();
 
     // Mixed-size repeated-cell mix for the warm-start ladder: SI is
     // tiny (~2k cycles), CRC mid (~8.5k), ADPCM heavy on both the

@@ -312,34 +312,25 @@ struct KernelCoverage
     std::int64_t compileMicros = 0;
 };
 
-/** Compile the selected kernels on two fabrics through the shared
- *  program cache and run them on the cycle-accurate machine.
- *  Returns the per-kernel coverage on the primary fabric. */
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
+/** The second evaluation fabric: slower mesh, more banks. */
 MachineConfig
 slowMeshFabric()
 {
-    MachineConfig alt = primaryFabric();
+    MachineConfig alt = evalFabric();
     alt.meshHopLatency = 2;
     alt.dataNetLatency = 12;
     alt.scratchpadBanks = 8;
     return alt;
 }
 
+/** Compile the selected kernels on two fabrics through the shared
+ *  program cache and run them on the cycle-accurate machine.
+ *  Returns the per-kernel coverage on the primary fabric. */
+
 std::vector<KernelCoverage>
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
-    MachineConfig big = primaryFabric();
+    MachineConfig big = evalFabric();
     MachineConfig alt = slowMeshFabric();
     if (opts.fastForward >= 0) {
         big.fastForward = opts.fastForward != 0;
@@ -448,7 +439,7 @@ fastForwardSmoke(const Options &opts, const SweepRunner &runner)
         if (!selected(opts, w->name()))
             continue;
         for (bool ff : {false, true}) {
-            MachineConfig config = primaryFabric();
+            MachineConfig config = evalFabric();
             config.fastForward = ff;
             jobs.push_back(KernelSweepJob{w, config, 0, copts});
         }
@@ -513,7 +504,7 @@ snapshotStatsRun(const Options &opts, const SweepRunner &runner)
             if (!selected(opts, w->name()))
                 continue;
             jobs.push_back(
-                KernelSweepJob{w, primaryFabric(), 0, copts});
+                KernelSweepJob{w, evalFabric(), 0, copts});
         }
 
     ProgramCache cache;
@@ -570,7 +561,7 @@ struct MappedCell
 std::vector<MappedCell>
 mappedCyclesAb(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig fabrics[] = {primaryFabric(),
+    const MachineConfig fabrics[] = {evalFabric(),
                                      slowMeshFabric()};
     const char *fabric_names[] = {"10x10", "10x10s"};
 
@@ -1012,7 +1003,7 @@ chosenUnrollFactor(const CompileReport &report)
 int
 runUnrollAblation(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig fabric = primaryFabric();
+    const MachineConfig fabric = evalFabric();
     // 0 = automatic comes last so the table reads cap-then-auto.
     const int caps[] = {1, 2, 4, 8, 16, 0};
 
@@ -1162,7 +1153,7 @@ struct ResilienceCell
 int
 runResilienceSweep(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig base = primaryFabric();
+    const MachineConfig base = evalFabric();
     CompilerOptions copts;
     copts.placer = opts.placer;
     copts.unrollFactor = opts.unrollFactor;
@@ -1397,7 +1388,7 @@ int
 runServeSmoke()
 {
     serve::ServeOptions options;
-    options.fabric = primaryFabric();
+    options.fabric = evalFabric();
     options.fabrics = 1;
     options.regionsPerFabric = 4;
     options.queueCapacity = 16;

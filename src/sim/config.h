@@ -152,6 +152,22 @@ struct MachineConfig
  */
 std::uint64_t configHash(const MachineConfig &config);
 
+/**
+ * The 10x10 evaluation fabric the Table-5 kernels compile for: the
+ * prototype's timing with a 512 KiB data scratchpad and 64 KiB of
+ * instruction memory (LDPC alone needs 72 PEs).
+ */
+inline MachineConfig
+evalFabric()
+{
+    MachineConfig config;
+    config.rows = 10;
+    config.cols = 10;
+    config.scratchpadBytes = 512 * 1024;
+    config.instrMemBytes = 64 * 1024;
+    return config;
+}
+
 } // namespace marionette
 
 #endif // MARIONETTE_SIM_CONFIG_H

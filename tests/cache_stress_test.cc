@@ -20,28 +20,12 @@
 
 using namespace marionette;
 
-namespace
-{
-
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
-} // namespace
-
 TEST(CacheStress, ConcurrentMixedHitMissFromManyThreads)
 {
     constexpr int kThreads = 8;
     constexpr int kIters = 24;
 
-    const MachineConfig fabric = primaryFabric();
+    const MachineConfig fabric = evalFabric();
     const std::uint64_t fabric_hash = configHash(fabric);
     ProgramCache programs;
     SnapshotCache snapshots;

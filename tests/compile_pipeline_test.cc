@@ -30,22 +30,11 @@ const std::set<std::string> kSupported = {
     "CRC", "ADPCM", "GEMM", "CO",   "SI", "GP",
     "NW",  "VI",    "HT",   "LDPC", "SCD"};
 
-MachineConfig
-bigConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 /** A second architecture: slower mesh, more banks, deeper FIFOs. */
 MachineConfig
 altConfig()
 {
-    MachineConfig config = bigConfig();
+    MachineConfig config = evalFabric();
     config.meshHopLatency = 2;
     config.dataNetLatency = 12;
     config.scratchpadBanks = 8;
@@ -63,7 +52,7 @@ TEST_P(CompilePipeline, BitExactOnTwoConfigs)
     const Workload &w = *GetParam();
     const bool supported = kSupported.count(w.name()) > 0;
     for (const MachineConfig &config :
-         {bigConfig(), altConfig()}) {
+         {evalFabric(), altConfig()}) {
         CompileResult r = Compiler(config).compile(w);
         if (!supported) {
             // Unsupported kernels reject cleanly: a named pass and
@@ -111,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CompilePipeline, SupportedMatrixIsExact)
 {
     std::vector<std::string> names =
-        supportedWorkloads(bigConfig());
+        supportedWorkloads(evalFabric());
     std::set<std::string> got(names.begin(), names.end());
     EXPECT_EQ(got, kSupported);
     // The acceptance floor: at least 10 of the 13 compile and run.
@@ -120,7 +109,7 @@ TEST(CompilePipeline, SupportedMatrixIsExact)
 
 TEST(CompilePipeline, DiagnosticsNameTheBlocker)
 {
-    Compiler compiler(bigConfig());
+    Compiler compiler(evalFabric());
     // MS's pair loop advances by a data-dependent stride.
     CompileResult ms = compiler.compile("MS");
     ASSERT_FALSE(ms.ok());
@@ -145,7 +134,7 @@ TEST(CompilePipeline, CapacityRejectionsAreClean)
 {
     // A 4x4 array cannot hold CO's 8-tap pipeline (PE capacity is
     // a placement concern, so the place pass owns the rejection)...
-    MachineConfig small = bigConfig();
+    MachineConfig small = evalFabric();
     small.rows = 4;
     small.cols = 4;
     CompileResult co = Compiler(small).compile("CO");
@@ -153,7 +142,7 @@ TEST(CompilePipeline, CapacityRejectionsAreClean)
     EXPECT_EQ(co.report.failedPass, "place");
     EXPECT_NE(co.report.reason.find("PEs"), std::string::npos);
     // ...and the default 16 KiB scratchpad cannot hold CO's data.
-    MachineConfig tiny = bigConfig();
+    MachineConfig tiny = evalFabric();
     tiny.scratchpadBytes = 16 * 1024;
     CompileResult co2 = Compiler(tiny).compile("CO");
     ASSERT_FALSE(co2.ok());
@@ -181,7 +170,7 @@ TEST(CompilePipeline, SmallKernelsFitThePaperPrototype)
 TEST(CompilePipeline, GridSweepCompilesEachKernelOnce)
 {
     std::vector<KernelSweepJob> jobs;
-    const MachineConfig configs[] = {bigConfig(), altConfig()};
+    const MachineConfig configs[] = {evalFabric(), altConfig()};
     // Two identical passes over (config x kernel): the second pass
     // (and every duplicate cell) must hit the cache.
     for (int rep = 0; rep < 2; ++rep)
@@ -216,7 +205,7 @@ TEST(CompilePipeline, SweepResultsIndependentOfThreadCount)
     std::vector<KernelSweepJob> jobs;
     for (const char *name : {"SI", "CRC", "GP"})
         jobs.push_back(
-            KernelSweepJob{findWorkload(name), bigConfig()});
+            KernelSweepJob{findWorkload(name), evalFabric()});
 
     ProgramCache cache_serial, cache_parallel;
     std::vector<KernelSweepResult> serial =

@@ -34,17 +34,6 @@ namespace marionette
 namespace
 {
 
-MachineConfig
-evalConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 std::string
 placeNote(const CompileReport &report)
 {
@@ -61,7 +50,7 @@ placeNote(const CompileReport &report)
 
 TEST(Placement, DeterministicAcrossRunsAndThreads)
 {
-    MachineConfig config = evalConfig();
+    MachineConfig config = evalFabric();
     auto encode = [&](const char *kernel) {
         CompileResult r = Compiler(config).compile(kernel);
         EXPECT_TRUE(r.ok()) << r.report.toString();
@@ -96,7 +85,7 @@ TEST(Placement, DeterministicAcrossRunsAndThreads)
 
 TEST(Placement, SnakeAndCostBothBitExact)
 {
-    MachineConfig config = evalConfig();
+    MachineConfig config = evalFabric();
     std::map<std::string, std::uint64_t> cycles_of[2];
     for (const char *kernel :
          {"NW", "LDPC", "GEMM", "SCD", "CRC", "SI", "GP"}) {
@@ -138,7 +127,7 @@ TEST(Placement, SnakeAndCostBothBitExact)
 
 TEST(Placement, FenceFusionOnlyOnTheCostPath)
 {
-    MachineConfig config = evalConfig();
+    MachineConfig config = evalFabric();
     CompilerOptions cost;
     CompileResult r = Compiler(config, cost).compile("LDPC");
     ASSERT_TRUE(r.ok());
@@ -161,7 +150,7 @@ TEST(Placement, FenceFusionOnlyOnTheCostPath)
 TEST(RoutePlan, LatenciesMatchTheCycleAccurateMesh)
 {
     for (Cycles hop : {Cycles{1}, Cycles{2}}) {
-        MachineConfig config = evalConfig();
+        MachineConfig config = evalFabric();
         config.meshHopLatency = hop;
         const Workload *w = findWorkload("NW");
         ASSERT_NE(w, nullptr);

@@ -20,17 +20,6 @@ namespace marionette
 namespace
 {
 
-MachineConfig
-evalConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 std::string
 structureNote(const CompileReport &report)
 {
@@ -49,7 +38,7 @@ structureNote(const CompileReport &report)
 
 TEST(GoldenDiagnostics, StillRejectedWorkloads)
 {
-    Compiler compiler(evalConfig());
+    Compiler compiler(evalFabric());
 
     struct Expectation
     {
@@ -167,7 +156,7 @@ TEST(CompileReport, BindReportsEveryMissingBound)
         }
     };
 
-    CompileResult r = Compiler(evalConfig()).compile(Missing());
+    CompileResult r = Compiler(evalFabric()).compile(Missing());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.report.failedPass, "bind");
     EXPECT_EQ(r.report.reason,
@@ -186,7 +175,7 @@ TEST(CompileReport, BindReportsEveryMissingBound)
 
 TEST(PassManager, TimingNoteListsEveryPass)
 {
-    CompileResult r = Compiler(evalConfig()).compile("CRC");
+    CompileResult r = Compiler(evalFabric()).compile("CRC");
     ASSERT_TRUE(r.ok());
     std::string timings;
     for (const CompilerPassNote &n : r.report.notes)
@@ -204,7 +193,7 @@ TEST(PassManager, TimingNoteListsEveryPass)
 
 TEST(RegionStructure, SiblingLoopsAndCondsAreStructured)
 {
-    Compiler compiler(evalConfig());
+    Compiler compiler(evalFabric());
     // LDPC: sibling counted loops in sequence at two levels.
     CompileResult ldpc = compiler.compile("LDPC");
     ASSERT_TRUE(ldpc.ok()) << ldpc.report.toString();
@@ -370,12 +359,12 @@ class WhileWorkload : public Workload
 TEST(WhileLowering, GuardedExitMasksPastTheDynamicBound)
 {
     WhileWorkload w;
-    CompileResult r = Compiler(evalConfig()).compile(w);
+    CompileResult r = Compiler(evalFabric()).compile(w);
     ASSERT_TRUE(r.ok()) << r.report.toString();
     EXPECT_NE(structureNote(r.report).find("while 'w_loop'"),
               std::string::npos);
 
-    MachineConfig config = evalConfig();
+    MachineConfig config = evalFabric();
     MarionetteMachine machine(config);
     r.kernel->prepare(machine);
     RunResult run = machine.run(r.kernel->cycleBudget);
@@ -396,7 +385,7 @@ TEST(WhileLowering, MissingCapIsABindDiagnostic)
             return spec;
         }
     };
-    CompileResult r = Compiler(evalConfig()).compile(Uncapped());
+    CompileResult r = Compiler(evalFabric()).compile(Uncapped());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.report.failedPass, "bind");
     EXPECT_NE(r.report.reason.find("w_loop"), std::string::npos);

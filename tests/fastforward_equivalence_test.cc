@@ -106,24 +106,13 @@ expectSame(const RunCapture &a, const RunCapture &b,
     EXPECT_EQ(a.memDump, b.memDump) << label;
 }
 
-MachineConfig
-bigConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 /** The {reference, event, event + fast-forward} matrix over every
  *  compilable workload.  Fast-forward typically declines on real
  *  kernels (memory ops are outside the whitelist) — the point here
  *  is that armed-but-declining is still byte-identical. */
 TEST(FastForwardEquivalence, CompiledKernelsThreeWayByteIdentity)
 {
-    const MachineConfig base = bigConfig();
+    const MachineConfig base = evalFabric();
     Compiler compiler(base);
     int covered = 0;
     for (const std::string &name : workloadNames()) {
@@ -357,7 +346,7 @@ TEST(FastForwardEquivalence, SweepWarmStartHitsSnapshotCache)
     for (int rep = 0; rep < 3; ++rep)
         for (const char *name : {"SI", "CRC"})
             jobs.push_back(
-                KernelSweepJob{findWorkload(name), bigConfig()});
+                KernelSweepJob{findWorkload(name), evalFabric()});
 
     ProgramCache programs;
     SnapshotCache snapshots;

@@ -28,17 +28,6 @@ using namespace marionette::serve;
 namespace
 {
 
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
 CompilerOptions
 laneOptions(const MachineConfig &fabric, int region, int count)
 {
@@ -91,7 +80,7 @@ soloRegionRun(const MachineConfig &fabric, const TileRegion &region,
 
 TEST(TileRegions, CarveShapesAndDisjointCover)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     for (int count : {1, 2, 4}) {
         const std::vector<TileRegion> regions =
             carveRegions(big, count);
@@ -116,7 +105,7 @@ TEST(TileRegions, CarveShapesAndDisjointCover)
 
 TEST(TileRegions, RegionConfigMasksForeignTilesOnly)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     const std::vector<TileRegion> regions = carveRegions(big, 4);
     const MachineConfig masked = regionConfig(big, regions[0]);
     EXPECT_EQ(static_cast<int>(masked.faults.deadPes.size()), 75);
@@ -140,7 +129,7 @@ TEST(TileRegions, RegionConfigMasksForeignTilesOnly)
 
 TEST(TileRegions, NonlinearCapabilityIsSpatial)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     const std::vector<TileRegion> regions = carveRegions(big, 4);
     // Nonlinear-capable PEs are the last config.nonlinearPes ids
     // (96..99 here) — all in the bottom-right quadrant.
@@ -158,7 +147,7 @@ TEST(TileRegions, NonlinearCapabilityIsSpatial)
 TEST(ServingCore, CoTenantBitExactVsSoloBothRunPaths)
 {
     for (bool event_driven : {false, true}) {
-        MachineConfig fabric = primaryFabric();
+        MachineConfig fabric = evalFabric();
         fabric.eventDrivenSim = event_driven;
         const std::vector<TileRegion> regions =
             carveRegions(fabric, 4);
@@ -242,8 +231,8 @@ TEST(ServingCore, CoTenantBitExactVsSoloBothRunPaths)
  *  the *other* region's identity and results are untouched. */
 TEST(ServingCore, DeadPeInOneRegionLeavesOtherTenantUnaffected)
 {
-    const MachineConfig clean = primaryFabric();
-    MachineConfig faulted = primaryFabric();
+    const MachineConfig clean = evalFabric();
+    MachineConfig faulted = evalFabric();
     faulted.faults.deadPes.push_back(12); // inside Q0.
     const std::vector<TileRegion> regions =
         carveRegions(clean, 4);
@@ -297,7 +286,7 @@ TEST(ServingCore, DeadPeInOneRegionLeavesOtherTenantUnaffected)
  *  foreign scratchpad windows untouched. */
 TEST(Composite, MergedTenantsStayBitExact)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     const std::vector<TileRegion> regions = carveRegions(big, 4);
     const struct
     {
@@ -338,7 +327,7 @@ TEST(Composite, MergedTenantsStayBitExact)
 
 TEST(Composite, OverlappingFootprintsAreRejected)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     const std::vector<TileRegion> regions = carveRegions(big, 4);
     // GP's footprint (~65536 words from base 0) cannot share with
     // a base-32768 tenant; an uncapped compile would silently
@@ -374,7 +363,7 @@ TEST(Composite, OverlappingFootprintsAreRejected)
  *  kernel compiled at two different bases runs identically. */
 TEST(MemoryWindows, RelocationIsBehaviourPreserving)
 {
-    const MachineConfig big = primaryFabric();
+    const MachineConfig big = evalFabric();
     for (const char *name : {"CRC", "SI"}) {
         CompilerOptions base0, shifted;
         base0.unrollFactor = shifted.unrollFactor = 1;
@@ -401,7 +390,7 @@ TEST(ServingCore, AdmissionControlAccountsRejections)
 {
     // Unknown workloads and capability-unservable kernels resolve
     // immediately with a reason, never enqueue.
-    MachineConfig fabric = primaryFabric();
+    MachineConfig fabric = evalFabric();
     ServeOptions options;
     options.fabric = fabric;
     options.fabrics = 1;
@@ -422,7 +411,7 @@ TEST(ServingCore, AdmissionControlAccountsRejections)
 
     // A fabric whose nonlinear-capable PEs are all dead cannot
     // serve SI from any lane: rejected as unservable up front.
-    MachineConfig no_nonlinear = primaryFabric();
+    MachineConfig no_nonlinear = evalFabric();
     for (PeId pe : {96, 97, 98, 99})
         no_nonlinear.faults.deadPes.push_back(pe);
     options.fabric = no_nonlinear;
@@ -446,7 +435,7 @@ TEST(ServingCore, AdmissionControlAccountsRejections)
     // Queue-full rejection: occupy the single lane with a slow
     // kernel, fill the two queue slots, and watch the next
     // trySubmit bounce.
-    options.fabric = primaryFabric();
+    options.fabric = evalFabric();
     {
         ServeCore core(options);
         std::vector<std::future<ServeResponse>> futures(4);

@@ -24,24 +24,13 @@ namespace marionette
 namespace
 {
 
-MachineConfig
-bigConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 /** Compile @p name at @p factor; the caller asserts on ok(). */
 CompileResult
 compileAt(const std::string &name, int factor)
 {
     CompilerOptions opts;
     opts.unrollFactor = factor;
-    return Compiler(bigConfig(), opts).compile(name);
+    return Compiler(evalFabric(), opts).compile(name);
 }
 
 /** Run a compiled kernel; returns the validation error ("" = ok)
@@ -50,7 +39,7 @@ std::string
 runKernel(const CompiledKernel &kernel, std::uint64_t &cycles,
           std::uint64_t &max_link_load)
 {
-    MarionetteMachine machine(bigConfig());
+    MarionetteMachine machine(evalFabric());
     kernel.prepare(machine);
     RunResult run = machine.run(kernel.cycleBudget);
     cycles = run.cycles;
@@ -251,7 +240,7 @@ TEST(Unroll, OptOutAndSnakeStayUnreplicated)
     CompilerOptions snake;
     snake.placer = PlacerKind::Snake;
     CompileResult legacy =
-        Compiler(bigConfig(), snake).compile("GEMM");
+        Compiler(evalFabric(), snake).compile("GEMM");
     ASSERT_TRUE(legacy.ok());
     EXPECT_TRUE(hasNote(legacy.report, "unroll",
                         "snake placer: replication disabled"));
