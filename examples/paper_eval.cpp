@@ -71,7 +71,6 @@
  * changes.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -296,21 +295,9 @@ selected(const Options &opts, const std::string &name)
     return false;
 }
 
-/** Per-kernel compile/run coverage on the primary fabric. */
-struct KernelCoverage
-{
-    std::string kernel;
-    bool compiled = false;
-    std::string failedPass;
-    std::string reason;
-    bool validated = false;
-    std::uint64_t cycles = 0;
-    double modelCycles = 0.0;
-    /** Schedule-aware model estimate (trip counts, recurrence IIs
-     *  and predicted link loads of the placed program). */
-    double scheduledCycles = 0.0;
-    std::int64_t compileMicros = 0;
-};
+/** Per-kernel compile/run coverage on the primary fabric: each
+ *  kernel's name and its sweep result. */
+using Coverage = std::vector<std::pair<std::string, KernelSweepResult>>;
 
 /** The second evaluation fabric: slower mesh, more banks. */
 MachineConfig
@@ -327,7 +314,7 @@ slowMeshFabric()
  *  program cache and run them on the cycle-accurate machine.
  *  Returns the per-kernel coverage on the primary fabric. */
 
-std::vector<KernelCoverage>
+Coverage
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
     MachineConfig big = evalFabric();
@@ -388,32 +375,11 @@ machineValidation(const Options &opts, const SweepRunner &runner)
                 static_cast<unsigned long long>(cache.hits()),
                 jobs.size());
 
-    // Coverage record from the primary-fabric results (even job
-    // indices), with a freshly-timed compile per kernel.
-    std::vector<KernelCoverage> coverage;
-    Compiler compiler(big, copts);
-    for (std::size_t i = 0; i < jobs.size(); i += 2) {
-        const KernelSweepResult &r = results[i];
-        KernelCoverage c;
-        c.kernel = labels[i];
-        c.compiled = r.compiled;
-        c.validated = r.validated;
-        if (r.compiled) {
-            c.cycles = r.run.cycles;
-            c.modelCycles = r.modelEstimate;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        CompileResult cr =
-            compiler.compile(*jobs[i].workload);
-        c.compileMicros =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        c.failedPass = cr.report.failedPass;
-        c.reason = cr.report.reason;
-        c.scheduledCycles = cr.report.scheduledCycleEstimate;
-        coverage.push_back(std::move(c));
-    }
+    // The coverage record is the primary-fabric results (even job
+    // indices).
+    Coverage coverage;
+    for (std::size_t i = 0; i < jobs.size(); i += 2)
+        coverage.emplace_back(labels[i], std::move(results[i]));
     return coverage;
 }
 
@@ -532,82 +498,6 @@ snapshotStatsRun(const Options &opts, const SweepRunner &runner)
                 validated, results.size());
 }
 
-/** One (kernel, fabric) cell of the placement A/B. */
-struct MappedCell
-{
-    std::string kernel;
-    std::string fabric;
-    bool compiled = false;
-    std::uint64_t snakeCycles = 0;
-    std::uint64_t costCycles = 0;
-    bool snakeValidated = false;
-    bool costValidated = false;
-    double snakeMeanHops = 0.0;
-    double costMeanHops = 0.0;
-    std::uint64_t snakeMaxLinkLoad = 0;
-    std::uint64_t costMaxLinkLoad = 0;
-};
-
-/**
- * The mapped-cycles ablation: every kernel on both evaluation
- * fabrics, compiled with the legacy snake backend and with the
- * cost-driven backend, run to completion and cross-validated.  The
- * aggregate over NW+LDPC+GEMM (the kernels with the largest
- * model-vs-machine gap) is the geomean speedup across the
- * (kernel, fabric) points — the literature's standard aggregate
- * for per-kernel cycle ratios of very different magnitudes — next
- * to the raw per-fabric cycle sums.
- */
-std::vector<MappedCell>
-mappedCyclesAb(const Options &opts, const SweepRunner &runner)
-{
-    const MachineConfig fabrics[] = {evalFabric(),
-                                     slowMeshFabric()};
-    const char *fabric_names[] = {"10x10", "10x10s"};
-
-    std::vector<KernelSweepJob> jobs;
-    std::vector<MappedCell> cells;
-    for (const Workload *w : allWorkloads()) {
-        if (!selected(opts, w->name()))
-            continue;
-        for (int f = 0; f < 2; ++f) {
-            MappedCell cell;
-            cell.kernel = w->name();
-            cell.fabric = fabric_names[f];
-            cells.push_back(cell);
-            for (PlacerKind placer :
-                 {PlacerKind::Snake, PlacerKind::Cost}) {
-                CompilerOptions copts;
-                copts.placer = placer;
-                copts.unrollFactor = opts.unrollFactor;
-                jobs.push_back(
-                    KernelSweepJob{w, fabrics[f], 0, copts});
-            }
-        }
-    }
-
-    ProgramCache cache;
-    std::vector<KernelSweepResult> results =
-        runner.runKernels(jobs, cache);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const KernelSweepResult &snake = results[2 * i];
-        const KernelSweepResult &cost = results[2 * i + 1];
-        MappedCell &cell = cells[i];
-        cell.compiled = snake.compiled && cost.compiled;
-        if (!cell.compiled)
-            continue;
-        cell.snakeCycles = snake.run.cycles;
-        cell.costCycles = cost.run.cycles;
-        cell.snakeValidated = snake.validated;
-        cell.costValidated = cost.validated;
-        cell.snakeMeanHops = snake.congestion.meanHops;
-        cell.costMeanHops = cost.congestion.meanHops;
-        cell.snakeMaxLinkLoad = snake.congestion.maxLinkLoad;
-        cell.costMaxLinkLoad = cost.congestion.maxLinkLoad;
-    }
-    return cells;
-}
-
 /**
  * Shared machine-readable report writer.  Every JSON artifact
  * paper_eval emits (compile coverage, mapped cycles, unroll
@@ -644,28 +534,66 @@ closeReport(std::ofstream &out, const std::string &path,
     std::printf("wrote %s report: %s\n", kind, path.c_str());
 }
 
+/**
+ * The mapped-cycles ablation: every kernel on both evaluation
+ * fabrics, compiled with the legacy snake backend and with the
+ * cost-driven backend, run to completion and cross-validated.  The
+ * aggregate over NW+LDPC+GEMM (the kernels with the largest
+ * model-vs-machine gap) is the geomean speedup across the
+ * (kernel, fabric) points — the literature's standard aggregate
+ * for per-kernel cycle ratios of very different magnitudes — next
+ * to the raw per-fabric cycle sums.
+ */
 void
-writeMappedReport(const std::string &path,
-                  const std::vector<MappedCell> &cells)
+writeMappedReport(const Options &opts, const SweepRunner &runner)
 {
+    const MachineConfig fabrics[] = {evalFabric(),
+                                     slowMeshFabric()};
+    const char *fabric_names[] = {"10x10", "10x10s"};
+
+    // Jobs come in (snake, cost) pairs per (kernel, fabric) cell.
+    std::vector<KernelSweepJob> jobs;
+    for (const Workload *w : allWorkloads()) {
+        if (!selected(opts, w->name()))
+            continue;
+        for (const MachineConfig &fabric : fabrics) {
+            for (PlacerKind placer :
+                 {PlacerKind::Snake, PlacerKind::Cost}) {
+                CompilerOptions copts;
+                copts.placer = placer;
+                copts.unrollFactor = opts.unrollFactor;
+                jobs.push_back(KernelSweepJob{w, fabric, 0, copts});
+            }
+        }
+    }
+
+    ProgramCache cache;
+    std::vector<KernelSweepResult> results =
+        runner.runKernels(jobs, cache);
+    auto compiled = [&](std::size_t i) {
+        return results[i].compiled && results[i + 1].compiled;
+    };
+
     const std::set<std::string> aggregate_kernels = {"NW", "LDPC",
                                                      "GEMM"};
     double log_speedup_sum = 0.0;
     int points = 0;
     std::uint64_t snake_total = 0, cost_total = 0;
-    for (const MappedCell &c : cells) {
-        if (!c.compiled || !aggregate_kernels.count(c.kernel))
+    for (std::size_t i = 0; i < results.size(); i += 2) {
+        if (!compiled(i) ||
+            !aggregate_kernels.count(jobs[i].workload->name()))
             continue;
-        snake_total += c.snakeCycles;
-        cost_total += c.costCycles;
+        snake_total += results[i].run.cycles;
+        cost_total += results[i + 1].run.cycles;
         log_speedup_sum +=
-            std::log(static_cast<double>(c.snakeCycles) /
-                     static_cast<double>(c.costCycles));
+            std::log(static_cast<double>(results[i].run.cycles) /
+                     static_cast<double>(results[i + 1].run.cycles));
         ++points;
     }
     double geomean =
         points > 0 ? std::exp(log_speedup_sum / points) : 1.0;
 
+    const std::string &path = opts.mappedReportPath;
     std::ofstream out;
     if (!openReport(out, path, "mapped-cycles"))
         return;
@@ -673,26 +601,28 @@ writeMappedReport(const std::string &path,
            "boustrophedon placement + legacy drain bounds)\",\n"
            "  \"cells\": [\n";
     bool first = true;
-    for (const MappedCell &c : cells) {
-        if (!c.compiled)
+    for (std::size_t i = 0; i < results.size(); i += 2) {
+        if (!compiled(i))
             continue;
+        const KernelSweepResult &snake = results[i];
+        const KernelSweepResult &cost = results[i + 1];
         if (!first)
             out << ",\n";
         first = false;
-        out << "    {\"kernel\": \"" << c.kernel
-            << "\", \"fabric\": \"" << c.fabric
-            << "\", \"snake_cycles\": " << c.snakeCycles
-            << ", \"cost_cycles\": " << c.costCycles
+        out << "    {\"kernel\": \"" << jobs[i].workload->name()
+            << "\", \"fabric\": \"" << fabric_names[(i / 2) % 2]
+            << "\", \"snake_cycles\": " << snake.run.cycles
+            << ", \"cost_cycles\": " << cost.run.cycles
             << ", \"speedup\": "
-            << static_cast<double>(c.snakeCycles) /
-                   static_cast<double>(c.costCycles)
-            << ", \"snake_mean_hops\": " << c.snakeMeanHops
-            << ", \"cost_mean_hops\": " << c.costMeanHops
-            << ", \"snake_max_link_load\": " << c.snakeMaxLinkLoad
-            << ", \"cost_max_link_load\": " << c.costMaxLinkLoad
-            << ", \"validated\": "
-            << (c.snakeValidated && c.costValidated ? "true"
-                                                    : "false")
+            << static_cast<double>(snake.run.cycles) /
+                   static_cast<double>(cost.run.cycles)
+            << ", \"snake_mean_hops\": " << snake.congestion.meanHops
+            << ", \"cost_mean_hops\": " << cost.congestion.meanHops
+            << ", \"snake_max_link_load\": "
+            << snake.congestion.maxLinkLoad
+            << ", \"cost_max_link_load\": "
+            << cost.congestion.maxLinkLoad << ", \"validated\": "
+            << (snake.validated && cost.validated ? "true" : "false")
             << "}";
     }
     out << "\n";
@@ -742,38 +672,56 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** Wall time of a compile in microseconds: the sum of its
+ *  report's per-pass "timings" note. */
+std::int64_t
+compileMicros(const CompileReport &report)
+{
+    std::int64_t total = 0;
+    for (const CompilerPassNote &n : report.notes) {
+        if (n.pass != "timings")
+            continue;
+        // "analyze 12us, predicate 3us, ...": name, time, name, ...
+        std::istringstream in(n.message);
+        std::string pass, micros;
+        while (in >> pass >> micros)
+            total += std::atoll(micros.c_str());
+    }
+    return total;
+}
+
 void
-writeReport(const std::string &path,
-            const std::vector<KernelCoverage> &coverage)
+writeReport(const std::string &path, const Coverage &coverage)
 {
     std::ofstream out;
     if (!openReport(out, path, "compile-coverage"))
         return;
     out << "  \"fabric\": \"10x10\",\n  \"kernels\": [\n";
     for (std::size_t i = 0; i < coverage.size(); ++i) {
-        const KernelCoverage &c = coverage[i];
+        const auto &[kernel, r] = coverage[i];
+        const double scheduled = r.report.scheduledCycleEstimate;
         // mapped / scheduled: how tight the schedule-aware model
         // tracks the machine (1.0 = exact; the tentpole bar is
         // "within ~2x").
-        double ratio = c.scheduledCycles > 0.0
-                           ? static_cast<double>(c.cycles) /
-                                 c.scheduledCycles
+        double ratio = scheduled > 0.0
+                           ? static_cast<double>(r.run.cycles) /
+                                 scheduled
                            : 0.0;
-        out << "    {\"kernel\": \"" << c.kernel
+        out << "    {\"kernel\": \"" << kernel
             << "\", \"compiled\": "
-            << (c.compiled ? "true" : "false")
+            << (r.compiled ? "true" : "false")
             << ", \"failed_pass\": \""
-            << jsonEscape(c.failedPass) << "\", \"reason\": \""
-            << jsonEscape(c.reason)
+            << jsonEscape(r.report.failedPass)
+            << "\", \"reason\": \"" << jsonEscape(r.report.reason)
             << "\", \"validated\": "
-            << (c.validated ? "true" : "false")
-            << ", \"cycles\": " << c.cycles
+            << (r.validated ? "true" : "false")
+            << ", \"cycles\": " << r.run.cycles
             << ", \"model_cycles\": "
-            << static_cast<std::uint64_t>(c.modelCycles)
+            << static_cast<std::uint64_t>(r.modelEstimate)
             << ", \"scheduled_cycles\": "
-            << static_cast<std::uint64_t>(c.scheduledCycles)
+            << static_cast<std::uint64_t>(scheduled)
             << ", \"mapped_to_scheduled_ratio\": " << ratio
-            << ", \"compile_us\": " << c.compileMicros << "}"
+            << ", \"compile_us\": " << compileMicros(r.report) << "}"
             << (i + 1 < coverage.size() ? "," : "") << "\n";
     }
     out << "  ]\n";
@@ -835,8 +783,7 @@ extractDouble(const std::string &obj, const std::string &key)
 /** Diff (kernel, compiled, failed_pass) against the expectation
  *  file; returns false (and prints every difference) on mismatch. */
 bool
-checkCoverage(const std::string &path,
-              const std::vector<KernelCoverage> &coverage)
+checkCoverage(const std::string &path, const Coverage &coverage)
 {
     std::ifstream in(path);
     if (!in) {
@@ -851,15 +798,15 @@ checkCoverage(const std::string &path,
 
     bool ok = true;
     int checked = 0;
-    for (const KernelCoverage &c : coverage) {
+    for (const auto &[kernel, r] : coverage) {
         // Find this kernel's object.
         std::size_t at =
-            all.find("\"kernel\": \"" + c.kernel + "\"");
+            all.find("\"kernel\": \"" + kernel + "\"");
         if (at == std::string::npos) {
             std::fprintf(stderr,
                          "coverage check: kernel %s missing from "
                          "%s\n",
-                         c.kernel.c_str(), path.c_str());
+                         kernel.c_str(), path.c_str());
             ok = false;
             continue;
         }
@@ -867,27 +814,29 @@ checkCoverage(const std::string &path,
         std::string obj = all.substr(at, end - at + 1);
         bool want_compiled = extractBool(obj, "compiled");
         std::string want_pass = extractString(obj, "failed_pass");
-        if (want_compiled != c.compiled) {
+        if (want_compiled != r.compiled) {
             std::fprintf(stderr,
                          "coverage check: %s %s, expected to %s\n",
-                         c.kernel.c_str(),
-                         c.compiled ? "compiles" : "is rejected",
+                         kernel.c_str(),
+                         r.compiled ? "compiles" : "is rejected",
                          want_compiled ? "compile"
                                        : "be rejected");
             ok = false;
-        } else if (!c.compiled && want_pass != c.failedPass) {
+        } else if (!r.compiled &&
+                   want_pass != r.report.failedPass) {
             std::fprintf(stderr,
                          "coverage check: %s rejected by '%s', "
                          "expected '%s'\n",
-                         c.kernel.c_str(), c.failedPass.c_str(),
+                         kernel.c_str(),
+                         r.report.failedPass.c_str(),
                          want_pass.c_str());
             ok = false;
         }
-        if (c.compiled && !c.validated) {
+        if (r.compiled && !r.validated) {
             std::fprintf(stderr,
                          "coverage check: %s compiled but was not "
                          "bit-exact\n",
-                         c.kernel.c_str());
+                         kernel.c_str());
             ok = false;
         }
         // Cycle regressions fail CI too, not just status flips: a
@@ -898,9 +847,9 @@ checkCoverage(const std::string &path,
         // deterministic, so the band can be tight.
         constexpr double kCycleTolerance = 0.05;
         std::int64_t want_cycles = extractNumber(obj, "cycles");
-        if (c.compiled && want_compiled && want_cycles > 0) {
+        if (r.compiled && want_compiled && want_cycles > 0) {
             double rel =
-                std::fabs(static_cast<double>(c.cycles) -
+                std::fabs(static_cast<double>(r.run.cycles) -
                           static_cast<double>(want_cycles)) /
                 static_cast<double>(want_cycles);
             if (rel > kCycleTolerance) {
@@ -908,8 +857,8 @@ checkCoverage(const std::string &path,
                     stderr,
                     "coverage check: %s runs in %llu cycles, "
                     "expected %lld (+/-%.0f%%)\n",
-                    c.kernel.c_str(),
-                    static_cast<unsigned long long>(c.cycles),
+                    kernel.c_str(),
+                    static_cast<unsigned long long>(r.run.cycles),
                     static_cast<long long>(want_cycles),
                     100.0 * kCycleTolerance);
                 ok = false;
@@ -925,10 +874,11 @@ checkCoverage(const std::string &path,
         // 0.10 absolute or 10% relative, whichever is larger.
         double want_ratio =
             extractDouble(obj, "mapped_to_scheduled_ratio");
-        if (c.compiled && want_compiled && want_ratio > 0.0 &&
-            c.scheduledCycles > 0.0) {
-            double ratio = static_cast<double>(c.cycles) /
-                           c.scheduledCycles;
+        const double scheduled = r.report.scheduledCycleEstimate;
+        if (r.compiled && want_compiled && want_ratio > 0.0 &&
+            scheduled > 0.0) {
+            double ratio =
+                static_cast<double>(r.run.cycles) / scheduled;
             double drift = std::fabs(ratio - want_ratio);
             if (drift > 0.10 && drift > 0.10 * want_ratio) {
                 std::fprintf(
@@ -936,7 +886,7 @@ checkCoverage(const std::string &path,
                     "coverage check: %s mapped/scheduled ratio "
                     "%.3f drifted from expected %.3f (band: 0.10 "
                     "absolute or 10%% relative)\n",
-                    c.kernel.c_str(), ratio, want_ratio);
+                    kernel.c_str(), ratio, want_ratio);
                 ok = false;
             }
         }
@@ -953,8 +903,8 @@ checkCoverage(const std::string &path,
         std::size_t end = all.find('"', at);
         std::string name = all.substr(at, end - at);
         bool present = false;
-        for (const KernelCoverage &c : coverage)
-            present = present || c.kernel == name;
+        for (const auto &entry : coverage)
+            present = present || entry.first == name;
         if (!present) {
             std::fprintf(stderr,
                          "coverage check: expected kernel %s is "
@@ -1003,23 +953,10 @@ chosenUnrollFactor(const CompileReport &report)
 int
 runUnrollAblation(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig fabric = evalFabric();
     // 0 = automatic comes last so the table reads cap-then-auto.
     const int caps[] = {1, 2, 4, 8, 16, 0};
 
-    struct AblationCell
-    {
-        std::string kernel;
-        int requestedFactor = 0;
-        int chosenFactor = 1;
-        bool compiled = false;
-        bool validated = false;
-        std::uint64_t cycles = 0;
-        double scheduledCycles = 0.0;
-    };
-
     std::vector<KernelSweepJob> jobs;
-    std::vector<AblationCell> cells;
     for (const char *name : {"GEMM", "LDPC"}) {
         const Workload *w = findWorkload(name);
         if (w == nullptr || !selected(opts, w->name()))
@@ -1028,11 +965,7 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
             CompilerOptions copts;
             copts.placer = opts.placer;
             copts.unrollFactor = cap;
-            jobs.push_back(KernelSweepJob{w, fabric, 0, copts});
-            AblationCell cell;
-            cell.kernel = w->name();
-            cell.requestedFactor = cap;
-            cells.push_back(std::move(cell));
+            jobs.push_back(KernelSweepJob{w, evalFabric(), 0, copts});
         }
     }
     if (jobs.empty()) {
@@ -1052,35 +985,21 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
     std::printf("  %-6s %4s %6s %10s %10s  %s\n", "kernel", "cap",
                 "chosen", "cycles", "scheduled", "result");
     bool failed = false;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         const KernelSweepResult &r = results[i];
-        AblationCell &cell = cells[i];
-        cell.compiled = r.compiled;
-        cell.validated = r.validated;
-        if (r.compiled)
-            cell.cycles = r.run.cycles;
-        // The sweep result carries no compile report; re-derive
-        // the chosen factor (and the scheduled estimate) with a
-        // fresh compile under the same options.
-        Compiler compiler(fabric, jobs[i].options);
-        CompileResult cr = compiler.compile(*jobs[i].workload);
-        cell.chosenFactor = chosenUnrollFactor(cr.report);
-        cell.scheduledCycles = cr.report.scheduledCycleEstimate;
-        if (!cell.compiled || !cell.validated)
+        const int cap = jobs[i].options.unrollFactor;
+        if (!r.compiled || !r.validated)
             failed = true;
         std::printf(
             "  %-6s %4s %6d %10llu %10.0f  %s\n",
-            cell.kernel.c_str(),
-            cell.requestedFactor == 0
-                ? "auto"
-                : std::to_string(cell.requestedFactor).c_str(),
-            cell.chosenFactor,
-            static_cast<unsigned long long>(cell.cycles),
-            cell.scheduledCycles,
-            !cell.compiled
-                ? ("rejected: " + r.diagnostic).c_str()
-                : (cell.validated ? "bit-exact vs golden"
-                                  : r.validationError.c_str()));
+            jobs[i].workload->name().c_str(),
+            cap == 0 ? "auto" : std::to_string(cap).c_str(),
+            chosenUnrollFactor(r.report),
+            static_cast<unsigned long long>(r.run.cycles),
+            r.report.scheduledCycleEstimate,
+            !r.compiled ? ("rejected: " + r.diagnostic).c_str()
+                        : (r.validated ? "bit-exact vs golden"
+                                       : r.validationError.c_str()));
     }
 
     std::ofstream out;
@@ -1089,21 +1008,21 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
         return 1;
     out << "  \"fabric\": \"10x10\",\n  \"placer\": \""
         << placerName(opts.placer) << "\",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const AblationCell &cell = cells[i];
-        out << "    {\"kernel\": \"" << cell.kernel
-            << "\", \"requested_factor\": " << cell.requestedFactor
-            << ", \"auto\": "
-            << (cell.requestedFactor == 0 ? "true" : "false")
-            << ", \"chosen_factor\": " << cell.chosenFactor
-            << ", \"compiled\": "
-            << (cell.compiled ? "true" : "false")
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const KernelSweepResult &r = results[i];
+        const int cap = jobs[i].options.unrollFactor;
+        out << "    {\"kernel\": \"" << jobs[i].workload->name()
+            << "\", \"requested_factor\": " << cap
+            << ", \"auto\": " << (cap == 0 ? "true" : "false")
+            << ", \"chosen_factor\": " << chosenUnrollFactor(r.report)
+            << ", \"compiled\": " << (r.compiled ? "true" : "false")
             << ", \"validated\": "
-            << (cell.validated ? "true" : "false")
-            << ", \"cycles\": " << cell.cycles
+            << (r.validated ? "true" : "false")
+            << ", \"cycles\": " << r.run.cycles
             << ", \"scheduled_cycles\": "
-            << static_cast<std::uint64_t>(cell.scheduledCycles)
-            << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+            << static_cast<std::uint64_t>(
+                   r.report.scheduledCycleEstimate)
+            << "}" << (i + 1 < jobs.size() ? "," : "") << "\n";
     }
     out << "  ]\n";
     closeReport(out, opts.unrollAblationPath, "unroll-ablation");
@@ -1606,13 +1525,11 @@ main(int argc, char **argv)
                         composite(mar->name().c_str()));
     }
 
-    std::vector<KernelCoverage> coverage =
-        machineValidation(opts, runner);
+    const Coverage coverage = machineValidation(opts, runner);
     if (!opts.reportPath.empty())
         writeReport(opts.reportPath, coverage);
     if (!opts.mappedReportPath.empty())
-        writeMappedReport(opts.mappedReportPath,
-                          mappedCyclesAb(opts, runner));
+        writeMappedReport(opts, runner);
     if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
         return 1;
     if (opts.snapshotStats)

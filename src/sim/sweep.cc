@@ -181,6 +181,7 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
             for (;;) {
                 CompileResult compiled = cache.getOrCompile(
                     *job.workload, compile_config, job.options);
+                out.report = compiled.report;
                 if (!compiled.ok()) {
                     out.compiled = false;
                     out.diagnostic =

@@ -99,6 +99,9 @@ struct KernelSweepResult
     bool compiled = false;
     /** The rejecting pass diagnostic when !compiled. */
     std::string diagnostic;
+    /** The compile report of the program that ran (the cache
+     *  entry's; after a fault-discovery retry, the recompile's). */
+    CompileReport report;
     RunResult run;
     /** True when outputs and memory matched the goldens. */
     bool validated = false;

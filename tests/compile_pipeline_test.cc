@@ -192,10 +192,11 @@ TEST(CompilePipeline, GridSweepCompilesEachKernelOnce)
         if (std::string(jobs[i].workload->name()) == "MS") {
             EXPECT_FALSE(r.compiled);
             EXPECT_FALSE(r.diagnostic.empty());
+            EXPECT_EQ(r.report.failedPass, "structure");
         } else {
             ASSERT_TRUE(r.compiled) << r.diagnostic;
             EXPECT_TRUE(r.validated) << r.validationError;
-            EXPECT_GT(r.modelEstimate, 0.0);
+            EXPECT_GT(r.report.scheduledCycleEstimate, 0.0);
         }
     }
 }
