@@ -73,39 +73,6 @@ SweepRunner::dispatch(int n, const std::function<void(int)> &fn)
         std::rethrow_exception(first_error);
 }
 
-void
-SweepRunner::forEach(int n, const std::function<void(int)> &fn)
-    const
-{
-    dispatch(n, fn);
-}
-
-std::vector<SweepResult>
-SweepRunner::runMachines(const std::vector<MachineJob> &jobs) const
-{
-    std::vector<SweepResult> results(jobs.size());
-    dispatch(static_cast<int>(jobs.size()), [&](int i) {
-        SweepResult &out = results[static_cast<std::size_t>(i)];
-        try {
-            const MachineJob &job =
-                jobs[static_cast<std::size_t>(i)];
-            // A machine is private to its job (and therefore to the
-            // worker thread running it); nothing is shared.
-            MarionetteMachine machine(job.config);
-            machine.load(job.program);
-            if (job.setup)
-                job.setup(machine);
-            out.run = machine.run(job.maxCycles);
-            out.stats = machine.renderAllStats();
-        } catch (const std::exception &e) {
-            out.jobError = e.what();
-        } catch (...) {
-            out.jobError = "unknown exception";
-        }
-    });
-    return results;
-}
-
 std::shared_ptr<const MachineSnapshot>
 SnapshotCache::lookup(const std::string &workload,
                       std::uint64_t config_hash,

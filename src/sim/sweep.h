@@ -13,10 +13,10 @@
  *  - a SweepRunner with one thread degrades to the plain serial
  *    loop, so single-core CI produces the same artifacts.
  *
- * The generic map() underlies the machine sweep and is also what
- * the model-zoo drivers (examples/paper_eval.cpp,
- * bench/bench_ablation_scaling.cc) use to parallelize their
- * model x workload grids.
+ * runKernels() is the one compile-and-run path for (workload,
+ * configuration) grids; the generic map() is what the model-zoo
+ * drivers (examples/paper_eval.cpp, bench/bench_ablation_scaling.cc)
+ * use to parallelize their model x workload grids.
  */
 
 #ifndef MARIONETTE_SIM_SWEEP_H
@@ -41,33 +41,6 @@ namespace marionette
 
 class ProgramCache;
 class Workload;
-
-/** One (machine configuration, kernel) simulation of a sweep. */
-struct MachineJob
-{
-    MachineConfig config;
-    Program program;
-    /**
-     * Optional pre-run hook called after load() on the job's
-     * private machine — scratchpad contents, injected seeds.
-     * Must only touch the machine it is handed.
-     */
-    std::function<void(MarionetteMachine &)> setup;
-    /** Cycle limit handed to run(). */
-    Cycle maxCycles = 2'000'000;
-};
-
-/** Everything a sweep reports per job. */
-struct SweepResult
-{
-    RunResult run;
-    /** Full stat dump of the job's machine after the run. */
-    std::string stats;
-    /** what() of an exception the job threw; empty when the job
-     *  completed.  A throwing job never takes the sweep down — the
-     *  other jobs' results are still returned. */
-    std::string jobError;
-};
 
 /** One (workload, configuration) cell of a compiled-kernel grid. */
 struct KernelSweepJob
@@ -123,7 +96,8 @@ struct KernelSweepResult
     /** The structured error that triggered the first retry. */
     std::string firstError;
     /** what() of an exception the job threw; empty when the job
-     *  completed (see SweepResult::jobError). */
+     *  completed.  A throwing job never takes the sweep down — the
+     *  other jobs' results are still returned. */
     std::string jobError;
 };
 
@@ -266,18 +240,6 @@ class SweepRunner
         });
         return results;
     }
-
-    /** map() without results, for side-effecting jobs. */
-    void forEach(int n, const std::function<void(int)> &fn) const;
-
-    /**
-     * Run every job on a per-thread-instantiated machine and return
-     * the RunResults (and stat dumps) in job order.  Bit-identical
-     * to running the jobs serially: each job's machine sees exactly
-     * load() -> setup -> run().
-     */
-    std::vector<SweepResult>
-    runMachines(const std::vector<MachineJob> &jobs) const;
 
     /**
      * Compile-and-run a (workload x configuration) grid through the

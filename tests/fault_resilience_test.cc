@@ -338,45 +338,48 @@ TEST(Sweep, RetryRecoversUnrolledKernel)
     EXPECT_TRUE(replicated) << aware.report.toString();
 }
 
+/** A workload whose CDFG construction throws, so its compile dies
+ *  outside the compiler's own diagnostics. */
+class ThrowingWorkload : public Workload
+{
+  public:
+    std::string name() const override { return "THROW"; }
+    std::string fullName() const override { return "throwing"; }
+    std::string sizeDesc() const override { return "-"; }
+    Cdfg
+    buildCdfg() const override
+    {
+        throw std::runtime_error("injected job failure");
+    }
+    std::uint64_t runGolden(KernelRecorder &) const override
+    {
+        return 0;
+    }
+};
+
 /** A throwing job must neither deadlock the pool nor lose the rest
- *  of the sweep: its error is recorded per job, the other results
- *  come back intact, and the exception resurfaces on the caller. */
+ *  of the sweep: its error is recorded on its own result and the
+ *  kernels on either side still compile, run and validate. */
 TEST(Sweep, ThrowingJobDoesNotLoseTheSweep)
 {
-    MachineConfig config;
-    ProgramBuilder b("ok", config);
-    b.setNumOutputs(1);
-    Instruction &gen = b.place(0, 0);
-    gen.mode = SenderMode::LoopOp;
-    gen.op = Opcode::Loop;
-    gen.loopStart = 0;
-    gen.loopBound = 3;
-    gen.dests = {DestSel::toOutput(0)};
-    b.setEntry(0, 0);
-    Program program = b.finish();
-
+    const ThrowingWorkload throwing;
     for (int threads : {1, 4}) {
-        std::vector<MachineJob> jobs(3);
-        for (MachineJob &j : jobs) {
-            j.config = config;
-            j.program = program;
-            j.maxCycles = 10'000;
-        }
-        jobs[1].setup = [](MarionetteMachine &) {
-            throw std::runtime_error("injected job failure");
-        };
-        SweepRunner runner(threads);
-        std::vector<SweepResult> results =
-            runner.runMachines(jobs);
+        const std::vector<KernelSweepJob> jobs = {
+            {findWorkload("SI"), evalFabric()},
+            {&throwing, evalFabric()},
+            {findWorkload("CRC"), evalFabric()}};
+        ProgramCache cache;
+        std::vector<KernelSweepResult> results =
+            SweepRunner(threads).runKernels(jobs, cache);
         ASSERT_EQ(results.size(), 3u);
         EXPECT_TRUE(results[0].jobError.empty());
         EXPECT_EQ(results[1].jobError, "injected job failure");
         EXPECT_TRUE(results[2].jobError.empty());
-        EXPECT_TRUE(results[0].run.ok());
-        EXPECT_TRUE(results[2].run.ok());
-        std::vector<Word> want = {0, 1, 2};
-        EXPECT_EQ(results[0].run.outputs[0], want);
-        EXPECT_EQ(results[2].run.outputs[0], want);
+        EXPECT_TRUE(results[0].validated)
+            << results[0].validationError;
+        EXPECT_TRUE(results[2].validated)
+            << results[2].validationError;
+        EXPECT_EQ(summarizeKernelSweep(results).jobErrors, 1);
     }
 }
 

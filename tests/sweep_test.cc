@@ -1,61 +1,19 @@
 /**
  * @file
  * Sweep-runner tests: deterministic result ordering independent of
- * thread count, per-job machine isolation, and parity with serial
- * execution of the same (config, kernel) jobs.
+ * thread count, and the thread-count fallback.  The compile-and-run
+ * path (runKernels) is covered by compile_pipeline_test and
+ * fault_resilience_test.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
-#include "compiler/program_builder.h"
 #include "sim/sweep.h"
 
 namespace marionette
 {
 namespace
 {
-
-Program
-streamKernel(const MachineConfig &config, Word bound, Word scale)
-{
-    ProgramBuilder b("stream", config);
-    b.setNumOutputs(1);
-    Instruction &gen = b.place(0, 0);
-    gen.mode = SenderMode::LoopOp;
-    gen.op = Opcode::Loop;
-    gen.loopStart = 0;
-    gen.loopBound = bound;
-    gen.dests = {DestSel::toPe(1, 0)};
-    b.setEntry(0, 0);
-    Instruction &mul = b.place(1, 0);
-    mul.mode = SenderMode::Dfg;
-    mul.op = Opcode::Mul;
-    mul.a = OperandSel::channel(0);
-    mul.b = OperandSel::immediate(scale);
-    mul.dests = {DestSel::toOutput(0)};
-    b.setEntry(1, 0);
-    return b.finish();
-}
-
-std::vector<MachineJob>
-jobGrid()
-{
-    std::vector<MachineJob> jobs;
-    for (Word bound : {5, 17, 33}) {
-        for (Cycles hop : {1, 2}) {
-            MachineConfig config;
-            config.meshHopLatency = hop;
-            MachineJob job;
-            job.config = config;
-            job.program = streamKernel(config, bound,
-                                       static_cast<Word>(hop + 1));
-            jobs.push_back(std::move(job));
-        }
-    }
-    return jobs;
-}
 
 TEST(Sweep, MapReturnsResultsInIndexOrder)
 {
@@ -65,87 +23,6 @@ TEST(Sweep, MapReturnsResultsInIndexOrder)
     ASSERT_EQ(squares.size(), 100u);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
-}
-
-TEST(Sweep, ForEachVisitsEveryIndexOnce)
-{
-    SweepRunner runner(3);
-    std::vector<std::atomic<int>> visits(64);
-    runner.forEach(64, [&](int i) {
-        ++visits[static_cast<std::size_t>(i)];
-    });
-    for (const auto &v : visits)
-        EXPECT_EQ(v.load(), 1);
-}
-
-TEST(Sweep, MachineSweepMatchesSerialExecution)
-{
-    std::vector<MachineJob> jobs = jobGrid();
-
-    // Serial golden run of the same grid.
-    std::vector<SweepResult> golden;
-    for (const MachineJob &job : jobs) {
-        MarionetteMachine m(job.config);
-        m.load(job.program);
-        SweepResult r;
-        r.run = m.run(job.maxCycles);
-        r.stats = m.renderAllStats();
-        golden.push_back(std::move(r));
-    }
-
-    for (int threads : {1, 2, 8}) {
-        SweepRunner runner(threads);
-        std::vector<SweepResult> got = runner.runMachines(jobs);
-        ASSERT_EQ(got.size(), golden.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            EXPECT_EQ(got[i].run.cycles, golden[i].run.cycles)
-                << "job " << i << " threads " << threads;
-            EXPECT_EQ(got[i].run.outputs, golden[i].run.outputs);
-            EXPECT_EQ(got[i].run.totalFires,
-                      golden[i].run.totalFires);
-            EXPECT_EQ(got[i].stats, golden[i].stats);
-        }
-    }
-}
-
-TEST(Sweep, SetupHookRunsOnTheJobsOwnMachine)
-{
-    MachineConfig config;
-    ProgramBuilder b("acc", config);
-    b.setNumOutputs(1);
-    Instruction &gen = b.place(0, 0);
-    gen.mode = SenderMode::LoopOp;
-    gen.op = Opcode::Loop;
-    gen.loopStart = 1;
-    gen.loopBound = 11;
-    gen.dests = {DestSel::toPe(1, 0)};
-    b.setEntry(0, 0);
-    Instruction &acc = b.place(1, 0);
-    acc.mode = SenderMode::Dfg;
-    acc.op = Opcode::Add;
-    acc.a = OperandSel::channel(0);
-    acc.b = OperandSel::channel(1);
-    acc.dests = {DestSel::toPe(1, 1), DestSel::toOutput(0)};
-    b.setEntry(1, 0);
-    Program prog = b.finish();
-
-    std::vector<MachineJob> jobs;
-    for (Word seed : {0, 100, -40}) {
-        MachineJob job;
-        job.config = config;
-        job.program = prog;
-        job.setup = [seed](MarionetteMachine &m) {
-            m.injectData(1, 1, seed);
-        };
-        jobs.push_back(std::move(job));
-    }
-
-    SweepRunner runner(3);
-    std::vector<SweepResult> got = runner.runMachines(jobs);
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].run.outputs[0].back(), 55);
-    EXPECT_EQ(got[1].run.outputs[0].back(), 155);
-    EXPECT_EQ(got[2].run.outputs[0].back(), 15);
 }
 
 TEST(Sweep, ZeroAndNegativeThreadCountsFallBack)
