@@ -54,11 +54,6 @@
  *                  is additionally run both ways and the results
  *                  compared — a non-zero exit on any divergence is
  *                  CI's fast-forward smoke gate.
- *   --snapshot-stats
- *                  run the machine validation twice through a
- *                  snapshot warm-start cache and print the
- *                  checkpoint hit/miss counters and the prepare
- *                  time the warm starts saved.
  *   --serve-smoke  push a small deterministic multi-tenant load
  *                  through the serving core (serve/server.h) with
  *                  spatial co-tenancy enabled and exit non-zero if
@@ -109,9 +104,6 @@ struct Options
      *  0 = forced off, 1 = forced on *plus* the both-ways
      *  bit-exactness smoke comparison. */
     int fastForward = -1;
-    /** Print snapshot warm-start cache statistics (runs the
-     *  validation grid twice through a SnapshotCache). */
-    bool snapshotStats = false;
     /** Serving smoke mode: push a small deterministic load through
      *  the multi-tenant ServeCore and gate on bit-exactness. */
     bool serveSmoke = false;
@@ -135,8 +127,7 @@ usageError(const char *why, const char *detail)
                  "[--jobs=N] [--report=PATH] "
                  "[--check-coverage=PATH] [--placer=snake|cost] "
                  "[--mapped-report=PATH] [--unroll=N] "
-                 "[--unroll-ablation=PATH] "
-                 "[--fast-forward=on|off] [--snapshot-stats] "
+                 "[--unroll-ablation=PATH] [--fast-forward=on|off] "
                  "[--serve-smoke] [--faults] "
                  "[--fault-grid=DEADPES,DEADLINKS] "
                  "[--fault-seed=N] [--resilience-report=PATH]\n");
@@ -237,8 +228,6 @@ parseArgs(int argc, char **argv, Options &opts)
                 return usageError("bad --fast-forward value "
                                   "(want on|off)",
                                   arg + 15);
-        } else if (std::strcmp(arg, "--snapshot-stats") == 0) {
-            opts.snapshotStats = true;
         } else if (std::strcmp(arg, "--serve-smoke") == 0) {
             opts.serveSmoke = true;
         } else if (std::strcmp(arg, "--faults") == 0) {
@@ -448,54 +437,6 @@ fastForwardSmoke(const Options &opts, const SweepRunner &runner)
         }
     }
     return ok;
-}
-
-/**
- * Snapshot warm-start statistics (--snapshot-stats): the validation
- * grid runs twice through a SnapshotCache, so the second pass
- * restores every cell's post-prepare checkpoint instead of
- * re-preparing.  Prints the checkpoint hit/miss counters and the
- * prepare time the warm starts saved (sweep-layer machinery the
- * sweeps and ablations share; see SnapshotCache).
- */
-void
-snapshotStatsRun(const Options &opts, const SweepRunner &runner)
-{
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
-    std::vector<KernelSweepJob> jobs;
-    for (int rep = 0; rep < 2; ++rep)
-        for (const Workload *w : allWorkloads()) {
-            if (!selected(opts, w->name()))
-                continue;
-            jobs.push_back(
-                KernelSweepJob{w, evalFabric(), 0, copts});
-        }
-
-    ProgramCache cache;
-    SnapshotCache snapshots;
-    std::vector<KernelSweepResult> results =
-        runner.runKernels(jobs, cache, &snapshots);
-
-    std::size_t validated = 0;
-    for (const KernelSweepResult &r : results)
-        if (r.validated)
-            ++validated;
-    SnapshotCache::Counters c = snapshots.counters();
-    std::printf("\n== Snapshot warm-start statistics (validation "
-                "grid x2) ==\n");
-    std::printf("  checkpoints: %llu miss(es) -> stored, %llu "
-                "hit(s) -> restored\n",
-                static_cast<unsigned long long>(c.misses),
-                static_cast<unsigned long long>(c.hits));
-    std::printf("  prepare time saved by warm starts: %.1f ms\n",
-                static_cast<double>(c.savedMicros) / 1000.0);
-    std::printf("  program cache: %llu compile(s), %llu hit(s); "
-                "%zu/%zu jobs bit-exact\n",
-                static_cast<unsigned long long>(cache.misses()),
-                static_cast<unsigned long long>(cache.hits()),
-                validated, results.size());
 }
 
 /**
@@ -1532,8 +1473,6 @@ main(int argc, char **argv)
         writeMappedReport(opts, runner);
     if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
         return 1;
-    if (opts.snapshotStats)
-        snapshotStatsRun(opts, runner);
     if (!opts.checkCoveragePath.empty() &&
         !checkCoverage(opts.checkCoveragePath, coverage))
         return 1;

@@ -1,7 +1,6 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 
 #include "compiler/program_cache.h"
@@ -125,8 +124,7 @@ SnapshotCache::makeKey(const std::string &workload,
 
 std::vector<KernelSweepResult>
 SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
-                        ProgramCache &cache,
-                        SnapshotCache *snapshots) const
+                        ProgramCache &cache) const
 {
     std::vector<KernelSweepResult> results(jobs.size());
     dispatch(static_cast<int>(jobs.size()), [&](int i) {
@@ -167,37 +165,7 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
 
                 const CompiledKernel &kernel = *compiled.kernel;
                 MarionetteMachine machine(job.config);
-                // Warm start: restore the cell's checkpoint when
-                // one exists, otherwise prepare from scratch and
-                // publish the checkpoint for the next repetition.
-                // Retried jobs recompile against a different fault
-                // view, so the (architectural) key is recomputed
-                // per iteration.
-                std::shared_ptr<const MachineSnapshot> snap;
-                if (snapshots)
-                    snap = snapshots->lookup(
-                        job.workload->name(),
-                        configHash(compile_config), job.options);
-                if (snap) {
-                    machine.restore(*snap);
-                } else if (snapshots) {
-                    const auto t0 =
-                        std::chrono::steady_clock::now();
-                    kernel.prepare(machine);
-                    const auto micros =
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-                    snapshots->store(
-                        job.workload->name(),
-                        configHash(compile_config), job.options,
-                        std::make_shared<const MachineSnapshot>(
-                            machine.snapshot()),
-                        static_cast<std::uint64_t>(micros));
-                } else {
-                    kernel.prepare(machine);
-                }
+                kernel.prepare(machine);
                 out.run =
                     machine.run(job.maxCycles > 0
                                     ? job.maxCycles

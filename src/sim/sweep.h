@@ -128,19 +128,18 @@ KernelSweepStats
 summarizeKernelSweep(const std::vector<KernelSweepResult> &results);
 
 /**
- * Warm-start checkpoint cache for kernel sweeps.
+ * Warm-start checkpoint cache.
  *
- * The expensive part of a sweep cell, after the (already cached)
- * compile, is CompiledKernel::prepare(): loading the program and
- * filling the scratchpad with the workload's inputs.  Repeated runs
- * of the same (workload, config, compile-options) cell — validation
- * reps, fast-forward A/B comparisons, retry studies — can restore a
- * machine snapshot taken right after the first prepare() instead.
- * Restoring is bit-identical to preparing from scratch (see
- * MarionetteMachine::restore), so warm-started results are the same
- * to the byte.
+ * After the (already cached) compile, a run starts with
+ * CompiledKernel::prepare(): loading the program and filling the
+ * scratchpad with the workload's inputs.  serve::ServeCore restores
+ * a machine snapshot taken right after a cell's first prepare()
+ * instead when the same (workload, config, compile-options) cell is
+ * requested again.  Restoring is bit-identical to preparing from
+ * scratch (see MarionetteMachine::restore), so warm-started results
+ * are the same to the byte.
  *
- * Thread-safe; snapshots are shared immutably across jobs.  Keyed
+ * Thread-safe; snapshots are shared immutably across lanes.  Keyed
  * by workload name, architectural configHash and compile options —
  * the same identity the program cache uses — so simulator-only
  * toggles (eventDrivenSim, fastForward) share one checkpoint.
@@ -248,16 +247,10 @@ class SweepRunner
      * per-grid compile-once guarantee sweeps rely on.  Each result
      * reports the compile outcome (or the rejecting diagnostic),
      * the machine run, and the bit-exact golden cross-validation.
-     *
-     * With a @p snapshots cache the per-job prepare() (program load
-     * + scratchpad fill) is checkpointed once per (workload, config,
-     * options) cell and repeated cells warm-start from the restored
-     * snapshot — bit-identical, just faster.  nullptr opts out.
      */
     std::vector<KernelSweepResult>
     runKernels(const std::vector<KernelSweepJob> &jobs,
-               ProgramCache &cache,
-               SnapshotCache *snapshots = nullptr) const;
+               ProgramCache &cache) const;
 
   private:
     /** Pull-model worker pool over [0, n) with index-order claims. */

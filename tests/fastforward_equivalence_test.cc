@@ -23,7 +23,7 @@
  * Snapshot/restore must be bit-identical to preparing from scratch:
  * restoring a post-prepare checkpoint into the same or a fresh
  * machine reproduces the straight run exactly, which is what lets
- * the sweep layer's SnapshotCache warm-start repeated cells.
+ * the serving core's SnapshotCache warm-start repeated requests.
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +35,6 @@
 #include "arch/machine.h"
 #include "compiler/compiler.h"
 #include "compiler/program_builder.h"
-#include "compiler/program_cache.h"
-#include "sim/sweep.h"
 #include "workloads/workload.h"
 
 namespace marionette
@@ -336,38 +334,6 @@ TEST(FastForwardEquivalence, SnapshotRestoreDeterminism)
     d.restore(resnap);
     RunCapture chained = capture(d);
     expectSame(straight, chained, "snapshot-of-restore");
-}
-
-/** The sweep layer's warm-start path: duplicate grid cells hit the
- *  SnapshotCache and still validate bit-exactly. */
-TEST(FastForwardEquivalence, SweepWarmStartHitsSnapshotCache)
-{
-    std::vector<KernelSweepJob> jobs;
-    for (int rep = 0; rep < 3; ++rep)
-        for (const char *name : {"SI", "CRC"})
-            jobs.push_back(
-                KernelSweepJob{findWorkload(name), evalFabric()});
-
-    ProgramCache programs;
-    SnapshotCache snapshots;
-    std::vector<KernelSweepResult> results =
-        SweepRunner(1).runKernels(jobs, programs, &snapshots);
-
-    SnapshotCache::Counters counters = snapshots.counters();
-    EXPECT_EQ(counters.misses, 2u); // first rep of each kernel.
-    EXPECT_EQ(counters.hits, 4u);   // two further reps of each.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        ASSERT_TRUE(results[i].compiled) << results[i].diagnostic;
-        EXPECT_TRUE(results[i].validated)
-            << results[i].validationError;
-    }
-    // Warm-started repetitions reproduce the cold run exactly.
-    for (std::size_t i = 2; i < jobs.size(); ++i) {
-        const KernelSweepResult &cold = results[i % 2];
-        EXPECT_EQ(results[i].run.cycles, cold.run.cycles);
-        EXPECT_EQ(results[i].run.outputs, cold.run.outputs);
-        EXPECT_EQ(results[i].run.totalFires, cold.run.totalFires);
-    }
 }
 
 } // namespace
