@@ -26,10 +26,10 @@ printMatrix()
     for (const Workload *w : allWorkloads()) {
         CompileResult r = compiler.compile(*w);
         if (r.ok())
-            std::printf("  %-6s compiles (model estimate %.0f "
-                        "cycles)\n",
+            std::printf("  %-6s compiles (scheduled estimate "
+                        "%.0f cycles)\n",
                         w->name().c_str(),
-                        r.report.modelCycleEstimate);
+                        r.report.scheduledCycleEstimate);
         else
             std::printf("  %-6s rejected [%s] %s\n",
                         w->name().c_str(),

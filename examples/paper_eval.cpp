@@ -335,7 +335,7 @@ machineValidation(const Options &opts, const SweepRunner &runner)
                 "cycle-accurate machine (%s placer) ==\n",
                 std::string(placerName(opts.placer)).c_str());
     std::printf("  %-6s %-5s %10s %10s %6s %8s  %s\n", "kernel",
-                "cfg", "cycles", "model", "hops", "maxlink",
+                "cfg", "cycles", "sched", "hops", "maxlink",
                 "result");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const KernelSweepResult &r = results[i];
@@ -351,7 +351,8 @@ machineValidation(const Options &opts, const SweepRunner &runner)
         std::printf("  %-6s %-5s %10llu %10.0f %6.2f %8llu  %s\n",
                     labels[i].c_str(), cfg,
                     static_cast<unsigned long long>(r.run.cycles),
-                    r.modelEstimate, r.congestion.meanHops,
+                    r.report.scheduledCycleEstimate,
+                    r.congestion.meanHops,
                     static_cast<unsigned long long>(
                         r.congestion.maxLinkLoad),
                     r.validated
@@ -657,8 +658,6 @@ writeReport(const std::string &path, const Coverage &coverage)
             << "\", \"validated\": "
             << (r.validated ? "true" : "false")
             << ", \"cycles\": " << r.run.cycles
-            << ", \"model_cycles\": "
-            << static_cast<std::uint64_t>(r.modelEstimate)
             << ", \"scheduled_cycles\": "
             << static_cast<std::uint64_t>(scheduled)
             << ", \"mapped_to_scheduled_ratio\": " << ratio
@@ -811,7 +810,7 @@ checkCoverage(const std::string &path, const Coverage &coverage)
         // cycles: a change that slows the machine *and* mis-models
         // it equally would pass the cycle band yet silently
         // invalidate every scheduled-cycle prediction downstream
-        // (sweep modelEstimate, unroll ablation).  The band is
+        // (validation table, unroll ablation).  The band is
         // 0.10 absolute or 10% relative, whichever is larger.
         double want_ratio =
             extractDouble(obj, "mapped_to_scheduled_ratio");

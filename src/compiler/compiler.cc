@@ -13,7 +13,6 @@
 #include "arch/machine.h"
 #include "compiler/pass_manager.h"
 #include "compiler/pipeline.h"
-#include "model/arch_model.h"
 #include "model/schedule_model.h"
 
 namespace marionette
@@ -53,9 +52,9 @@ CompileReport::toString() const
     if (!ok())
         out << "  REJECTED by pass '" << failedPass
             << "': " << reason << "\n";
-    else if (modelCycleEstimate > 0)
-        out << "  [model] analytic Marionette estimate: "
-            << static_cast<std::uint64_t>(modelCycleEstimate)
+    else if (scheduledCycleEstimate > 0)
+        out << "  [model] scheduled estimate: "
+            << static_cast<std::uint64_t>(scheduledCycleEstimate)
             << " cycles\n";
     return out.str();
 }
@@ -179,26 +178,6 @@ Compiler::compile(const Workload &workload) const
 
     CompileResult result;
     if (ok) {
-        // Cross-check anchor: the analytic Marionette model's
-        // cycle estimate for this workload on this fabric size.
-        ModelParams params;
-        params.numPes = config_.numPes();
-        params.configLat =
-            static_cast<double>(config_.configLatency);
-        params.execLat =
-            static_cast<double>(config_.executeLatency);
-        params.ctrlNetLat =
-            static_cast<double>(config_.controlNetLatency);
-        params.dataNetLat =
-            static_cast<double>(config_.dataNetLatency);
-        params.ccuRoundTrip =
-            static_cast<double>(config_.ccuRoundTrip);
-        WorkloadProfile profile = workload.profile();
-        cc.report.modelCycleEstimate =
-            makeMarionette(params, config_.features)
-                ->run(profile)
-                .cycles;
-
         // Scheduled-cycle estimate: the route pass's derived
         // timing (slack-adjusted recurrence IIs, fill latencies,
         // drain bounds, multicast link traffic) folded into the

@@ -8,8 +8,8 @@
  * and produces a validated, loadable Program together with
  * everything a harness needs to run and cross-validate it:
  * scratchpad image, boot-time channel seeds, the golden output
- * streams and final-memory regions, and the analytic model's cycle
- * estimate.
+ * streams and final-memory regions, and the route pass's scheduled
+ * cycle estimate.
  *
  * Pass pipeline (each pass appends to the CompileReport; the first
  * failing pass aborts with a diagnostic instead of asserting):
@@ -81,14 +81,11 @@ struct CompileReport
     std::string failedPass;
     /** Empty on success; otherwise the reason. */
     std::string reason;
-    /** Analytic Marionette model cycles for this workload on this
-     *  fabric size (0 until the bind pass). */
-    double modelCycleEstimate = 0.0;
     /** Schedule-aware model cycles: derived from the placed-and-
      *  routed program's own trip counts, recurrence IIs and
-     *  predicted link loads (0 until the route pass).  Unlike
-     *  modelCycleEstimate this tracks what the backend actually
-     *  scheduled, so it lands within ~2x of the machine. */
+     *  predicted link loads (0 until the route pass).  It tracks
+     *  what the backend actually scheduled, so it lands within ~2x
+     *  of the machine (model/schedule_model.h). */
     double scheduledCycleEstimate = 0.0;
 
     bool ok() const { return failedPass.empty(); }

@@ -60,23 +60,6 @@ struct ScheduleModelInput
 /** The scheduled-cycle estimate for one placed-and-routed kernel. */
 double scheduledCycleEstimate(const ScheduleModelInput &in);
 
-/**
- * Default cycle predictor for a *mapped* kernel: prefer the
- * post-route scheduled estimate whenever the compile produced one —
- * it is derived from the placement and routes the machine actually
- * runs, so it tracks mapped cycles much more tightly than the
- * structure-only analytic model — and fall back to the analytic
- * estimate for kernels that never reached the route pass.  The
- * sweep layer reports this as KernelSweepResult::modelEstimate, and
- * paper_eval's coverage gate bounds the mapped-to-scheduled ratio
- * drift.
- */
-inline double
-preferredCycleEstimate(double scheduled, double analytic)
-{
-    return scheduled > 0.0 ? scheduled : analytic;
-}
-
 } // namespace marionette
 
 #endif // MARIONETTE_MODEL_SCHEDULE_MODEL_H

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "compiler/program_cache.h"
-#include "model/schedule_model.h"
 #include "workloads/workload.h"
 
 namespace marionette
@@ -155,13 +154,6 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
                     return;
                 }
                 out.compiled = true;
-                // Scheduled-cycle feedback: the route pass's own
-                // timing is the default predictor for a kernel it
-                // actually placed; the analytic model only covers
-                // compiles that never got that far.
-                out.modelEstimate = preferredCycleEstimate(
-                    compiled.report.scheduledCycleEstimate,
-                    compiled.report.modelCycleEstimate);
 
                 const CompiledKernel &kernel = *compiled.kernel;
                 MarionetteMachine machine(job.config);

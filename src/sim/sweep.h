@@ -80,11 +80,6 @@ struct KernelSweepResult
     bool validated = false;
     /** First mismatch description when !validated. */
     std::string validationError;
-    /** Model cycle estimate: the route pass's scheduled-cycle
-     *  prediction when available, the analytic Marionette model
-     *  otherwise (model/schedule_model.h,
-     *  preferredCycleEstimate). */
-    double modelEstimate = 0.0;
     /** Mesh traffic / stall profile of the run (hop and link-load
      *  statistics the mapped-cycles report prints). */
     CongestionReport congestion;

@@ -18,6 +18,7 @@
 #include "arch/machine.h"
 #include "compiler/compiler.h"
 #include "compiler/program_cache.h"
+#include "model/arch_model.h"
 #include "sim/sweep.h"
 
 namespace marionette
@@ -29,6 +30,24 @@ namespace
 const std::set<std::string> kSupported = {
     "CRC", "ADPCM", "GEMM", "CO",   "SI", "GP",
     "NW",  "VI",    "HT",   "LDPC", "SCD"};
+
+/** The analytic Marionette model's cycle estimate for @p w on
+ *  @p config's fabric size and timing. */
+double
+analyticEstimate(const Workload &w, const MachineConfig &config)
+{
+    ModelParams params;
+    params.numPes = config.numPes();
+    params.configLat = static_cast<double>(config.configLatency);
+    params.execLat = static_cast<double>(config.executeLatency);
+    params.ctrlNetLat =
+        static_cast<double>(config.controlNetLatency);
+    params.dataNetLat = static_cast<double>(config.dataNetLatency);
+    params.ccuRoundTrip = static_cast<double>(config.ccuRoundTrip);
+    return makeMarionette(params, config.features)
+        ->run(w.profile())
+        .cycles;
+}
 
 /** A second architecture: slower mesh, more banks, deeper FIFOs. */
 MachineConfig
@@ -80,13 +99,13 @@ TEST_P(CompilePipeline, BitExactOnTwoConfigs)
         // runs a reduced machine size (VI, HT, SCD — SCD's static
         // schedule is *smaller* than the profiled decode, so its
         // machine run undercuts the model) get a wider band.
-        ASSERT_GT(r.report.modelCycleEstimate, 0.0) << w.name();
+        const double analytic = analyticEstimate(w, config);
+        ASSERT_GT(analytic, 0.0) << w.name();
         const std::set<std::string> wide_band = {"NW", "VI", "HT",
                                                  "LDPC", "SCD"};
         double lo = wide_band.count(w.name()) ? 0.05 : 0.5;
         double hi = wide_band.count(w.name()) ? 1024.0 : 64.0;
-        double ratio = static_cast<double>(run.cycles) /
-                       r.report.modelCycleEstimate;
+        double ratio = static_cast<double>(run.cycles) / analytic;
         EXPECT_GT(ratio, lo) << w.name();
         EXPECT_LT(ratio, hi) << w.name();
     }
