@@ -669,55 +669,21 @@ writeReport(const std::string &path, const Coverage &coverage)
     closeReport(out, path, "compile-coverage");
 }
 
-/** Minimal field scan over one JSON object body. */
+/** Minimal field scan over one JSON object body: a string value's
+ *  contents without the quotes, any other value's literal text, or
+ *  "" when the key is absent. */
 std::string
-extractString(const std::string &obj, const std::string &key)
+field(const std::string &obj, const std::string &key)
 {
     std::size_t at = obj.find("\"" + key + "\"");
     if (at == std::string::npos)
         return {};
-    at = obj.find(':', at);
-    at = obj.find('"', at);
+    at = obj.find_first_not_of(" :", at + key.size() + 2);
     if (at == std::string::npos)
         return {};
-    std::size_t end = obj.find('"', at + 1);
-    return obj.substr(at + 1, end - at - 1);
-}
-
-bool
-extractBool(const std::string &obj, const std::string &key)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    return obj.find("true", at) <
-           std::min(obj.find(',', at), obj.find('}', at));
-}
-
-/** Numeric field scan; -1 when the key is absent. */
-std::int64_t
-extractNumber(const std::string &obj, const std::string &key)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return -1;
-    at = obj.find(':', at);
-    if (at == std::string::npos)
-        return -1;
-    return std::atoll(obj.c_str() + at + 1);
-}
-
-/** Floating-point field scan; -1.0 when the key is absent. */
-double
-extractDouble(const std::string &obj, const std::string &key)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return -1.0;
-    at = obj.find(':', at);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::atof(obj.c_str() + at + 1);
+    if (obj[at] == '"')
+        return obj.substr(at + 1, obj.find('"', at + 1) - at - 1);
+    return obj.substr(at, obj.find_first_of(",} \n", at) - at);
 }
 
 /** Diff (kernel, compiled, failed_pass) against the expectation
@@ -752,8 +718,8 @@ checkCoverage(const std::string &path, const Coverage &coverage)
         }
         std::size_t end = all.find('}', at);
         std::string obj = all.substr(at, end - at + 1);
-        bool want_compiled = extractBool(obj, "compiled");
-        std::string want_pass = extractString(obj, "failed_pass");
+        bool want_compiled = field(obj, "compiled") == "true";
+        std::string want_pass = field(obj, "failed_pass");
         if (want_compiled != r.compiled) {
             std::fprintf(stderr,
                          "coverage check: %s %s, expected to %s\n",
@@ -786,7 +752,8 @@ checkCoverage(const std::string &path, const Coverage &coverage)
         // timing regression blows through it).  The run is fully
         // deterministic, so the band can be tight.
         constexpr double kCycleTolerance = 0.05;
-        std::int64_t want_cycles = extractNumber(obj, "cycles");
+        std::int64_t want_cycles =
+            std::atoll(field(obj, "cycles").c_str());
         if (r.compiled && want_compiled && want_cycles > 0) {
             double rel =
                 std::fabs(static_cast<double>(r.run.cycles) -
@@ -812,8 +779,8 @@ checkCoverage(const std::string &path, const Coverage &coverage)
         // invalidate every scheduled-cycle prediction downstream
         // (validation table, unroll ablation).  The band is
         // 0.10 absolute or 10% relative, whichever is larger.
-        double want_ratio =
-            extractDouble(obj, "mapped_to_scheduled_ratio");
+        double want_ratio = std::atof(
+            field(obj, "mapped_to_scheduled_ratio").c_str());
         const double scheduled = r.report.scheduledCycleEstimate;
         if (r.compiled && want_compiled && want_ratio > 0.0 &&
             scheduled > 0.0) {
