@@ -7,10 +7,11 @@
  * (The bench/ binaries regenerate the same artifacts one at a time
  * with benchmark timing; this example is the human-readable tour.)
  *
- * The model x workload grid behind the tables is evaluated through
- * the parallel sweep runner (sim/sweep.h); results are keyed by
- * (model, workload), so the artifact is identical on any thread
- * count.
+ * Everything runs through the parallel sweep runner (sim/sweep.h):
+ * the model x workload grid behind the tables through map(), every
+ * kernel compile-and-run through runKernels(), whose results carry
+ * the compile report.  Results are keyed by job, so every artifact
+ * is identical on any thread count.
  *
  * Flags:
  *   --list         print the 13 workload abbreviations and exit.
@@ -18,13 +19,15 @@
  *                  to the named kernels.
  *   --jobs=N       sweep-runner thread count (default: hardware).
  *   --report=PATH  write machine-readable per-kernel compile
- *                  coverage (status, failed pass, cycles, compile
- *                  time) as JSON — the bench trajectory's compiler
- *                  data points (BENCH_compile_coverage.json).
+ *                  coverage (status, failed pass, cycles, scheduled
+ *                  estimate, compile time) as JSON — the bench
+ *                  trajectory's compiler data points
+ *                  (BENCH_compile_coverage.json).
  *   --check-coverage=PATH
  *                  compare the current coverage (kernel, compiled,
  *                  failed pass, *and cycles within a tolerance
- *                  band*) against a checked-in expectation and
+ *                  band*, mapped-to-scheduled ratio within its
+ *                  band) against a checked-in expectation and
  *                  exit non-zero on any difference, so a change
  *                  can never quietly drop a working kernel or
  *                  regress its mapped cycles.
@@ -60,6 +63,16 @@
  *                  any response fails, diverges from the goldens,
  *                  or the latency tail blows out — CI's serving
  *                  smoke gate.
+ *   --faults       sweep seeded fault plans over the selected
+ *                  kernels instead of the model tour; exit non-zero
+ *                  on silent corruption or a thrown job.
+ *   --fault-grid=DEADPES,DEADLINKS
+ *                  with --faults: one grid cell (plus the zero-fault
+ *                  baseline) instead of the full 0..8 x 0..4 grid.
+ *   --fault-seed=N with --faults: the fault-plan seed (default 1).
+ *   --resilience-report=PATH
+ *                  with --faults: write the per-cell survival table
+ *                  as JSON (BENCH_resilience.json).
  *
  * Every JSON artifact opens with a "schema_version" field (see
  * kReportSchemaVersion) so downstream consumers can detect shape
@@ -302,7 +315,6 @@ slowMeshFabric()
 /** Compile the selected kernels on two fabrics through the shared
  *  program cache and run them on the cycle-accurate machine.
  *  Returns the per-kernel coverage on the primary fabric. */
-
 Coverage
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
@@ -487,7 +499,7 @@ closeReport(std::ofstream &out, const std::string &path,
  * to the raw per-fabric cycle sums.
  */
 void
-writeMappedReport(const Options &opts, const SweepRunner &runner)
+runMappedAblation(const Options &opts, const SweepRunner &runner)
 {
     const MachineConfig fabrics[] = {evalFabric(),
                                      slowMeshFabric()};
@@ -1436,7 +1448,7 @@ main(int argc, char **argv)
     if (!opts.reportPath.empty())
         writeReport(opts.reportPath, coverage);
     if (!opts.mappedReportPath.empty())
-        writeMappedReport(opts, runner);
+        runMappedAblation(opts, runner);
     if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
         return 1;
     if (!opts.checkCoveragePath.empty() &&

@@ -364,10 +364,12 @@ TEST(Sweep, ThrowingJobDoesNotLoseTheSweep)
 {
     const ThrowingWorkload throwing;
     for (int threads : {1, 4}) {
-        const std::vector<KernelSweepJob> jobs = {
-            {findWorkload("SI"), evalFabric()},
-            {&throwing, evalFabric()},
-            {findWorkload("CRC"), evalFabric()}};
+        std::vector<KernelSweepJob> jobs(3);
+        jobs[0].workload = findWorkload("SI");
+        jobs[1].workload = &throwing;
+        jobs[2].workload = findWorkload("CRC");
+        for (KernelSweepJob &job : jobs)
+            job.config = evalFabric();
         ProgramCache cache;
         std::vector<KernelSweepResult> results =
             SweepRunner(threads).runKernels(jobs, cache);
