@@ -50,13 +50,6 @@
  *                  machine, and write the per-factor cycles /
  *                  chosen-factor / bit-exactness table as JSON
  *                  (BENCH_unroll_ablation.json).
- *   --fast-forward=on|off
- *                  force the steady-state fast-forward engine for
- *                  the machine validation (default: the config's
- *                  default, on).  With "on" every selected kernel
- *                  is additionally run both ways and the results
- *                  compared — a non-zero exit on any divergence is
- *                  CI's fast-forward smoke gate.
  *   --serve-smoke  push a small deterministic multi-tenant load
  *                  through the serving core (serve/server.h) with
  *                  spatial co-tenancy enabled and exit non-zero if
@@ -113,10 +106,6 @@ struct Options
     /** Unroll-factor ablation mode: compile GEMM/LDPC at a ladder
      *  of caps and write the table to this path. */
     std::string unrollAblationPath;
-    /** Steady-state fast-forward: -1 = config default (on),
-     *  0 = forced off, 1 = forced on *plus* the both-ways
-     *  bit-exactness smoke comparison. */
-    int fastForward = -1;
     /** Serving smoke mode: push a small deterministic load through
      *  the multi-tenant ServeCore and gate on bit-exactness. */
     bool serveSmoke = false;
@@ -140,8 +129,7 @@ usageError(const char *why, const char *detail)
                  "[--jobs=N] [--report=PATH] "
                  "[--check-coverage=PATH] [--placer=snake|cost] "
                  "[--mapped-report=PATH] [--unroll=N] "
-                 "[--unroll-ablation=PATH] [--fast-forward=on|off] "
-                 "[--serve-smoke] [--faults] "
+                 "[--unroll-ablation=PATH] [--serve-smoke] [--faults] "
                  "[--fault-grid=DEADPES,DEADLINKS] "
                  "[--fault-seed=N] [--resilience-report=PATH]\n");
     return false;
@@ -232,15 +220,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!parsePlacerName(arg + 9, opts.placer))
                 return usageError("unknown placer (snake|cost)",
                                   arg + 9);
-        } else if (std::strncmp(arg, "--fast-forward=", 15) == 0) {
-            if (std::strcmp(arg + 15, "on") == 0)
-                opts.fastForward = 1;
-            else if (std::strcmp(arg + 15, "off") == 0)
-                opts.fastForward = 0;
-            else
-                return usageError("bad --fast-forward value "
-                                  "(want on|off)",
-                                  arg + 15);
         } else if (std::strcmp(arg, "--serve-smoke") == 0) {
             opts.serveSmoke = true;
         } else if (std::strcmp(arg, "--faults") == 0) {
@@ -318,12 +297,8 @@ slowMeshFabric()
 Coverage
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
-    MachineConfig big = evalFabric();
-    MachineConfig alt = slowMeshFabric();
-    if (opts.fastForward >= 0) {
-        big.fastForward = opts.fastForward != 0;
-        alt.fastForward = opts.fastForward != 0;
-    }
+    const MachineConfig big = evalFabric();
+    const MachineConfig alt = slowMeshFabric();
 
     CompilerOptions copts;
     copts.placer = opts.placer;
@@ -383,73 +358,6 @@ machineValidation(const Options &opts, const SweepRunner &runner)
     for (std::size_t i = 0; i < jobs.size(); i += 2)
         coverage.emplace_back(labels[i], std::move(results[i]));
     return coverage;
-}
-
-/**
- * The fast-forward smoke gate (--fast-forward=on): every selected
- * kernel runs on the primary fabric with the engine forced off and
- * forced on, and the two runs must agree on cycles, fires and every
- * output word.  The engine only ever skips work it has proven
- * redundant, so *any* divergence is a bug; CI runs this over the
- * long kernels (LDPC, VI).  The exhaustive byte-level check
- * (renderAllStats, memory dumps, all three sim paths) lives in
- * tests/fastforward_equivalence_test.cc.
- */
-bool
-fastForwardSmoke(const Options &opts, const SweepRunner &runner)
-{
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
-    std::vector<KernelSweepJob> jobs;
-    std::vector<std::string> labels;
-    for (const Workload *w : allWorkloads()) {
-        if (!selected(opts, w->name()))
-            continue;
-        for (bool ff : {false, true}) {
-            MachineConfig config = evalFabric();
-            config.fastForward = ff;
-            jobs.push_back(KernelSweepJob{w, config, 0, copts});
-        }
-        labels.push_back(w->name());
-    }
-
-    ProgramCache cache;
-    std::vector<KernelSweepResult> results =
-        runner.runKernels(jobs, cache);
-
-    std::printf("\n== Fast-forward smoke gate (engine off vs on, "
-                "primary fabric) ==\n");
-    bool ok = true;
-    for (std::size_t k = 0; k < labels.size(); ++k) {
-        const KernelSweepResult &off = results[2 * k];
-        const KernelSweepResult &on = results[2 * k + 1];
-        if (!off.compiled) {
-            std::printf("  %-6s rejected (%s) — skipped\n",
-                        labels[k].c_str(), off.diagnostic.c_str());
-            continue;
-        }
-        bool same = off.run.cycles == on.run.cycles &&
-                    off.run.totalFires == on.run.totalFires &&
-                    off.run.outputs == on.run.outputs &&
-                    off.validated && on.validated;
-        std::printf("  %-6s %10llu cycles  %s\n", labels[k].c_str(),
-                    static_cast<unsigned long long>(on.run.cycles),
-                    same ? "identical off/on, bit-exact vs golden"
-                         : "DIVERGED");
-        if (!same) {
-            std::fprintf(stderr,
-                         "fast-forward smoke: %s diverged (off: "
-                         "%llu cycles, on: %llu cycles)\n",
-                         labels[k].c_str(),
-                         static_cast<unsigned long long>(
-                             off.run.cycles),
-                         static_cast<unsigned long long>(
-                             on.run.cycles));
-            ok = false;
-        }
-    }
-    return ok;
 }
 
 /**
@@ -1449,8 +1357,6 @@ main(int argc, char **argv)
         writeReport(opts.reportPath, coverage);
     if (!opts.mappedReportPath.empty())
         runMappedAblation(opts, runner);
-    if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
-        return 1;
     if (!opts.checkCoveragePath.empty() &&
         !checkCoverage(opts.checkCoveragePath, coverage))
         return 1;
