@@ -50,12 +50,6 @@
  *                  machine, and write the per-factor cycles /
  *                  chosen-factor / bit-exactness table as JSON
  *                  (BENCH_unroll_ablation.json).
- *   --serve-smoke  push a small deterministic multi-tenant load
- *                  through the serving core (serve/server.h) with
- *                  spatial co-tenancy enabled and exit non-zero if
- *                  any response fails, diverges from the goldens,
- *                  or the latency tail blows out — CI's serving
- *                  smoke gate.
  *   --faults       sweep seeded fault plans over the selected
  *                  kernels instead of the model tour; exit non-zero
  *                  on silent corruption or a thrown job.
@@ -84,7 +78,6 @@
 
 #include "compiler/program_cache.h"
 #include "core/marionette.h"
-#include "serve/server.h"
 
 using namespace marionette;
 
@@ -106,9 +99,6 @@ struct Options
     /** Unroll-factor ablation mode: compile GEMM/LDPC at a ladder
      *  of caps and write the table to this path. */
     std::string unrollAblationPath;
-    /** Serving smoke mode: push a small deterministic load through
-     *  the multi-tenant ServeCore and gate on bit-exactness. */
-    bool serveSmoke = false;
     /** Fault-resilience mode: sweep seeded fault plans over the
      *  selected kernels instead of the model tour. */
     bool faults = false;
@@ -129,7 +119,7 @@ usageError(const char *why, const char *detail)
                  "[--jobs=N] [--report=PATH] "
                  "[--check-coverage=PATH] [--placer=snake|cost] "
                  "[--mapped-report=PATH] [--unroll=N] "
-                 "[--unroll-ablation=PATH] [--serve-smoke] [--faults] "
+                 "[--unroll-ablation=PATH] [--faults] "
                  "[--fault-grid=DEADPES,DEADLINKS] "
                  "[--fault-seed=N] [--resilience-report=PATH]\n");
     return false;
@@ -220,8 +210,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!parsePlacerName(arg + 9, opts.placer))
                 return usageError("unknown placer (snake|cost)",
                                   arg + 9);
-        } else if (std::strcmp(arg, "--serve-smoke") == 0) {
-            opts.serveSmoke = true;
         } else if (std::strcmp(arg, "--faults") == 0) {
             opts.faults = true;
         } else if (std::strncmp(arg, "--fault-grid=", 13) == 0) {
@@ -1122,72 +1110,6 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
     return failed ? 1 : 0;
 }
 
-/**
- * Serving smoke gate (--serve-smoke): a small deterministic
- * multi-tenant load through the ServeCore with spatial co-tenancy
- * on — one primary fabric carved into four regions, snapshots and
- * golden cross-validation enabled.  Fails (non-zero exit) if any
- * response is unserved, any served response diverges from its solo
- * goldens, no warm start happened, or the latency tail blows out.
- */
-int
-runServeSmoke()
-{
-    serve::ServeOptions options;
-    options.fabric = evalFabric();
-    options.fabrics = 1;
-    options.regionsPerFabric = 4;
-    options.queueCapacity = 16;
-    serve::ServeCore core(options);
-
-    // Three tenants, two kernels, enough repetition that the
-    // second half of the load is all snapshot warm starts.
-    const char *tenants[] = {"alpha", "beta", "gamma"};
-    const char *kernels[] = {"CRC", "SI"};
-    std::vector<std::future<serve::ServeResponse>> futures;
-    for (int i = 0; i < 24; ++i) {
-        serve::ServeRequest request;
-        request.tenant = tenants[i % 3];
-        request.workload = kernels[i % 2];
-        request.options.unrollFactor = 1;
-        futures.push_back(core.submit(request));
-    }
-    core.drain();
-
-    int served = 0, warm = 0, failed = 0;
-    std::uint64_t worst_micros = 0;
-    for (auto &future : futures) {
-        const serve::ServeResponse response = future.get();
-        if (!response.served || !response.validation.empty()) {
-            ++failed;
-            std::fprintf(stderr, "serve-smoke: %s\n",
-                         response.served
-                             ? response.validation.c_str()
-                             : response.error.c_str());
-            continue;
-        }
-        ++served;
-        warm += response.warmStart ? 1 : 0;
-        worst_micros =
-            std::max(worst_micros, response.queueMicros +
-                                       response.serviceMicros);
-    }
-    std::printf("%s", core.renderStats().c_str());
-    std::printf("serve-smoke: %d served, %d warm starts, worst "
-                "latency %.1fms\n",
-                served, warm,
-                static_cast<double>(worst_micros) / 1000.0);
-    bool pass = failed == 0 && served == 24 && warm > 0;
-    // Generous wall bound: a stuck queue or deadlocked lane shows
-    // up as minutes, not seconds.
-    if (worst_micros > 60'000'000ull) {
-        std::fprintf(stderr, "serve-smoke: latency over 60s\n");
-        pass = false;
-    }
-    std::printf("serve-smoke %s\n", pass ? "PASS" : "FAIL");
-    return pass ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -1203,8 +1125,6 @@ main(int argc, char **argv)
                         w->sizeDesc().c_str());
         return 0;
     }
-    if (opts.serveSmoke)
-        return runServeSmoke();
     if (opts.faults) {
         SweepRunner fault_runner(opts.jobs);
         return runResilienceSweep(opts, fault_runner);
