@@ -31,19 +31,12 @@
  *                  exit non-zero on any difference, so a change
  *                  can never quietly drop a working kernel or
  *                  regress its mapped cycles.
- *   --placer=snake|cost
- *                  backend placement algorithm for the machine
- *                  validation (default: cost; snake is the legacy
- *                  boustrophedon baseline).
  *   --mapped-report=PATH
  *                  run the snake-vs-cost placement A/B over both
  *                  evaluation fabrics and write the mapped-cycles
  *                  comparison (per-kernel cycles, hop/congestion
  *                  stats, aggregate reduction) as JSON
  *                  (BENCH_mapped_cycles.json).
- *   --unroll=N     spatial unroll factor cap for the machine
- *                  validation (0 = automatic, 1 = replication
- *                  off; see CompilerOptions::unrollFactor).
  *   --unroll-ablation=PATH
  *                  compile GEMM and LDPC at a ladder of unroll
  *                  caps on the primary fabric, run each on the
@@ -56,7 +49,6 @@
  *   --fault-grid=DEADPES,DEADLINKS
  *                  with --faults: one grid cell (plus the zero-fault
  *                  baseline) instead of the full 0..8 x 0..4 grid.
- *   --fault-seed=N with --faults: the fault-plan seed (default 1).
  *   --resilience-report=PATH
  *                  with --faults: write the per-cell survival table
  *                  as JSON (BENCH_resilience.json).
@@ -92,10 +84,6 @@ struct Options
     std::string reportPath;
     std::string checkCoveragePath;
     std::string mappedReportPath;
-    PlacerKind placer = PlacerKind::Cost;
-    /** Unroll cap forwarded to CompilerOptions::unrollFactor
-     *  (0 = automatic, 1 = replication off). */
-    int unrollFactor = 0;
     /** Unroll-factor ablation mode: compile GEMM/LDPC at a ladder
      *  of caps and write the table to this path. */
     std::string unrollAblationPath;
@@ -105,7 +93,6 @@ struct Options
     /** Single (dead PEs, dead links) cell; -1 = the full grid. */
     int faultDeadPes = -1;
     int faultDeadLinks = -1;
-    std::uint64_t faultSeed = 1;
     std::string resilienceReportPath;
 };
 
@@ -117,11 +104,10 @@ usageError(const char *why, const char *detail)
     std::fprintf(stderr,
                  "usage: paper_eval [--list] [--kernels=a,b,c] "
                  "[--jobs=N] [--report=PATH] "
-                 "[--check-coverage=PATH] [--placer=snake|cost] "
-                 "[--mapped-report=PATH] [--unroll=N] "
+                 "[--check-coverage=PATH] [--mapped-report=PATH] "
                  "[--unroll-ablation=PATH] [--faults] "
                  "[--fault-grid=DEADPES,DEADLINKS] "
-                 "[--fault-seed=N] [--resilience-report=PATH]\n");
+                 "[--resilience-report=PATH]\n");
     return false;
 }
 
@@ -193,23 +179,12 @@ parseArgs(int argc, char **argv, Options &opts)
                 return usageError("--mapped-report needs a path",
                                   nullptr);
             opts.mappedReportPath = arg + 16;
-        } else if (std::strncmp(arg, "--unroll=", 9) == 0) {
-            long factor = 0;
-            if (!parseCount(arg + 9, 0, 1024, factor))
-                return usageError("bad --unroll value (want "
-                                  "0..1024; 0 = automatic)",
-                                  arg + 9);
-            opts.unrollFactor = static_cast<int>(factor);
         } else if (std::strncmp(arg, "--unroll-ablation=", 18) ==
                    0) {
             if (arg[18] == '\0')
                 return usageError("--unroll-ablation needs a path",
                                   nullptr);
             opts.unrollAblationPath = arg + 18;
-        } else if (std::strncmp(arg, "--placer=", 9) == 0) {
-            if (!parsePlacerName(arg + 9, opts.placer))
-                return usageError("unknown placer (snake|cost)",
-                                  arg + 9);
         } else if (std::strcmp(arg, "--faults") == 0) {
             opts.faults = true;
         } else if (std::strncmp(arg, "--fault-grid=", 13) == 0) {
@@ -227,12 +202,6 @@ parseArgs(int argc, char **argv, Options &opts)
                     arg + 13);
             opts.faultDeadPes = static_cast<int>(dead_pes);
             opts.faultDeadLinks = static_cast<int>(dead_links);
-        } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-            long seed = 0;
-            if (!parseCount(arg + 13, 0, 1'000'000'000, seed))
-                return usageError("bad --fault-seed value",
-                                  arg + 13);
-            opts.faultSeed = static_cast<std::uint64_t>(seed);
         } else if (std::strncmp(arg, "--resilience-report=", 20) ==
                    0) {
             if (arg[20] == '\0')
@@ -288,16 +257,13 @@ machineValidation(const Options &opts, const SweepRunner &runner)
     const MachineConfig big = evalFabric();
     const MachineConfig alt = slowMeshFabric();
 
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
     std::vector<KernelSweepJob> jobs;
     std::vector<std::string> labels;
     for (const Workload *w : allWorkloads()) {
         if (!selected(opts, w->name()))
             continue;
         for (const MachineConfig &config : {big, alt}) {
-            jobs.push_back(KernelSweepJob{w, config, 0, copts});
+            jobs.push_back(KernelSweepJob{w, config});
             labels.push_back(w->name());
         }
     }
@@ -307,8 +273,7 @@ machineValidation(const Options &opts, const SweepRunner &runner)
         runner.runKernels(jobs, cache);
 
     std::printf("\n== Compiler pipeline: Table-5 kernels on the "
-                "cycle-accurate machine (%s placer) ==\n",
-                std::string(placerName(opts.placer)).c_str());
+                "cycle-accurate machine (cost placer) ==\n");
     std::printf("  %-6s %-5s %10s %10s %6s %8s  %s\n", "kernel",
                 "cfg", "cycles", "sched", "hops", "maxlink",
                 "result");
@@ -411,7 +376,6 @@ runMappedAblation(const Options &opts, const SweepRunner &runner)
                  {PlacerKind::Snake, PlacerKind::Cost}) {
                 CompilerOptions copts;
                 copts.placer = placer;
-                copts.unrollFactor = opts.unrollFactor;
                 jobs.push_back(KernelSweepJob{w, fabric, 0, copts});
             }
         }
@@ -778,7 +742,6 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
             continue;
         for (int cap : caps) {
             CompilerOptions copts;
-            copts.placer = opts.placer;
             copts.unrollFactor = cap;
             jobs.push_back(KernelSweepJob{w, evalFabric(), 0, copts});
         }
@@ -795,8 +758,7 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
         runner.runKernels(jobs, cache);
 
     std::printf("== Unroll-factor ablation: GEMM+LDPC on the "
-                "10x10 fabric (%s placer) ==\n",
-                std::string(placerName(opts.placer)).c_str());
+                "10x10 fabric (cost placer) ==\n");
     std::printf("  %-6s %4s %6s %10s %10s  %s\n", "kernel", "cap",
                 "chosen", "cycles", "scheduled", "result");
     bool failed = false;
@@ -821,8 +783,8 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
     if (!openReport(out, opts.unrollAblationPath,
                     "unroll-ablation"))
         return 1;
-    out << "  \"fabric\": \"10x10\",\n  \"placer\": \""
-        << placerName(opts.placer) << "\",\n  \"cells\": [\n";
+    out << "  \"fabric\": \"10x10\",\n  \"placer\": \"cost\",\n"
+           "  \"cells\": [\n";
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const KernelSweepResult &r = results[i];
         const int cap = jobs[i].options.unrollFactor;
@@ -888,9 +850,7 @@ int
 runResilienceSweep(const Options &opts, const SweepRunner &runner)
 {
     const MachineConfig base = evalFabric();
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
+    const std::uint64_t seed = 1;
 
     // ISSUE grid: dead-PE counts spanning 0..8, dead-link counts
     // spanning 0..4 — or the single --fault-grid cell (always with
@@ -917,8 +877,8 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
             MachineConfig config = base;
             config.faults = FaultPlan::seeded(
                 config.rows, config.cols, dead_pes, dead_links,
-                opts.faultSeed);
-            KernelSweepJob job{w, config, 0, copts};
+                seed);
+            KernelSweepJob job{w, config};
             job.discoverFaults = true;
             job.maxRetries = 1;
             jobs.push_back(std::move(job));
@@ -962,9 +922,8 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
     }
 
     std::printf("== Fault resilience: seeded fault sweep on the "
-                "10x10 fabric (seed %llu, %s placer) ==\n",
-                static_cast<unsigned long long>(opts.faultSeed),
-                std::string(placerName(opts.placer)).c_str());
+                "10x10 fabric (seed %llu, cost placer) ==\n",
+                static_cast<unsigned long long>(seed));
     std::printf("  %-6s %4s %5s %10s %7s %8s  %s\n", "kernel",
                 "dead", "links", "cycles", "retry", "overhead",
                 "result");
@@ -1061,8 +1020,8 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
         if (!openReport(out, opts.resilienceReportPath,
                         "resilience"))
             return 1;
-        out << "  \"fabric\": \"10x10\",\n  \"seed\": "
-            << opts.faultSeed << ",\n  \"survival_rate\": "
+        out << "  \"fabric\": \"10x10\",\n  \"seed\": " << seed
+            << ",\n  \"survival_rate\": "
             << survival / 100.0
             << ",\n  \"recompile_success_rate\": "
             << recompile_rate / 100.0

@@ -130,20 +130,6 @@ placerName(PlacerKind kind)
     return kind == PlacerKind::Snake ? "snake" : "cost";
 }
 
-bool
-parsePlacerName(const std::string &name, PlacerKind &out)
-{
-    if (name == "snake") {
-        out = PlacerKind::Snake;
-        return true;
-    }
-    if (name == "cost") {
-        out = PlacerKind::Cost;
-        return true;
-    }
-    return false;
-}
-
 Compiler::Compiler(const MachineConfig &config)
     : Compiler(config, CompilerOptions{})
 {

@@ -159,9 +159,6 @@ enum class PlacerKind : std::uint8_t
 /** Mnemonic of a placer kind ("snake" / "cost"). */
 std::string_view placerName(PlacerKind kind);
 
-/** Parse a placer mnemonic; returns false on unknown names. */
-bool parsePlacerName(const std::string &name, PlacerKind &out);
-
 /** Compile-time options (policy, not architecture: a machine runs
  *  any correctly-placed program regardless of these). */
 struct CompilerOptions

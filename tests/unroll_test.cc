@@ -228,7 +228,7 @@ TEST(Unroll, RecurrenceDiagnosticsArePinned)
 
 TEST(Unroll, OptOutAndSnakeStayUnreplicated)
 {
-    // --unroll=1 turns replication off by option...
+    // An unroll cap of 1 turns replication off by option...
     CompileResult off = compileAt("GEMM", 1);
     ASSERT_TRUE(off.ok());
     EXPECT_TRUE(
