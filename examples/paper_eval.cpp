@@ -7,11 +7,12 @@
  * (The bench/ binaries regenerate the same artifacts one at a time
  * with benchmark timing; this example is the human-readable tour.)
  *
- * Everything runs through the parallel sweep runner (sim/sweep.h):
- * the model x workload grid behind the tables through map(), every
- * kernel compile-and-run through runKernels(), whose results carry
- * the compile report.  Results are keyed by job, so every artifact
- * is identical on any thread count.
+ * The model x workload grid behind the tables runs through
+ * runSuite() (model/eval.h), like every figure bench.  Every kernel
+ * compile-and-run goes through the parallel sweep runner's
+ * runKernels() (sim/sweep.h), whose results carry the compile
+ * report.  Results are keyed by job, so every artifact is identical
+ * on any thread count.
  *
  * Flags:
  *   --list         print the 13 workload abbreviations and exit.
@@ -1123,8 +1124,7 @@ main(int argc, char **argv)
         vn.get(),  df.get(),    mar_base.get(),
         mar_net.get(), mar.get(), sb.get(),
         tia.get(), revel.get(), riptide.get()};
-    SweepRunner runner(opts.jobs);
-    CycleTable table = runSuiteParallel(models, profiles, runner);
+    const CycleTable table = runSuite(models, profiles);
 
     std::printf("== Table 1: control flow forms ==\n");
     for (const WorkloadProfile &p : profiles)
@@ -1231,6 +1231,7 @@ main(int argc, char **argv)
                         composite(mar->name().c_str()));
     }
 
+    const SweepRunner runner(opts.jobs);
     const Coverage coverage = machineValidation(opts, runner);
     if (!opts.reportPath.empty())
         writeReport(opts.reportPath, coverage);

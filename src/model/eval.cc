@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "sim/logging.h"
-#include "sim/sweep.h"
 #include "workloads/kernels.h"
 
 namespace marionette
@@ -19,34 +18,6 @@ runSuite(const std::vector<const ArchModel *> &models,
     for (const ArchModel *m : models)
         for (const WorkloadProfile &p : profiles)
             table[m->name()][p.name] = m->run(p);
-    return table;
-}
-
-CycleTable
-runSuiteParallel(const std::vector<const ArchModel *> &models,
-                 const std::vector<WorkloadProfile> &profiles,
-                 const SweepRunner &runner)
-{
-    const int num_profiles = static_cast<int>(profiles.size());
-    const int n = static_cast<int>(models.size()) * num_profiles;
-    std::vector<ModelResult> cells = runner.map<ModelResult>(
-        n, [&](int i) {
-            const ArchModel *m = models[static_cast<std::size_t>(
-                i / num_profiles)];
-            const WorkloadProfile &p =
-                profiles[static_cast<std::size_t>(i %
-                                                  num_profiles)];
-            return m->run(p);
-        });
-    CycleTable table;
-    for (int i = 0; i < n; ++i) {
-        const ArchModel *m = models[static_cast<std::size_t>(
-            i / num_profiles)];
-        const WorkloadProfile &p =
-            profiles[static_cast<std::size_t>(i % num_profiles)];
-        table[m->name()][p.name] =
-            cells[static_cast<std::size_t>(i)];
-    }
     return table;
 }
 

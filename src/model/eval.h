@@ -8,7 +8,6 @@
 #ifndef MARIONETTE_MODEL_EVAL_H
 #define MARIONETTE_MODEL_EVAL_H
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,23 +21,10 @@ namespace marionette
 using CycleTable =
     std::map<std::string, std::map<std::string, ModelResult>>;
 
-class SweepRunner;
-
 /** Run each model on each profile. */
 CycleTable
 runSuite(const std::vector<const ArchModel *> &models,
          const std::vector<WorkloadProfile> &profiles);
-
-/**
- * runSuite() with the model x workload grid fanned out across
- * @p runner's thread pool.  The table is identical to the serial
- * one — cells are keyed by (model, workload), not by completion
- * order.
- */
-CycleTable
-runSuiteParallel(const std::vector<const ArchModel *> &models,
-                 const std::vector<WorkloadProfile> &profiles,
-                 const SweepRunner &runner);
 
 /** Geometric mean of a vector of ratios. */
 double geomean(const std::vector<double> &values);

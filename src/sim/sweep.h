@@ -14,9 +14,8 @@
  *    loop, so single-core CI produces the same artifacts.
  *
  * runKernels() is the one compile-and-run path for (workload,
- * configuration) grids; the generic map() is what the model-zoo
- * drivers (examples/paper_eval.cpp, bench/bench_ablation_scaling.cc)
- * use to parallelize their model x workload grids.
+ * configuration) grids; the generic map() runs
+ * bench/bench_ablation_scaling.cc's array-size sweep.
  */
 
 #ifndef MARIONETTE_SIM_SWEEP_H
