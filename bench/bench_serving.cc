@@ -1,6 +1,6 @@
 /**
  * @file
- * Serving-core throughput ladder (ISSUE 10 deliverable).
+ * Serving-core throughput ladder.
  *
  * Drives the multi-tenant ServeCore with a heavy synthetic open-loop
  * load — mixed kernel sizes, Zipf-skewed tenant mix — and reports
@@ -24,8 +24,8 @@
  *
  * Every response is cross-validated against the kernel's goldens;
  * the ladder aborts if any response diverges.  Writes
- * BENCH_serving.json (leads with "schema_version" like every other
- * artifact of the shared report-writer convention).
+ * BENCH_serving.json through the shared report writer
+ * (sim/report.h).
  *
  * This binary has a custom main (no google-benchmark harness): the
  * measured quantity is a whole closed system, not a microbenchmark
@@ -46,6 +46,7 @@
 
 #include "core/marionette.h"
 #include "serve/server.h"
+#include "sim/report.h"
 #include "sim/rng.h"
 
 using namespace marionette;
@@ -431,16 +432,10 @@ main(int argc, char **argv)
         return pass ? 0 : 1;
     }
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write report '%s'\n",
-                     out_path.c_str());
+    std::ofstream out;
+    if (!openReport(out, out_path, "serving"))
         return 1;
-    }
-    // Leads with schema_version per the shared report-writer
-    // convention (examples/paper_eval.cpp).
-    out << "{\n  \"schema_version\": 2,\n"
-        << "  \"artifact\": \"serving\",\n"
+    out << "  \"artifact\": \"serving\",\n"
         << "  \"shards\": " << shards << ",\n"
         << "  \"queue_capacity\": " << queue << ",\n"
         << "  \"seed\": " << seed << ",\n"
@@ -453,9 +448,8 @@ main(int argc, char **argv)
         << "  \"cotenancy_fabric_throughput_ratio\": "
         << cotenancy_ratio << ",\n"
         << "  \"all_bit_exact\": "
-        << (all_exact ? "true" : "false") << "\n}\n";
-    out.close();
-    std::printf("wrote serving report: %s\n", out_path.c_str());
+        << (all_exact ? "true" : "false") << "\n";
+    closeReport(out, out_path, "serving");
 
     return (all_exact && total_failed == 0) ? 0 : 1;
 }

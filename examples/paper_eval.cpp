@@ -54,9 +54,8 @@
  *                  with --faults: write the per-cell survival table
  *                  as JSON (BENCH_resilience.json).
  *
- * Every JSON artifact opens with a "schema_version" field (see
- * kReportSchemaVersion) so downstream consumers can detect shape
- * changes.
+ * Every JSON artifact goes through the shared report writer
+ * (sim/report.h), so each leads with a "schema_version" field.
  */
 
 #include <cmath>
@@ -71,6 +70,7 @@
 
 #include "compiler/program_cache.h"
 #include "core/marionette.h"
+#include "sim/report.h"
 
 using namespace marionette;
 
@@ -315,42 +315,6 @@ machineValidation(const Options &opts, const SweepRunner &runner)
 }
 
 /**
- * Shared machine-readable report writer.  Every JSON artifact
- * paper_eval emits (compile coverage, mapped cycles, unroll
- * ablation, fault resilience) opens through openReport so they all
- * lead with the same "schema_version" field, and closes through
- * closeReport for the uniform confirmation line.  The serving
- * ladder's BENCH_serving.json (bench/bench_serving.cc) follows the
- * same leading-field convention from its own writer.  Bump the
- * version when an existing field changes meaning — added fields are
- * not a version bump.
- */
-constexpr int kReportSchemaVersion = 2;
-
-bool
-openReport(std::ofstream &out, const std::string &path,
-           const char *kind)
-{
-    out.open(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s report '%s'\n", kind,
-                     path.c_str());
-        return false;
-    }
-    out << "{\n  \"schema_version\": " << kReportSchemaVersion
-        << ",\n";
-    return true;
-}
-
-void
-closeReport(std::ofstream &out, const std::string &path,
-            const char *kind)
-{
-    out << "}\n";
-    std::printf("wrote %s report: %s\n", kind, path.c_str());
-}
-
-/**
  * The mapped-cycles ablation: every kernel on both evaluation
  * fabrics, compiled with the legacy snake backend and with the
  * cost-driven backend, run to completion and cross-validated.  The
@@ -473,18 +437,6 @@ runMappedAblation(const Options &opts, const SweepRunner &runner)
                                    static_cast<double>(
                                        snake_total))
                     : 0.0);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out += '\\';
-        out += ch;
-    }
-    return out;
 }
 
 /** Wall time of a compile in microseconds: the sum of its
