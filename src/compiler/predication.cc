@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "sim/logging.h"
-
 namespace marionette
 {
 
@@ -57,145 +55,6 @@ findRegions(const Cdfg &cdfg)
     }
     return regions;
 }
-
-} // namespace
-
-PredicationResult
-predicate(const Cdfg &cdfg)
-{
-    PredicationResult result;
-    auto regions = findRegions(cdfg);
-    std::set<BlockId> absorbed;
-    std::map<BlockId, const BranchRegion *> region_of_branch;
-    for (const BranchRegion &r : regions) {
-        absorbed.insert(r.takenBlock);
-        absorbed.insert(r.notTakenBlock);
-        region_of_branch[r.branch] = &r;
-    }
-
-    Cdfg out(cdfg.name() + ".pred");
-    // Rebuild blocks, merging regions.
-    for (const BasicBlock &bb : cdfg.blocks()) {
-        if (absorbed.count(bb.id))
-            continue;
-        auto it = region_of_branch.find(bb.id);
-        if (it == region_of_branch.end()) {
-            BlockId nb = out.addBlock(bb.name, bb.kind);
-            out.block(nb).dfg = bb.dfg;
-            out.block(nb).loopDepth = bb.loopDepth;
-            result.remap[bb.id] = nb;
-            continue;
-        }
-        // Merged block: branch condition + both lanes + selects.
-        const BranchRegion &r = *it->second;
-        BlockId nb = out.addBlock(bb.name + ".pred",
-                                  BlockKind::Plain);
-        Dfg &dfg = out.block(nb).dfg;
-        out.block(nb).loopDepth = bb.loopDepth;
-
-        const Dfg &cond = cdfg.block(r.branch).dfg;
-        const Dfg &lane_t = cdfg.block(r.takenBlock).dfg;
-        const Dfg &lane_f = cdfg.block(r.notTakenBlock).dfg;
-
-        // Copy a lane's nodes with id/input offsets; returns the
-        // node-id offset of the copy.
-        auto copyLane = [&dfg](const Dfg &lane, int input_off,
-                               NodeId node_off) {
-            auto shift = [&](Operand o) {
-                if (o.kind == OperandKind::Node)
-                    return Operand::node(o.ref + node_off);
-                if (o.kind == OperandKind::Input)
-                    return Operand::input(
-                        static_cast<int>(o.ref) + input_off);
-                return o;
-            };
-            for (const DfgNode &n : lane.nodes())
-                dfg.addNode(n.op, shift(n.a), shift(n.b),
-                            shift(n.c), n.name);
-        };
-
-        int inputs = 0;
-        for (const DfgInput &in : cond.inputs()) {
-            dfg.addInput(in.name);
-            ++inputs;
-        }
-        NodeId cond_off = 0;
-        copyLane(cond, 0, cond_off);
-        // The branch predicate is the last control op of the
-        // condition DFG (or its last node).
-        NodeId pred = static_cast<NodeId>(cond.numNodes()) - 1;
-        for (NodeId n = 0; n < cond.numNodes(); ++n)
-            if (cond.node(n).op == Opcode::Branch)
-                pred = n;
-
-        int t_inputs = inputs;
-        for (const DfgInput &in : lane_t.inputs()) {
-            dfg.addInput(in.name + ".t");
-            ++inputs;
-        }
-        NodeId t_off = static_cast<NodeId>(dfg.numNodes());
-        copyLane(lane_t, t_inputs, t_off);
-
-        int f_inputs = inputs;
-        for (const DfgInput &in : lane_f.inputs()) {
-            dfg.addInput(in.name + ".f");
-            ++inputs;
-        }
-        NodeId f_off = static_cast<NodeId>(dfg.numNodes());
-        copyLane(lane_f, f_inputs, f_off);
-
-        // Select between lane outputs by name.
-        int selects = 0;
-        for (const DfgOutput &ot : lane_t.outputs()) {
-            int fi = lane_f.findOutput(ot.name);
-            if (fi < 0)
-                continue;
-            NodeId sel = dfg.addNode(
-                Opcode::Select, Operand::node(pred),
-                Operand::node(ot.producer + t_off),
-                Operand::node(
-                    lane_f.outputs()[static_cast<std::size_t>(fi)]
-                        .producer +
-                    f_off),
-                ot.name + ".sel");
-            dfg.addOutput(ot.name, sel);
-            ++selects;
-        }
-        result.extraOps +=
-            lane_f.numNodes() + selects; // the wasted lane + muxes.
-        result.mergedOps[bb.id] = dfg.numNodes();
-        result.remap[bb.id] = nb;
-        result.remap[r.takenBlock] = nb;
-        result.remap[r.notTakenBlock] = nb;
-    }
-
-    // Re-wire edges through the remap, dropping the conditional
-    // edges the merge absorbed.
-    for (const CfgEdge &e : cdfg.edges()) {
-        auto si = result.remap.find(e.src);
-        auto di = result.remap.find(e.dst);
-        if (si == result.remap.end() || di == result.remap.end())
-            continue;
-        if (si->second == di->second)
-            continue; // edge inside a merged region.
-        EdgeKind kind = e.kind;
-        if (kind == EdgeKind::Taken || kind == EdgeKind::NotTaken)
-            kind = EdgeKind::Fall;
-        // Avoid duplicate edges after merging.
-        bool dup = false;
-        for (const CfgEdge &f : out.successors(si->second))
-            if (f.dst == di->second && f.kind == kind)
-                dup = true;
-        if (!dup)
-            out.addEdge(si->second, di->second, kind);
-    }
-
-    result.cdfg = std::move(out);
-    return result;
-}
-
-namespace
-{
 
 /** The builder's copyBlock idiom: {input x, Copy, output x} —
  *  semantically "nothing happens on this path".  The name must

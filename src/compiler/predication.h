@@ -23,38 +23,20 @@
 namespace marionette
 {
 
-/** Result of predicating one CDFG. */
-struct PredicationResult
-{
-    /** The rewritten graph (branches flattened into selects). */
-    Cdfg cdfg;
-    /** Per-merged-block operator counts including both lanes. */
-    std::map<BlockId, int> mergedOps;
-    /** Total operators added (selects) plus duplicated lanes. */
-    int extraOps = 0;
-    /** Map from original block id to the merged block id. */
-    std::map<BlockId, BlockId> remap;
-};
-
 /**
- * Flatten every Branch block with two single-successor targets that
- * rejoin, producing the predicated CDFG a von Neumann mapping would
- * execute.  Loop structure is preserved.
- */
-PredicationResult predicate(const Cdfg &cdfg);
-
-/**
- * Lightweight variant used by the performance models: per-block
- * *effective* operator counts under predication, where each block
+ * The performance models' view of predication: per-block
+ * *effective* operator counts, where each block
  * that is a branch target is charged to its branch's parent region
  * so both lanes occupy PEs simultaneously.
  */
 std::map<BlockId, int> predicatedOpCounts(const Cdfg &cdfg);
 
 /**
- * Predication as a compiler *lowering* pass (used by the
- * CDFG->Program pipeline), generalizing predicate() in the ways an
- * executable result needs:
+ * Predication as a compiler *lowering* pass (the CDFG->Program
+ * pipeline's predicate pass): flatten every Branch block whose two
+ * plain targets rejoin at one block into one straight-line block
+ * with a Select per live-out, preserving loop structure.  Beyond the
+ * plain diamond merge:
  *
  *  - iterates to a fixpoint, so nested diamonds whose lanes become
  *    plain after an inner merge (NW's three-way max) flatten too;
