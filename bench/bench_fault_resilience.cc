@@ -54,8 +54,7 @@ printSurvivalTable()
     std::vector<std::string> labels;
     for (const Workload *w : allWorkloads())
         for (const auto &[d, l] : cells) {
-            KernelSweepJob job{w, faultedFabric(d, l), 0,
-                               CompilerOptions{}};
+            KernelSweepJob job{w, faultedFabric(d, l)};
             job.discoverFaults = true;
             job.maxRetries = 1;
             jobs.push_back(std::move(job));
@@ -113,7 +112,7 @@ BM_DiscoveryRetry(benchmark::State &state)
     SweepRunner runner(1);
     for (auto _ : state) {
         ProgramCache cache;
-        KernelSweepJob job{crc, faulted, 0, CompilerOptions{}};
+        KernelSweepJob job{crc, faulted};
         job.discoverFaults = true;
         job.maxRetries = 1;
         std::vector<KernelSweepResult> r =

@@ -341,7 +341,7 @@ runMappedAblation(const Options &opts, const SweepRunner &runner)
                  {PlacerKind::Snake, PlacerKind::Cost}) {
                 CompilerOptions copts;
                 copts.placer = placer;
-                jobs.push_back(KernelSweepJob{w, fabric, 0, copts});
+                jobs.push_back(KernelSweepJob{w, fabric, copts});
             }
         }
     }
@@ -696,7 +696,7 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
         for (int cap : caps) {
             CompilerOptions copts;
             copts.unrollFactor = cap;
-            jobs.push_back(KernelSweepJob{w, evalFabric(), 0, copts});
+            jobs.push_back(KernelSweepJob{w, evalFabric(), copts});
         }
     }
     if (jobs.empty()) {

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 
 #include "sim/logging.h"
 

@@ -22,15 +22,6 @@ TileRegion::containsPe(const MachineConfig &fabric, PeId pe) const
     return contains(row, col);
 }
 
-std::string
-TileRegion::describe() const
-{
-    std::ostringstream out;
-    out << rows << "x" << cols << "@(" << row0 << "," << col0
-        << ")";
-    return out.str();
-}
-
 std::vector<TileRegion>
 carveRegions(const MachineConfig &fabric, int count)
 {

@@ -63,9 +63,6 @@ struct TileRegion
     }
 
     bool containsPe(const MachineConfig &fabric, PeId pe) const;
-
-    /** "3x5@(0,5)" for logs and diagnostics. */
-    std::string describe() const;
 };
 
 /**

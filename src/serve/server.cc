@@ -330,9 +330,7 @@ ServeCore::serveOne(Lane &lane, Pending &pending)
         kernel.prepare(machine);
     }
 
-    response.run = machine.run(request.maxCycles > 0
-                                   ? request.maxCycles
-                                   : kernel.cycleBudget);
+    response.run = machine.run(kernel.cycleBudget);
     response.served = response.run.finished &&
                       response.run.error == RunError::None;
     if (!response.served)
@@ -388,18 +386,6 @@ ServeCore::tenantStats(const std::string &tenant)
                           std::make_unique<TenantStats>(tenant))
                  .first;
     return *it->second;
-}
-
-std::vector<std::uint64_t>
-ServeCore::laneBusyCycles() const
-{
-    // Lane busy counters are only mutated by their owning worker;
-    // call drain() first for a quiescent reading.
-    std::vector<std::uint64_t> busy;
-    busy.reserve(lanes_.size());
-    for (const auto &lane : lanes_)
-        busy.push_back(lane->busyCycles);
-    return busy;
 }
 
 std::vector<std::uint64_t>

@@ -67,8 +67,6 @@ struct ServeRequest
     std::string tenant;
     std::string workload;
     CompilerOptions options;
-    /** 0 uses the compiled kernel's own cycle budget. */
-    Cycle maxCycles = 0;
     /** Attach the lane machine's full stat dump to the response
      *  (meaningful with snapshots on: restore() rewinds the stats
      *  to the post-prepare checkpoint, so repeated requests dump
@@ -140,9 +138,6 @@ class ServeCore
     void drain();
 
     int lanes() const { return static_cast<int>(lanes_.size()); }
-
-    /** Busy simulated cycles per lane (sum of served runs). */
-    std::vector<std::uint64_t> laneBusyCycles() const;
 
     /** Fabric occupancy in simulated cycles: per fabric, the max
      *  over its lanes' busy cycles (lanes of one fabric overlap in

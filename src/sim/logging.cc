@@ -1,73 +1,11 @@
 #include "sim/logging.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace marionette
 {
-
-namespace
-{
-LogLevel gLogLevel = LogLevel::Info;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
-namespace
-{
-
-void
-vprint(const char *prefix, const char *fmt, va_list args)
-{
-    std::fprintf(stderr, "%s", prefix);
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
-}
-
-} // namespace
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLogLevel > LogLevel::Info)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vprint("info: ", fmt, args);
-    va_end(args);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (gLogLevel > LogLevel::Warn)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vprint("warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (gLogLevel > LogLevel::Debug)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vprint("debug: ", fmt, args);
-    va_end(args);
-}
 
 void
 panicImpl(const char *file, int line, const char *fmt, ...)

@@ -1,48 +1,17 @@
 /**
  * @file
- * Status-message and error-handling primitives.
+ * Error-handling primitives.
  *
  * Follows the gem5 discipline: panic() is for simulator bugs
  * (conditions that should be impossible regardless of user input) and
- * aborts; fatal() is for user/configuration errors and exits cleanly;
- * warn() and inform() report conditions without stopping simulation.
+ * aborts; fatal() is for user/configuration errors and exits cleanly.
  */
 
 #ifndef MARIONETTE_SIM_LOGGING_H
 #define MARIONETTE_SIM_LOGGING_H
 
-#include <cstdarg>
-#include <string>
-
 namespace marionette
 {
-
-/** Severity levels used by the message sink. */
-enum class LogLevel
-{
-    Debug,
-    Info,
-    Warn,
-    Error
-};
-
-/**
- * Global verbosity threshold; messages below it are suppressed.
- * Defaults to LogLevel::Info so debug tracing is opt-in.
- */
-void setLogLevel(LogLevel level);
-
-/** Current verbosity threshold. */
-LogLevel logLevel();
-
-/** Emit an informational message (printf formatting). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a warning about suspicious but survivable conditions. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug trace message (suppressed unless LogLevel::Debug). */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Terminate because the *simulator* is broken.  Prints the message and

@@ -158,10 +158,7 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
                 const CompiledKernel &kernel = *compiled.kernel;
                 MarionetteMachine machine(job.config);
                 kernel.prepare(machine);
-                out.run =
-                    machine.run(job.maxCycles > 0
-                                    ? job.maxCycles
-                                    : kernel.cycleBudget);
+                out.run = machine.run(kernel.cycleBudget);
                 out.congestion = machine.congestion();
                 if (out.run.error != RunError::None &&
                     out.retries < job.maxRetries &&

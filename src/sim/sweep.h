@@ -46,8 +46,6 @@ struct KernelSweepJob
 {
     const Workload *workload = nullptr;
     MachineConfig config;
-    /** 0 uses the compiled kernel's own cycle budget. */
-    Cycle maxCycles = 0;
     /** Compile options (placer ablations share the cache safely:
      *  the options are part of the cache key). */
     CompilerOptions options;

@@ -254,7 +254,7 @@ TEST(Sweep, RetryRecompilesAroundDiscoveredFaults)
 
     MachineConfig faulted = clean;
     faulted.faults.deadPes = {victim};
-    KernelSweepJob job{nw, faulted, 0, CompilerOptions{}};
+    KernelSweepJob job{nw, faulted};
     job.discoverFaults = true;
     job.maxRetries = 1;
 
@@ -307,7 +307,7 @@ TEST(Sweep, RetryRecoversUnrolledKernel)
 
     MachineConfig faulted = clean;
     faulted.faults.deadPes = {victim};
-    KernelSweepJob job{gemm, faulted, 0, CompilerOptions{}};
+    KernelSweepJob job{gemm, faulted};
     job.discoverFaults = true;
     job.maxRetries = 1;
 
