@@ -16,7 +16,7 @@
  *
  *   1. analyze     — CDFG validation + loop-nest analysis.
  *   2. predicate   — branch diamonds flattened into selects
- *                    (predication.h, lowering variant, fixpoint).
+ *                    (predication.h, iterated to a fixpoint).
  *   3. structure   — loop-tree shape checks: serial top-level
  *                    phases, one sub-loop per body, counted-loop
  *                    headers, no unpredicated branches.
@@ -51,6 +51,7 @@
 #ifndef MARIONETTE_COMPILER_COMPILER_H
 #define MARIONETTE_COMPILER_COMPILER_H
 
+#include <compare>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -182,6 +183,10 @@ struct CompilerOptions
      *  without the cap a co-tenant kernel could silently spill
      *  into a neighbour's window. */
     Word memoryWords = 0;
+
+    /** Every field changes the compiled program, so every field is
+     *  part of a compiled cell's identity (CompiledCellKey). */
+    auto operator<=>(const CompilerOptions &) const = default;
 };
 
 /** The pass-based compiler driver. */

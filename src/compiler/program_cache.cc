@@ -8,25 +8,8 @@ ProgramCache::getOrCompile(const Workload &workload,
                            const MachineConfig &config,
                            const CompilerOptions &options)
 {
-    // Fold the compile options into the architectural hash: a
-    // snake-placed and a cost-placed program are distinct entries,
-    // and so is every distinct unroll cap (factor 0 = automatic is
-    // the default and hashes to no perturbation).
-    std::uint64_t opts_bits =
-        options.placer == PlacerKind::Snake ? 0x9e3779b97f4a7c15ull
-                                            : 0;
-    opts_bits ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                     options.unrollFactor)) *
-                 0xbf58476d1ce4e5b9ull;
-    // The scratchpad window relocates every memory access (base)
-    // and gates the footprint check (size), so a kernel compiled
-    // for a different window is a different cache entry.
-    opts_bits ^= static_cast<std::uint64_t>(options.memoryBase) *
-                 0x94d049bb133111ebull;
-    opts_bits ^= static_cast<std::uint64_t>(options.memoryWords) *
-                 0xd6e8feb86659fd93ull;
-    const std::pair<std::string, std::uint64_t> key{
-        workload.name(), configHash(config) ^ opts_bits};
+    const CompiledCellKey key{workload.name(), configHash(config),
+                              options};
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);

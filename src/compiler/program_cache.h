@@ -1,7 +1,7 @@
 /**
  * @file
  * Compiled-program cache keyed by (workload, architectural config
- * hash).
+ * hash, compile options).
  *
  * Grid sweeps evaluate the same kernel on many configurations and
  * the same configuration on many kernels — and the parallel
@@ -14,7 +14,8 @@
  *
  * The key uses configHash() (sim/config.h), which covers every
  * architectural field and deliberately ignores the eventDrivenSim
- * simulator toggle — both hot-path variants share an entry.
+ * simulator toggle — both hot-path variants share an entry — and
+ * compares CompilerOptions field by field.
  */
 
 #ifndef MARIONETTE_COMPILER_PROGRAM_CACHE_H
@@ -24,11 +25,18 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "compiler/compiler.h"
 
 namespace marionette
 {
+
+/** Identity of one compiled program: workload name,
+ *  configHash(config) and the compile options.  The program cache
+ *  and the SnapshotCache (sim/sweep.h) both key on it. */
+using CompiledCellKey =
+    std::tuple<std::string, std::uint64_t, CompilerOptions>;
 
 /** Thread-safe memoization of Compiler::compile. */
 class ProgramCache
@@ -48,8 +56,7 @@ class ProgramCache
 
   private:
     mutable std::mutex mutex_;
-    std::map<std::pair<std::string, std::uint64_t>, CompileResult>
-        entries_;
+    std::map<CompiledCellKey, CompileResult> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -77,7 +77,7 @@ SnapshotCache::lookup(const std::string &workload,
                       const CompilerOptions &options)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(makeKey(workload, config_hash, options));
+    auto it = entries_.find({workload, config_hash, options});
     if (it == entries_.end()) {
         ++counters_.misses;
         return nullptr;
@@ -95,7 +95,7 @@ SnapshotCache::store(
     std::uint64_t prepare_micros)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(makeKey(workload, config_hash, options),
+    entries_.emplace(CompiledCellKey{workload, config_hash, options},
                      Entry{std::move(snapshot), prepare_micros});
 }
 
@@ -104,21 +104,6 @@ SnapshotCache::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return counters_;
-}
-
-SnapshotCache::Key
-SnapshotCache::makeKey(const std::string &workload,
-                       std::uint64_t config_hash,
-                       const CompilerOptions &options)
-{
-    Key key;
-    key.workload = workload;
-    key.configHash = config_hash;
-    key.placer = static_cast<int>(options.placer);
-    key.unrollFactor = options.unrollFactor;
-    key.memoryBase = options.memoryBase;
-    key.memoryWords = options.memoryWords;
-    return key;
 }
 
 std::vector<KernelSweepResult>

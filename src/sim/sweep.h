@@ -32,13 +32,12 @@
 #include <vector>
 
 #include "arch/machine.h"
-#include "compiler/compiler.h"
+#include "compiler/program_cache.h"
 #include "sim/config.h"
 
 namespace marionette
 {
 
-class ProgramCache;
 class Workload;
 
 /** One (workload, configuration) cell of a compiled-kernel grid. */
@@ -132,9 +131,8 @@ summarizeKernelSweep(const std::vector<KernelSweepResult> &results);
  * are the same to the byte.
  *
  * Thread-safe; snapshots are shared immutably across lanes.  Keyed
- * by workload name, architectural configHash and compile options —
- * the same identity the program cache uses — so simulator-only
- * toggles (eventDrivenSim, fastForward) share one checkpoint.
+ * by the program cache's CompiledCellKey, so simulator-only toggles
+ * (eventDrivenSim, fastForward) share one checkpoint.
  */
 class SnapshotCache
 {
@@ -164,43 +162,14 @@ class SnapshotCache
     Counters counters() const;
 
   private:
-    struct Key
-    {
-        std::string workload;
-        std::uint64_t configHash = 0;
-        int placer = 0;
-        int unrollFactor = 0;
-        Word memoryBase = 0;
-        Word memoryWords = 0;
-
-        bool operator<(const Key &o) const
-        {
-            if (workload != o.workload)
-                return workload < o.workload;
-            if (configHash != o.configHash)
-                return configHash < o.configHash;
-            if (placer != o.placer)
-                return placer < o.placer;
-            if (unrollFactor != o.unrollFactor)
-                return unrollFactor < o.unrollFactor;
-            if (memoryBase != o.memoryBase)
-                return memoryBase < o.memoryBase;
-            return memoryWords < o.memoryWords;
-        }
-    };
-
     struct Entry
     {
         std::shared_ptr<const MachineSnapshot> snapshot;
         std::uint64_t prepareMicros = 0;
     };
 
-    static Key makeKey(const std::string &workload,
-                       std::uint64_t config_hash,
-                       const CompilerOptions &options);
-
     mutable std::mutex mutex_;
-    std::map<Key, Entry> entries_;
+    std::map<CompiledCellKey, Entry> entries_;
     Counters counters_;
 };
 
