@@ -139,20 +139,6 @@ struct RungResult
     SnapshotCache::Counters snapshots;
 };
 
-double
-percentileMillis(std::vector<std::uint64_t> &micros, double p)
-{
-    if (micros.empty())
-        return 0;
-    std::sort(micros.begin(), micros.end());
-    const std::size_t rank = std::min(
-        micros.size() - 1,
-        static_cast<std::size_t>(
-            std::ceil(p * static_cast<double>(micros.size())) -
-            1));
-    return static_cast<double>(micros[rank]) / 1000.0;
-}
-
 RungResult
 runRung(const std::string &name, const ServeOptions &options,
         const std::vector<ServeRequest> &schedule)
@@ -206,8 +192,10 @@ runRung(const std::string &name, const ServeOptions &options,
     rung.wallRps = rung.wallSeconds > 0
                        ? rung.served / rung.wallSeconds
                        : 0;
-    rung.p50Millis = percentileMillis(latencies, 0.50);
-    rung.p99Millis = percentileMillis(latencies, 0.99);
+    rung.p50Millis =
+        static_cast<double>(percentile(latencies, 0.50)) / 1000.0;
+    rung.p99Millis =
+        static_cast<double>(percentile(latencies, 0.99)) / 1000.0;
 
     for (std::uint64_t cycles : core.fabricBusyCycles())
         rung.makespanCycles =

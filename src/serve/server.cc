@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.h"
 #include "workloads/workload.h"
@@ -22,19 +23,20 @@ microsSince(std::chrono::steady_clock::time_point since)
             .count());
 }
 
-/** Percentile over served-request latencies (nearest-rank). */
-std::uint64_t
-percentile(std::vector<std::uint64_t> sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t rank = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(rank, sorted.size() - 1)];
-}
-
 } // namespace
+
+std::uint64_t
+percentile(std::vector<std::uint64_t> values, double p)
+{
+    if (values.empty())
+        return 0;
+    std::sort(values.begin(), values.end());
+    const double rank =
+        std::ceil(p * static_cast<double>(values.size()));
+    const std::size_t index =
+        rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+    return values[std::min(index, values.size() - 1)];
+}
 
 ServeCore::ServeCore(const ServeOptions &options)
     : options_(options)

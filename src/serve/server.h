@@ -116,6 +116,11 @@ struct ServeOptions
     bool validate = true;
 };
 
+/** Nearest-rank percentile of @p values: the smallest value with at
+ *  least a @p p share of them at or below it; 0 when empty.  Both
+ *  ServeCore's rendered latencies and bench_serving use it. */
+std::uint64_t percentile(std::vector<std::uint64_t> values, double p);
+
 /** The sharded serving core. */
 class ServeCore
 {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -384,6 +385,38 @@ TEST(MemoryWindows, RelocationIsBehaviourPreserving)
         EXPECT_EQ(a.kernel->validate(ma, ra), "");
         EXPECT_EQ(b.kernel->validate(mb, rb), "");
     }
+}
+
+TEST(ServingCore, LatencyPercentilesAreNearestRank)
+{
+    // One tenant, two requests of different kernels: over two
+    // latencies the nearest-rank p50 is the smaller one and the p99
+    // the larger.
+    ServeOptions options;
+    options.fabric = evalFabric();
+    ServeCore core(options);
+    ServeRequest request;
+    request.tenant = "p";
+    std::vector<std::uint64_t> latencies;
+    for (const char *kernel : {"SI", "ADPCM"}) {
+        request.workload = kernel;
+        const ServeResponse response = core.submit(request).get();
+        ASSERT_TRUE(response.served) << response.error;
+        latencies.push_back(response.queueMicros +
+                            response.serviceMicros);
+    }
+    ASSERT_NE(latencies[0], latencies[1]);
+    const auto [low, high] =
+        std::minmax(latencies[0], latencies[1]);
+    const std::string stats = core.renderStats();
+    EXPECT_NE(stats.find("serve.tenant.p.latency_p50_micros " +
+                         std::to_string(low) + "\n"),
+              std::string::npos)
+        << stats;
+    EXPECT_NE(stats.find("serve.tenant.p.latency_p99_micros " +
+                         std::to_string(high) + "\n"),
+              std::string::npos)
+        << stats;
 }
 
 TEST(ServingCore, AdmissionControlAccountsRejections)
