@@ -31,11 +31,10 @@ percentile(std::vector<std::uint64_t> values, double p)
     if (values.empty())
         return 0;
     std::sort(values.begin(), values.end());
-    const double rank =
-        std::ceil(p * static_cast<double>(values.size()));
-    const std::size_t index =
-        rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    return values[std::min(index, values.size() - 1)];
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p * static_cast<double>(values.size())));
+    return values[std::clamp<std::size_t>(rank, 1, values.size()) -
+                  1];
 }
 
 ServeCore::ServeCore(const ServeOptions &options)
