@@ -4,8 +4,8 @@
  *
  * Every binary in bench/ regenerates one artifact of the paper's
  * evaluation section: it prints the table/series on startup (the
- * reproduction artifact recorded in EXPERIMENTS.md) and then runs
- * google-benchmark timings of the machinery behind it.
+ * reproduction artifact) and then runs google-benchmark timings of
+ * the machinery behind it.
  */
 
 #ifndef MARIONETTE_BENCH_BENCH_COMMON_H

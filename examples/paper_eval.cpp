@@ -805,7 +805,7 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
     const MachineConfig base = evalFabric();
     const std::uint64_t seed = 1;
 
-    // ISSUE grid: dead-PE counts spanning 0..8, dead-link counts
+    // The grid: dead-PE counts spanning 0..8, dead-link counts
     // spanning 0..4 — or the single --fault-grid cell (always with
     // the zero-fault baseline so overhead is measurable).
     std::vector<std::pair<int, int>> cells;

@@ -5,7 +5,7 @@
  * Every architectural component owns a StatGroup and registers scalar
  * counters in it.  Groups nest by name prefix ("machine.pe03.fu").
  * The registry can render a sorted human-readable dump, which the
- * benches and EXPERIMENTS.md rely on.
+ * byte-identity tests compare across run paths.
  *
  * Hot-path contract: stat() returns a *stable* reference, so
  * components resolve every counter once (at construction or load)

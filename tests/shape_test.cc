@@ -127,9 +127,9 @@ TEST(Fig17Shape, RevelComparableOnRegularControlFlow)
     Features full;
     auto mar = makeMarionette(params, full);
     auto revel = makeRevel(params);
-    // (Deviation note, EXPERIMENTS.md: the paper also lists HT
-    // here, but our REVEL model serializes HT's branch-bearing
-    // middle loop onto the single dataflow PE, so HT is excluded.)
+    // (A deviation: the paper also lists HT here, but our REVEL
+    // model serializes HT's branch-bearing middle loop onto the
+    // single dataflow PE, so HT is excluded.)
     std::vector<double> comparable, others;
     for (const WorkloadProfile &p : intensiveProfiles()) {
         double ratio = revel->run(p).cycles / mar->run(p).cycles;
