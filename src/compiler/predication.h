@@ -25,9 +25,9 @@ namespace marionette
 
 /**
  * The performance models' view of predication: per-block
- * *effective* operator counts, where each block
- * that is a branch target is charged to its branch's parent region
- * so both lanes occupy PEs simultaneously.
+ * *effective* operator counts, where each block that is a branch
+ * target is charged to its branch's parent region so both lanes
+ * occupy PEs simultaneously.
  */
 std::map<BlockId, int> predicatedOpCounts(const Cdfg &cdfg);
 
