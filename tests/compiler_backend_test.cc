@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "arch/machine.h"
@@ -75,6 +76,161 @@ TEST(Placement, DeterministicAcrossRunsAndThreads)
             t.join();
         for (const auto &enc : from_threads)
             EXPECT_EQ(enc, reference) << kernel;
+    }
+}
+
+// ------------------------------------------------------------------
+// Pinned layouts: the cost placer's output, byte for byte.  The
+// determinism test above only proves the placer agrees with
+// itself, and the coverage gate tolerates +/-5% cycles, so a
+// change to how moves are scored could otherwise move a placement
+// unnoticed.
+// ------------------------------------------------------------------
+
+/** 64-bit FNV-1a over the little-endian bytes of @p words. */
+std::uint64_t
+fnv1a(const std::vector<std::uint32_t> &words)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint32_t w : words)
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (w >> (8 * byte)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    return h;
+}
+
+TEST(Placement, MatchesPinnedLayouts)
+{
+    // One cell per (kernel, variant): "default" is evalFabric()
+    // with default options, "faults" adds a seeded plan of 3 dead
+    // PEs and 1 dead link, "unroll1" turns replication off.
+    struct Pinned
+    {
+        const char *kernel;
+        const char *variant;
+        std::uint64_t programFnv;
+        const char *placeNote;
+    };
+    const Pinned pinned[] = {
+        {"VI", "default", 0xee4b09a70f1ec057ull,
+         "cost placer: 42/100 PEs (0 nonlinear), recurrence II 6 6 "
+         "cycle(s), weighted wirelength 161, 117 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"NW", "default", 0x4048ebaed6a0ada6ull,
+         "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
+         "6 cycle(s), weighted wirelength 111, 49 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"HT", "default", 0x85ca9b95f53cd124ull,
+         "cost placer: 20/100 PEs (0 nonlinear), recurrence II 3 "
+         "cycle(s), weighted wirelength 44, 38 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CRC", "default", 0xe7f1844be39fe9d4ull,
+         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
+         "16 cycle(s), weighted wirelength 108, 23 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"ADPCM", "default", 0xfcaa6040d7c331b7ull,
+         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
+         "cycle(s), weighted wirelength 427, 78 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "default", 0xa825aba1d982f9c0ull,
+         "fused 3 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
+         "cycle(s), weighted wirelength 506, 169 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"LDPC", "default", 0x4572c35cc1f80356ull,
+         "fused 4 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 12 "
+         "cycle(s), weighted wirelength 1087, 742 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"GEMM", "default", 0x301a4595584cbcd8ull,
+         "cost placer: 81/100 PEs (0 nonlinear), recurrence II 6 "
+         "cycle(s), weighted wirelength 464, 819 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CO", "default", 0x9354fba9d1af8ce0ull,
+         "cost placer: 26/100 PEs (0 nonlinear), recurrence II 4 "
+         "cycle(s), weighted wirelength 60, 63 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SI", "default", 0x1cf67dfab310445dull,
+         "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
+         "cycle(s), weighted wirelength 4, 83 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"GP", "default", 0xa5f810564ef853eull,
+         "cost placer: 12/100 PEs (0 nonlinear), recurrence II 2 "
+         "cycle(s), weighted wirelength 18, 0 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SI", "faults", 0x78fc2d4ceeae28d6ull,
+         "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
+         "cycle(s), weighted wirelength 4, 92 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CRC", "faults", 0xe7f1844be39fe9d4ull,
+         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
+         "16 cycle(s), weighted wirelength 108, 26 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "faults", 0x8110e6b9ae1ddf4aull,
+         "fused 3 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
+         "cycle(s), weighted wirelength 496, 185 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"ADPCM", "faults", 0x9af65a5baf7e4122ull,
+         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
+         "cycle(s), weighted wirelength 429, 81 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"NW", "faults", 0x5abe0d399455df80ull,
+         "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
+         "6 cycle(s), weighted wirelength 114, 43 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SI", "unroll1", 0x1cf67dfab310445dull,
+         "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
+         "cycle(s), weighted wirelength 4, 83 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CRC", "unroll1", 0xe7f1844be39fe9d4ull,
+         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
+         "16 cycle(s), weighted wirelength 108, 23 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "unroll1", 0xa825aba1d982f9c0ull,
+         "fused 3 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
+         "cycle(s), weighted wirelength 506, 169 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"ADPCM", "unroll1", 0xfcaa6040d7c331b7ull,
+         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
+         "cycle(s), weighted wirelength 427, 78 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"NW", "unroll1", 0x4048ebaed6a0ada6ull,
+         "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
+         "6 cycle(s), weighted wirelength 111, 49 improving "
+         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+    };
+    for (const Pinned &cell : pinned) {
+        const std::string variant = cell.variant;
+        MachineConfig config = evalFabric();
+        CompilerOptions opts;
+        if (variant == "faults")
+            config.faults = FaultPlan::seeded(10, 10, 3, 1, 1);
+        else if (variant == "unroll1")
+            opts.unrollFactor = 1;
+        CompileResult r =
+            Compiler(config, opts).compile(cell.kernel);
+        ASSERT_TRUE(r.ok()) << cell.kernel << " " << variant << "\n"
+                            << r.report.toString();
+        const std::uint64_t fnv =
+            fnv1a(encodeProgram(r.kernel->program));
+        const std::string note = placeNote(r.report);
+        // On a mismatch, print the cell's row as it now reads.
+        std::ostringstream row;
+        row << "{\"" << cell.kernel << "\", \"" << variant
+            << "\", 0x" << std::hex << fnv << "ull, \"";
+        for (char ch : note)
+            row << (ch == '\n' ? std::string("\\n")
+                                : std::string(1, ch));
+        row << "\"}";
+        EXPECT_EQ(fnv, cell.programFnv) << row.str();
+        EXPECT_EQ(note, cell.placeNote) << row.str();
     }
 }
 
