@@ -422,14 +422,33 @@ struct Entity
     std::vector<int> tmplOut;
 };
 
+/** One closing carried edge of a phase (entity indices + channel
+ *  slack) and the pathTo_ row of its final value. */
+struct ClosingPair
+{
+    int fin;
+    int consumer;
+    Cycles slack;
+    std::size_t row;
+};
+
+/** One distinct carried final value of a phase: the longest-path
+ *  sweep to @p fin covers entities [lo, end), lo being the lowest
+ *  consumer its closing edges feed and end the phase's end. */
+struct FinalSweep
+{
+    int fin;
+    int lo;
+    int end;
+};
+
 class CostPlacer
 {
   public:
     CostPlacer(Compilation &cc, Mapping &map, int nonlinear_total)
         : cc_(cc),
           map_(map),
-          geom_(cc.config.rows, cc.config.cols,
-                cc.config.meshHopLatency),
+          numPes_(cc.config.numPes()),
           exec_(cc.config.executeLatency),
           firstNonlinear_(static_cast<PeId>(
               cc.config.numPes() - cc.config.nonlinearPes)),
@@ -451,6 +470,16 @@ class CostPlacer
         }
         markDead();
         capableFree_ -= deadCapable_;
+        // Every move is scored by mesh latencies between PEs: read
+        // them from one table instead of recomputing hop counts.
+        const MeshGeometry geom(cc_.config.rows, cc_.config.cols,
+                                cc_.config.meshHopLatency);
+        peLat_.resize(static_cast<std::size_t>(numPes_) *
+                      static_cast<std::size_t>(numPes_));
+        for (PeId p = 0; p < numPes_; ++p)
+            for (PeId q = 0; q < numPes_; ++q)
+                peLat_[static_cast<std::size_t>(p * numPes_ + q)] =
+                    geom.latency(p, q);
     }
 
     void
@@ -495,7 +524,7 @@ class CostPlacer
                                  worst_phase)])
                     worst_phase = static_cast<int>(p);
             std::vector<int> chain =
-                criticalEntities(worst_phase);
+                criticalCycle(worst_phase, true);
             if (chain.size() >= 4)
                 override_chains[worst_phase] = std::move(chain);
         }
@@ -568,7 +597,9 @@ class CostPlacer
             std::set<std::pair<NodeId, NodeId>> closing =
                 closingEdges(phase);
             closing_.emplace_back();
+            finals_.emplace_back();
             skewEdges_.emplace_back();
+            const int end = static_cast<int>(entities_.size());
             for (const DataEdge &e : map_.phases[p].edges) {
                 int src = e.src == invalidNode
                               ? genIdx_[p]
@@ -583,21 +614,34 @@ class CostPlacer
                     .adj.emplace_back(src, w);
                 if (e.src != invalidNode &&
                     closing.count({e.src, e.dst})) {
+                    std::vector<FinalSweep> &finals = finals_.back();
+                    std::size_t row = 0;
+                    while (row < finals.size() &&
+                           finals[row].fin != src)
+                        ++row;
+                    if (row == finals.size())
+                        finals.push_back({src, dst, end});
+                    finals[row].lo = std::min(finals[row].lo, dst);
                     closing_.back().push_back(
                         {src, dst,
-                         closingEdgeSlack(phase, e.src, e.dst)});
+                         closingEdgeSlack(phase, e.src, e.dst), row});
                     continue;
                 }
-                // Feed-forward edge (generator feeds included):
-                // part of the skew DP's DAG.
+                // Feed-forward edge (generator feeds included): the
+                // template DAG that the skew DP and the longest-path
+                // sweeps both walk in entity-index order.  DFG node
+                // ids ascend along dependences and the generator
+                // precedes every node, so that order is topological.
+                MARIONETTE_ASSERT(
+                    src < dst,
+                    "place: template edge %d -> %d runs against "
+                    "entity order",
+                    src, dst);
                 skewEdges_.back().emplace_back(src, dst);
                 if (e.src != invalidNode)
                     entities_[static_cast<std::size_t>(src)]
                         .tmplOut.push_back(dst);
             }
-            // Topological order for the single-pass skew DP: DFG
-            // node ids ascend along dependences and the generator
-            // entity precedes every node entity.
             std::sort(skewEdges_.back().begin(),
                       skewEdges_.back().end(),
                       [](const std::pair<int, int> &a,
@@ -607,42 +651,92 @@ class CostPlacer
         }
         ii_.assign(cc_.phases.size(), 0);
         fireScratch_.assign(entities_.size(), 0);
+        std::size_t rows = 0;
+        for (const std::vector<FinalSweep> &finals : finals_)
+            rows = std::max(rows, finals.size());
+        pathTo_.assign(rows * entities_.size(), -1);
+        // Positions unknown yet: the seed ring embeds each phase's
+        // longest cycle by stage count (latency-free proxy).
+        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
+            stageChains_.push_back(
+                criticalCycle(static_cast<int>(p), false));
     }
 
+    /** Mesh latency from PE @p p to PE @p q. */
+    Cycles
+    peLat(PeId p, PeId q) const
+    {
+        return peLat_[static_cast<std::size_t>(p * numPes_ + q)];
+    }
+
+    /** Mesh latency between the PEs of entities @p a and @p b. */
     Cycles
     lat(int a, int b) const
     {
-        return geom_.latency(
-            entities_[static_cast<std::size_t>(a)].pe,
-            entities_[static_cast<std::size_t>(b)].pe);
+        return peLat(entities_[static_cast<std::size_t>(a)].pe,
+                     entities_[static_cast<std::size_t>(b)].pe);
     }
 
-    /** Longest-latency template path @p at -> @p target (execute
-     *  per stage + mesh per edge); -1 when unreachable. */
-    std::int64_t
-    longestTo(int at, int target,
-              std::map<int, std::int64_t> &memo) const
+    /** Row @p row of the longest-path scratch (one per distinct
+     *  carried final value of the phase being scored). */
+    std::int64_t *
+    pathRow(std::size_t row) const
     {
-        if (at == target)
-            return static_cast<std::int64_t>(exec_);
-        auto m = memo.find(at);
-        if (m != memo.end())
-            return m->second;
-        memo[at] = -1;
-        std::int64_t best = -1;
-        for (int next :
-             entities_[static_cast<std::size_t>(at)].tmplOut) {
-            std::int64_t tail = longestTo(next, target, memo);
-            if (tail < 0)
-                continue;
-            best = std::max(best,
-                            static_cast<std::int64_t>(exec_) +
-                                static_cast<std::int64_t>(
-                                    lat(at, next)) +
-                                tail);
+        return pathTo_.data() + row * entities_.size();
+    }
+
+    /** Cost of template edge @p a -> @p b beyond its stage: mesh
+     *  latency on the timed metric, nothing on the stage metric. */
+    std::int64_t
+    hop(int a, int b, bool timed) const
+    {
+        return timed ? static_cast<std::int64_t>(lat(a, b)) : 0;
+    }
+
+    /**
+     * Longest template path from every entity of @p phase to each
+     * of its distinct carried final values: one reverse sweep per
+     * final, into that final's pathTo_ row.  Entity-index order is
+     * topological (checked in buildEntities), so every successor is
+     * final before its predecessors read it.  A path costs execute
+     * per stage plus mesh latency per edge when @p timed, else one
+     * per stage; -1 where the final is unreachable.  A row is
+     * valid from its final's lowest consumer to the phase end.
+     */
+    void
+    sweepFinals(int phase, bool timed) const
+    {
+        const std::int64_t stage =
+            timed ? static_cast<std::int64_t>(exec_) : 1;
+        const std::vector<FinalSweep> &finals =
+            finals_[static_cast<std::size_t>(phase)];
+        for (std::size_t row = 0; row < finals.size(); ++row) {
+            const FinalSweep &f = finals[row];
+            std::int64_t *to = pathRow(row);
+            std::fill(to + f.fin + 1, to + f.end, -1);
+            to[f.fin] = stage;
+            for (int at = f.fin - 1; at >= f.lo; --at) {
+                const Entity &e =
+                    entities_[static_cast<std::size_t>(at)];
+                std::int64_t best = -1;
+                for (int next : e.tmplOut) {
+                    if (to[next] < 0)
+                        continue;
+                    const std::int64_t via =
+                        stage + hop(at, next, timed) + to[next];
+                    best = std::max(best, via);
+                }
+                to[at] = best;
+            }
         }
-        memo[at] = best;
-        return best;
+    }
+
+    /** Longest path consumer -> fin of @p cp from the last
+     *  sweepFinals of its phase; -1 when unreachable. */
+    std::int64_t
+    pathFrom(const ClosingPair &cp) const
+    {
+        return pathRow(cp.row)[cp.consumer];
     }
 
     /**
@@ -703,12 +797,12 @@ class CostPlacer
     std::uint64_t
     phaseII(int phase) const
     {
+        sweepFinals(phase, true);
         Cycles max_ii = 0;
         std::uint64_t sq = 0;
         for (const ClosingPair &cp :
              closing_[static_cast<std::size_t>(phase)]) {
-            std::map<int, std::int64_t> memo;
-            std::int64_t body = longestTo(cp.consumer, cp.fin, memo);
+            std::int64_t body = pathFrom(cp);
             if (body < 0)
                 continue;
             // A closing channel seeded `slack` words deep lets the
@@ -746,11 +840,10 @@ class CostPlacer
         std::uint64_t c = 0;
         for (const Entity &e : entities_)
             for (const auto &[peer, w] : e.adj)
-                c += w * geom_.latency(
-                             e.pe,
-                             entities_[static_cast<std::size_t>(
-                                           peer)]
-                                 .pe);
+                c += w * peLat(e.pe,
+                               entities_[static_cast<std::size_t>(
+                                             peer)]
+                                   .pe);
         return c / 2; // each edge counted from both ends.
     }
 
@@ -806,7 +899,7 @@ class CostPlacer
                          ? other_pe
                          : entities_[static_cast<std::size_t>(peer)]
                                .pe;
-            c += w * geom_.latency(pe, q);
+            c += w * peLat(pe, q);
         }
         return c;
     }
@@ -924,28 +1017,10 @@ class CostPlacer
             // local search polishes the rest.
             std::vector<int> order;
             std::set<int> enqueued;
-            std::vector<int> chain;
             auto ov = override_chains.find(static_cast<int>(p));
-            if (ov != override_chains.end()) {
-                chain = ov->second;
-            } else {
-                int crit_consumer = -1, crit_fin = -1;
-                Cycles worst = 0;
-                // Positions unknown yet: rank cycles by stage
-                // count (latency-free proxy).
-                for (const ClosingPair &cp : closing_[p]) {
-                    std::map<int, std::int64_t> memo;
-                    std::int64_t k =
-                        stagesTo(cp.consumer, cp.fin, memo);
-                    if (k > 0 && static_cast<Cycles>(k) > worst) {
-                        worst = static_cast<Cycles>(k);
-                        crit_consumer = cp.consumer;
-                        crit_fin = cp.fin;
-                    }
-                }
-                if (crit_consumer >= 0)
-                    chain = longestChain(crit_consumer, crit_fin);
-            }
+            const std::vector<int> &chain =
+                ov != override_chains.end() ? ov->second
+                                            : stageChains_[p];
             if (!chain.empty() && use_ring) {
                 std::vector<PeId> ring =
                     ringCells(static_cast<int>(chain.size()));
@@ -1047,11 +1122,11 @@ class CostPlacer
                                                 std::size_t>(peer)]
                                       .pe;
                         if (q2 != invalidPe)
-                            c += w * geom_.latency(pe, q2);
+                            c += w * peLat(pe, q2);
                     }
                     if (c == 0)
                         c = static_cast<std::uint64_t>(
-                            geom_.latency(pe, center));
+                            peLat(pe, center));
                     if (best == invalidPe || c < best_cost) {
                         best = pe;
                         best_cost = c;
@@ -1063,63 +1138,6 @@ class CostPlacer
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
             ii_[p] = phaseII(static_cast<int>(p));
         wire_ = fullWire();
-    }
-
-    /** Stage count of the longest template path (position-free). */
-    std::int64_t
-    stagesTo(int at, int target,
-             std::map<int, std::int64_t> &memo) const
-    {
-        if (at == target)
-            return 1;
-        auto m = memo.find(at);
-        if (m != memo.end())
-            return m->second;
-        memo[at] = -1;
-        std::int64_t best = -1;
-        for (int next :
-             entities_[static_cast<std::size_t>(at)].tmplOut) {
-            std::int64_t tail = stagesTo(next, target, memo);
-            if (tail > 0)
-                best = std::max(best, tail + 1);
-        }
-        memo[at] = best;
-        return best;
-    }
-
-    /** The node sequence of the longest template path
-     *  @p from -> @p to (stage metric). */
-    std::vector<int>
-    longestChain(int from, int to) const
-    {
-        std::map<int, std::int64_t> memo;
-        stagesTo(from, to, memo);
-        std::vector<int> chain;
-        int at = from;
-        int guard = 0;
-        while (guard++ < 4096) {
-            chain.push_back(at);
-            if (at == to)
-                break;
-            int best_next = -1;
-            std::int64_t best = -1;
-            for (int next :
-                 entities_[static_cast<std::size_t>(at)].tmplOut) {
-                auto it = memo.find(next);
-                std::int64_t v =
-                    next == to ? 1
-                               : (it == memo.end() ? -1
-                                                   : it->second);
-                if (v > 0 && v > best) {
-                    best = v;
-                    best_next = next;
-                }
-            }
-            if (best_next < 0)
-                break;
-            at = best_next;
-        }
-        return chain;
     }
 
     void
@@ -1242,60 +1260,56 @@ class CostPlacer
         }
     }
 
-    /** The entities of @p phase's worst carried cycle under the
-     *  current positions (consumer .. final value, path order). */
+    /**
+     * The entities of @p phase's worst carried cycle, consumer ..
+     * final value in path order, on sweepFinals' @p timed metric
+     * (the timed one reads the current positions).  Ties go to the
+     * first worst closing pair in closing_ order and to the first
+     * longest edge along the path.
+     */
     std::vector<int>
-    criticalEntities(int phase) const
+    criticalCycle(int phase, bool timed) const
     {
-        int best_fin = -1, best_consumer = -1;
-        std::int64_t worst = -1;
+        sweepFinals(phase, timed);
+        const ClosingPair *worst = nullptr;
+        std::int64_t worst_total = -1;
         for (const ClosingPair &cp :
              closing_[static_cast<std::size_t>(phase)]) {
-            std::map<int, std::int64_t> memo;
-            std::int64_t body = longestTo(cp.consumer, cp.fin, memo);
+            std::int64_t body = pathFrom(cp);
             if (body < 0)
                 continue;
             std::int64_t total =
-                body + static_cast<std::int64_t>(
-                           lat(cp.fin, cp.consumer));
-            if (total > worst) {
-                worst = total;
-                best_fin = cp.fin;
-                best_consumer = cp.consumer;
+                body + hop(cp.fin, cp.consumer, timed);
+            if (total > worst_total) {
+                worst_total = total;
+                worst = &cp;
             }
         }
         std::vector<int> chain;
-        if (best_fin < 0)
+        if (worst == nullptr)
             return chain;
-        std::map<int, std::int64_t> memo;
-        longestTo(best_consumer, best_fin, memo);
-        int at = best_consumer;
-        int guard = 0;
-        while (guard++ < 4096) {
+        const std::int64_t stage =
+            timed ? static_cast<std::int64_t>(exec_) : 1;
+        const std::int64_t *to = pathRow(worst->row);
+        // Every entity on the walk reaches the final, so each step
+        // finds a successor; indices ascend, so the walk ends.
+        for (int at = worst->consumer;;) {
             chain.push_back(at);
-            if (at == best_fin)
+            if (at == worst->fin)
                 break;
             int best_next = -1;
             std::int64_t best = -1;
             for (int next :
                  entities_[static_cast<std::size_t>(at)].tmplOut) {
-                std::int64_t tail =
-                    next == best_fin
-                        ? static_cast<std::int64_t>(exec_)
-                        : (memo.count(next) ? memo.at(next) : -1);
-                if (tail < 0)
+                if (to[next] < 0)
                     continue;
                 std::int64_t via =
-                    static_cast<std::int64_t>(exec_) +
-                    static_cast<std::int64_t>(lat(at, next)) +
-                    tail;
+                    stage + hop(at, next, timed) + to[next];
                 if (via > best) {
                     best = via;
                     best_next = next;
                 }
             }
-            if (best_next < 0)
-                break;
             at = best_next;
         }
         return chain;
@@ -1317,7 +1331,7 @@ class CostPlacer
             bool improved = false;
             for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
                 std::vector<int> chain =
-                    criticalEntities(static_cast<int>(p));
+                    criticalCycle(static_cast<int>(p), true);
                 for (int ia : chain) {
                     Entity &a = entities_[
                         static_cast<std::size_t>(ia)];
@@ -1328,6 +1342,8 @@ class CostPlacer
                     int best_ib = -1;
                     std::uint64_t best_obj = cur;
                     PeId from = a.pe;
+                    const std::uint64_t from_wire =
+                        incidentWire(ia, from, -1, invalidPe);
                     for (PeId pe = 0; pe < cc_.config.numPes();
                          ++pe) {
                         if (taken_[static_cast<std::size_t>(pe)])
@@ -1335,15 +1351,13 @@ class CostPlacer
                         if (a.nonlinear &&
                             pe < firstNonlinear_)
                             continue;
-                        std::uint64_t wb = incidentWire(
-                            ia, from, -1, invalidPe);
                         std::uint64_t wa = incidentWire(
                             ia, pe, -1, invalidPe);
                         a.pe = pe;
                         std::uint64_t obj = objective(
                             iiSumWith(a.phase,
                                       phaseII(a.phase)),
-                            wire_ - wb + wa);
+                            wire_ - from_wire + wa);
                         a.pe = from;
                         if (obj < best_obj) {
                             best_obj = obj;
@@ -1393,12 +1407,10 @@ class CostPlacer
                             ++capableFree_;
                         if (best_pe >= firstNonlinear_)
                             --capableFree_;
-                        std::uint64_t wb = incidentWire(
-                            ia, from, -1, invalidPe);
                         a.pe = best_pe;
                         std::uint64_t wa = incidentWire(
                             ia, best_pe, -1, invalidPe);
-                        wire_ = wire_ - wb + wa;
+                        wire_ = wire_ - from_wire + wa;
                         ii_[static_cast<std::size_t>(a.phase)] =
                             phaseII(a.phase);
                         improved = true;
@@ -1527,7 +1539,10 @@ class CostPlacer
   private:
     Compilation &cc_;
     Mapping &map_;
-    MeshGeometry geom_;
+    int numPes_;
+    /** MeshGeometry::latency for every (from, to) PE pair, row-
+     *  major by source. */
+    std::vector<Cycles> peLat_;
     Cycles exec_;
     PeId firstNonlinear_;
     std::vector<bool> taken_;
@@ -1552,15 +1567,17 @@ class CostPlacer
     std::vector<Entity> entities_;
     std::vector<int> genIdx_; ///< entity index per phase generator.
     std::map<std::pair<int, NodeId>, int> nodeIdx_;
-    /** One closing carried edge (entity indices + channel slack). */
-    struct ClosingPair
-    {
-        int fin;
-        int consumer;
-        Cycles slack;
-    };
     /** Closing carried edges per phase. */
     std::vector<std::vector<ClosingPair>> closing_;
+    /** Distinct carried final values per phase (one sweep each). */
+    std::vector<std::vector<FinalSweep>> finals_;
+    /** Longest template paths to a final value, one row of
+     *  entities_.size() per FinalSweep of the phase being scored
+     *  (see sweepFinals). */
+    mutable std::vector<std::int64_t> pathTo_;
+    /** Per phase: its longest cycle by stage count, the seed ring
+     *  when no latency-critical chain overrides it. */
+    std::vector<std::vector<int>> stageChains_;
     /** Feed-forward directed edges per phase, topo-sorted by
      *  consumer (the skew DP's DAG; generator feeds included). */
     std::vector<std::vector<std::pair<int, int>>> skewEdges_;
