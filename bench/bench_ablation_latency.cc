@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablation: sensitivity of the control-network benefit to the
- * fabric's latency parameters (DESIGN.md design-choice study).
+ * fabric's latency parameters (a design-choice study).
  * Sweeps (a) the data-mesh latency a network-less design would pay
  * for control transfers, and (b) the dedicated network's own
  * latency — showing where the one-cycle CS-Benes stops paying off.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Ablation: how Marionette's advantage scales with the array size
- * (DESIGN.md design-choice study; the paper's "parameterizable
- * design", Sec. 5).  Sweeps 2x2 .. 16x16 fabrics, all architectures
+ * (a design-choice study of the paper's "parameterizable design",
+ * Sec. 5).  Sweeps 2x2 .. 16x16 fabrics, all architectures
  * normalized to the same PE count at each point, and reports the
  * intensive-suite geomean advantage.
  *

@@ -4,10 +4,9 @@
  *
  * The paper's toolchain annotates C sources with #pragma tags and
  * extracts the CDFG through a modified Clang.  This repository
- * substitutes a programmatic builder producing the identical graphs
- * (see DESIGN.md, substitution table): the builder offers structured
- * loop and branch constructs so workload definitions read like the
- * annotated source.
+ * substitutes a programmatic builder producing the identical graphs:
+ * the builder offers structured loop and branch constructs so
+ * workload definitions read like the annotated source.
  */
 
 #ifndef MARIONETTE_IR_BUILDER_H

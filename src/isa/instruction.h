@@ -203,8 +203,8 @@ struct CtrlLink
 
 /**
  * Per-phase steady-state metadata the route pass exports with the
- * emitted program (ISSUE 9).  Purely descriptive: it does not change
- * what the machine executes, only seeds the fast-forward engine's
+ * emitted program.  Purely descriptive: it does not change what the
+ * machine executes, only seeds the fast-forward engine's
  * steady-state probes (sim/fastforward.h).  Not part of the encoded
  * instruction image, so instruction-memory sizing is unaffected.
  */

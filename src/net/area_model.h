@@ -10,7 +10,8 @@
  * reference configuration reproduces Table 4 exactly, and scaling to
  * other configurations follows component counts (PEs, switch counts,
  * memory bytes).  The *trends* — which Table 6 and Fig. 13 are about
- * — are preserved by construction.  See DESIGN.md (substitutions).
+ * — are preserved by construction; absolute figures away from the
+ * 4x4 reference are model extrapolations, not synthesis results.
  */
 
 #ifndef MARIONETTE_NET_AREA_MODEL_H

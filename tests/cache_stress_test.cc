@@ -1,7 +1,7 @@
 /**
- * Concurrency stress for the shared caches (ISSUE 10 satellite):
- * ProgramCache and SnapshotCache hammered with mixed hits and
- * misses from many threads at once.  The assertions are light on
+ * Concurrency stress for the shared caches: ProgramCache and
+ * SnapshotCache hammered with mixed hits and misses from many
+ * threads at once.  The assertions are light on
  * purpose — the point of this test is to run under
  * ThreadSanitizer (-DMARIONETTE_SANITIZE=thread) and come back
  * clean; a data race in either cache shows up as a TSan report,

@@ -265,7 +265,8 @@ TEST(Placement, SnakeAndCostBothBitExact)
 
     // The cost backend never loses to the legacy baseline by more
     // than noise, and wins decisively on the recurrence-bound
-    // kernels (the ISSUE's mapped-cycles gap).
+    // kernels, where the snake layout stretches the carried cycles
+    // across the mesh.
     for (const auto &[kernel, snake] : cycles_of[0]) {
         std::uint64_t cost = cycles_of[1].at(kernel);
         EXPECT_LE(cost, snake + snake / 20) << kernel;

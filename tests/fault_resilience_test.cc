@@ -173,7 +173,7 @@ TEST(FaultPlan, ZeroFaultsIsByteIdentical)
     EXPECT_EQ(compared, 11) << "all bit-exact kernels compared";
 }
 
-/** The ISSUE acceptance criterion: with 2 dead PEs and 1 dead link
+/** The resilience guarantee: with 2 dead PEs and 1 dead link
  *  on the 10x10 fabric, every kernel either compiles around the
  *  faults and stays bit-exact vs its golden, or rejects with a
  *  pass-attributed "unmappable under faults" diagnostic. */

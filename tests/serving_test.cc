@@ -1,5 +1,5 @@
 /**
- * Serving-core and spatial co-tenancy coverage (ISSUE 10).
+ * Serving-core and spatial co-tenancy coverage.
  *
  * The load-bearing guarantees:
  *  - a kernel served from a region lane is bit-exact (RunResult,
