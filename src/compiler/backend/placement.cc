@@ -474,12 +474,11 @@ class CostPlacer
         // them from one table instead of recomputing hop counts.
         const MeshGeometry geom(cc_.config.rows, cc_.config.cols,
                                 cc_.config.meshHopLatency);
-        peLat_.resize(static_cast<std::size_t>(numPes_) *
-                      static_cast<std::size_t>(numPes_));
+        peLat_.reserve(static_cast<std::size_t>(numPes_) *
+                       static_cast<std::size_t>(numPes_));
         for (PeId p = 0; p < numPes_; ++p)
             for (PeId q = 0; q < numPes_; ++q)
-                peLat_[static_cast<std::size_t>(p * numPes_ + q)] =
-                    geom.latency(p, q);
+                peLat_.push_back(geom.latency(p, q));
     }
 
     void
@@ -666,7 +665,9 @@ class CostPlacer
     Cycles
     peLat(PeId p, PeId q) const
     {
-        return peLat_[static_cast<std::size_t>(p * numPes_ + q)];
+        return peLat_[static_cast<std::size_t>(p) *
+                          static_cast<std::size_t>(numPes_) +
+                      static_cast<std::size_t>(q)];
     }
 
     /** Mesh latency between the PEs of entities @p a and @p b. */
