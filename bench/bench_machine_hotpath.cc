@@ -132,73 +132,6 @@ BENCHMARK(BM_FullyActive)
     ->ArgNames({"fast"})
     ->Unit(benchmark::kMillisecond);
 
-/** The fast-forward target: an LDPC/VI-class long steady loop — a
- *  fully pipelined counted generator feeding a short add chain for
- *  hundreds of thousands of trips — with the phase metadata the
- *  route pass would attach.  With ff=1 the engine proves the steady
- *  state after a handful of windows and replays the rest in O(1)
- *  per window. */
-Program
-steadyLoopKernel(const MachineConfig &config, Word iterations)
-{
-    ProgramBuilder b("steady_loop", config);
-    b.setNumOutputs(1);
-    Instruction &gen = b.place(0, 0);
-    gen.mode = SenderMode::LoopOp;
-    gen.op = Opcode::Loop;
-    gen.loopStart = 0;
-    gen.loopBound = iterations;
-    gen.pipelineII = 1;
-    gen.dests = {DestSel::toPe(1, 0)};
-    b.setEntry(0, 0);
-    for (PeId pe = 1; pe <= 3; ++pe) {
-        Instruction &in = b.place(pe, 0);
-        in.mode = SenderMode::Dfg;
-        in.op = Opcode::Add;
-        in.a = OperandSel::channel(0);
-        in.b = OperandSel::immediate(1);
-        in.dests = {pe == 3 ? DestSel::toOutput(0)
-                            : DestSel::toPe(pe + 1, 0)};
-        b.setEntry(pe, 0);
-    }
-    Program prog = b.finish();
-    PhaseInfo phase;
-    phase.generator = 0;
-    phase.trips = iterations;
-    phase.recurrenceII = 1;
-    phase.fillLatency = 8;
-    phase.steadyWindow = 1;
-    phase.counted = true;
-    prog.phases = {phase};
-    return prog;
-}
-
-void
-BM_SteadyStateFastForward(benchmark::State &state)
-{
-    MachineConfig config = bigArrayConfig();
-    config.fastForward = state.range(0) != 0;
-    Program prog = steadyLoopKernel(config, 500'000);
-    MarionetteMachine m(config);
-    std::uint64_t sim_cycles = 0;
-    for (auto _ : state) {
-        m.load(prog);
-        RunResult r = m.run();
-        sim_cycles += r.cycles;
-        benchmark::DoNotOptimize(r.totalFires);
-    }
-    reportSimRate(state, sim_cycles);
-    state.counters["ff_engagements"] = static_cast<double>(
-        m.fastForwardStats().engagements);
-    state.counters["ff_cycles_skipped"] = static_cast<double>(
-        m.fastForwardStats().cyclesSkipped);
-}
-BENCHMARK(BM_SteadyStateFastForward)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"ff"})
-    ->Unit(benchmark::kMillisecond);
-
 void
 printHotpath()
 {

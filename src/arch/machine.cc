@@ -74,7 +74,6 @@ MarionetteMachine::MarionetteMachine(const MachineConfig &config)
         static_cast<std::size_t>(config_.controlFifoCount), 0);
     awake_.assign(static_cast<std::size_t>(config_.numPes()), 1);
     lastTick_.assign(static_cast<std::size_t>(config_.numPes()), 0);
-    idleTicks_.assign(static_cast<std::size_t>(config_.numPes()), 0);
     wakeOnProgress_.assign(
         static_cast<std::size_t>(config_.numPes()), {});
     wakeOnFifoPush_.assign(
@@ -127,30 +126,6 @@ MarionetteMachine::load(const Program &program)
             MARIONETTE_FATAL("kernel '%s' exceeds control network "
                              "capacity", program.name.c_str());
     }
-    armFastForward();
-}
-
-void
-MarionetteMachine::armFastForward()
-{
-    // The engine needs (a) the simulator toggle on, (b) a machine
-    // with no faults of any kind — dead hardware and scheduled
-    // upsets both break the periodicity argument, and a fault-aware
-    // re-place is exactly the kind of run that must be observed in
-    // full — and (c) the compiler's per-phase metadata to seed the
-    // probe windows.  Hand-built programs carry no metadata and run
-    // the plain path.
-    ff_.reset();
-    if (config_.fastForward && config_.faults.empty() &&
-        !program_.phases.empty())
-        ff_ = std::make_unique<FastForwardEngine>(*this);
-}
-
-const FastForwardStats &
-MarionetteMachine::fastForwardStats() const
-{
-    static const FastForwardStats disarmed;
-    return ff_ ? ff_->stats() : disarmed;
 }
 
 void
@@ -301,7 +276,6 @@ MarionetteMachine::wake(PeId pe)
     if (peDead(pe))
         return;
     awake_[static_cast<std::size_t>(pe)] = 1;
-    idleTicks_[static_cast<std::size_t>(pe)] = 0;
 }
 
 RunResult
@@ -370,10 +344,7 @@ MarionetteMachine::run(Cycle max_cycles)
         if (peDead(p))
             awake_[static_cast<std::size_t>(p)] = 0;
     std::fill(lastTick_.begin(), lastTick_.end(), 0);
-    std::fill(idleTicks_.begin(), idleTicks_.end(), 0);
     bool ran_any_cycle = false;
-    if (ff_)
-        ff_->beginRun();
 
     for (now_ = 0; now_ < max_cycles; ++now_) {
         ran_any_cycle = true;
@@ -531,18 +502,14 @@ MarionetteMachine::run(Cycle max_cycles)
             }
             if (r.progressed) {
                 progressed = true;
-                idleTicks_[pi] = 0;
                 // This PE may have freed channel space or FIFO
                 // slots: put its upstream back on the worklist.
                 for (PeId q : wakeOnProgress_[pi])
                     wake(q);
             } else if (event_driven && pe.sleepEligible()) {
-                // Quiescent grace window: a few no-progress ticks
-                // in a row before leaving the worklist.
-                if (++idleTicks_[pi] > kPeSleepGrace)
-                    awake_[pi] = 0;
-            } else {
-                idleTicks_[pi] = 0;
+                // Only an external event can unblock it: leave the
+                // worklist until one wakes it.
+                awake_[pi] = 0;
             }
         }
 
@@ -616,24 +583,6 @@ MarionetteMachine::run(Cycle max_cycles)
             }
             break;
         }
-
-        // Steady-state fast-forward: when the engine has proven the
-        // next K windows are cycle-shifted repeats, jump the whole
-        // machine across them (state and statistics were already
-        // rewritten inside the hook).  Every skipped window made
-        // progress (the active generator fires at least once per
-        // window), so the watchdog anchor rides along; the idle
-        // streak is untouched — it is window-periodic at
-        // boundaries, so its current value is exactly what plain
-        // execution would have left behind.
-        if (ff_) {
-            Cycles skip =
-                ff_->onCycleEnd(now_, max_cycles, idle_streak);
-            if (skip != 0) {
-                now_ += skip;
-                last_progress += skip;
-            }
-        }
     }
 
     // PEs that missed ticks up to the final simulated cycle settle
@@ -690,70 +639,6 @@ MarionetteMachine::run(Cycle max_cycles)
     return result;
 }
 
-void
-MarionetteMachine::ffVisitAll(FfVisitor &v, Cycle now,
-                              Cycles tick_horizon)
-{
-    // One canonical walk over every mutable field: the engine's
-    // capture and jump passes both take this exact path, so the
-    // fingerprint layout and the rewrite layout cannot drift apart.
-    ffCtl(v, lostCtrlWords_);
-    scratchpad_->ffVisit(v);
-    const int num_pes = config_.numPes();
-    for (PeId p = 0; p < num_pes; ++p) {
-        const std::size_t pi = static_cast<std::size_t>(p);
-        ffCtl(v, awake_[pi]);
-        ffCtl(v, idleTicks_[pi]);
-        // Tick recency: exact while the PE participates in the
-        // periodic pattern; one sentinel once it has slept through
-        // the whole probe span — its anchor then stays absolute so
-        // the end-of-run backfill covers the jumped cycles too.
-        const Cycle dist = now - lastTick_[pi];
-        ffCtl(v, dist <= tick_horizon ? dist : tick_horizon + 1);
-        pes_[pi]->ffVisit(v, now);
-    }
-    mesh_.ffVisit(v, now);
-    for (auto &fifo : fifos_)
-        fifo->ffVisit(v);
-    ffCtl(v, pendingCtrl_.size());
-    pendingCtrl_.forEachEvent([&](Cycle when, PendingCtrl &c) {
-        ffCtl(v, when - now);
-        ffCtl(v, static_cast<std::uint64_t>(c.dst));
-        ffCtl(v, static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(c.addr)));
-    });
-    ffCtl(v, pendingPush_.size());
-    pendingPush_.forEachEvent([&](Cycle when, PendingPush &p) {
-        ffCtl(v, when - now);
-        ffCtl(v, static_cast<std::uint64_t>(p.fifo));
-        ffWord(v, p.value);
-    });
-    for (const auto &row : meshInflight_)
-        for (int claimed : row)
-            ffCtl(v, static_cast<std::uint64_t>(claimed));
-    for (int claimed : fifoInflight_)
-        ffCtl(v, static_cast<std::uint64_t>(claimed));
-    stats_.ffVisit(v);
-    ctrlNet_.ffVisit(v);
-}
-
-void
-MarionetteMachine::ffShiftAll(Cycle now, Cycles delta,
-                              Cycles tick_horizon)
-{
-    for (auto &pe : pes_)
-        pe->ffShift(delta);
-    const int num_pes = config_.numPes();
-    for (PeId p = 0; p < num_pes; ++p) {
-        const std::size_t pi = static_cast<std::size_t>(p);
-        if (now - lastTick_[pi] <= tick_horizon)
-            lastTick_[pi] += delta;
-    }
-    pendingCtrl_.shift(delta);
-    pendingPush_.shift(delta);
-    mesh_.ffShift(delta);
-}
-
 MachineSnapshot
 MarionetteMachine::snapshot() const
 {
@@ -772,7 +657,6 @@ MarionetteMachine::snapshot() const
     s.outputs = outputs_;
     s.awake = awake_;
     s.lastTick = lastTick_;
-    s.idleTicks = idleTicks_;
     s.pes.reserve(pes_.size());
     for (const auto &pe : pes_)
         s.pes.push_back(pe->saveState());
@@ -811,7 +695,6 @@ MarionetteMachine::restore(const Snapshot &s)
     outputs_ = s.outputs;
     awake_ = s.awake;
     lastTick_ = s.lastTick;
-    idleTicks_ = s.idleTicks;
     for (std::size_t i = 0; i < pes_.size(); ++i)
         pes_[i]->restoreState(s.pes[i]);
     mesh_.restoreState(s.mesh);
@@ -831,7 +714,6 @@ MarionetteMachine::restore(const Snapshot &s)
                              program_.name.c_str());
     }
     ctrlNet_.restoreStats(s.ctrlNetStats);
-    armFastForward();
 }
 
 std::string

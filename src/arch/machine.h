@@ -18,26 +18,23 @@
  *  - the *reference* loop ticks every PE every cycle (the original
  *    simulator), and
  *  - the *activity-driven* hot path keeps an active worklist — a PE
- *    whose last tick made no progress and whose stall can only be
- *    resolved by an external event drops off after a short grace
- *    window, and is woken by exactly those events (mesh arrival,
- *    control delivery, FIFO traffic, downstream consumption).  The
- *    per-cycle statistics the skipped ticks would have recorded are
- *    replayed on wake-up (see Pe::backfillIdle), so stat dumps
- *    match the reference loop to the byte.
+ *    whose tick made no progress and whose stall can only be
+ *    resolved by an external event drops off at once, and is woken
+ *    by exactly those events (mesh arrival, control delivery, FIFO
+ *    traffic, downstream consumption).  The per-cycle statistics
+ *    the skipped ticks would have recorded are replayed on wake-up
+ *    (see Pe::backfillIdle), so stat dumps match the reference loop
+ *    to the byte.
  *
  * In-flight control words and FIFO pushes live in calendar queues
  * (sim/event_queue.h) bucketed by arrival cycle, as does the data
  * mesh's traffic, making delivery O(arrivals) per cycle.
  *
- * On top of the hot path, the steady-state fast-forward engine
- * (sim/fastforward.h, MachineConfig::fastForward) skips whole
- * pipeline-steady windows in O(1) once a phase's activity is proven
- * periodic — again bit-identical to executing them.  The same
- * state-capture machinery backs machine snapshots: snapshot()
- * deep-copies every mutable field of a loaded machine and restore()
- * brings an identically-configured machine back to that point, so
- * sweeps can warm-start repeated runs from a compiled+filled
+ * Machine snapshots are plain state copies: snapshot() deep-copies
+ * every mutable field of a loaded machine through the components'
+ * saveState() and restore() brings an identically-configured
+ * machine back to that point through restoreState(), so the
+ * serving core can warm-start repeated runs from a compiled+filled
  * checkpoint instead of re-preparing from scratch.
  */
 
@@ -56,7 +53,6 @@
 #include "pe/pe.h"
 #include "sim/config.h"
 #include "sim/event_queue.h"
-#include "sim/fastforward.h"
 #include "sim/stats.h"
 
 namespace marionette
@@ -86,6 +82,15 @@ struct CongestionReport
     std::uint64_t stallCredit = 0;
     std::uint64_t stallMem = 0;
     std::uint64_t stallGate = 0;
+};
+
+/** Always-zero fast-forward counters; only the benchmark reads them. */
+struct FastForwardStats
+{
+    std::uint64_t probes = 0;
+    std::uint64_t declines = 0;
+    std::uint64_t engagements = 0;
+    std::uint64_t cyclesSkipped = 0;
 };
 
 /**
@@ -274,7 +279,6 @@ class MarionetteMachine : public FabricIface
 
         std::vector<std::uint8_t> awake;
         std::vector<Cycle> lastTick;
-        std::vector<Cycles> idleTicks;
 
         std::vector<Pe::State> pes;
         DataMesh::State mesh;
@@ -298,19 +302,14 @@ class MarionetteMachine : public FabricIface
      */
     void restore(const Snapshot &snapshot);
 
-    /** Fast-forward engine counters of the current program; all
-     *  zero when the engine is disarmed (config toggle off, faults
-     *  present, or no phase metadata). */
-    const FastForwardStats &fastForwardStats() const;
+    static const FastForwardStats &
+    fastForwardStats()
+    {
+        static const FastForwardStats zero;
+        return zero;
+    }
 
   private:
-    friend class FastForwardEngine;
-
-    /** Ticks a sleeping PE stays tick-eligible after its last
-     *  activity before leaving the worklist (the quiescent grace
-     *  window of the activity-driven hot path). */
-    static constexpr Cycles kPeSleepGrace = 2;
-
     void bootPes();
     bool configureControlNetwork(const Program &program);
     void scheduleCtrl(Cycle now, const CtrlSend &send, PeId src);
@@ -318,33 +317,6 @@ class MarionetteMachine : public FabricIface
     void wake(PeId pe);
     bool peDead(PeId pe) const
     { return peDead_[static_cast<std::size_t>(pe)] != 0; }
-
-    /**
-     * Visit every mutable field of the machine in a fixed canonical
-     * order (sim/ffstate.h): the fast-forward engine's capture and
-     * jump both walk this one function, so the fingerprint layout
-     * and the rewrite layout can never drift apart.  @p now is the
-     * current cycle — absolute event times are emitted
-     * now-relative.  Output FIFOs are *not* visited (append-only;
-     * the engine extrapolates them block-wise).
-     *
-     * @p tick_horizon bounds the per-PE tick-recency Control: a PE
-     * whose last tick is at most that many cycles old is emitted
-     * with its exact distance (it participates in the periodic
-     * pattern and must recur on schedule); older anchors collapse
-     * to one sentinel (the PE sleeps through the steady state and
-     * its anchor stays absolute for backfill accounting).
-     */
-    void ffVisitAll(FfVisitor &v, Cycle now, Cycles tick_horizon);
-
-    /** Rebase every absolute-cycle anchor (in-flight completions
-     *  and arrivals, pending configurations, loop fire times,
-     *  recently-active tick anchors) across a clock jump. */
-    void ffShiftAll(Cycle now, Cycles delta, Cycles tick_horizon);
-
-    /** Arm or disarm the fast-forward engine for the loaded
-     *  program (called from load() and restore()). */
-    void armFastForward();
 
     MachineConfig config_;
     std::vector<std::unique_ptr<Pe>> pes_;
@@ -382,8 +354,6 @@ class MarionetteMachine : public FabricIface
     std::vector<std::uint8_t> awake_;
     /** Last cycle the PE actually ticked (backfill anchor). */
     std::vector<Cycle> lastTick_;
-    /** Consecutive sleep-eligible no-progress ticks. */
-    std::vector<Cycles> idleTicks_;
     /**
      * wakeOnProgress_[p]: PEs to put back on the worklist whenever
      * PE p makes progress — p's data producers (p may have freed
@@ -399,10 +369,6 @@ class MarionetteMachine : public FabricIface
     Stat &statCtrlWords_;
     Stat &statCycles_;
     Stat &statTotalFires_;
-
-    /** Steady-state fast-forward engine; armed per loaded program
-     *  (null when declined — see armFastForward()). */
-    std::unique_ptr<FastForwardEngine> ff_;
 };
 
 /** Convenience alias for the sweep layer's checkpoint cache. */

@@ -181,34 +181,6 @@ passEmit(Compilation &cc)
 
     out.program = builder.finish();
 
-    // Steady-state metadata for the fast-forward engine
-    // (sim/fastforward.h): every generator — phase and drain — with
-    // its trip count and the route pass's derived timing.  Phases
-    // that contain a while-form loop are marked counted = false so
-    // fast-forward never arms on a dynamic trip count.  Serial
-    // order matters: phase p runs, then drain p, then phase p + 1.
-    for (std::size_t p = 0; p < cc.phases.size(); ++p) {
-        PhaseInfo info;
-        info.generator = map.phases[p].generator;
-        info.trips = cc.phases[p].trips;
-        info.recurrenceII = cc.routes.phases[p].recurrenceII;
-        info.fillLatency = cc.routes.phases[p].criticalPathLatency;
-        info.steadyWindow = cc.routes.phases[p].steadyWindow;
-        info.counted = !cc.phases[p].hasWhile;
-        out.program.phases.push_back(info);
-        if (p + 1 < cc.phases.size()) {
-            PhaseInfo drain;
-            drain.generator = map.drainPes[p];
-            drain.trips = static_cast<Word>(
-                cc.routes.drainCycles[p]);
-            drain.recurrenceII = 1;
-            drain.fillLatency = 0;
-            drain.steadyWindow = 1;
-            drain.counted = true;
-            out.program.phases.push_back(drain);
-        }
-    }
-
     // The controller's instruction scratchpad must hold the
     // encoded configuration (machine.load() enforces the same).
     std::size_t config_bytes =

@@ -8,6 +8,7 @@
 
 #include "compiler/compiler.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "arch/machine.h"
@@ -63,10 +64,25 @@ CompileReport::toString() const
 // CompiledKernel
 // ------------------------------------------------------------------
 
+std::pair<Word, Word>
+CompiledKernel::memoryFootprint() const
+{
+    Word top = memoryImageBase + static_cast<Word>(memoryImage.size());
+    for (const MemoryRegionCheck &check : memoryChecks)
+        top = std::max<Word>(
+            top, check.base + static_cast<Word>(check.expect.size()));
+    return {memoryImageBase, top};
+}
+
 void
 CompiledKernel::prepare(MarionetteMachine &machine) const
 {
     machine.load(program);
+    // A reused machine still holds the previous kernel's data, and
+    // a kernel may read words its image does not set (HT's vote
+    // accumulator starts from zero).
+    const auto [base, top] = memoryFootprint();
+    machine.scratchpad().fill(base, top - base, 0);
     if (!memoryImage.empty())
         machine.scratchpad().load(memoryImageBase, memoryImage);
     for (const BootInjection &b : boots)

@@ -55,6 +55,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -123,7 +124,12 @@ struct CompiledKernel
     Cycle cycleBudget = 0;
     CompileReport report;
 
-    /** load() the program, fill the scratchpad, seed channels. */
+    /** Static scratchpad footprint [base, top): the image plus
+     *  every golden memory region. */
+    std::pair<Word, Word> memoryFootprint() const;
+
+    /** load() the program, zero the footprint, load the image,
+     *  seed channels. */
     void prepare(MarionetteMachine &machine) const;
 
     /**

@@ -872,10 +872,6 @@ lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
     for (std::size_t p = 0; p < cc.top.phases.size(); ++p) {
         const Region &src = cc.top.phases[p];
         FlatPhase &flat = cc.phases[p];
-        src.forEach([&](const Region &r) {
-            if (r.kind == RegionKind::WhileLoop)
-                flat.hasWhile = true;
-        });
         const int factor = factors[p];
         BodyBuilder bb(cost);
         if (factor <= 1) {

@@ -84,10 +84,6 @@ struct FlatPhase
      *  to interleave per-replica observation streams back into
      *  source order. */
     Word stripeSpan = 0;
-    /** True when the source region contains a while-form loop: the
-     *  trip count is data-dependent, so the emitted PhaseInfo is
-     *  marked counted = false and fast-forward never arms on it. */
-    bool hasWhile = false;
 };
 
 /** (fifo, phase, producing node) of one observed port. */

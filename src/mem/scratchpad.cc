@@ -1,5 +1,7 @@
 #include "mem/scratchpad.h"
 
+#include <algorithm>
+
 #include "sim/logging.h"
 
 namespace marionette
@@ -76,6 +78,16 @@ Scratchpad::load(Word base, const std::vector<Word> &words)
 {
     for (std::size_t i = 0; i < words.size(); ++i)
         write(base + static_cast<Word>(i), words[i]);
+}
+
+void
+Scratchpad::fill(Word base, int count, Word value)
+{
+    MARIONETTE_ASSERT(base >= 0 && count >= 0 &&
+                          count <= numWords() - base,
+                      "scratchpad fill of %d words at %d out of %d",
+                      count, base, numWords());
+    std::fill_n(data_.begin() + base, count, value);
 }
 
 std::vector<Word>

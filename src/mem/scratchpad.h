@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "sim/ffstate.h"
 #include "sim/logging.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -61,6 +60,9 @@ class Scratchpad
     /** Bulk initialization helper for workloads/tests. */
     void load(Word base, const std::vector<Word> &words);
 
+    /** Set words [base, base + count) to @p value. */
+    void fill(Word base, int count, Word value);
+
     /** Bulk read-back helper. */
     std::vector<Word> dump(Word base, int count) const;
 
@@ -87,23 +89,6 @@ class Scratchpad
     StatGroupState saveStats() const
     {
         return stats_.captureState();
-    }
-
-    /**
-     * Fast-forward visit: the entire word image folds into one
-     * Control hash — steady state requires memory frozen (store
-     * traffic is never extrapolated) — plus the access statistics
-     * as Values.  Per-cycle port occupancy is skipped: it resets at
-     * the next beginCycle() and cannot influence the future.
-     */
-    void
-    ffVisit(FfVisitor &v)
-    {
-        FfHash image;
-        for (Word w : data_)
-            image.mix(static_cast<std::uint32_t>(w));
-        ffCtl(v, image.value());
-        stats_.ffVisit(v);
     }
 
   private:

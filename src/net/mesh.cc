@@ -397,28 +397,6 @@ DataMesh::restoreState(const State &state)
     stats_.restoreState(state.stats);
 }
 
-void
-DataMesh::ffVisit(FfVisitor &v, Cycle now)
-{
-    ffCtl(v, dropped_);
-    ffCtl(v, static_cast<std::uint32_t>(lastDropSrc_));
-    ffCtl(v, static_cast<std::uint32_t>(lastDropDst_));
-    ffCtl(v, flight_.size());
-    flight_.forEachEvent([&v, now](Cycle when, MeshPacket &pkt) {
-        ffCtl(v, when - now);
-        ffCtl(v, pkt.arrival - now);
-        FfHash route;
-        route.mix(static_cast<std::uint32_t>(pkt.src));
-        route.mix(static_cast<std::uint32_t>(pkt.dst));
-        route.mix(static_cast<std::uint32_t>(pkt.channel));
-        ffCtl(v, route.value());
-        ffWord(v, pkt.value);
-    });
-    for (std::uint64_t &load : linkLoads_)
-        ffU64(v, load);
-    stats_.ffVisit(v, {"max_link_load"});
-}
-
 std::vector<MeshPacket>
 DataMesh::deliver(Cycle now, PeId dst)
 {

@@ -32,7 +32,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/fault.h"
-#include "sim/ffstate.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -304,33 +303,6 @@ class DataMesh
 
     State saveState() const;
     void restoreState(const State &state);
-
-    /**
-     * Fast-forward visit: in-flight packets (now-relative arrivals
-     * and routes Control, payloads Values), per-link loads as
-     * Values, and the stat group with max_link_load excluded — the
-     * running max's argmax link can migrate after the probe, so a
-     * jump recomputes it (ffRefreshMaxLinkLoad) instead of
-     * extrapolating.
-     */
-    void ffVisit(FfVisitor &v, Cycle now);
-
-    /** Rebase in-flight arrivals across a clock jump. */
-    void ffShift(Cycles delta) { flight_.shift(delta); }
-
-    /** Re-derive max_link_load from the (extrapolated) per-link
-     *  loads after a jump.  Loads only grow, so the running max
-     *  always equals the current maximum; untouched dumps stay
-     *  untouched because a zero max means no traffic ever. */
-    void
-    ffRefreshMaxLinkLoad()
-    {
-        std::uint64_t m = 0;
-        for (std::uint64_t load : linkLoads_)
-            m = load > m ? load : m;
-        if (m > 0)
-            statMaxLinkLoad_.set(m);
-    }
 
   private:
     MeshGeometry geom_;

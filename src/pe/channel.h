@@ -13,7 +13,6 @@
 
 #include <deque>
 
-#include "sim/ffstate.h"
 #include "sim/logging.h"
 #include "sim/types.h"
 
@@ -76,17 +75,6 @@ class InputChannel
     void restoreWords(const std::deque<Word> &words)
     {
         words_ = words;
-    }
-
-    /** Fast-forward visit: occupancy is Control (back-pressure),
-     *  each buffered word a Value (affine data streams rotate
-     *  through the queue position by position). */
-    void
-    ffVisit(FfVisitor &v)
-    {
-        ffCtl(v, words_.size());
-        for (Word &w : words_)
-            ffWord(v, w);
     }
 
   private:

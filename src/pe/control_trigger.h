@@ -15,7 +15,6 @@
 #ifndef MARIONETTE_PE_CONTROL_TRIGGER_H
 #define MARIONETTE_PE_CONTROL_TRIGGER_H
 
-#include "sim/ffstate.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -91,25 +90,6 @@ class ControlFlowTrigger
         current_ = s.current;
         pending_ = s.pending;
         pendingReady_ = s.pendingReady;
-    }
-
-    /** Fast-forward visit: addresses and the now-relative readiness
-     *  of a pending configuration are all Control. */
-    void
-    ffVisit(FfVisitor &v, Cycle now) const
-    {
-        ffCtl(v, static_cast<std::uint32_t>(current_));
-        ffCtl(v, static_cast<std::uint32_t>(pending_));
-        ffCtl(v, pending_ != invalidInstr ? pendingReady_ - now
-                                          : 0);
-    }
-
-    /** Rebase the pending configuration across a clock jump. */
-    void
-    ffShift(Cycles delta)
-    {
-        if (pending_ != invalidInstr)
-            pendingReady_ += delta;
     }
 
   private:

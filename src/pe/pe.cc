@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/ffstate.h"
 #include "sim/logging.h"
 
 namespace marionette
@@ -644,65 +643,6 @@ Pe::restoreState(const State &s)
     loopNextFire_ = s.loopNextFire;
     lastStall_ = s.lastStall;
     stats_.restoreState(s.stats);
-}
-
-void
-Pe::ffVisit(FfVisitor &v, Cycle now)
-{
-    trigger_.ffVisit(v, now);
-    for (InputChannel &ch : channels_)
-        ch.ffVisit(v);
-    for (Word &r : regs_)
-        ffWord(v, r);
-    ffCtl(v, inflight_.size());
-    for (InFlight &f : inflight_) {
-        // Completion time relative (rebased by ffShift), routing
-        // metadata hashed as one Control, payloads as Values.
-        ffCtl(v, f.complete - now);
-        FfHash route;
-        route.mix(f.dests.size());
-        for (const DestSel &d : f.dests) {
-            route.mix(static_cast<std::uint8_t>(d.kind));
-            route.mix(static_cast<std::uint32_t>(d.pe));
-            route.mix(static_cast<std::uint8_t>(d.channel));
-        }
-        route.mix(f.isBranch ? 1 : 2);
-        route.mix(static_cast<std::uint32_t>(f.takenAddr));
-        route.mix(static_cast<std::uint32_t>(f.notTakenAddr));
-        route.mix(f.ctrlDests.size());
-        for (PeId p : f.ctrlDests)
-            route.mix(static_cast<std::uint32_t>(p));
-        route.mix(static_cast<std::uint32_t>(f.pushFifo));
-        route.mix(f.isStore ? 1 : 2);
-        ffCtl(v, route.value());
-        ffWord(v, f.value);
-        ffWord(v, f.storeAddr);
-    }
-    ffCtl(v, ctrlIn_.has_value()
-                  ? 1ull + static_cast<std::uint32_t>(*ctrlIn_)
-                  : 0);
-    ffCtl(v, static_cast<std::uint64_t>(gateCredits_));
-    ffCtl(v, static_cast<std::uint64_t>(pendingGateCredits_));
-    ffCtl(v, (emitPending_ ? 1u : 0u) | (emitOnData_ ? 2u : 0u) |
-                 (loopActive_ ? 4u : 0u) |
-                 (loopOnceDone_ ? 8u : 0u) |
-                 (static_cast<std::uint32_t>(lastStall_) << 4));
-    // The induction value is data (generators emit it); the bound
-    // is control (it ends the loop).
-    ffWord(v, loopIter_);
-    ffCtl(v, static_cast<std::uint32_t>(loopBound_));
-    ffCtl(v, loopActive_ ? loopNextFire_ - now : 0);
-    stats_.ffVisit(v);
-}
-
-void
-Pe::ffShift(Cycles delta)
-{
-    trigger_.ffShift(delta);
-    for (InFlight &f : inflight_)
-        f.complete += delta;
-    if (loopActive_)
-        loopNextFire_ += delta;
 }
 
 } // namespace marionette

@@ -152,20 +152,6 @@ programInsideRegion(const Program &program,
 namespace
 {
 
-/** Static scratchpad footprint [base, top) of a compiled kernel:
- *  its image plus every golden memory region. */
-std::pair<Word, Word>
-memoryFootprint(const CompiledKernel &kernel)
-{
-    Word top = kernel.memoryImageBase +
-               static_cast<Word>(kernel.memoryImage.size());
-    for (const MemoryRegionCheck &check : kernel.memoryChecks)
-        top = std::max<Word>(
-            top, check.base +
-                     static_cast<Word>(check.expect.size()));
-    return {kernel.memoryImageBase, top};
-}
-
 /** Control FIFOs a program binds: max referenced id + 1. */
 int
 ctrlFifosUsed(const Program &program)
@@ -223,10 +209,9 @@ mergeKernels(
         // Disjoint scratchpad windows: the emit pass enforces the
         // caller-declared window, this re-checks the merged set so
         // a mis-sized window cannot silently corrupt a neighbour.
-        const auto [mem_lo, mem_hi] = memoryFootprint(*kernel);
+        const auto [mem_lo, mem_hi] = kernel->memoryFootprint();
         for (const CompositeKernel::Slice &other : out.slices) {
-            const auto [o_lo, o_hi] =
-                memoryFootprint(*other.kernel);
+            const auto [o_lo, o_hi] = other.kernel->memoryFootprint();
             if (mem_lo < o_hi && o_lo < mem_hi) {
                 std::ostringstream why;
                 why << "composite: scratchpad footprints overlap "
@@ -267,9 +252,6 @@ mergeKernels(
         out.program.numAddrs =
             std::max(out.program.numAddrs, program.numAddrs);
         out.program.numOutputs += program.numOutputs;
-        // Program::phases stays empty on purpose: interleaved
-        // tenants have no single steady state, so the fast-forward
-        // engine must not arm on a composite.
         for (const BootInjection &boot : kernel->boots)
             out.boots.push_back(boot);
         out.cycleBudget += kernel->cycleBudget;
@@ -285,10 +267,14 @@ void
 CompositeKernel::prepare(MarionetteMachine &machine) const
 {
     machine.load(program);
-    for (const Slice &slice : slices)
-        if (!slice.kernel->memoryImage.empty())
-            machine.scratchpad().load(slice.kernel->memoryImageBase,
-                                      slice.kernel->memoryImage);
+    for (const Slice &slice : slices) {
+        const CompiledKernel &kernel = *slice.kernel;
+        const auto [base, top] = kernel.memoryFootprint();
+        machine.scratchpad().fill(base, top - base, 0);
+        if (!kernel.memoryImage.empty())
+            machine.scratchpad().load(kernel.memoryImageBase,
+                                      kernel.memoryImage);
+    }
     for (const BootInjection &boot : boots)
         machine.injectData(boot.pe, boot.channel, boot.value);
 }

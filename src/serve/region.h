@@ -116,9 +116,7 @@ bool programInsideRegion(const Program &program,
  * Several region-compiled kernels spliced into one Program for one
  * machine (the composite execution style).  Tenant PE sets must be
  * disjoint; control-FIFO ids and output-FIFO indices are offset per
- * tenant so the streams never collide; Program::phases is cleared
- * (interleaved tenants have no single steady state, so fast-forward
- * stays disarmed and the composite runs the observed path).
+ * tenant so the streams never collide.
  */
 struct CompositeKernel
 {

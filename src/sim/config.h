@@ -118,20 +118,6 @@ struct MachineConfig
      */
     bool eventDrivenSim = true;
 
-    /**
-     * Simulator implementation toggle (not an architecture
-     * feature): when true, run() arms the steady-state fast-forward
-     * engine (sim/fastforward.h) — once a phase's activity is
-     * proven periodic over its II window, whole windows are skipped
-     * with state and statistics advanced in O(1) per window.  Like
-     * eventDrivenSim it cannot change what a run computes (the
-     * engine only jumps when the skipped windows are provably
-     * cycle-shifted repeats, and declines otherwise), so it is
-     * excluded from configHash().  RunResults and stat dumps are
-     * bit-identical with the engine on or off.
-     */
-    bool fastForward = true;
-
     /** Total number of PEs. */
     int numPes() const { return rows * cols; }
 
@@ -145,10 +131,9 @@ struct MachineConfig
 /**
  * Stable hash over every *architectural* field of a configuration —
  * the compiled-program cache key (compiler/program_cache.h).  The
- * simulator-implementation toggles (eventDrivenSim, fastForward)
- * are deliberately excluded: they cannot change what the compiler
- * emits, so all hot-path variants of a config share one cache
- * entry.
+ * simulator-implementation toggle (eventDrivenSim) is deliberately
+ * excluded: it cannot change what the compiler emits, so both run
+ * paths of a config share one cache entry.
  */
 std::uint64_t configHash(const MachineConfig &config);
 

@@ -104,27 +104,13 @@ class CalendarQueue
         }
     }
 
-    /** First cycle not yet drained (snapshot/fast-forward). */
+    /** First cycle not yet drained (machine snapshots). */
     Cycle drained() const { return drained_; }
 
     /**
      * Visit every pending event as @p fn(when, item) in delivery
-     * order: ascending cycle, schedule order within a cycle.  The
-     * mutable overload lets the fast-forward visitor rewrite event
-     * payloads in place (never their cycles — see shift()).
+     * order: ascending cycle, schedule order within a cycle.
      */
-    template <typename F>
-    void
-    forEachEvent(F &&fn)
-    {
-        for (std::size_t d = 0; d < buckets_.size(); ++d) {
-            Cycle when = drained_ + static_cast<Cycle>(d);
-            for (auto &ev : buckets_[index(when)])
-                if (ev.first == when)
-                    fn(ev.first, ev.second);
-        }
-    }
-
     template <typename F>
     void
     forEachEvent(F &&fn) const
@@ -135,36 +121,6 @@ class CalendarQueue
                 if (ev.first == when)
                     fn(ev.first, ev.second);
         }
-    }
-
-    /**
-     * Rebase every pending event @p delta cycles into the future
-     * (and the drain cursor with it), preserving delivery order.
-     * The fast-forward jump: after advancing the clock by delta,
-     * in-flight traffic arrives at the same relative offsets.  The
-     * buckets are rebuilt because the ring slot of an event is a
-     * function of its absolute cycle.
-     */
-    void
-    shift(Cycles delta)
-    {
-        if (delta == 0)
-            return;
-        if (size_ == 0) {
-            drained_ += delta;
-            return;
-        }
-        std::vector<std::pair<Cycle, T>> all;
-        all.reserve(size_);
-        forEachEvent([&all](Cycle when, T &item) {
-            all.emplace_back(when, std::move(item));
-        });
-        for (auto &bucket : buckets_)
-            bucket.clear();
-        size_ = 0;
-        drained_ += delta;
-        for (auto &ev : all)
-            schedule(ev.first + delta, std::move(ev.second));
     }
 
     /** Deep copy of the pending events in delivery order (machine

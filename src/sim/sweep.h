@@ -131,8 +131,8 @@ summarizeKernelSweep(const std::vector<KernelSweepResult> &results);
  * are the same to the byte.
  *
  * Thread-safe; snapshots are shared immutably across lanes.  Keyed
- * by the program cache's CompiledCellKey, so simulator-only toggles
- * (eventDrivenSim, fastForward) share one checkpoint.
+ * by the program cache's CompiledCellKey, so both run paths
+ * (eventDrivenSim on or off) share one checkpoint.
  */
 class SnapshotCache
 {

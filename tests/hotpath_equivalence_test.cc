@@ -8,7 +8,8 @@
  * produce an identical RunResult (cycles, outputs, fires) and an
  * identical renderAllStats() dump, byte for byte.  The stat dump is
  * the strictest observable: it covers every per-cycle stall counter
- * the backfill machinery replays for skipped ticks.
+ * the backfill machinery replays for skipped ticks.  The compiled
+ * kernels also compare the full scratchpad.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +53,22 @@ runOnce(const MachineConfig &config, const Program &prog,
 }
 
 void
+expectSame(const RunCapture &ref, const RunCapture &fast,
+           const std::string &label = "")
+{
+    EXPECT_EQ(ref.result.cycles, fast.result.cycles) << label;
+    EXPECT_EQ(ref.result.finished, fast.result.finished) << label;
+    EXPECT_EQ(ref.result.totalFires, fast.result.totalFires) << label;
+    EXPECT_EQ(ref.result.outputs, fast.result.outputs) << label;
+    EXPECT_DOUBLE_EQ(ref.result.peUtilization,
+                     fast.result.peUtilization)
+        << label;
+    EXPECT_EQ(ref.result.error, fast.result.error) << label;
+    EXPECT_EQ(ref.stats, fast.stats) << label;
+    EXPECT_EQ(ref.memDump, fast.memDump) << label;
+}
+
+void
 expectIdentical(const MachineConfig &base, const Program &prog,
                 const std::function<void(MarionetteMachine &)>
                     &setup = nullptr,
@@ -67,15 +84,7 @@ expectIdentical(const MachineConfig &base, const Program &prog,
                              dump_count, max_cycles);
     RunCapture fast = runOnce(fast_config, prog, setup, dump_base,
                               dump_count, max_cycles);
-
-    EXPECT_EQ(ref.result.cycles, fast.result.cycles);
-    EXPECT_EQ(ref.result.finished, fast.result.finished);
-    EXPECT_EQ(ref.result.totalFires, fast.result.totalFires);
-    EXPECT_EQ(ref.result.outputs, fast.result.outputs);
-    EXPECT_DOUBLE_EQ(ref.result.peUtilization,
-                     fast.result.peUtilization);
-    EXPECT_EQ(ref.stats, fast.stats);
-    EXPECT_EQ(ref.memDump, fast.memDump);
+    expectSame(ref, fast);
 }
 
 /** Workload 1: simple-loops shape — one generator feeding a short
@@ -377,44 +386,48 @@ TEST(HotpathEquivalence, FifoFedInnerLoop)
 
 /** Compiled workloads, driven from workloadNames() rather than a
  *  hard-coded kernel list: every kernel the compiler accepts on the
- *  paper-prototype fabric must be path-equivalent too.  (The full
- *  Table-5 matrix on the enlarged fabric runs in
- *  fastforward_equivalence_test.cc's three-way check.) */
+ *  paper-prototype fabric and on the 10x10 evaluation fabric must be
+ *  path-equivalent, scratchpad included.  Both machines start from
+ *  the same garbage-filled scratchpad, so a kernel that reads a word
+ *  prepare() did not set fails validation. */
 TEST(HotpathEquivalence, CompiledWorkloadsRefVsEvent)
 {
-    MachineConfig config; // paper-prototype defaults.
-    Compiler compiler(config);
-    int covered = 0;
-    for (const std::string &name : workloadNames()) {
-        CompileResult r = compiler.compile(name);
-        if (!r.ok())
-            continue; // too big for the prototype, or unsupported.
-        ++covered;
-        MachineConfig ref = config;
-        ref.eventDrivenSim = false;
-        MachineConfig fast = config;
-        fast.eventDrivenSim = true;
-
-        RunCapture caps[2];
-        const MachineConfig *variants[2] = {&ref, &fast};
-        for (int i = 0; i < 2; ++i) {
-            MarionetteMachine m(*variants[i]);
-            r.kernel->prepare(m);
-            caps[i].result = m.run(r.kernel->cycleBudget);
-            caps[i].stats = m.renderAllStats();
-            EXPECT_EQ(r.kernel->validate(m, caps[i].result), "")
-                << name;
+    const struct
+    {
+        MachineConfig config;
+        int minCovered;
+    } fabrics[] = {
+        {MachineConfig{}, 2}, // SI and CRC fit the prototype.
+        {evalFabric(), 10},
+    };
+    for (const auto &fabric : fabrics) {
+        const MachineConfig &config = fabric.config;
+        const int words = static_cast<int>(config.scratchpadBytes /
+                                           sizeof(Word));
+        Compiler compiler(config);
+        int covered = 0;
+        for (const std::string &name : workloadNames()) {
+            CompileResult r = compiler.compile(name);
+            if (!r.ok())
+                continue; // too big for the fabric, or unsupported.
+            ++covered;
+            RunCapture caps[2];
+            for (int i = 0; i < 2; ++i) {
+                MachineConfig variant = config;
+                variant.eventDrivenSim = i == 1;
+                MarionetteMachine m(variant);
+                m.scratchpad().fill(0, words, 0x5a5a5a5a);
+                r.kernel->prepare(m);
+                caps[i].result = m.run(r.kernel->cycleBudget);
+                caps[i].stats = m.renderAllStats();
+                caps[i].memDump = m.scratchpad().dump(0, words);
+                EXPECT_EQ(r.kernel->validate(m, caps[i].result), "")
+                    << name;
+            }
+            expectSame(caps[0], caps[1], name);
         }
-        EXPECT_EQ(caps[0].result.cycles, caps[1].result.cycles)
-            << name;
-        EXPECT_EQ(caps[0].result.outputs, caps[1].result.outputs)
-            << name;
-        EXPECT_EQ(caps[0].result.totalFires,
-                  caps[1].result.totalFires)
-            << name;
-        EXPECT_EQ(caps[0].stats, caps[1].stats) << name;
+        EXPECT_GE(covered, fabric.minCovered);
     }
-    EXPECT_GE(covered, 2); // SI and CRC fit the prototype.
 }
 
 } // namespace

@@ -3,13 +3,14 @@
  * Whole-machine integration tests: compiled kernels running end to
  * end on the cycle-accurate simulator, covering the producer/
  * consumer pipeline, branch divergence with proactive
- * configuration, FIFO-decoupled imperfect loops, back-pressure and
- * quiescence detection.
+ * configuration, FIFO-decoupled imperfect loops, back-pressure,
+ * quiescence detection and snapshot/restore.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/machine.h"
+#include "compiler/compiler.h"
 #include "support/mapped_kernels.h"
 #include "compiler/program_builder.h"
 #include "sim/rng.h"
@@ -433,6 +434,75 @@ TEST(Machine, CycleLimitReportedWhenNotQuiescing)
     RunResult r = m.run(2000);
     EXPECT_FALSE(r.finished);
     EXPECT_EQ(r.cycles, 2000u);
+}
+
+struct RunCapture
+{
+    RunResult result;
+    std::string stats;
+    std::vector<Word> memDump;
+};
+
+void
+expectSame(const RunCapture &a, const RunCapture &b,
+           const std::string &label)
+{
+    EXPECT_EQ(a.result.cycles, b.result.cycles) << label;
+    EXPECT_EQ(a.result.finished, b.result.finished) << label;
+    EXPECT_EQ(a.result.totalFires, b.result.totalFires) << label;
+    EXPECT_EQ(a.result.outputs, b.result.outputs) << label;
+    EXPECT_DOUBLE_EQ(a.result.peUtilization, b.result.peUtilization)
+        << label;
+    EXPECT_EQ(a.result.error, b.result.error) << label;
+    EXPECT_EQ(a.stats, b.stats) << label;
+    EXPECT_EQ(a.memDump, b.memDump) << label;
+}
+
+/** Restoring a post-prepare checkpoint — into the same machine
+ *  after a run, or into a fresh machine — reproduces the straight
+ *  prepare-and-run byte for byte. */
+TEST(Machine, SnapshotRestoreDeterminism)
+{
+    MachineConfig config; // paper-prototype defaults.
+    CompileResult r = Compiler(config).compile("SI");
+    ASSERT_TRUE(r.ok()) << r.report.toString();
+    const CompiledKernel &kernel = *r.kernel;
+
+    auto capture = [&](MarionetteMachine &m) {
+        RunCapture cap;
+        cap.result = m.run(kernel.cycleBudget);
+        cap.stats = m.renderAllStats();
+        cap.memDump = m.scratchpad().dump(
+            0, static_cast<int>(config.scratchpadBytes /
+                                sizeof(Word)));
+        EXPECT_EQ(kernel.validate(m, cap.result), "");
+        return cap;
+    };
+
+    MarionetteMachine a(config);
+    kernel.prepare(a);
+    MachineSnapshot snap = a.snapshot();
+    RunCapture straight = capture(a);
+
+    // Rewind the very machine that just ran.
+    a.restore(snap);
+    RunCapture rewound = capture(a);
+    expectSame(straight, rewound, "in-place restore");
+
+    // Warm-start a machine that never saw prepare().
+    MarionetteMachine b(config);
+    b.restore(snap);
+    RunCapture warmed = capture(b);
+    expectSame(straight, warmed, "fresh-machine restore");
+
+    // A snapshot of a restored machine is as good as the original.
+    MarionetteMachine c(config);
+    c.restore(snap);
+    MachineSnapshot resnap = c.snapshot();
+    MarionetteMachine d(config);
+    d.restore(resnap);
+    RunCapture chained = capture(d);
+    expectSame(straight, chained, "snapshot-of-restore");
 }
 
 TEST(MachineDeath, ConfigurationExceedingInstrMemoryRejected)
