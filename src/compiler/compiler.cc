@@ -75,16 +75,21 @@ CompiledKernel::memoryFootprint() const
 }
 
 void
-CompiledKernel::prepare(MarionetteMachine &machine) const
+CompiledKernel::loadMemory(Scratchpad &scratchpad) const
 {
-    machine.load(program);
     // A reused machine still holds the previous kernel's data, and
     // a kernel may read words its image does not set (HT's vote
     // accumulator starts from zero).
     const auto [base, top] = memoryFootprint();
-    machine.scratchpad().fill(base, top - base, 0);
-    if (!memoryImage.empty())
-        machine.scratchpad().load(memoryImageBase, memoryImage);
+    scratchpad.fill(base, top - base, 0);
+    scratchpad.load(memoryImageBase, memoryImage);
+}
+
+void
+CompiledKernel::prepare(MarionetteMachine &machine) const
+{
+    machine.load(program);
+    loadMemory(machine.scratchpad());
     for (const BootInjection &b : boots)
         machine.injectData(b.pe, b.channel, b.value);
 }

@@ -66,6 +66,7 @@ namespace marionette
 {
 
 class MarionetteMachine;
+class Scratchpad;
 struct RunResult;
 
 /** One per-pass line of the compile report. */
@@ -128,8 +129,10 @@ struct CompiledKernel
      *  every golden memory region. */
     std::pair<Word, Word> memoryFootprint() const;
 
-    /** load() the program, zero the footprint, load the image,
-     *  seed channels. */
+    /** Zero the footprint, then load the image. */
+    void loadMemory(Scratchpad &scratchpad) const;
+
+    /** load() the program, loadMemory(), seed channels. */
     void prepare(MarionetteMachine &machine) const;
 
     /**

@@ -267,14 +267,8 @@ void
 CompositeKernel::prepare(MarionetteMachine &machine) const
 {
     machine.load(program);
-    for (const Slice &slice : slices) {
-        const CompiledKernel &kernel = *slice.kernel;
-        const auto [base, top] = kernel.memoryFootprint();
-        machine.scratchpad().fill(base, top - base, 0);
-        if (!kernel.memoryImage.empty())
-            machine.scratchpad().load(kernel.memoryImageBase,
-                                      kernel.memoryImage);
-    }
+    for (const Slice &slice : slices)
+        slice.kernel->loadMemory(machine.scratchpad());
     for (const BootInjection &boot : boots)
         machine.injectData(boot.pe, boot.channel, boot.value);
 }
