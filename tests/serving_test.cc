@@ -418,10 +418,10 @@ TEST(ServingCore, LatencyPercentilesAreNearestRank)
         << stats;
 }
 
-/** One lane runs kernel after kernel: each must start from its own
- *  zeroed footprint, not from what the last kernel left there (HT's
- *  vote accumulator is outside its image).  With the caches on, the
- *  second HT warm-starts from the snapshot the first one stored. */
+/** One lane runs SI, then HT: HT must start from its own zeroed
+ *  footprint, not from what SI left there (HT's vote accumulator is
+ *  outside its image).  With the caches on, HT's post-prepare
+ *  snapshot would also keep the dirty words for later warm starts. */
 TEST(ServingCore, ReusedLaneStartsEachKernelOnCleanMemory)
 {
     for (bool caches : {false, true}) {
@@ -432,18 +432,14 @@ TEST(ServingCore, ReusedLaneStartsEachKernelOnCleanMemory)
         ServeCore core(options);
         ServeRequest request;
         request.tenant = "t";
-        int warm_ht = 0;
-        for (const std::string kernel : {"SI", "HT", "SI", "HT"}) {
+        for (const char *kernel : {"SI", "HT"}) {
             request.workload = kernel;
             const ServeResponse response =
                 core.submit(request).get();
             ASSERT_TRUE(response.served) << response.error;
             EXPECT_EQ(response.validation, "")
                 << kernel << (caches ? " (caches on)" : "");
-            if (kernel == "HT" && response.warmStart)
-                ++warm_ht;
         }
-        EXPECT_EQ(warm_ht, caches ? 1 : 0);
     }
 }
 
