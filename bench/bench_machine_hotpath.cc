@@ -13,8 +13,14 @@
  *    cycles, so the active worklist is the whole array and the
  *    event-driven machinery must not cost anything.
  *
+ * A third case runs compiled kernels: the serving benchmark's mix
+ * (SI, CRC, SCD, ADPCM) on the 10x10 evaluation fabric, prepared
+ * and run back to back on one machine, as a serving lane does.
+ * Most of its PEs wait on a peer's data or control word, so it
+ * measures how closely the simulator's cost tracks events.
+ *
  * BENCH_hotpath.json records before/after numbers for the
- * activity-driven rework.
+ * simulator changes.
  */
 
 #include "bench_common.h"
@@ -127,6 +133,38 @@ BM_FullyActive(benchmark::State &state)
     reportSimRate(state, sim_cycles);
 }
 BENCHMARK(BM_FullyActive)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"fast"})
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ServeMix(benchmark::State &state)
+{
+    MachineConfig config = evalFabric();
+    config.eventDrivenSim = state.range(0) != 0;
+    Compiler compiler(config);
+    std::vector<CompileResult> kernels;
+    for (const char *name : {"SI", "CRC", "SCD", "ADPCM"}) {
+        kernels.push_back(compiler.compile(name));
+        if (!kernels.back().ok()) {
+            state.SkipWithError("serve-mix kernel failed to compile");
+            return;
+        }
+    }
+    MarionetteMachine m(config);
+    std::uint64_t sim_cycles = 0;
+    for (auto _ : state) {
+        for (const CompileResult &k : kernels) {
+            k.kernel->prepare(m);
+            RunResult r = m.run(k.kernel->cycleBudget);
+            sim_cycles += r.cycles;
+            benchmark::DoNotOptimize(r.totalFires);
+        }
+    }
+    reportSimRate(state, sim_cycles);
+}
+BENCHMARK(BM_ServeMix)
     ->Arg(0)
     ->Arg(1)
     ->ArgNames({"fast"})

@@ -3,6 +3,7 @@
 #include "isa/encoding.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <sstream>
 #include <string>
@@ -72,11 +73,13 @@ MarionetteMachine::MarionetteMachine(const MachineConfig &config)
         std::vector<int>(Pe::numChannels, 0));
     fifoInflight_.assign(
         static_cast<std::size_t>(config_.controlFifoCount), 0);
-    awake_.assign(static_cast<std::size_t>(config_.numPes()), 1);
+    awake_.assign((static_cast<std::size_t>(config_.numPes()) + 63) / 64,
+                  0);
     lastTick_.assign(static_cast<std::size_t>(config_.numPes()), 0);
-    wakeOnProgress_.assign(
-        static_cast<std::size_t>(config_.numPes()), {});
-    wakeOnFifoPush_.assign(
+    producers_.assign(static_cast<std::size_t>(config_.numPes()), {});
+    pushers_.assign(
+        static_cast<std::size_t>(config_.controlFifoCount), {});
+    poppers_.assign(
         static_cast<std::size_t>(config_.controlFifoCount), {});
 }
 
@@ -131,49 +134,39 @@ MarionetteMachine::load(const Program &program)
 void
 MarionetteMachine::buildWakeLists()
 {
-    // Static wake topology of the loaded kernel: who can unblock
-    // whom.  Spurious entries are harmless (a woken PE that has
-    // nothing to do re-captures its idle profile and drops off
-    // again); missing entries would stall the fast path, so every
-    // list is the union over all of a PE's instructions.
+    // Static wake topology of the loaded kernel: the candidates an
+    // event may wake.  Each list is the union over all of a PE's
+    // instructions; a sleeper is woken only when its PeWait names
+    // the event, so the lists only bound the search.
     const std::size_t num_pes =
         static_cast<std::size_t>(config_.numPes());
-    std::vector<std::set<PeId>> producers_of(num_pes);
-    std::vector<std::set<PeId>> pushers_of(fifos_.size());
-    std::vector<std::set<int>> fifos_popped_by(num_pes);
-
+    std::vector<std::set<PeId>> producers(num_pes);
+    std::vector<std::set<PeId>> pushers(fifos_.size());
+    std::vector<std::set<PeId>> poppers(fifos_.size());
+    auto fifo_ok = [&](int f) {
+        return f >= 0 && f < static_cast<int>(fifos_.size());
+    };
     for (const PeProgram &p : program_.pes) {
         for (const Instruction &in : p.instrs) {
             for (const DestSel &d : in.dests)
                 if (d.kind == DestSel::Kind::PeChannel &&
                     d.pe >= 0 &&
                     d.pe < static_cast<PeId>(num_pes))
-                    producers_of[static_cast<std::size_t>(d.pe)]
+                    producers[static_cast<std::size_t>(d.pe)]
                         .insert(p.pe);
-            if (in.pushFifo >= 0 &&
-                in.pushFifo < static_cast<int>(fifos_.size()))
-                pushers_of[static_cast<std::size_t>(in.pushFifo)]
+            if (fifo_ok(in.pushFifo))
+                pushers[static_cast<std::size_t>(in.pushFifo)]
                     .insert(p.pe);
             for (int f : {in.startFifo, in.boundFifo})
-                if (f >= 0 && f < static_cast<int>(fifos_.size()))
-                    fifos_popped_by[static_cast<std::size_t>(p.pe)]
-                        .insert(f);
+                if (fifo_ok(f))
+                    poppers[static_cast<std::size_t>(f)].insert(p.pe);
         }
     }
-
-    for (std::size_t f = 0; f < fifos_.size(); ++f)
-        wakeOnFifoPush_[f].clear();
-    for (std::size_t p = 0; p < num_pes; ++p) {
-        for (int f : fifos_popped_by[p])
-            wakeOnFifoPush_[static_cast<std::size_t>(f)].push_back(
-                static_cast<PeId>(p));
-        std::set<PeId> on_progress = producers_of[p];
-        for (int f : fifos_popped_by[p])
-            on_progress.insert(
-                pushers_of[static_cast<std::size_t>(f)].begin(),
-                pushers_of[static_cast<std::size_t>(f)].end());
-        wakeOnProgress_[p].assign(on_progress.begin(),
-                                  on_progress.end());
+    for (std::size_t p = 0; p < num_pes; ++p)
+        producers_[p].assign(producers[p].begin(), producers[p].end());
+    for (std::size_t f = 0; f < fifos_.size(); ++f) {
+        pushers_[f].assign(pushers[f].begin(), pushers[f].end());
+        poppers_[f].assign(poppers[f].begin(), poppers[f].end());
     }
 }
 
@@ -275,7 +268,34 @@ MarionetteMachine::wake(PeId pe)
 {
     if (peDead(pe))
         return;
-    awake_[static_cast<std::size_t>(pe)] = 1;
+    awake_[static_cast<std::size_t>(pe) / 64] |= std::uint64_t{1}
+                                                   << (pe % 64);
+}
+
+PeId
+MarionetteMachine::nextAwake(PeId from) const
+{
+    std::size_t w = static_cast<std::size_t>(from) / 64;
+    if (w == awake_.size())
+        return config_.numPes();
+    std::uint64_t bits = awake_[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++w == awake_.size())
+            return config_.numPes();
+        bits = awake_[w];
+    }
+    return static_cast<PeId>(w * 64) + std::countr_zero(bits);
+}
+
+void
+MarionetteMachine::wakeIfWaiting(PeId pe, WakeOn on, PeId at,
+                                 int index)
+{
+    // A PE still awake may carry a stale wait; waking it again is a
+    // no-op.
+    const PeWait &w = pes_[static_cast<std::size_t>(pe)]->wait();
+    if (w.on == on && w.pe == at && w.index == index)
+        wake(pe);
 }
 
 RunResult
@@ -339,11 +359,12 @@ MarionetteMachine::run(Cycle max_cycles)
 
     // Everyone starts on the worklist; PEs prove themselves idle.
     // Dead PEs never join it (wake() refuses them), on either path.
-    std::fill(awake_.begin(), awake_.end(), 1);
+    std::fill(awake_.begin(), awake_.end(), 0);
     for (PeId p = 0; p < num_pes; ++p)
-        if (peDead(p))
-            awake_[static_cast<std::size_t>(p)] = 0;
+        wake(p);
     std::fill(lastTick_.begin(), lastTick_.end(), 0);
+    timedWakes_.clear();
+    std::uint64_t pe_ticks = 0;
     bool ran_any_cycle = false;
 
     for (now_ = 0; now_ < max_cycles; ++now_) {
@@ -357,7 +378,8 @@ MarionetteMachine::run(Cycle max_cycles)
                 pkt.channel, pkt.value);
             --meshInflight_[static_cast<std::size_t>(pkt.dst)]
                            [static_cast<std::size_t>(pkt.channel)];
-            wake(pkt.dst);
+            wakeIfWaiting(pkt.dst, WakeOn::Channel, pkt.dst,
+                          pkt.channel);
             progressed = true;
         });
 
@@ -380,10 +402,16 @@ MarionetteMachine::run(Cycle max_cycles)
                 return;
             }
             --fifoInflight_[static_cast<std::size_t>(p.fifo)];
-            for (PeId q :
-                 wakeOnFifoPush_[static_cast<std::size_t>(p.fifo)])
-                wake(q);
+            for (PeId q : poppers_[static_cast<std::size_t>(p.fifo)])
+                wakeIfWaiting(q, WakeOn::FifoData, invalidPe, p.fifo);
             progressed = true;
+        });
+
+        // Sleepers whose own deadline (FU retire, loop II,
+        // configuration apply) falls on this cycle.
+        timedWakes_.drain(now_, [&](PeId q) {
+            if (pes_[static_cast<std::size_t>(q)]->wait().until == now_)
+                wake(q);
         });
 
         // Scheduled transient upsets land after deliveries and
@@ -402,22 +430,24 @@ MarionetteMachine::run(Cycle max_cycles)
 
         // Tick the active worklist in PE-id order (id order is
         // architectural: it decides same-cycle arbitration for
-        // scratchpad ports and FIFO pops).  A wake raised by PE p
+        // scratchpad ports and FIFO pops).  nextAwake() reads the
+        // bitset afresh after every tick, so a wake raised by PE p
         // for a higher-id PE q takes effect this very cycle — q is
         // reached later in this same sweep, exactly as in the
         // reference loop where q ticks after p unconditionally.
-        for (PeId p = 0; p < num_pes; ++p) {
+        for (PeId p = nextAwake(0); p < num_pes;
+             p = nextAwake(p + 1)) {
             const std::size_t pi = static_cast<std::size_t>(p);
-            if (!awake_[pi])
-                continue;
             Pe &pe = *pes_[pi];
             // Replay the stall statistics of the cycles this PE
             // slept through (its state was frozen, so each skipped
             // tick repeats the last real one).
             if (lastTick_[pi] + 1 < now_)
                 pe.backfillIdle(now_ - 1 - lastTick_[pi]);
-            PeTickResult r = pe.tick(now_, *this);
+            pe.tick(now_, *this, tick_);
             lastTick_[pi] = now_;
+            ++pe_ticks;
+            const PeTickResult &r = tick_;
             // Sends sharing a group are one firing's fan-out: the
             // mesh forwards them as a single multicast word whose
             // route tree charges every shared link once.  Groups
@@ -500,16 +530,22 @@ MarionetteMachine::run(Cycle max_cycles)
                     PendingPush{push.fifo, push.value});
                 progressed = true;
             }
-            if (r.progressed) {
+            // A pop frees one credit of that channel: wake the
+            // producers sleeping on it.
+            for (unsigned popped = r.poppedChannels; popped != 0;
+                 popped &= popped - 1)
+                for (PeId q : producers_[pi])
+                    wakeIfWaiting(q, WakeOn::Credit, p,
+                                  std::countr_zero(popped));
+            if (r.progressed)
                 progressed = true;
-                // This PE may have freed channel space or FIFO
-                // slots: put its upstream back on the worklist.
-                for (PeId q : wakeOnProgress_[pi])
-                    wake(q);
-            } else if (event_driven && pe.sleepEligible()) {
-                // Only an external event can unblock it: leave the
-                // worklist until one wakes it.
-                awake_[pi] = 0;
+            if (event_driven && pe.wait().on != WakeOn::Tick) {
+                // Every later tick would fail at the gate the wait
+                // names until its event or deadline: sleep until
+                // then.
+                awake_[pi / 64] &= ~(std::uint64_t{1} << (pi % 64));
+                if (pe.wait().until != neverCycle)
+                    timedWakes_.schedule(pe.wait().until, p);
             }
         }
 
@@ -625,6 +661,7 @@ MarionetteMachine::run(Cycle max_cycles)
     else
         result.cycles = max_cycles;
     result.outputs = outputs_;
+    result.peTicks = pe_ticks;
     for (const auto &pe : pes_)
         result.totalFires += pe->fires();
     result.totalFires -= fires_before;
@@ -655,8 +692,6 @@ MarionetteMachine::snapshot() const
     s.meshInflight = meshInflight_;
     s.fifoInflight = fifoInflight_;
     s.outputs = outputs_;
-    s.awake = awake_;
-    s.lastTick = lastTick_;
     s.pes.reserve(pes_.size());
     for (const auto &pe : pes_)
         s.pes.push_back(pe->saveState());
@@ -693,8 +728,6 @@ MarionetteMachine::restore(const Snapshot &s)
     meshInflight_ = s.meshInflight;
     fifoInflight_ = s.fifoInflight;
     outputs_ = s.outputs;
-    awake_ = s.awake;
-    lastTick_ = s.lastTick;
     for (std::size_t i = 0; i < pes_.size(); ++i)
         pes_[i]->restoreState(s.pes[i]);
     mesh_.restoreState(s.mesh);
@@ -848,6 +881,9 @@ MarionetteMachine::fifoHasData(int fifo)
 Word
 MarionetteMachine::fifoPop(int fifo)
 {
+    // The pop frees a slot a pusher may sleep on.
+    for (PeId q : pushers_[static_cast<std::size_t>(fifo)])
+        wakeIfWaiting(q, WakeOn::FifoSpace, invalidPe, fifo);
     return fifos_[static_cast<std::size_t>(fifo)]->pop();
 }
 

@@ -17,14 +17,21 @@
  *
  *  - the *reference* loop ticks every PE every cycle (the original
  *    simulator), and
- *  - the *activity-driven* hot path keeps an active worklist — a PE
- *    whose tick made no progress and whose stall can only be
- *    resolved by an external event drops off at once, and is woken
- *    by exactly those events (mesh arrival, control delivery, FIFO
- *    traffic, downstream consumption).  The per-cycle statistics
- *    the skipped ticks would have recorded are replayed on wake-up
- *    (see Pe::backfillIdle), so stat dumps match the reference loop
- *    to the byte.
+ *  - the *activity-driven* hot path keeps an active worklist, a
+ *    bitset walked in PE-id order.  A PE whose firing attempt finds
+ *    a gate closed — in a tick without progress, or as the
+ *    prediction a firing makes for its next attempt — leaves it
+ *    after that tick, unless it must retry a scratchpad port, and
+ *    sleeps until exactly the event the gate names (Pe::wait()): a
+ *    word on the one empty operand channel, a pop by the consumer
+ *    whose channel or FIFO is full, a push into the FIFO a loop
+ *    waits on, or — from a calendar queue of timed wakes — the
+ *    cycle an FU op retires, a loop's II elapses or a configuration
+ *    applies.  Control words and transient upsets wake their PE
+ *    unconditionally.  The per-cycle statistics the
+ *    skipped ticks would have recorded are replayed on wake-up (see
+ *    Pe::backfillIdle), so stat dumps match the reference loop to
+ *    the byte.
  *
  * In-flight control words and FIFO pushes live in calendar queues
  * (sim/event_queue.h) bucketed by arrival cycle, as does the data
@@ -138,6 +145,10 @@ struct RunResult
     std::uint64_t totalFires = 0;
     /** Average PE utilization: fires / (PEs * cycles). */
     double peUtilization = 0.0;
+    /** PE ticks this run executed: the simulator's host work, not a
+     *  simulated quantity (the reference loop ticks every live PE
+     *  every cycle; the activity-driven path skips sleepers). */
+    std::uint64_t peTicks = 0;
 
     /** Structured failure kind; RunError::None on a healthy run. */
     RunError error = RunError::None;
@@ -277,9 +288,6 @@ class MarionetteMachine : public FabricIface
         std::vector<int> fifoInflight;
         std::vector<std::vector<Word>> outputs;
 
-        std::vector<std::uint8_t> awake;
-        std::vector<Cycle> lastTick;
-
         std::vector<Pe::State> pes;
         DataMesh::State mesh;
         std::vector<Word> scratchpadWords;
@@ -314,7 +322,12 @@ class MarionetteMachine : public FabricIface
     bool configureControlNetwork(const Program &program);
     void scheduleCtrl(Cycle now, const CtrlSend &send, PeId src);
     void buildWakeLists();
+    /** Put @p pe on the worklist (a no-op for a dead PE). */
     void wake(PeId pe);
+    /** wake() @p pe when it sleeps on exactly this event. */
+    void wakeIfWaiting(PeId pe, WakeOn on, PeId at, int index);
+    /** Lowest awake PE id >= @p from; numPes() when none. */
+    PeId nextAwake(PeId from) const;
     bool peDead(PeId pe) const
     { return peDead_[static_cast<std::size_t>(pe)] != 0; }
 
@@ -350,20 +363,23 @@ class MarionetteMachine : public FabricIface
     std::vector<std::vector<Word>> outputs_;
 
     // ---- activity-driven worklist state (hot path only) ----
-    /** PE is on the active worklist (ticks every cycle). */
-    std::vector<std::uint8_t> awake_;
+    /** Bit p % 64 of word p / 64: PE p is on the active worklist
+     *  (ticks this cycle). */
+    std::vector<std::uint64_t> awake_;
     /** Last cycle the PE actually ticked (backfill anchor). */
     std::vector<Cycle> lastTick_;
-    /**
-     * wakeOnProgress_[p]: PEs to put back on the worklist whenever
-     * PE p makes progress — p's data producers (p may have freed
-     * channel space) and the pushers of every control FIFO p pops
-     * (p may have freed a slot).  Built from the loaded program.
-     */
-    std::vector<std::vector<PeId>> wakeOnProgress_;
-    /** wakeOnFifoPush_[f]: PEs that pop FIFO f (woken when a push
-     *  lands, i.e. new control data is available). */
-    std::vector<std::vector<PeId>> wakeOnFifoPush_;
+    /** Sleepers' PeWait::until wakes, bucketed by cycle.  An entry
+     *  whose PE has since re-slept with another deadline is stale
+     *  and ignored. */
+    CalendarQueue<PeId> timedWakes_;
+    /** The tick result every PE tick reuses. */
+    PeTickResult tick_;
+    /** Static wake topology of the loaded program: producers_[p]
+     *  sends to p's channels (a pop by p may free their credit);
+     *  pushers_[f] and poppers_[f] push and pop control FIFO f. */
+    std::vector<std::vector<PeId>> producers_;
+    std::vector<std::vector<PeId>> pushers_;
+    std::vector<std::vector<PeId>> poppers_;
 
     StatGroup stats_;
     Stat &statCtrlWords_;

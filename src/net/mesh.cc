@@ -277,29 +277,14 @@ DataMesh::send(Cycle now, PeId src, PeId dst, Word value,
     statPackets_.inc();
     statHopTraversals_.inc(static_cast<std::uint64_t>(hops(src, dst)));
     // Charge every directed link of the XY route (congestion
-    // profile) by stepping the coordinates in place — same walk
-    // as MeshGeometry::xyPath, without materializing the path
-    // (send() is on the simulator's hot path).
-    const int cols = geom_.cols;
-    int r = src / cols, c = src % cols;
-    int dr = dst / cols, dc = dst % cols;
-    PeId at = src;
-    auto charge = [&](PeId next) {
-        std::uint64_t &load = linkLoads_[static_cast<std::size_t>(
-            geom_.linkIndex(at, next))];
+    // profile).
+    geom_.forEachXyLink(src, dst, [&](int link) {
+        std::uint64_t &load =
+            linkLoads_[static_cast<std::size_t>(link)];
         ++load;
         if (load > statMaxLinkLoad_.value())
             statMaxLinkLoad_.set(load);
-        at = next;
-    };
-    while (c != dc) {
-        c += c < dc ? 1 : -1;
-        charge(static_cast<PeId>(r * cols + c));
-    }
-    while (r != dr) {
-        r += r < dr ? 1 : -1;
-        charge(static_cast<PeId>(r * cols + c));
-    }
+    });
 }
 
 void
@@ -317,44 +302,44 @@ DataMesh::multicast(Cycle now, PeId src,
 
     // Union of directed link indices over every destination's
     // route; small sorted vector (fanout is a handful of replicas).
-    std::vector<int> tree_links;
+    treeLinks_.clear();
     for (const auto &[dst, channel] : dests) {
-        std::vector<PeId> xy;
-        const std::vector<PeId> *path;
+        Cycles lat;
         if (router_.faulty()) {
-            path = &router_.path(src, dst);
-            if (path->empty()) {
+            const std::vector<PeId> &path = router_.path(src, dst);
+            if (path.empty()) {
                 ++dropped_;
                 lastDropSrc_ = src;
                 lastDropDst_ = dst;
                 stats_.stat("dropped_words").inc();
                 continue;
             }
+            for (std::size_t i = 0; i + 1 < path.size(); ++i)
+                treeLinks_.push_back(
+                    geom_.linkIndex(path[i], path[i + 1]));
+            lat = router_.latency(src, dst);
         } else {
-            xy = geom_.xyPath(src, dst);
-            path = &xy;
+            geom_.forEachXyLink(src, dst, [this](int link) {
+                treeLinks_.push_back(link);
+            });
+            lat = latency(src, dst);
         }
         MeshPacket pkt;
         pkt.src = src;
         pkt.dst = dst;
         pkt.value = value;
         pkt.channel = channel;
-        pkt.arrival = now + (router_.faulty()
-                                 ? router_.latency(src, dst)
-                                 : latency(src, dst));
+        pkt.arrival = now + lat;
         flight_.schedule(pkt.arrival, pkt);
         statPackets_.inc();
-        for (std::size_t i = 0; i + 1 < path->size(); ++i)
-            tree_links.push_back(
-                geom_.linkIndex((*path)[i], (*path)[i + 1]));
     }
-    std::sort(tree_links.begin(), tree_links.end());
-    tree_links.erase(
-        std::unique(tree_links.begin(), tree_links.end()),
-        tree_links.end());
+    std::sort(treeLinks_.begin(), treeLinks_.end());
+    treeLinks_.erase(
+        std::unique(treeLinks_.begin(), treeLinks_.end()),
+        treeLinks_.end());
     statHopTraversals_.inc(
-        static_cast<std::uint64_t>(tree_links.size()));
-    for (int link : tree_links) {
+        static_cast<std::uint64_t>(treeLinks_.size()));
+    for (int link : treeLinks_) {
         std::uint64_t &load =
             linkLoads_[static_cast<std::size_t>(link)];
         ++load;

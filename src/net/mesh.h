@@ -82,6 +82,33 @@ struct MeshGeometry
      * PEs must be mesh-adjacent.  Used for per-link load counters.
      */
     int linkIndex(PeId from, PeId to) const;
+
+    /**
+     * Call @p fn(linkIndex(a, b)) for every hop a -> b of
+     * xyPath(@p src, @p dst), in order, stepping the coordinates in
+     * place: no path is built and no hop is re-checked for
+     * adjacency (the machine charges link loads this way on every
+     * send).  Uses linkIndex()'s layout:
+     * [east | west | south | north] blocks, each edge numbered by
+     * its row-major west or north end.
+     */
+    template <typename F>
+    void
+    forEachXyLink(PeId src, PeId dst, F &&fn) const
+    {
+        const int h = rows * (cols - 1);
+        const int v = cols * (rows - 1);
+        int r = src / cols, c = src % cols;
+        const int dr = dst / cols, dc = dst % cols;
+        for (; c < dc; ++c)
+            fn(r * (cols - 1) + c);
+        for (; c > dc; --c)
+            fn(h + r * (cols - 1) + c - 1);
+        for (; r < dr; ++r)
+            fn(2 * h + r * cols + c);
+        for (; r > dr; --r)
+            fn(2 * h + v + (r - 1) * cols + c);
+    }
 };
 
 /**
@@ -312,6 +339,8 @@ class DataMesh
     std::vector<std::uint64_t> linkLoads_;
     /** Fault-aware router; pass-through until setDeadLinks(). */
     MeshRouter router_;
+    /** multicast()'s route-tree link union (capacity reused). */
+    std::vector<int> treeLinks_;
     std::uint64_t dropped_ = 0;
     PeId lastDropSrc_ = invalidPe;
     PeId lastDropDst_ = invalidPe;

@@ -35,6 +35,10 @@ class ControlFlowTrigger
     /** True when a configuration phase is in flight. */
     bool configuring() const { return pending_ != invalidInstr; }
 
+    /** First cycle at which the in-flight configuration can apply
+     *  (meaningful while configuring()). */
+    Cycle readyAt() const { return pendingReady_; }
+
     /**
      * Check phase: present a control input.
      * A repeat of the current address is absorbed for free (the

@@ -66,7 +66,6 @@ Pe::reset()
     ctrlIn_.reset();
     gateCredits_ = 0;
     pendingGateCredits_ = 0;
-    emitPending_ = false;
     emitOnData_ = false;
     loopActive_ = false;
     loopOnceDone_ = false;
@@ -74,6 +73,7 @@ Pe::reset()
     loopBound_ = 0;
     loopNextFire_ = 0;
     lastStall_ = StallKind::None;
+    wait_ = PeWait{};
 }
 
 void
@@ -151,10 +151,10 @@ Pe::operandValue(const OperandSel &sel) const
 }
 
 void
-Pe::consumeOperand(const OperandSel &sel)
+Pe::popChannel(int channel, PeTickResult &out)
 {
-    if (sel.kind == OperandSel::Kind::Channel)
-        channels_[static_cast<std::size_t>(sel.index)].pop();
+    channels_[static_cast<std::size_t>(channel)].pop();
+    out.poppedChannels |= static_cast<std::uint8_t>(1u << channel);
 }
 
 void
@@ -193,7 +193,6 @@ Pe::applyConfiguration(Cycle now, PeTickResult &out)
             emitOnData_ = true;
         }
     }
-    emitPending_ = false;
 }
 
 bool
@@ -207,15 +206,15 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
         Word start = in->loopStart;
         Word bound = in->loopBound;
         bool fifo_fed = in->startFifo >= 0 || in->boundFifo >= 0;
-        if (!fifo_fed && loopOnceDone_)
+        if (!fifo_fed && loopOnceDone_) {
+            wait_.on = WakeOn::Control;
             return false;
-        if (in->startFifo >= 0) {
-            if (!fabric.fifoHasData(in->startFifo))
-                return false;
         }
-        if (in->boundFifo >= 0) {
-            if (!fabric.fifoHasData(in->boundFifo))
+        for (int fifo : {in->startFifo, in->boundFifo}) {
+            if (fifo >= 0 && !fabric.fifoHasData(fifo)) {
+                wait_ = PeWait{WakeOn::FifoData, invalidPe, fifo};
                 return false;
+            }
         }
         if (in->startFifo >= 0)
             start = fabric.fifoPop(in->startFifo);
@@ -228,8 +227,11 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
         hot_.loopRounds.inc();
     }
 
-    if (now < loopNextFire_)
+    if (now < loopNextFire_) {
+        wait_.on = WakeOn::Control;
+        wait_.until = loopNextFire_;
         return false;
+    }
 
     if (loopIter_ >= loopBound_) {
         // Round complete: emit the exit address once, go idle.
@@ -246,12 +248,7 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
     }
 
     // Credit check on every data destination before generating.
-    for (const DestSel &d : in->dests) {
-        if (d.kind == DestSel::Kind::PeChannel &&
-            !fabric.dataCredit(d.pe, d.channel))
-            return false;
-    }
-    if (in->pushFifo >= 0 && !fabric.fifoHasSpace(in->pushFifo))
+    if (creditClosed(*in, fabric))
         return false;
     for (const DestSel &d : in->dests) {
         if (d.kind == DestSel::Kind::PeChannel)
@@ -287,53 +284,95 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
         now + static_cast<Cycles>(std::max(1, in->pipelineII));
     hot_.fires.inc();
     hot_.loopIterations.inc();
+    // Nothing moves the generator before its next II slot; at
+    // II = 1 that is the next tick anyway.
+    if (loopNextFire_ > now + 1)
+        wait_ = PeWait{WakeOn::Control, invalidPe, -1, loopNextFire_};
     return true;
+}
+
+bool
+Pe::creditClosed(const Instruction &in, FabricIface &fabric)
+{
+    for (const DestSel &d : in.dests) {
+        if (d.kind == DestSel::Kind::PeChannel &&
+            !fabric.dataCredit(d.pe, d.channel)) {
+            wait_ = PeWait{WakeOn::Credit, d.pe, d.channel};
+            return true;
+        }
+    }
+    if (in.pushFifo >= 0 && !fabric.fifoHasSpace(in.pushFifo)) {
+        wait_ = PeWait{WakeOn::FifoSpace, invalidPe, in.pushFifo};
+        return true;
+    }
+    return false;
+}
+
+bool
+Pe::gateClosed(const Instruction &in, FabricIface &fabric)
+{
+    // Lockstep gating: one firing per received control word.
+    if (in.ctrlGated && gateCredits_ <= 0) {
+        lastStall_ = StallKind::Gate;
+        wait_.on = WakeOn::Control;
+        return true;
+    }
+    // Operand readiness: the first empty channel is the one to
+    // wait on.
+    auto empty = [&](int channel) {
+        lastStall_ = StallKind::Operand;
+        wait_ = PeWait{WakeOn::Channel, id_, channel};
+        return true;
+    };
+    for (const OperandSel *sel : {&in.a, &in.b, &in.c})
+        if (!operandReady(*sel))
+            return empty(sel->index);
+    for (std::int8_t ch : in.alsoPop)
+        if (channels_[static_cast<std::size_t>(ch)].empty())
+            return empty(ch);
+    // Destination credit.
+    if (creditClosed(in, fabric)) {
+        lastStall_ = StallKind::Credit;
+        return true;
+    }
+    return false;
+}
+
+void
+Pe::countStall(Cycles cycles)
+{
+    switch (lastStall_) {
+      case StallKind::Gate:
+        hot_.stallGate.inc(cycles);
+        break;
+      case StallKind::Operand:
+        hot_.stallOperand.inc(cycles);
+        break;
+      case StallKind::Credit:
+        hot_.stallCredit.inc(cycles);
+        break;
+      case StallKind::Mem:
+        hot_.stallMem.inc(cycles);
+        break;
+      case StallKind::None:
+        break; // loop-mode waits record no per-reason counter.
+    }
 }
 
 bool
 Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
 {
     const Instruction *in = current();
-    if (in == nullptr || in->mode == SenderMode::Idle)
+    if (in == nullptr || in->mode == SenderMode::Idle) {
+        wait_.on = WakeOn::Control;
         return false;
+    }
 
     if (in->mode == SenderMode::LoopOp)
         return tryFireLoop(now, fabric, out);
 
-    // Lockstep gating: one firing per received control word.
-    if (in->ctrlGated && gateCredits_ <= 0) {
-        hot_.stallGate.inc();
-        lastStall_ = StallKind::Gate;
-        return false;
-    }
-
-    // Operand readiness.
-    if (!operandReady(in->a) || !operandReady(in->b) ||
-        !operandReady(in->c)) {
-        hot_.stallOperand.inc();
-        lastStall_ = StallKind::Operand;
-        return false;
-    }
-    for (std::int8_t ch : in->alsoPop) {
-        if (channels_[static_cast<std::size_t>(ch)].empty()) {
-            hot_.stallOperand.inc();
-            lastStall_ = StallKind::Operand;
-            return false;
-        }
-    }
-
-    // Destination credit.
-    for (const DestSel &d : in->dests) {
-        if (d.kind == DestSel::Kind::PeChannel &&
-            !fabric.dataCredit(d.pe, d.channel)) {
-            hot_.stallCredit.inc();
-            lastStall_ = StallKind::Credit;
-            return false;
-        }
-    }
-    if (in->pushFifo >= 0 && !fabric.fifoHasSpace(in->pushFifo)) {
-        hot_.stallCredit.inc();
-        lastStall_ = StallKind::Credit;
+    if (gateClosed(*in, fabric)) {
+        countStall(1);
         return false;
     }
 
@@ -353,8 +392,9 @@ Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
         if (mem_active) {
             eff_addr = operandValue(in->a) + in->memBase;
             if (!fabric.memPortAvailable(eff_addr)) {
-                hot_.stallMem.inc();
+                // No wait: the PE retries next cycle.
                 lastStall_ = StallKind::Mem;
+                countStall(1);
                 return false;
             }
         }
@@ -373,16 +413,15 @@ Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
     Word av = operandValue(in->a);
     Word bv = operandValue(in->b);
     Word cv = operandValue(in->c);
-    consumeOperand(in->a);
-    consumeOperand(in->b);
-    consumeOperand(in->c);
+    for (const OperandSel *sel : {&in->a, &in->b, &in->c})
+        if (sel->kind == OperandSel::Kind::Channel)
+            popChannel(sel->index, out);
     for (std::int8_t ch : in->alsoPop)
-        channels_[static_cast<std::size_t>(ch)].pop();
+        popChannel(ch, out);
 
     InFlight op;
     op.complete = now + config_.executeLatency;
-    op.dests = in->dests;
-    op.pushFifo = in->pushFifo;
+    op.addr = trigger_.currentAddr();
 
     switch (in->op) {
       case Opcode::Load:
@@ -408,14 +447,7 @@ Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
         break;
     }
 
-    if (in->mode == SenderMode::BranchOp) {
-        op.isBranch = true;
-        op.takenAddr = in->takenAddr;
-        op.notTakenAddr = in->notTakenAddr;
-        op.ctrlDests = in->ctrlDests;
-    }
-
-    inflight_.push_back(std::move(op));
+    inflight_.push_back(op);
     hot_.fires.inc();
     if (in->ctrlGated)
         --gateCredits_;
@@ -428,11 +460,19 @@ Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
             CtrlSend{in->ctrlDests, in->emitAddr});
         emitOnData_ = false;
     }
+
+    // The next attempt finds this firing's operands and credits
+    // taken.  A gate that is closed now stays closed until the event
+    // it records (gateClosed only reads the fabric), so the machine
+    // can park the PE at once; lastStall_ is then what its skipped
+    // ticks would count.  Past the gates only the memory port is
+    // left, which must be retried each cycle.
+    gateClosed(*in, fabric);
     return true;
 }
 
 void
-Pe::retire(Cycle now, FabricIface & /*fabric*/, PeTickResult &out)
+Pe::retire(Cycle now, PeTickResult &out)
 {
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->complete > now) {
@@ -440,10 +480,12 @@ Pe::retire(Cycle now, FabricIface & /*fabric*/, PeTickResult &out)
             continue;
         }
         out.progressed = true;
+        const Instruction &in =
+            instrs_[static_cast<std::size_t>(it->addr)];
         // One retiring operation = one firing's worth of sends =
         // one multicast group on the mesh.
         const int group = out.dataGroups++;
-        for (const DestSel &d : it->dests) {
+        for (const DestSel &d : in.dests) {
             switch (d.kind) {
               case DestSel::Kind::PeChannel:
                 out.dataSends.push_back(
@@ -460,29 +502,31 @@ Pe::retire(Cycle now, FabricIface & /*fabric*/, PeTickResult &out)
                 break;
             }
         }
-        if (it->pushFifo >= 0 && !it->isBranch)
-            out.fifoPushes.push_back(
-                FifoPush{it->pushFifo, it->value});
-        if (it->isBranch) {
-            InstrAddr target =
-                it->value != 0 ? it->takenAddr : it->notTakenAddr;
-            if (target != invalidInstr && !it->ctrlDests.empty())
-                out.ctrlSends.push_back(
-                    CtrlSend{it->ctrlDests, target});
-            if (it->pushFifo >= 0)
+        if (in.mode != SenderMode::BranchOp) {
+            if (in.pushFifo >= 0)
                 out.fifoPushes.push_back(
-                    FifoPush{it->pushFifo, target});
+                    FifoPush{in.pushFifo, it->value});
+        } else {
+            InstrAddr target =
+                it->value != 0 ? in.takenAddr : in.notTakenAddr;
+            if (target != invalidInstr && !in.ctrlDests.empty())
+                out.ctrlSends.push_back(
+                    CtrlSend{in.ctrlDests, target});
+            if (in.pushFifo >= 0)
+                out.fifoPushes.push_back(
+                    FifoPush{in.pushFifo, target});
             hot_.branchesResolved.inc();
         }
         it = inflight_.erase(it);
     }
 }
 
-PeTickResult
-Pe::tick(Cycle now, FabricIface &fabric)
+void
+Pe::tick(Cycle now, FabricIface &fabric, PeTickResult &out)
 {
-    PeTickResult out;
+    out.clear();
     lastStall_ = StallKind::None;
+    wait_ = PeWait{};
 
     // Configuration phase first: apply the configuration whose
     // check phase ran in an earlier cycle, *before* looking at new
@@ -515,7 +559,7 @@ Pe::tick(Cycle now, FabricIface &fabric)
     }
 
     // Data flow part: retire completed work, then try to issue.
-    retire(now, fabric, out);
+    retire(now, out);
     if (tryFire(now, fabric, out))
         out.progressed = true;
     else if (current() != nullptr &&
@@ -526,42 +570,22 @@ Pe::tick(Cycle now, FabricIface &fabric)
         current()->mode != SenderMode::Idle)
         hot_.activeCycles.inc();
 
-    return out;
-}
-
-bool
-Pe::quiescent() const
-{
-    if (!inflight_.empty() || ctrlIn_.has_value() ||
-        trigger_.configuring())
-        return false;
-    for (const InputChannel &ch : channels_)
-        if (!ch.empty())
-            return false;
-    // An active loop round still has iterations to generate.
-    if (loopActive_)
-        return false;
-    return true;
-}
-
-bool
-Pe::sleepEligible() const
-{
-    // A memory-port stall must be retried every cycle: scratchpad
-    // port occupancy resets each cycle, so no external event marks
-    // when the retry will succeed.
-    if (lastStall_ == StallKind::Mem)
-        return false;
-    // In-flight FU ops retire at a fixed future cycle; a pending
-    // configuration applies at a fixed future cycle; an active loop
-    // round is self-paced (pipelineII).  All three progress without
-    // external events, so the PE must keep ticking.
-    if (!inflight_.empty() || trigger_.configuring() || loopActive_)
-        return false;
-    // An unconsumed control word produces progress next tick.
-    if (ctrlIn_.has_value())
-        return false;
-    return true;
+    if (wait_.on != WakeOn::Tick) {
+        // Nothing runs after the firing attempt, so the next tick
+        // differs only if an op retires (all complete after now) or
+        // the configuration applies.  The lockstep gate defers that
+        // while credits remain (a firing, which wait_ already waits
+        // for, must spend them); a configuration that became ready
+        // while deferred applies on the next tick.
+        for (const InFlight &op : inflight_)
+            wait_.until = std::min(wait_.until, op.complete);
+        const bool gated_next = current() != nullptr &&
+                                current()->ctrlGated &&
+                                gateCredits_ > 0;
+        if (trigger_.configuring() && !gated_next)
+            wait_.until = std::min(
+                wait_.until, std::max(trigger_.readyAt(), now + 1));
+    }
 }
 
 void
@@ -570,26 +594,14 @@ Pe::backfillIdle(Cycles cycles)
     if (cycles == 0)
         return;
     // The state is frozen while asleep, so every skipped tick would
-    // have repeated the last real tick's accounting verbatim.
+    // have counted the same: an active, stalled cycle failing at the
+    // gate lastStall_ names.
     const Instruction *in = current();
     if (in == nullptr || in->mode == SenderMode::Idle)
         return; // a dormant PE records nothing per cycle.
     hot_.activeCycles.inc(cycles);
     hot_.stallCycles.inc(cycles);
-    switch (lastStall_) {
-      case StallKind::Gate:
-        hot_.stallGate.inc(cycles);
-        break;
-      case StallKind::Operand:
-        hot_.stallOperand.inc(cycles);
-        break;
-      case StallKind::Credit:
-        hot_.stallCredit.inc(cycles);
-        break;
-      case StallKind::None:
-      case StallKind::Mem:
-        break; // loop-mode waits record no per-reason counter.
-    }
+    countStall(cycles);
 }
 
 Pe::State
@@ -607,7 +619,6 @@ Pe::saveState() const
     s.ctrlIn = ctrlIn_;
     s.gateCredits = gateCredits_;
     s.pendingGateCredits = pendingGateCredits_;
-    s.emitPending = emitPending_;
     s.emitOnData = emitOnData_;
     s.loopActive = loopActive_;
     s.loopOnceDone = loopOnceDone_;
@@ -634,7 +645,6 @@ Pe::restoreState(const State &s)
     ctrlIn_ = s.ctrlIn;
     gateCredits_ = s.gateCredits;
     pendingGateCredits_ = s.pendingGateCredits;
-    emitPending_ = s.emitPending;
     emitOnData_ = s.emitOnData;
     loopActive_ = s.loopActive;
     loopOnceDone_ = s.loopOnceDone;

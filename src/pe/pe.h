@@ -23,6 +23,7 @@
 #define MARIONETTE_PE_PE_H
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -81,7 +82,9 @@ struct DataSend
 /** A control word (instruction address) leaving the PE. */
 struct CtrlSend
 {
-    std::vector<PeId> dests;
+    /** A view of the sending instruction's ctrlDests: valid until
+     *  the PE loads or restores another program. */
+    std::span<const PeId> dests;
     InstrAddr addr = invalidInstr;
 };
 
@@ -92,7 +95,8 @@ struct FifoPush
     Word value = 0;
 };
 
-/** Everything a PE produced during one tick. */
+/** Everything a PE produced during one tick.  The machine reuses
+ *  one result for every tick, so the vectors keep their capacity. */
 struct PeTickResult
 {
     std::vector<DataSend> dataSends;
@@ -101,17 +105,31 @@ struct PeTickResult
     std::vector<std::pair<int, Word>> outputs;
     std::vector<CtrlSend> ctrlSends;
     std::vector<FifoPush> fifoPushes;
+    /** Bit c set: the firing popped input channel c (freeing a
+     *  credit its producers may wait on). */
+    std::uint8_t poppedChannels = 0;
     bool progressed = false;
+
+    void
+    clear()
+    {
+        dataSends.clear();
+        dataGroups = 0;
+        outputs.clear();
+        ctrlSends.clear();
+        fifoPushes.clear();
+        poppedChannels = 0;
+        progressed = false;
+    }
 };
 
 /**
- * Why a stalled PE fell idle.  The machine's activity-driven hot
- * path uses this to (a) decide whether the PE may leave the active
- * worklist — a memory-port stall must retry every cycle because
- * bank ports reset each cycle, everything else is woken by the
- * event that unblocks it — and (b) replay the exact per-cycle
- * stall statistics the reference tick-every-PE loop would have
- * recorded for the skipped cycles.
+ * Why a stalled PE fell idle: the per-reason stall counter its
+ * failed firing attempt recorded (or, after a firing, the one its
+ * next attempt will record).  The machine's activity-driven hot path
+ * replays exactly these statistics for the ticks a sleeping PE skips
+ * (Pe::backfillIdle).  What wakes the PE is a separate record,
+ * PeWait, because loop-mode waits count no stall reason.
  */
 enum class StallKind : std::uint8_t
 {
@@ -120,6 +138,42 @@ enum class StallKind : std::uint8_t
     Operand, ///< waiting for channel data.
     Credit,  ///< waiting for downstream channel/FIFO space.
     Mem,     ///< waiting for a scratchpad bank port (per-cycle).
+};
+
+/**
+ * The one external event that can change the outcome of a PE's next
+ * tick.  Each gate of a firing attempt that fails names the event
+ * that re-arms it: an empty operand channel waits for a word on that
+ * channel, a full downstream channel for its consumer's pop, and so
+ * on.  A control word or a transient upset can move any PE, so the
+ * machine always delivers those.
+ */
+enum class WakeOn : std::uint8_t
+{
+    Tick,      ///< no event: tick again next cycle (the next
+               ///< attempt may pass every gate, or it lost a
+               ///< scratchpad port, whose ports reset every cycle).
+    Control,   ///< nothing else (idle, gated, or a paced or spent
+               ///< loop).
+    Channel,   ///< a word arriving on channel `index` of this PE.
+    Credit,    ///< a pop from channel `index` of consumer PE `pe`.
+    FifoSpace, ///< a pop from control FIFO `index`.
+    FifoData,  ///< a push landing in control FIFO `index`.
+};
+
+/** What ends the sleep of a PE whose next firing attempt would
+ *  find a gate closed. */
+struct PeWait
+{
+    WakeOn on = WakeOn::Tick;
+    /** Channel: this PE; Credit: the consumer; otherwise invalidPe. */
+    PeId pe = invalidPe;
+    /** The channel or control FIFO the event concerns. */
+    int index = -1;
+    /** Cycle at which the PE moves on its own (an FU op retires, a
+     *  loop's II elapses, a configuration applies); neverCycle when
+     *  only an event can move it. */
+    Cycle until = neverCycle;
 };
 
 /** One Marionette processing element. */
@@ -159,31 +213,30 @@ class Pe
     /**
      * Advance one cycle: apply any finished configuration phase,
      * fire the data flow part if possible, retire in-flight FU
-     * operations, and run the Control Flow Sender.
+     * operations, and run the Control Flow Sender.  Clears @p out,
+     * then fills it with what the PE produced.
      */
-    PeTickResult tick(Cycle now, FabricIface &fabric);
-
-    /** True when nothing is in flight inside this PE. */
-    bool quiescent() const;
+    void tick(Cycle now, FabricIface &fabric, PeTickResult &out);
 
     /**
-     * True when the last tick's outcome repeats verbatim every
-     * cycle until an external event (data/control/FIFO arrival,
-     * downstream consumption) reaches this PE: nothing in flight,
-     * no pending configuration or control input, no active loop
-     * round, and the stall (if any) is not a per-cycle memory-port
-     * retry.  Valid after a tick that reported no progress; the
-     * machine uses it to drop the PE from the active worklist.
+     * The wake decision, valid after every tick.  Unless wait().on
+     * is WakeOn::Tick, the firing attempt found a gate closed — or,
+     * after a firing, the next attempt would — and every later tick
+     * would fail there and count the same stall (lastStall_) until
+     * wait().until or the wait().on event (or a control word or an
+     * upset) reaches this PE, whether or not something else (a
+     * retire, a configuration) progressed this tick.  The machine's
+     * activity-driven hot path parks the PE until then.
      */
-    bool sleepEligible() const;
+    const PeWait &wait() const { return wait_; }
 
     /**
      * Account @p cycles skipped ticks, replaying exactly what the
      * reference loop would have recorded per cycle given the PE's
      * (frozen) state: active_cycles/stall_cycles for a configured
-     * non-idle PE plus the one stall-reason counter of the last
-     * attempt.  Call before the wake-up tick (or at end of run)
-     * while the state is still untouched.
+     * non-idle PE plus the one stall-reason counter of the gate it
+     * waits at (lastStall_).  Call before the wake-up tick (or at
+     * end of run) while the state is still untouched.
      */
     void backfillIdle(Cycles cycles);
 
@@ -220,17 +273,11 @@ class Pe
     {
         Cycle complete = 0;
         Word value = 0;
-        /** Destinations captured at issue (loose coupling: the
-         *  config may change before completion). */
-        std::vector<DestSel> dests;
-        /** BranchOp: control transfer to resolve at completion. */
-        bool isBranch = false;
-        InstrAddr takenAddr = invalidInstr;
-        InstrAddr notTakenAddr = invalidInstr;
-        std::vector<PeId> ctrlDests;
-        int pushFifo = -1;
-        bool isStore = false;
-        Word storeAddr = 0;
+        /** Issuing instruction.  Retire reads its destinations,
+         *  branch targets and FIFO push from the instruction buffer,
+         *  which stays fixed while the program is loaded (loose
+         *  coupling: the PE may reconfigure before completion). */
+        InstrAddr addr = invalidInstr;
     };
 
     /** Deep copy of the PE's run-time state (machine snapshots). */
@@ -245,7 +292,6 @@ class Pe
         std::optional<InstrAddr> ctrlIn;
         int gateCredits = 0;
         int pendingGateCredits = 0;
-        bool emitPending = false;
         bool emitOnData = false;
         bool loopActive = false;
         bool loopOnceDone = false;
@@ -264,12 +310,23 @@ class Pe
 
     bool operandReady(const OperandSel &sel) const;
     Word operandValue(const OperandSel &sel) const;
-    void consumeOperand(const OperandSel &sel);
+    void popChannel(int channel, PeTickResult &out);
+
+    /** Record (lastStall_, wait_) and return true at the first
+     *  closed gate of a DFG/branch firing of @p in before the
+     *  memory port: lockstep credit, operands, downstream credit.
+     *  Only reads the fabric. */
+    bool gateClosed(const Instruction &in, FabricIface &fabric);
+    /** Record wait_ and return true when a destination of @p in
+     *  lacks credit (channel or control FIFO).  Only reads. */
+    bool creditClosed(const Instruction &in, FabricIface &fabric);
+    /** Count @p cycles of lastStall_'s per-reason stall counter. */
+    void countStall(Cycles cycles);
 
     bool tryFire(Cycle now, FabricIface &fabric, PeTickResult &out);
     bool tryFireLoop(Cycle now, FabricIface &fabric,
                      PeTickResult &out);
-    void retire(Cycle now, FabricIface &fabric, PeTickResult &out);
+    void retire(Cycle now, PeTickResult &out);
     void applyConfiguration(Cycle now, PeTickResult &out);
 
     /** Pre-resolved handles for every per-cycle/per-event counter:
@@ -322,8 +379,6 @@ class Pe
     /** Credits waiting for their configuration phase to finish. */
     int pendingGateCredits_ = 0;
 
-    /** One-shot proactive emit armed when a Dfg config applies. */
-    bool emitPending_ = false;
     /** When proactive configuration is disabled, the emit fires
      *  with the first datum instead (temporally tight coupling). */
     bool emitOnData_ = false;
@@ -338,6 +393,8 @@ class Pe
 
     /** Stall reason of the most recent tick's firing attempt. */
     StallKind lastStall_ = StallKind::None;
+    /** What the most recent tick waits for (see wait()). */
+    PeWait wait_;
 
     StatGroup stats_;
     HotStats hot_;

@@ -9,7 +9,8 @@
  * identical renderAllStats() dump, byte for byte.  The stat dump is
  * the strictest observable: it covers every per-cycle stall counter
  * the backfill machinery replays for skipped ticks.  The compiled
- * kernels also compare the full scratchpad.
+ * kernels also compare the full scratchpad, and bound the event
+ * path's host work (RunResult::peTicks).
  */
 
 #include <gtest/gtest.h>
@@ -64,6 +65,11 @@ expectSame(const RunCapture &ref, const RunCapture &fast,
                      fast.result.peUtilization)
         << label;
     EXPECT_EQ(ref.result.error, fast.result.error) << label;
+    EXPECT_EQ(ref.result.errorDetail, fast.result.errorDetail)
+        << label;
+    EXPECT_EQ(ref.result.stalledCycle, fast.result.stalledCycle)
+        << label;
+    EXPECT_EQ(ref.result.faultPe, fast.result.faultPe) << label;
     EXPECT_EQ(ref.stats, fast.stats) << label;
     EXPECT_EQ(ref.memDump, fast.memDump) << label;
 }
@@ -73,7 +79,8 @@ expectIdentical(const MachineConfig &base, const Program &prog,
                 const std::function<void(MarionetteMachine &)>
                     &setup = nullptr,
                 Word dump_base = 0, int dump_count = 0,
-                Cycle max_cycles = 2'000'000)
+                Cycle max_cycles = 2'000'000,
+                const std::string &label = "")
 {
     MachineConfig ref_config = base;
     ref_config.eventDrivenSim = false;
@@ -84,7 +91,7 @@ expectIdentical(const MachineConfig &base, const Program &prog,
                              dump_count, max_cycles);
     RunCapture fast = runOnce(fast_config, prog, setup, dump_base,
                               dump_count, max_cycles);
-    expectSame(ref, fast);
+    expectSame(ref, fast, label);
 }
 
 /** Workload 1: simple-loops shape — one generator feeding a short
@@ -119,7 +126,9 @@ TEST(HotpathEquivalence, SimpleLoopPipeline)
 }
 
 /** Workload 2: branch divergence — control-gated lanes with
- *  reconfiguration between elements (the Fig. 3 pattern). */
+ *  reconfiguration between elements (the Fig. 3 pattern), with a
+ *  1-cycle and a 4-cycle configuration phase (a lane then sleeps
+ *  until its configuration applies). */
 TEST(HotpathEquivalence, BranchDivergence)
 {
     MachineConfig config;
@@ -150,7 +159,55 @@ TEST(HotpathEquivalence, BranchDivergence)
         lane.ctrlGated = true;
         lane.dests = {DestSel::toOutput(0)};
     }
-    expectIdentical(config, b.finish());
+    const Program prog = b.finish();
+    for (Cycles latency : {Cycles{1}, Cycles{4}}) {
+        config.configLatency = latency;
+        expectIdentical(config, prog, nullptr, 0, 0, 2'000'000,
+                        "configLatency " + std::to_string(latency));
+    }
+}
+
+/** Control ahead of data: the branch sits next to the generator
+ *  and the gated lane in the far corner, so each lane's control
+ *  word lands before its datum.  A reconfiguration then waits,
+ *  ready, for the lane to fire its last credit, and applies on the
+ *  very next tick. */
+TEST(HotpathEquivalence, ControlAheadOfData)
+{
+    MachineConfig config;
+    ProgramBuilder b("ctrl_ahead", config);
+    b.setNumOutputs(1);
+    Instruction &gen = b.place(0, 0);
+    gen.mode = SenderMode::LoopOp;
+    gen.op = Opcode::Loop;
+    gen.loopStart = 0;
+    gen.loopBound = 40;
+    gen.dests = {DestSel::toPe(1, 0), DestSel::toPe(15, 0)};
+    b.setEntry(0, 0);
+    Instruction &br = b.place(1, 0);
+    br.mode = SenderMode::BranchOp;
+    br.op = Opcode::And;
+    br.a = OperandSel::channel(0);
+    br.b = OperandSel::immediate(1);
+    br.takenAddr = 1;
+    br.notTakenAddr = 2;
+    br.ctrlDests = {15};
+    b.setEntry(1, 0);
+    for (InstrAddr addr : {1, 2}) {
+        Instruction &lane = b.place(15, addr);
+        lane.mode = SenderMode::Dfg;
+        lane.op = Opcode::Add;
+        lane.a = OperandSel::channel(0);
+        lane.b = OperandSel::immediate(addr * 100);
+        lane.ctrlGated = true;
+        lane.dests = {DestSel::toOutput(0)};
+    }
+    const Program prog = b.finish();
+    for (Cycles latency : {Cycles{1}, Cycles{3}}) {
+        config.configLatency = latency;
+        expectIdentical(config, prog, nullptr, 0, 0, 2'000'000,
+                        "configLatency " + std::to_string(latency));
+    }
 }
 
 /** Workload 3: FIFO-decoupled imperfect nest with scratchpad
@@ -361,7 +418,9 @@ TEST(HotpathEquivalence, MaxCycleCutoffSweep)
 }
 
 /** FIFO-fed inner loop: outer generator pushes bounds through a
- *  control FIFO (push/pop wake lists both directions). */
+ *  control FIFO (push/pop wake lists both directions).  The second
+ *  case makes the FIFO shallower than the outer loop's pushes, so
+ *  the pusher sleeps on FIFO space until the inner loop pops. */
 TEST(HotpathEquivalence, FifoFedInnerLoop)
 {
     MachineConfig config;
@@ -381,24 +440,74 @@ TEST(HotpathEquivalence, FifoFedInnerLoop)
     inner.boundFifo = 1;
     inner.dests = {DestSel::toOutput(0)};
     b.setEntry(1, 0);
-    expectIdentical(config, b.finish());
+    const Program prog = b.finish();
+    expectIdentical(config, prog);
+    config.controlFifoDepth = 2;
+    expectIdentical(config, prog, nullptr, 0, 0, 2'000'000,
+                    "shallow FIFO");
+}
+
+/** Transient upsets: one upset on the probe kernel of
+ *  fault_resilience_test (a loop streaming four words into a copy
+ *  PE), swept over every cycle of the clean run.  An upset wakes its
+ *  PE unconditionally, so this checks that a corrupted channel head
+ *  changes nothing else between the paths. */
+TEST(HotpathEquivalence, TransientUpsetSweep)
+{
+    MachineConfig config;
+    ProgramBuilder b("stream", config);
+    b.setNumOutputs(1);
+    Instruction &gen = b.place(0, 0);
+    gen.mode = SenderMode::LoopOp;
+    gen.op = Opcode::Loop;
+    gen.loopStart = 0;
+    gen.loopBound = 4;
+    gen.loopStep = 1;
+    gen.pipelineII = 1;
+    gen.dests = {DestSel::toPe(1, 0)};
+    b.setEntry(0, 0);
+    Instruction &sink = b.place(1, 0);
+    sink.mode = SenderMode::Dfg;
+    sink.op = Opcode::Copy;
+    sink.a = OperandSel::channel(0);
+    sink.dests = {DestSel::toOutput(0)};
+    b.setEntry(1, 0);
+    Program prog = b.finish();
+
+    const RunCapture clean = runOnce(config, prog, nullptr);
+    ASSERT_TRUE(clean.result.ok());
+    for (Cycle c = 0; c <= clean.result.cycles; ++c) {
+        MachineConfig faulted = config;
+        faulted.faults.transients = {
+            TransientFault{c, 1, 0, Word{1} << 20}};
+        expectIdentical(faulted, prog, nullptr, 0, 0, 10'000,
+                        "upset at cycle " + std::to_string(c));
+    }
 }
 
 /** Compiled workloads, driven from workloadNames() rather than a
  *  hard-coded kernel list: every kernel the compiler accepts on the
  *  paper-prototype fabric and on the 10x10 evaluation fabric must be
- *  path-equivalent, scratchpad included.  Both machines start from
- *  the same garbage-filled scratchpad, so a kernel that reads a word
- *  prepare() did not set fails validation. */
+ *  path-equivalent, scratchpad included, and the event path may
+ *  never tick more PEs than the reference.  A third fabric adds the
+ *  seeded fault plan Placement.MatchesPinnedLayouts compiles for (3
+ *  dead PEs, 1 dead link), over the kernels it pins there.  Both
+ *  machines start from the same garbage-filled scratchpad, so a
+ *  kernel that reads a word prepare() did not set fails
+ *  validation. */
 TEST(HotpathEquivalence, CompiledWorkloadsRefVsEvent)
 {
+    MachineConfig faulted = evalFabric();
+    faulted.faults = FaultPlan::seeded(10, 10, 3, 1, 1);
     const struct
     {
         MachineConfig config;
+        std::vector<std::string> kernels;
         int minCovered;
     } fabrics[] = {
-        {MachineConfig{}, 2}, // SI and CRC fit the prototype.
-        {evalFabric(), 10},
+        {MachineConfig{}, workloadNames(), 2}, // SI, CRC fit it.
+        {evalFabric(), workloadNames(), 10},
+        {faulted, {"SI", "CRC", "SCD", "ADPCM", "NW"}, 5},
     };
     for (const auto &fabric : fabrics) {
         const MachineConfig &config = fabric.config;
@@ -406,7 +515,7 @@ TEST(HotpathEquivalence, CompiledWorkloadsRefVsEvent)
                                            sizeof(Word));
         Compiler compiler(config);
         int covered = 0;
-        for (const std::string &name : workloadNames()) {
+        for (const std::string &name : fabric.kernels) {
             CompileResult r = compiler.compile(name);
             if (!r.ok())
                 continue; // too big for the fabric, or unsupported.
@@ -425,8 +534,44 @@ TEST(HotpathEquivalence, CompiledWorkloadsRefVsEvent)
                     << name;
             }
             expectSame(caps[0], caps[1], name);
+            EXPECT_LE(caps[1].result.peTicks, caps[0].result.peTicks)
+                << name;
         }
         EXPECT_GE(covered, fabric.minCovered);
+    }
+}
+
+/** The event path's host work on the serve mix's sparse kernels:
+ *  PE ticks per simulated cycle on the evaluation fabric, bounded at
+ *  the measured value + 5 %.  Ticks are deterministic, so a lost
+ *  wake filter (a PE woken by events that cannot move it) fails
+ *  here, not just in a timing benchmark. */
+TEST(HotpathEquivalence, ServeMixTicksPerCycle)
+{
+    const struct
+    {
+        const char *kernel;
+        double measured;
+    } bounds[] = {
+        {"CRC", 1.449},
+        {"SCD", 1.775},
+        {"ADPCM", 1.854},
+    };
+    const MachineConfig config = evalFabric();
+    Compiler compiler(config);
+    for (const auto &bound : bounds) {
+        CompileResult r = compiler.compile(bound.kernel);
+        ASSERT_TRUE(r.ok()) << bound.kernel;
+        MarionetteMachine m(config);
+        r.kernel->prepare(m);
+        const RunResult run = m.run(r.kernel->cycleBudget);
+        ASSERT_TRUE(run.ok()) << bound.kernel;
+        const double per_cycle =
+            static_cast<double>(run.peTicks) /
+            static_cast<double>(run.cycles);
+        EXPECT_LE(per_cycle, bound.measured * 1.05)
+            << bound.kernel << " ticks " << run.peTicks << " over "
+            << run.cycles << " cycles";
     }
 }
 

@@ -92,6 +92,25 @@ TEST(Mesh, StatsCountTraffic)
     EXPECT_EQ(mesh.stats().value("hop_traversals"), 12u);
 }
 
+TEST(Mesh, XyLinkWalkMatchesPathLinks)
+{
+    for (const MeshGeometry &g :
+         {MeshGeometry(4, 4, 1), MeshGeometry(3, 7, 1),
+          MeshGeometry(10, 10, 1), MeshGeometry(1, 5, 1)}) {
+        for (PeId src = 0; src < g.numPes(); ++src)
+            for (PeId dst = 0; dst < g.numPes(); ++dst) {
+                const std::vector<PeId> path = g.xyPath(src, dst);
+                std::vector<int> want;
+                for (std::size_t i = 0; i + 1 < path.size(); ++i)
+                    want.push_back(g.linkIndex(path[i], path[i + 1]));
+                std::vector<int> got;
+                g.forEachXyLink(src, dst,
+                                [&](int link) { got.push_back(link); });
+                EXPECT_EQ(got, want) << src << " -> " << dst;
+            }
+    }
+}
+
 TEST(MeshDeath, BadEndpointsPanic)
 {
     DataMesh mesh(2, 2, 1);

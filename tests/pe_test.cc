@@ -43,11 +43,12 @@ class FakeFabric : public FabricIface
         fifos[fifo].pop_front();
         return v;
     }
-    bool fifoHasSpace(int) override { return true; }
+    bool fifoHasSpace(int) override { return fifoSpaceOk; }
     void claimFifoSlot(int) override {}
 
     bool creditOk = true;
     bool memOk = true;
+    bool fifoSpaceOk = true;
     int claims = 0;
     std::map<Word, Word> memory;
     std::map<int, std::deque<Word>> fifos;
@@ -60,14 +61,23 @@ testConfig()
     return c;
 }
 
+/** One tick's result. */
+PeTickResult
+tickOnce(Pe &pe, FakeFabric &fabric, Cycle now)
+{
+    PeTickResult r;
+    pe.tick(now, fabric, r);
+    return r;
+}
+
 /** Run ticks until the PE goes quiet, collecting results. */
 std::vector<PeTickResult>
 runTicks(Pe &pe, FakeFabric &fabric, int cycles, Cycle start = 0)
 {
     std::vector<PeTickResult> out;
     for (int t = 0; t < cycles; ++t)
-        out.push_back(pe.tick(start + static_cast<Cycle>(t),
-                              fabric));
+        out.push_back(
+            tickOnce(pe, fabric, start + static_cast<Cycle>(t)));
     return out;
 }
 
@@ -376,7 +386,7 @@ TEST(PeLoop, PipelineIISpacesEmissions)
     FakeFabric fabric;
     std::vector<int> emit_cycles;
     for (int t = 0; t < 15; ++t) {
-        auto r = pe.tick(static_cast<Cycle>(t), fabric);
+        auto r = tickOnce(pe, fabric, static_cast<Cycle>(t));
         if (!r.dataSends.empty())
             emit_cycles.push_back(t);
     }
@@ -550,11 +560,11 @@ TEST(PeGating, CreditWaitsForConfiguration)
     pe.acceptData(0, 2);
     // Word k selects addr 0, word k+1 selects addr 1.
     pe.acceptControl(0, 0);
-    auto r0 = pe.tick(0, fabric); // check phase for addr 0.
+    auto r0 = tickOnce(pe, fabric, 0); // check phase for addr 0.
     pe.acceptControl(1, 1);
     std::vector<Word> sent;
     for (int t = 1; t < 8; ++t) {
-        auto r = pe.tick(static_cast<Cycle>(t), fabric);
+        auto r = tickOnce(pe, fabric, static_cast<Cycle>(t));
         for (const DataSend &s : r.dataSends)
             sent.push_back(s.value);
     }
@@ -577,13 +587,248 @@ TEST(PeMisc, NonlinearOpRequiresCapablePe)
     capable.loadProgram(singleInstr(in)); // fine.
 }
 
-TEST(PeMisc, QuiescentWhenIdle)
+// ------------------------------------------------------------------
+// The wake decision: after a tick without progress, Pe::wait()
+// names the one event (and the deadline) that can change the next
+// tick's outcome.
+// ------------------------------------------------------------------
+
+TEST(PeWake, IdlePeWaitsForControlOnly)
 {
     MachineConfig config = testConfig();
     Pe pe(0, config, false);
-    EXPECT_TRUE(pe.quiescent());
+    FakeFabric fabric;
+    EXPECT_FALSE(tickOnce(pe, fabric, 0).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+    EXPECT_EQ(pe.wait().until, neverCycle);
+    // A word in a channel cannot move an unconfigured PE.
     pe.acceptData(0, 1);
-    EXPECT_FALSE(pe.quiescent());
+    EXPECT_FALSE(tickOnce(pe, fabric, 1).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+}
+
+TEST(PeWake, OperandWaitNamesFirstEmptyChannel)
+{
+    MachineConfig config = testConfig();
+    Pe pe(3, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Add;
+    in.a = OperandSel::channel(0);
+    in.b = OperandSel::channel(2);
+    in.dests = {DestSel::toPe(1, 0)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    FakeFabric fabric;
+    runTicks(pe, fabric, 2); // configure.
+    pe.acceptData(0, 4);
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Channel);
+    EXPECT_EQ(pe.wait().pe, 3);
+    EXPECT_EQ(pe.wait().index, 2);
+    EXPECT_EQ(pe.wait().until, neverCycle);
+}
+
+TEST(PeWake, CreditWaitNamesConsumerChannel)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Copy;
+    in.a = OperandSel::channel(0);
+    in.dests = {DestSel::toPe(5, 1)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    pe.acceptData(0, 1);
+    FakeFabric fabric;
+    fabric.creditOk = false;
+    runTicks(pe, fabric, 2);
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Credit);
+    EXPECT_EQ(pe.wait().pe, 5);
+    EXPECT_EQ(pe.wait().index, 1);
+    EXPECT_EQ(pe.stats().value("stall_credit"), 2u);
+}
+
+TEST(PeWake, FiringPredictsNextGateAndRetire)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Copy;
+    in.a = OperandSel::channel(0);
+    in.dests = {DestSel::toPe(1, 0)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    pe.acceptData(0, 1);
+    FakeFabric fabric;
+    tickOnce(pe, fabric, 0);
+    // Config applies and the op issues at t=1, taking the only
+    // word: the firing tick already names the next attempt's empty
+    // channel, and the retire at 1 + executeLatency as deadline.
+    EXPECT_TRUE(tickOnce(pe, fabric, 1).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Channel);
+    EXPECT_EQ(pe.wait().index, 0);
+    EXPECT_EQ(pe.wait().until, 1 + config.executeLatency);
+    EXPECT_EQ(pe.stats().value("stall_operand"), 0u);
+    // The tick it predicts: no progress, the same wait, counted.
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Channel);
+    EXPECT_EQ(pe.wait().until, 1 + config.executeLatency);
+    EXPECT_EQ(pe.stats().value("stall_operand"), 1u);
+    // The retire progresses; the failed attempt after it still
+    // names the wait.
+    EXPECT_TRUE(tickOnce(pe, fabric, 3).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Channel);
+    EXPECT_EQ(pe.wait().until, neverCycle);
+}
+
+TEST(PeWake, FiringWithOperandsLeftTicksAgain)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Copy;
+    in.a = OperandSel::channel(0);
+    in.dests = {DestSel::toPe(1, 0)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    pe.acceptData(0, 1);
+    pe.acceptData(0, 2);
+    FakeFabric fabric;
+    tickOnce(pe, fabric, 0);
+    EXPECT_TRUE(tickOnce(pe, fabric, 1).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Tick);
+}
+
+TEST(PeWake, PendingConfigurationSetsDeadline)
+{
+    MachineConfig config = testConfig();
+    config.configLatency = 4;
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Copy;
+    in.a = OperandSel::channel(0);
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    FakeFabric fabric;
+    EXPECT_TRUE(tickOnce(pe, fabric, 0).progressed); // check phase.
+    EXPECT_FALSE(tickOnce(pe, fabric, 1).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+    EXPECT_EQ(pe.wait().until, 4u);
+}
+
+TEST(PeWake, DeferredConfigurationAppliesAfterLastCredit)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    PeProgram prog;
+    prog.pe = 0;
+    for (Word bias : {0, 1}) {
+        Instruction in;
+        in.mode = SenderMode::Dfg;
+        in.op = Opcode::Add;
+        in.a = OperandSel::channel(0);
+        in.b = OperandSel::immediate(bias);
+        in.ctrlGated = true;
+        in.dests = {DestSel::toPe(1, 0)};
+        prog.instrs.push_back(in);
+    }
+    pe.loadProgram(prog);
+    FakeFabric fabric;
+    pe.acceptControl(0, 0);
+    runTicks(pe, fabric, 2); // addr 0 applies: one credit.
+    pe.acceptControl(2, 1);
+    // The lane still holds addr 0's credit, so addr 1 waits, ready
+    // from cycle 3, without a deadline.
+    EXPECT_TRUE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Channel);
+    EXPECT_EQ(pe.wait().until, neverCycle);
+    pe.acceptData(0, 5);
+    // Firing spends the credit: addr 1 applies on the next tick.
+    EXPECT_TRUE(tickOnce(pe, fabric, 5).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+    EXPECT_EQ(pe.wait().until, 6u);
+    EXPECT_TRUE(tickOnce(pe, fabric, 6).progressed);
+    EXPECT_EQ(pe.currentAddr(), 1);
+}
+
+TEST(PeWake, LoopWaitsRecordNoStallReason)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::LoopOp;
+    in.op = Opcode::Loop;
+    in.loopStart = 0;
+    in.loopBound = 10;
+    in.pipelineII = 3;
+    in.dests = {DestSel::toPe(2, 3)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    FakeFabric fabric;
+    tickOnce(pe, fabric, 0);
+    // First iteration at t=1: the generator waits for its II slot.
+    EXPECT_TRUE(tickOnce(pe, fabric, 1).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+    EXPECT_EQ(pe.wait().until, 4u);
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Control);
+    EXPECT_EQ(pe.wait().until, 4u);
+    fabric.creditOk = false;
+    EXPECT_FALSE(tickOnce(pe, fabric, 4).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Credit);
+    EXPECT_EQ(pe.wait().pe, 2);
+    EXPECT_EQ(pe.wait().index, 3);
+    EXPECT_EQ(pe.wait().until, neverCycle);
+    EXPECT_EQ(pe.stats().value("stall_credit"), 0u);
+}
+
+TEST(PeWake, FifoFedLoopWaitsForTheEmptyFifo)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::LoopOp;
+    in.op = Opcode::Loop;
+    in.startFifo = 0;
+    in.boundFifo = 1;
+    in.pushFifo = 2;
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    FakeFabric fabric;
+    fabric.fifos[0] = {0};
+    runTicks(pe, fabric, 2);
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::FifoData);
+    EXPECT_EQ(pe.wait().index, 1);
+    fabric.fifos[1] = {5};
+    fabric.fifoSpaceOk = false;
+    EXPECT_FALSE(tickOnce(pe, fabric, 3).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::FifoSpace);
+    EXPECT_EQ(pe.wait().index, 2);
+}
+
+TEST(PeWake, MemoryPortStallTicksAgain)
+{
+    MachineConfig config = testConfig();
+    Pe pe(0, config, false);
+    Instruction in;
+    in.mode = SenderMode::Dfg;
+    in.op = Opcode::Load;
+    in.a = OperandSel::immediate(8);
+    in.dests = {DestSel::toPe(1, 0)};
+    pe.loadProgram(singleInstr(in));
+    pe.acceptControl(0, 0);
+    FakeFabric fabric;
+    fabric.memOk = false;
+    runTicks(pe, fabric, 2);
+    EXPECT_FALSE(tickOnce(pe, fabric, 2).progressed);
+    EXPECT_EQ(pe.wait().on, WakeOn::Tick);
 }
 
 TEST(PeMisc, LocalRegisterWriteAndRead)
