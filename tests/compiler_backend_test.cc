@@ -104,7 +104,12 @@ TEST(Placement, MatchesPinnedLayouts)
 {
     // One cell per (kernel, variant): "default" is evalFabric()
     // with default options, "faults" adds a seeded plan of 3 dead
-    // PEs and 1 dead link, "unroll1" turns replication off.
+    // PEs and 1 dead link, "unroll1" turns replication off, "hop2"
+    // doubles the mesh hop latency and "exec1" halves the execute
+    // latency.  hop2 and exec1 cover SCD and ADPCM, whose moves
+    // often lengthen every edge they touch; HT and LDPC, whose
+    // scores fold in operand skew; and CRC, whose two phases make
+    // cross-phase swaps.
     struct Pinned
     {
         const char *kernel;
@@ -205,6 +210,54 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
          "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "hop2", 0x55e7374f61227323ull,
+         "fused 3 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 56 "
+         "cycle(s), weighted wirelength 988, 153 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"ADPCM", "hop2", 0xe0c24edd97caf42full,
+         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 46 "
+         "cycle(s), weighted wirelength 898, 97 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CRC", "hop2", 0x2c6f286158f715cbull,
+         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 22 "
+         "cycle(s), weighted wirelength 240, 50 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"HT", "hop2", 0x9966fd6b5c6bea5eull,
+         "cost placer: 20/100 PEs (0 nonlinear), recurrence II 4 "
+         "cycle(s), weighted wirelength 88, 60 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"LDPC", "hop2", 0x218f2ccd63154a29ull,
+         "fused 4 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 17 "
+         "cycle(s), weighted wirelength 2292, 836 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "exec1", 0x76d04432affc5c8eull,
+         "fused 3 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 28 "
+         "cycle(s), weighted wirelength 495, 180 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"ADPCM", "exec1", 0xe0c24edd97caf42full,
+         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 23 "
+         "cycle(s), weighted wirelength 453, 96 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"CRC", "exec1", 0x7cddbb86bd5cf565ull,
+         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 11 "
+         "cycle(s), weighted wirelength 111, 19 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"HT", "exec1", 0x85ca9b95f53cd124ull,
+         "cost placer: 20/100 PEs (0 nonlinear), recurrence II 2 "
+         "cycle(s), weighted wirelength 44, 35 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"LDPC", "exec1", 0x7838ae847f742b05ull,
+         "fused 4 memory-ordering fence(s) into load ordering "
+         "operands\n"
+         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 8 "
+         "cycle(s), weighted wirelength 1143, 807 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
     };
     for (const Pinned &cell : pinned) {
         const std::string variant = cell.variant;
@@ -214,6 +267,10 @@ TEST(Placement, MatchesPinnedLayouts)
             config.faults = FaultPlan::seeded(10, 10, 3, 1, 1);
         else if (variant == "unroll1")
             opts.unrollFactor = 1;
+        else if (variant == "hop2")
+            config.meshHopLatency = 2;
+        else if (variant == "exec1")
+            config.executeLatency = 1;
         CompileResult r =
             Compiler(config, opts).compile(cell.kernel);
         ASSERT_TRUE(r.ok()) << cell.kernel << " " << variant << "\n"
