@@ -27,6 +27,31 @@
  *    keeps whichever scores better, so the cost placer never loses
  *    to its own baseline on the model it optimizes.
  *
+ * Scoring a move (phaseII) is nearly all of a compile, and most
+ * moves lose.  One relocation scorer and one swap scorer, shared by
+ * the random search and the steepest-descent polish, skip the score
+ * whenever a move provably cannot win.  Each rule is exact, so the
+ * search draws, accepts and stops exactly as if every move were
+ * scored:
+ *
+ *  1. No edge gets shorter.  If every edge incident to the moved
+ *     entities is at least as long afterwards (for a swap, each
+ *     with the other at its new PE), every longest path, carried-
+ *     cycle II and the wirelength can only grow.  That bounds the
+ *     score only when the phase's committed score has no skew term
+ *     (lengthening an early edge can shrink the skew), so phaseII
+ *     reports whether it folded skew in and the flag is kept with
+ *     each committed score.
+ *  2. A move that lost in this state loses again.  A move that does
+ *     not beat the current objective is stamped with a generation
+ *     that advances on every position change; nothing the score
+ *     reads changes within a generation, so a move stamped in the
+ *     current one is skipped.
+ *  3. One-pass skew.  Template edges are sorted by consumer and
+ *     every producer precedes its consumers, so one walk sees each
+ *     consumer's arrivals as one group: it fires at the latest, and
+ *     its skew is the latest minus the earliest.
+ *
  * The Fig. 8 AssignmentPlan informs the tiebreak weighting: when
  * the planner maps every block at II = 1 the pipeline has no timing
  * slack and recurrence hops dominate; blocks already time-extended
@@ -34,6 +59,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <sstream>
 
@@ -442,6 +468,25 @@ struct FinalSweep
     int end;
 };
 
+/** A phase's timing score (see CostPlacer::phaseII) and whether
+ *  the operand-skew term was folded into it. */
+struct PhaseScore
+{
+    std::uint64_t ii = 0;
+    bool skewed = false;
+};
+
+/** A scored candidate move: the objective it reaches (~0 when it
+ *  provably cannot beat the current one), and the wirelength and
+ *  phase scores (the moved entities' phases) it would commit. */
+struct Move
+{
+    std::uint64_t obj = ~0ull;
+    std::uint64_t wire = 0;
+    PhaseScore a;
+    PhaseScore b;
+};
+
 class CostPlacer
 {
   public:
@@ -519,8 +564,9 @@ class CostPlacer
             // currently-worst phase.
             int worst_phase = 0;
             for (std::size_t p = 0; p < ii_.size(); ++p)
-                if (ii_[p] > ii_[static_cast<std::size_t>(
-                                 worst_phase)])
+                if (ii_[p].ii > ii_[static_cast<std::size_t>(
+                                    worst_phase)]
+                                    .ii)
                     worst_phase = static_cast<int>(p);
             std::vector<int> chain =
                 criticalCycle(worst_phase, true);
@@ -536,8 +582,8 @@ class CostPlacer
     phaseIIs() const
     {
         std::vector<Cycles> out;
-        for (std::uint64_t score : ii_)
-            out.push_back(scoreMaxII(score));
+        for (const PhaseScore &score : ii_)
+            out.push_back(scoreMaxII(score.ii));
         return out;
     }
     std::uint64_t wirelength() const { return wire_; }
@@ -558,7 +604,8 @@ class CostPlacer
         }
         std::uint64_t ii_sum = 0;
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_sum += phaseII(static_cast<int>(p));
+            ii_sum += phaseII(static_cast<int>(p)).ii;
+        ++gen_;
         return {ii_sum, fullWire()};
     }
 
@@ -648,8 +695,12 @@ class CostPlacer
                           return a.second < b.second;
                       });
         }
-        ii_.assign(cc_.phases.size(), 0);
+        ii_.assign(cc_.phases.size(), PhaseScore{});
         fireScratch_.assign(entities_.size(), 0);
+        relocStamp_.assign(entities_.size() *
+                               static_cast<std::size_t>(numPes_),
+                           0);
+        swapStamp_.assign(entities_.size() * entities_.size(), 0);
         std::size_t rows = 0;
         for (const std::vector<FinalSweep> &finals : finals_)
             rows = std::max(rows, finals.size());
@@ -755,32 +806,30 @@ class CostPlacer
     {
         const auto &edges =
             skewEdges_[static_cast<std::size_t>(phase)];
+        const int gen = genIdx_[static_cast<std::size_t>(phase)];
         auto &fire = fireScratch_;
-        fire[static_cast<std::size_t>(genIdx_[
-            static_cast<std::size_t>(phase)])] = 0;
-        for (const auto &[src, dst] : edges)
-            fire[static_cast<std::size_t>(dst)] = 0;
-        for (const auto &[src, dst] : edges) {
-            std::int64_t arrival =
-                (src == genIdx_[static_cast<std::size_t>(phase)]
-                     ? 0
-                     : fire[static_cast<std::size_t>(src)] +
-                           static_cast<std::int64_t>(exec_)) +
-                static_cast<std::int64_t>(lat(src, dst));
-            fire[static_cast<std::size_t>(dst)] = std::max(
-                fire[static_cast<std::size_t>(dst)], arrival);
-        }
+        // One pass, one group of edges per consumer: every producer
+        // has a lower index, so its group (and firing time) is
+        // final before any consumer reads it.
         std::int64_t skew = 0;
-        for (const auto &[src, dst] : edges) {
-            std::int64_t arrival =
-                (src == genIdx_[static_cast<std::size_t>(phase)]
-                     ? 0
-                     : fire[static_cast<std::size_t>(src)] +
-                           static_cast<std::int64_t>(exec_)) +
-                static_cast<std::int64_t>(lat(src, dst));
-            skew = std::max(
-                skew,
-                fire[static_cast<std::size_t>(dst)] - arrival);
+        for (std::size_t i = 0; i < edges.size();) {
+            const int dst = edges[i].second;
+            std::int64_t latest = 0;
+            std::int64_t earliest =
+                std::numeric_limits<std::int64_t>::max();
+            for (; i < edges.size() && edges[i].second == dst; ++i) {
+                const int src = edges[i].first;
+                const std::int64_t arrival =
+                    (src == gen
+                         ? 0
+                         : fire[static_cast<std::size_t>(src)] +
+                               static_cast<std::int64_t>(exec_)) +
+                    static_cast<std::int64_t>(lat(src, dst));
+                latest = std::max(latest, arrival);
+                earliest = std::min(earliest, arrival);
+            }
+            fire[static_cast<std::size_t>(dst)] = latest;
+            skew = std::max(skew, latest - earliest);
         }
         return static_cast<Cycles>(skew);
     }
@@ -795,7 +844,7 @@ class CostPlacer
      * max — plateaus there are what strand random and steepest
      * moves above the floor.
      */
-    std::uint64_t
+    PhaseScore
     phaseII(int phase) const
     {
         sweepFinals(phase, true);
@@ -821,12 +870,14 @@ class CostPlacer
         // dominated phases the skew is slack and must not perturb
         // the cycle search's gradient.
         Cycles skew_ii = (phaseSkew(phase) + 7) / 8;
-        if (2 * skew_ii > max_ii) {
+        const bool skewed = 2 * skew_ii > max_ii;
+        if (skewed) {
             max_ii = std::max(max_ii, skew_ii);
             sq += static_cast<std::uint64_t>(skew_ii) * skew_ii;
         }
-        return (static_cast<std::uint64_t>(max_ii) << 24) +
-               std::min<std::uint64_t>(sq, (1u << 24) - 1);
+        return {(static_cast<std::uint64_t>(max_ii) << 24) +
+                    std::min<std::uint64_t>(sq, (1u << 24) - 1),
+                skewed};
     }
 
     static Cycles
@@ -977,8 +1028,9 @@ class CostPlacer
         nonlinearUnplaced_ = nonlinearTotal_;
         for (Entity &e : entities_)
             e.pe = invalidPe;
-        std::fill(ii_.begin(), ii_.end(), 0);
+        std::fill(ii_.begin(), ii_.end(), PhaseScore{});
         wire_ = 0;
+        ++gen_;
     }
 
     /** Adopt a snapshot of entity positions. */
@@ -998,6 +1050,7 @@ class CostPlacer
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
             ii_[p] = phaseII(static_cast<int>(p));
         wire_ = fullWire();
+        ++gen_;
     }
 
     void
@@ -1176,26 +1229,12 @@ class CostPlacer
                 std::size_t fi = static_cast<std::size_t>(
                     rng.nextBounded(free_pes.size()));
                 PeId target = free_pes[fi];
-                if (a.nonlinear && target < firstNonlinear_)
+                if (!fits(a, target))
                     continue;
-                PeId from = a.pe;
-                std::uint64_t wire_before =
-                    incidentWire(ia, from, -1, invalidPe);
-                std::uint64_t wire_after =
-                    incidentWire(ia, target, -1, invalidPe);
-                Cycles ii_before = ii_[static_cast<std::size_t>(
-                    a.phase)];
-                a.pe = target;
-                Cycles ii_after = phaseII(a.phase);
-                std::uint64_t before = objective(
-                    iiSumWith(a.phase, ii_before), wire_);
-                std::uint64_t after = objective(
-                    iiSumWith(a.phase, ii_after),
-                    wire_ - wire_before + wire_after);
-                if (after >= before) {
-                    a.pe = from;
+                const Move m = scoreRelocation(ia, target);
+                if (m.obj >= current())
                     continue;
-                }
+                const PeId from = a.pe;
                 taken_[static_cast<std::size_t>(from)] = false;
                 taken_[static_cast<std::size_t>(target)] = true;
                 if (from >= firstNonlinear_)
@@ -1203,8 +1242,10 @@ class CostPlacer
                 if (target >= firstNonlinear_)
                     --capableFree_;
                 free_pes[fi] = from;
-                wire_ = wire_ - wire_before + wire_after;
-                ii_[static_cast<std::size_t>(a.phase)] = ii_after;
+                a.pe = target;
+                wire_ = m.wire;
+                ii_[static_cast<std::size_t>(a.phase)] = m.a;
+                ++gen_;
                 ++improvingMoves_;
                 stale = 0;
                 continue;
@@ -1214,51 +1255,129 @@ class CostPlacer
             if (ia == ib)
                 continue;
             Entity &b = entities_[static_cast<std::size_t>(ib)];
-            auto fits = [&](const Entity &e, PeId pe) {
-                return !e.nonlinear || pe >= firstNonlinear_;
-            };
             if (!fits(a, b.pe) || !fits(b, a.pe))
                 continue;
-            std::uint64_t wire_before =
-                incidentWire(ia, a.pe, ib, b.pe) +
-                incidentWire(ib, b.pe, ia, a.pe);
-            std::uint64_t wire_after =
-                incidentWire(ia, b.pe, ib, a.pe) +
-                incidentWire(ib, a.pe, ia, b.pe);
-            Cycles iia_before =
-                ii_[static_cast<std::size_t>(a.phase)];
-            Cycles iib_before =
-                ii_[static_cast<std::size_t>(b.phase)];
-            std::swap(a.pe, b.pe);
-            Cycles iia_after = phaseII(a.phase);
-            Cycles iib_after = a.phase == b.phase
-                                   ? iia_after
-                                   : phaseII(b.phase);
-            std::uint64_t ii_sum_before = iiSum();
-            std::uint64_t ii_sum_after =
-                ii_sum_before -
-                (a.phase == b.phase
-                     ? static_cast<std::uint64_t>(iia_before)
-                     : static_cast<std::uint64_t>(iia_before) +
-                           iib_before) +
-                (a.phase == b.phase
-                     ? static_cast<std::uint64_t>(iia_after)
-                     : static_cast<std::uint64_t>(iia_after) +
-                           iib_after);
-            std::uint64_t before =
-                objective(ii_sum_before, wire_);
-            std::uint64_t after = objective(
-                ii_sum_after, wire_ - wire_before + wire_after);
-            if (after >= before) {
-                std::swap(a.pe, b.pe);
+            const Move m = scoreSwap(ia, ib);
+            if (m.obj >= current())
                 continue;
-            }
-            wire_ = wire_ - wire_before + wire_after;
-            ii_[static_cast<std::size_t>(a.phase)] = iia_after;
-            ii_[static_cast<std::size_t>(b.phase)] = iib_after;
+            std::swap(a.pe, b.pe);
+            wire_ = m.wire;
+            ii_[static_cast<std::size_t>(a.phase)] = m.a;
+            ii_[static_cast<std::size_t>(b.phase)] = m.b;
+            ++gen_;
             ++improvingMoves_;
             stale = 0;
         }
+    }
+
+    /** Current objective. */
+    std::uint64_t
+    current() const
+    {
+        return objective(iiSum(), wire_);
+    }
+
+    /** @p e may sit on @p pe: nonlinear entities need a capable
+     *  PE. */
+    bool
+    fits(const Entity &e, PeId pe) const
+    {
+        return !e.nonlinear || pe >= firstNonlinear_;
+    }
+
+    /** Rule 1's edge test: no edge incident to @p idx is shorter
+     *  with it at @p pe (peer @p other_idx at @p other_pe for
+     *  swaps) than under the current positions. */
+    bool
+    noEdgeShorter(int idx, PeId pe, int other_idx,
+                  PeId other_pe) const
+    {
+        const Entity &e = entities_[static_cast<std::size_t>(idx)];
+        for (const auto &[peer, w] : e.adj) {
+            (void)w;
+            const PeId now =
+                entities_[static_cast<std::size_t>(peer)].pe;
+            const PeId then = peer == other_idx ? other_pe
+                              : peer == idx     ? pe
+                                                : now;
+            if (peLat(pe, then) < peLat(e.pe, now))
+                return false;
+        }
+        return true;
+    }
+
+    /**
+     * Score moving entity @p ia to the free PE @p pe.  Skips
+     * phaseII when rule 2 (the move was already rejected at this
+     * generation) or rule 1 (no incident edge gets shorter and the
+     * phase's committed score has no skew term) proves the move
+     * cannot win; stamps it when it does not win.
+     */
+    Move
+    scoreRelocation(int ia, PeId pe)
+    {
+        std::uint32_t &stamp =
+            relocStamp_[static_cast<std::size_t>(ia) *
+                            static_cast<std::size_t>(numPes_) +
+                        static_cast<std::size_t>(pe)];
+        Move m;
+        if (stamp == gen_)
+            return m;
+        Entity &a = entities_[static_cast<std::size_t>(ia)];
+        if (ii_[static_cast<std::size_t>(a.phase)].skewed ||
+            !noEdgeShorter(ia, pe, -1, invalidPe)) {
+            const PeId from = a.pe;
+            m.wire = wire_ - incidentWire(ia, from, -1, invalidPe) +
+                     incidentWire(ia, pe, -1, invalidPe);
+            a.pe = pe;
+            m.a = phaseII(a.phase);
+            a.pe = from;
+            m.obj = objective(iiSumWith(a.phase, m.a.ii), m.wire);
+        }
+        if (m.obj >= current())
+            stamp = gen_;
+        return m;
+    }
+
+    /** Score swapping the PEs of entities @p ia and @p ib, under
+     *  the same rules as scoreRelocation (rule 1 checks each
+     *  entity with the other at its new PE, and both phases). */
+    Move
+    scoreSwap(int ia, int ib)
+    {
+        const std::size_t n = entities_.size();
+        std::uint32_t &stamp =
+            swapStamp_[static_cast<std::size_t>(std::min(ia, ib)) *
+                           n +
+                       static_cast<std::size_t>(std::max(ia, ib))];
+        Move m;
+        if (stamp == gen_)
+            return m;
+        Entity &a = entities_[static_cast<std::size_t>(ia)];
+        Entity &b = entities_[static_cast<std::size_t>(ib)];
+        if (ii_[static_cast<std::size_t>(a.phase)].skewed ||
+            ii_[static_cast<std::size_t>(b.phase)].skewed ||
+            !noEdgeShorter(ia, b.pe, ib, a.pe) ||
+            !noEdgeShorter(ib, a.pe, ia, b.pe)) {
+            m.wire = wire_ -
+                     (incidentWire(ia, a.pe, ib, b.pe) +
+                      incidentWire(ib, b.pe, ia, a.pe)) +
+                     (incidentWire(ia, b.pe, ib, a.pe) +
+                      incidentWire(ib, a.pe, ia, b.pe));
+            std::swap(a.pe, b.pe);
+            m.a = phaseII(a.phase);
+            m.b = a.phase == b.phase ? m.a : phaseII(b.phase);
+            std::swap(a.pe, b.pe);
+            std::uint64_t ii_sum = iiSumWith(a.phase, m.a.ii);
+            if (b.phase != a.phase)
+                ii_sum = ii_sum -
+                         ii_[static_cast<std::size_t>(b.phase)].ii +
+                         m.b.ii;
+            m.obj = objective(ii_sum, m.wire);
+        }
+        if (m.obj >= current())
+            stamp = gen_;
+        return m;
     }
 
     /**
@@ -1336,7 +1455,7 @@ class CostPlacer
                 for (int ia : chain) {
                     Entity &a = entities_[
                         static_cast<std::size_t>(ia)];
-                    std::uint64_t cur = objective(iiSum(), wire_);
+                    std::uint64_t cur = current();
                     // Best relocation.
                     int best_kind = 0; // 0 none, 1 reloc, 2 swap.
                     PeId best_pe = invalidPe;
@@ -1347,19 +1466,11 @@ class CostPlacer
                         incidentWire(ia, from, -1, invalidPe);
                     for (PeId pe = 0; pe < cc_.config.numPes();
                          ++pe) {
-                        if (taken_[static_cast<std::size_t>(pe)])
+                        if (taken_[static_cast<std::size_t>(pe)] ||
+                            !fits(a, pe))
                             continue;
-                        if (a.nonlinear &&
-                            pe < firstNonlinear_)
-                            continue;
-                        std::uint64_t wa = incidentWire(
-                            ia, pe, -1, invalidPe);
-                        a.pe = pe;
-                        std::uint64_t obj = objective(
-                            iiSumWith(a.phase,
-                                      phaseII(a.phase)),
-                            wire_ - from_wire + wa);
-                        a.pe = from;
+                        const std::uint64_t obj =
+                            scoreRelocation(ia, pe).obj;
                         if (obj < best_obj) {
                             best_obj = obj;
                             best_kind = 1;
@@ -1374,25 +1485,10 @@ class CostPlacer
                             static_cast<std::size_t>(ib)];
                         if (b.phase != a.phase)
                             continue;
-                        auto fits = [&](const Entity &e,
-                                        PeId pe) {
-                            return !e.nonlinear ||
-                                   pe >= firstNonlinear_;
-                        };
                         if (!fits(a, b.pe) || !fits(b, a.pe))
                             continue;
-                        std::uint64_t wb =
-                            incidentWire(ia, a.pe, ib, b.pe) +
-                            incidentWire(ib, b.pe, ia, a.pe);
-                        std::uint64_t wa =
-                            incidentWire(ia, b.pe, ib, a.pe) +
-                            incidentWire(ib, a.pe, ia, b.pe);
-                        std::swap(a.pe, b.pe);
-                        std::uint64_t obj = objective(
-                            iiSumWith(a.phase,
-                                      phaseII(a.phase)),
-                            wire_ - wb + wa);
-                        std::swap(a.pe, b.pe);
+                        const std::uint64_t obj =
+                            scoreSwap(ia, ib).obj;
                         if (obj < best_obj) {
                             best_obj = obj;
                             best_kind = 2;
@@ -1415,6 +1511,7 @@ class CostPlacer
                         ii_[static_cast<std::size_t>(a.phase)] =
                             phaseII(a.phase);
                         improved = true;
+                        ++gen_;
                         ++improvingMoves_;
                     } else if (best_kind == 2) {
                         Entity &b = entities_[
@@ -1434,6 +1531,7 @@ class CostPlacer
                         ii_[static_cast<std::size_t>(a.phase)] =
                             phaseII(a.phase);
                         improved = true;
+                        ++gen_;
                         ++improvingMoves_;
                     }
                 }
@@ -1447,19 +1545,18 @@ class CostPlacer
     iiSum() const
     {
         std::uint64_t s = 0;
-        for (Cycles ii : ii_)
-            s += ii;
+        for (const PhaseScore &score : ii_)
+            s += score.ii;
         return s;
     }
 
     std::uint64_t
-    iiSumWith(int phase, Cycles value) const
+    iiSumWith(int phase, std::uint64_t value) const
     {
         std::uint64_t s = 0;
         for (std::size_t p = 0; p < ii_.size(); ++p)
-            s += p == static_cast<std::size_t>(phase)
-                     ? static_cast<std::uint64_t>(value)
-                     : static_cast<std::uint64_t>(ii_[p]);
+            s += p == static_cast<std::size_t>(phase) ? value
+                                                      : ii_[p].ii;
         return s;
     }
 
@@ -1586,7 +1683,15 @@ class CostPlacer
      *  evaluation allocation on the hot move-evaluation path). */
     mutable std::vector<std::int64_t> fireScratch_;
     /** Cached per-phase timing scores (see phaseII). */
-    std::vector<std::uint64_t> ii_;
+    std::vector<PhaseScore> ii_;
+    /** Rule 2's memo: the generation at which each relocation
+     *  (entity x PE) and each swap (lower x higher entity) last
+     *  failed to win.  The generation advances on every position
+     *  change, so a stamp equal to gen_ means the state is the one
+     *  the move already lost in. */
+    std::uint32_t gen_ = 1;
+    std::vector<std::uint32_t> relocStamp_;
+    std::vector<std::uint32_t> swapStamp_;
     std::uint64_t wire_ = 0;
     std::uint64_t recWeight_ = 8;
     int improvingMoves_ = 0;
