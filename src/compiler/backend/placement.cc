@@ -806,7 +806,8 @@ class CostPlacer
     {
         const auto &edges =
             skewEdges_[static_cast<std::size_t>(phase)];
-        const int gen = genIdx_[static_cast<std::size_t>(phase)];
+        const int generator =
+            genIdx_[static_cast<std::size_t>(phase)];
         auto &fire = fireScratch_;
         // One pass, one group of edges per consumer: every producer
         // has a lower index, so its group (and firing time) is
@@ -820,7 +821,7 @@ class CostPlacer
             for (; i < edges.size() && edges[i].second == dst; ++i) {
                 const int src = edges[i].first;
                 const std::int64_t arrival =
-                    (src == gen
+                    (src == generator
                          ? 0
                          : fire[static_cast<std::size_t>(src)] +
                                static_cast<std::int64_t>(exec_)) +
