@@ -69,8 +69,8 @@ MarionetteMachine::MarionetteMachine(const MachineConfig &config)
             config_.controlFifoDepth,
             "cfifo" + std::to_string(i)));
     meshInflight_.assign(
-        static_cast<std::size_t>(config_.numPes()),
-        std::vector<int>(Pe::numChannels, 0));
+        static_cast<std::size_t>(config_.numPes() * Pe::numChannels),
+        0);
     fifoInflight_.assign(
         static_cast<std::size_t>(config_.controlFifoCount), 0);
     awake_.assign((static_cast<std::size_t>(config_.numPes()) + 63) / 64,
@@ -110,8 +110,7 @@ MarionetteMachine::load(const Program &program)
     pendingCtrl_.clear();
     pendingPush_.clear();
     mesh_.clearInFlight();
-    for (auto &row : meshInflight_)
-        std::fill(row.begin(), row.end(), 0);
+    std::fill(meshInflight_.begin(), meshInflight_.end(), 0);
     std::fill(fifoInflight_.begin(), fifoInflight_.end(), 0);
     outputs_.assign(
         static_cast<std::size_t>(std::max(1, program.numOutputs)),
@@ -376,8 +375,7 @@ MarionetteMachine::run(Cycle max_cycles)
         mesh_.deliverArrivals(now_, [&](const MeshPacket &pkt) {
             pes_[static_cast<std::size_t>(pkt.dst)]->acceptData(
                 pkt.channel, pkt.value);
-            --meshInflight_[static_cast<std::size_t>(pkt.dst)]
-                           [static_cast<std::size_t>(pkt.channel)];
+            --meshInflight_[inflightSlot(pkt.dst, pkt.channel)];
             wakeIfWaiting(pkt.dst, WakeOn::Channel, pkt.dst,
                           pkt.channel);
             progressed = true;
@@ -838,9 +836,7 @@ MarionetteMachine::dataCredit(PeId dst, int channel)
         return false;
     int space = pes_[static_cast<std::size_t>(dst)]->channelSpace(
         channel);
-    int claimed = meshInflight_[static_cast<std::size_t>(dst)]
-                               [static_cast<std::size_t>(channel)];
-    return space - claimed > 0;
+    return space - meshInflight_[inflightSlot(dst, channel)] > 0;
 }
 
 void
@@ -848,8 +844,7 @@ MarionetteMachine::claimDataCredit(PeId dst, int channel)
 {
     MARIONETTE_ASSERT(dst >= 0 && dst < config_.numPes(),
                       "claim for bad PE %d", dst);
-    ++meshInflight_[static_cast<std::size_t>(dst)]
-                   [static_cast<std::size_t>(channel)];
+    ++meshInflight_[inflightSlot(dst, channel)];
 }
 
 bool

@@ -42,7 +42,11 @@
  * saveState() and restore() brings an identically-configured
  * machine back to that point through restoreState(), so the
  * serving core can warm-start repeated runs from a compiled+filled
- * checkpoint instead of re-preparing from scratch.
+ * checkpoint instead of re-preparing from scratch.  Per input
+ * channel and control FIFO a snapshot keeps only the buffered
+ * words, oldest first, as a plain vector (empty: no allocation);
+ * per (PE, channel) it keeps the claimed-but-undelivered credit
+ * count in one flat array.
  */
 
 #ifndef MARIONETTE_ARCH_MACHINE_H
@@ -284,7 +288,9 @@ class MarionetteMachine : public FabricIface
         Cycle pushDrained = 0;
         std::vector<std::pair<Cycle, PendingPush>> pushEvents;
 
-        std::vector<std::vector<int>> meshInflight;
+        /** Claimed-but-undelivered words, pe * Pe::numChannels +
+         *  channel (as meshInflight_). */
+        std::vector<int> meshInflight;
         std::vector<int> fifoInflight;
         std::vector<std::vector<Word>> outputs;
 
@@ -292,7 +298,9 @@ class MarionetteMachine : public FabricIface
         DataMesh::State mesh;
         std::vector<Word> scratchpadWords;
         StatGroupState scratchpadStats;
-        std::vector<std::deque<Word>> fifoContents;
+        /** Each control FIFO's words, oldest first: an empty FIFO
+         *  holds no allocation. */
+        std::vector<std::vector<Word>> fifoContents;
         std::vector<StatGroupState> fifoStats;
         StatGroupState machineStats;
         StatGroupState ctrlNetStats;
@@ -330,6 +338,12 @@ class MarionetteMachine : public FabricIface
     PeId nextAwake(PeId from) const;
     bool peDead(PeId pe) const
     { return peDead_[static_cast<std::size_t>(pe)] != 0; }
+    /** meshInflight_'s slot for @p channel of @p pe. */
+    static std::size_t
+    inflightSlot(PeId pe, int channel)
+    {
+        return static_cast<std::size_t>(pe * Pe::numChannels + channel);
+    }
 
     MachineConfig config_;
     std::vector<std::unique_ptr<Pe>> pes_;
@@ -352,9 +366,10 @@ class MarionetteMachine : public FabricIface
     Cycle now_ = 0;
     CalendarQueue<PendingCtrl> pendingCtrl_;
     CalendarQueue<PendingPush> pendingPush_;
-    /** Claimed-but-undelivered words per (pe, channel): reserved at
-     *  issue, released when the word lands in the channel. */
-    std::vector<std::vector<int>> meshInflight_;
+    /** Claimed-but-undelivered words per (pe, channel), at
+     *  pe * Pe::numChannels + channel: reserved at issue, released
+     *  when the word lands in the channel. */
+    std::vector<int> meshInflight_;
     /** Scratch buffer for batching one firing's fan-out into a
      *  mesh multicast (run-loop hot path; avoids reallocation). */
     std::vector<std::pair<PeId, int>> multicastDests_;

@@ -6,14 +6,13 @@ namespace marionette
 {
 
 ControlFifo::ControlFifo(int depth, const std::string &name)
-    : depth_(depth),
+    : entries_(depth),
       stats_(name),
       statPushes_(stats_.stat("pushes")),
       statPops_(stats_.stat("pops")),
       statPushBlocked_(stats_.stat("push_blocked")),
       statMaxOccupancy_(stats_.stat("max_occupancy"))
 {
-    MARIONETTE_ASSERT(depth > 0, "FIFO depth must be positive");
 }
 
 bool
@@ -23,7 +22,7 @@ ControlFifo::push(Word value)
         statPushBlocked_.inc();
         return false;
     }
-    entries_.push_back(value);
+    entries_.push(value);
     statPushes_.inc();
     statMaxOccupancy_.max(
         static_cast<std::uint64_t>(occupancy()));
@@ -34,10 +33,8 @@ Word
 ControlFifo::pop()
 {
     MARIONETTE_ASSERT(!empty(), "pop from empty control FIFO");
-    Word v = entries_.front();
-    entries_.pop_front();
     statPops_.inc();
-    return v;
+    return entries_.pop();
 }
 
 Word

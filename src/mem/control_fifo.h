@@ -7,14 +7,17 @@
  * pipeline finishes a round of iterations it pops the pre-collected
  * outer control word to decide whether to start the next round —
  * without reconfiguring the outer BB onto PEs.  Bounded depth with
- * explicit full/empty so back-pressure is modeled.
+ * explicit full/empty so back-pressure is modeled.  The words sit
+ * in a WordRing (sim/ring.h) of the FIFO's depth.
  */
 
 #ifndef MARIONETTE_MEM_CONTROL_FIFO_H
 #define MARIONETTE_MEM_CONTROL_FIFO_H
 
-#include <deque>
+#include <span>
+#include <vector>
 
+#include "sim/ring.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -31,12 +34,11 @@ class ControlFifo
      */
     explicit ControlFifo(int depth, const std::string &name = "cfifo");
 
-    int depth() const { return depth_; }
-    int occupancy() const
-    { return static_cast<int>(entries_.size()); }
+    int depth() const { return entries_.capacity(); }
+    int occupancy() const { return entries_.size(); }
 
     bool empty() const { return entries_.empty(); }
-    bool full() const { return occupancy() >= depth_; }
+    bool full() const { return entries_.full(); }
 
     /** Push a control word; @return false (and drop) when full. */
     bool push(Word value);
@@ -56,14 +58,14 @@ class ControlFifo
     void resetStats() { stats_.resetAll(); }
 
     /** Buffered words, oldest first (machine snapshots). */
-    const std::deque<Word> &contents() const { return entries_; }
+    std::vector<Word> contents() const { return entries_.contents(); }
 
     /** Restore a contents() + stats capture (machine snapshots). */
     void
-    restoreState(const std::deque<Word> &entries,
+    restoreState(std::span<const Word> entries,
                  const StatGroupState &stats)
     {
-        entries_ = entries;
+        entries_.assign(entries);
         stats_.restoreState(stats);
     }
 
@@ -74,8 +76,7 @@ class ControlFifo
     }
 
   private:
-    int depth_;
-    std::deque<Word> entries_;
+    WordRing entries_;
     StatGroup stats_;
     Stat &statPushes_;
     Stat &statPops_;

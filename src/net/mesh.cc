@@ -69,6 +69,22 @@ MeshGeometry::numLinks() const
 }
 
 int
+MeshGeometry::neighbors(PeId at, PeId (&out)[4]) const
+{
+    const int r = at / cols, c = at % cols;
+    int n = 0;
+    if (c + 1 < cols)
+        out[n++] = at + 1;
+    if (c > 0)
+        out[n++] = at - 1;
+    if (r + 1 < rows)
+        out[n++] = at + cols;
+    if (r > 0)
+        out[n++] = at - cols;
+    return n;
+}
+
+int
 MeshGeometry::linkIndex(PeId from, PeId to) const
 {
     MARIONETTE_ASSERT(hops(from, to) == 1,
@@ -150,22 +166,12 @@ MeshRouter::path(PeId src, PeId dst)
     queue.reserve(static_cast<std::size_t>(num_pes));
     queue.push_back(src);
     seen[static_cast<std::size_t>(src)] = 1;
-    const int cols = geom_.cols;
     for (std::size_t head = 0; head < queue.size(); ++head) {
         PeId at = queue[head];
         if (at == dst)
             break;
-        int r = at / cols, c = at % cols;
         PeId peers[4];
-        int n = 0;
-        if (c + 1 < cols)
-            peers[n++] = at + 1;
-        if (c > 0)
-            peers[n++] = at - 1;
-        if (r + 1 < geom_.rows)
-            peers[n++] = at + cols;
-        if (r > 0)
-            peers[n++] = at - cols;
+        const int n = geom_.neighbors(at, peers);
         for (int k = 0; k < n; ++k) {
             PeId next = peers[k];
             if (seen[static_cast<std::size_t>(next)] ||
@@ -212,6 +218,7 @@ DataMesh::DataMesh(int rows, int cols, Cycles hop_latency)
       stats_("datamesh"),
       flight_(static_cast<Cycles>(rows + cols) * hop_latency + 2),
       linkLoads_(static_cast<std::size_t>(geom_.numLinks()), 0),
+      linkStamp_(static_cast<std::size_t>(geom_.numLinks()), 0),
       statPackets_(stats_.stat("packets")),
       statHopTraversals_(stats_.stat("hop_traversals")),
       statMaxLinkLoad_(stats_.stat("max_link_load"))
@@ -219,72 +226,121 @@ DataMesh::DataMesh(int rows, int cols, Cycles hop_latency)
     MARIONETTE_ASSERT(rows > 0 && cols > 0,
                       "mesh dimensions must be positive");
     MARIONETTE_ASSERT(hop_latency >= 1, "hop latency must be >= 1");
+    buildRoutes();
 }
 
 void
 DataMesh::setDeadLinks(const std::vector<DeadLink> &dead_links)
 {
     router_ = MeshRouter(geom_, dead_links);
+    buildRoutes();
+}
+
+void
+DataMesh::buildRoutes()
+{
+    const int n = geom_.numPes();
+    routes_.assign(static_cast<std::size_t>(n) *
+                       static_cast<std::size_t>(n),
+                   PairRoute{});
+    auto store = [&](PeId src, PeId dst, int hops) {
+        const Cycles latency = std::max<Cycles>(
+            1, static_cast<Cycles>(hops) * geom_.hopLatency);
+        MARIONETTE_ASSERT(latency <= 0xffff,
+                          "mesh latency %llu exceeds the route table",
+                          static_cast<unsigned long long>(latency));
+        routes_[static_cast<std::size_t>(src * n + dst)] =
+            PairRoute{static_cast<std::uint16_t>(latency),
+                      static_cast<std::uint16_t>(hops)};
+    };
+    if (!router_.faulty()) {
+        // Every pair takes its XY route: the Manhattan distance.
+        std::vector<int> row(static_cast<std::size_t>(n));
+        std::vector<int> col(static_cast<std::size_t>(n));
+        for (PeId p = 0; p < n; ++p) {
+            row[static_cast<std::size_t>(p)] = p / geom_.cols;
+            col[static_cast<std::size_t>(p)] = p % geom_.cols;
+        }
+        for (std::size_t src = 0; src < row.size(); ++src)
+            for (std::size_t dst = 0; dst < row.size(); ++dst)
+                store(static_cast<PeId>(src), static_cast<PeId>(dst),
+                      std::abs(row[src] - row[dst]) +
+                          std::abs(col[src] - col[dst]));
+        return;
+    }
+    // With dead links a pair keeps its XY route when that avoids
+    // them and takes a shortest detour otherwise, so its hop count
+    // is the shortest-path distance over the intact links: one
+    // breadth-first search per source.  Unreached pairs keep
+    // latency 0 (disconnected).
+    std::vector<int> dist(static_cast<std::size_t>(n));
+    std::vector<PeId> queue;
+    queue.reserve(static_cast<std::size_t>(n));
+    for (PeId src = 0; src < n; ++src) {
+        std::fill(dist.begin(), dist.end(), -1);
+        dist[static_cast<std::size_t>(src)] = 0;
+        queue.assign(1, src);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            const PeId at = queue[head];
+            PeId peers[4];
+            const int k = geom_.neighbors(at, peers);
+            for (int i = 0; i < k; ++i) {
+                int &d = dist[static_cast<std::size_t>(peers[i])];
+                if (d >= 0 || router_.linkDead(at, peers[i]))
+                    continue;
+                d = dist[static_cast<std::size_t>(at)] + 1;
+                queue.push_back(peers[i]);
+            }
+        }
+        for (PeId dst = 0; dst < n; ++dst)
+            if (dist[static_cast<std::size_t>(dst)] >= 0)
+                store(src, dst, dist[static_cast<std::size_t>(dst)]);
+    }
+}
+
+void
+DataMesh::dropWord(PeId src, PeId dst)
+{
+    // The physical router has nowhere to forward the word; the
+    // machine's watchdog turns the loss into a structured deadlock
+    // error.
+    ++dropped_;
+    lastDropSrc_ = src;
+    lastDropDst_ = dst;
+    stats_.stat("dropped_words").inc();
+}
+
+void
+DataMesh::schedule(Cycle now, Cycles latency, PeId src, PeId dst,
+                   Word value, int channel)
+{
+    MeshPacket pkt;
+    pkt.src = src;
+    pkt.dst = dst;
+    pkt.value = value;
+    pkt.channel = channel;
+    pkt.arrival = now + latency;
+    flight_.schedule(pkt.arrival, pkt);
+    statPackets_.inc();
 }
 
 void
 DataMesh::send(Cycle now, PeId src, PeId dst, Word value,
                int channel)
 {
-    if (router_.faulty()) {
-        // Fault mode: route on the shared MeshRouter's detours —
-        // the exact paths and latencies the compiler's route pass
-        // planned with.  Words whose endpoints the dead links
-        // disconnect are dropped (and counted): the physical
-        // router has nowhere to forward them, and the machine's
-        // watchdog turns the loss into a structured deadlock error.
-        const std::vector<PeId> &path = router_.path(src, dst);
-        if (path.empty()) {
-            ++dropped_;
-            lastDropSrc_ = src;
-            lastDropDst_ = dst;
-            stats_.stat("dropped_words").inc();
-            return;
-        }
-        MeshPacket pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.value = value;
-        pkt.channel = channel;
-        pkt.arrival = now + router_.latency(src, dst);
-        flight_.schedule(pkt.arrival, pkt);
-        statPackets_.inc();
-        statHopTraversals_.inc(
-            static_cast<std::uint64_t>(path.size() - 1));
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-            std::uint64_t &load =
-                linkLoads_[static_cast<std::size_t>(
-                    geom_.linkIndex(path[i], path[i + 1]))];
-            ++load;
-            if (load > statMaxLinkLoad_.value())
-                statMaxLinkLoad_.set(load);
-        }
+    // With dead links installed the word follows the shared
+    // MeshRouter's detour — the exact path and latency the
+    // compiler's route pass planned with — or is dropped when the
+    // pair is disconnected.
+    const PairRoute &r = route(src, dst);
+    if (r.latency == 0) {
+        dropWord(src, dst);
         return;
     }
-
-    MeshPacket pkt;
-    pkt.src = src;
-    pkt.dst = dst;
-    pkt.value = value;
-    pkt.channel = channel;
-    pkt.arrival = now + latency(src, dst);
-    flight_.schedule(pkt.arrival, pkt);
-    statPackets_.inc();
-    statHopTraversals_.inc(static_cast<std::uint64_t>(hops(src, dst)));
-    // Charge every directed link of the XY route (congestion
-    // profile).
-    geom_.forEachXyLink(src, dst, [&](int link) {
-        std::uint64_t &load =
-            linkLoads_[static_cast<std::size_t>(link)];
-        ++load;
-        if (load > statMaxLinkLoad_.value())
-            statMaxLinkLoad_.set(load);
-    });
+    schedule(now, r.latency, src, dst, value, channel);
+    statHopTraversals_.inc(r.hops);
+    // Charge every directed link of the route (congestion profile).
+    forEachRouteLink(src, dst, [this](int link) { chargeLink(link); });
 }
 
 void
@@ -300,52 +356,32 @@ DataMesh::multicast(Cycle now, PeId src,
         return;
     }
 
-    // Union of directed link indices over every destination's
-    // route; small sorted vector (fanout is a handful of replicas).
-    treeLinks_.clear();
+    // A fresh stamp for this multicast's link union.  When the
+    // counter wraps, marks left by earlier multicasts could collide
+    // with the new values, so every mark is cleared first.
+    if (++stamp_ == 0) {
+        std::fill(linkStamp_.begin(), linkStamp_.end(), 0);
+        stamp_ = 1;
+    }
+    std::uint64_t union_links = 0;
+    auto mark = [&](int link) {
+        std::uint16_t &s = linkStamp_[static_cast<std::size_t>(link)];
+        if (s == stamp_)
+            return; // already charged by another destination.
+        s = stamp_;
+        ++union_links;
+        chargeLink(link);
+    };
     for (const auto &[dst, channel] : dests) {
-        Cycles lat;
-        if (router_.faulty()) {
-            const std::vector<PeId> &path = router_.path(src, dst);
-            if (path.empty()) {
-                ++dropped_;
-                lastDropSrc_ = src;
-                lastDropDst_ = dst;
-                stats_.stat("dropped_words").inc();
-                continue;
-            }
-            for (std::size_t i = 0; i + 1 < path.size(); ++i)
-                treeLinks_.push_back(
-                    geom_.linkIndex(path[i], path[i + 1]));
-            lat = router_.latency(src, dst);
-        } else {
-            geom_.forEachXyLink(src, dst, [this](int link) {
-                treeLinks_.push_back(link);
-            });
-            lat = latency(src, dst);
+        const PairRoute &r = route(src, dst);
+        if (r.latency == 0) {
+            dropWord(src, dst);
+            continue;
         }
-        MeshPacket pkt;
-        pkt.src = src;
-        pkt.dst = dst;
-        pkt.value = value;
-        pkt.channel = channel;
-        pkt.arrival = now + lat;
-        flight_.schedule(pkt.arrival, pkt);
-        statPackets_.inc();
+        forEachRouteLink(src, dst, mark);
+        schedule(now, r.latency, src, dst, value, channel);
     }
-    std::sort(treeLinks_.begin(), treeLinks_.end());
-    treeLinks_.erase(
-        std::unique(treeLinks_.begin(), treeLinks_.end()),
-        treeLinks_.end());
-    statHopTraversals_.inc(
-        static_cast<std::uint64_t>(treeLinks_.size()));
-    for (int link : treeLinks_) {
-        std::uint64_t &load =
-            linkLoads_[static_cast<std::size_t>(link)];
-        ++load;
-        if (load > statMaxLinkLoad_.value())
-            statMaxLinkLoad_.set(load);
-    }
+    statHopTraversals_.inc(union_links);
 }
 
 void

@@ -22,6 +22,13 @@
  * cycle instead of scanning everything pending.  Each send also
  * charges the directed links of its XY path, giving the per-link
  * congestion counters the evaluation reports (max/total link load).
+ *
+ * Sends are table-driven: DataMesh precomputes every (src, dst)
+ * pair's routed hop count and latency when it is built and again
+ * when dead links are installed, so a send reads one table entry
+ * instead of deriving coordinates.  A multicast marks the links of
+ * its route union with per-link stamps (one stamp value per
+ * multicast) instead of collecting and sorting them.
  */
 
 #ifndef MARIONETTE_NET_MESH_H
@@ -32,6 +39,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/fault.h"
+#include "sim/logging.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -76,6 +84,11 @@ struct MeshGeometry
 
     /** Directed mesh links (each adjacent PE pair, both ways). */
     int numLinks() const;
+
+    /** Store @p at's mesh neighbours in @p out in the fixed east,
+     *  west, south, north order (the routers' search order); returns
+     *  how many there are. */
+    int neighbors(PeId at, PeId (&out)[4]) const;
 
     /**
      * Dense index of the directed link @p from -> @p to; the two
@@ -224,12 +237,12 @@ class DataMesh
     /**
      * Fault-aware end-to-end latency: geometry latency on a healthy
      * mesh, detour latency with dead links installed, 0 when the
-     * pair is disconnected.  What send() actually charges.
+     * pair is disconnected.  What send() actually charges, read
+     * from the precomputed pair table.
      */
-    Cycles routedLatency(PeId src, PeId dst)
+    Cycles routedLatency(PeId src, PeId dst) const
     {
-        return router_.faulty() ? router_.latency(src, dst)
-                                : geom_.latency(src, dst);
+        return route(src, dst).latency;
     }
 
     /** Manhattan hop count between two PEs. */
@@ -332,6 +345,62 @@ class DataMesh
     void restoreState(const State &state);
 
   private:
+    /** Precomputed send geometry of one (src, dst) pair. */
+    struct PairRoute
+    {
+        /** Routed end-to-end latency; 0 when dead links disconnect
+         *  the pair. */
+        std::uint16_t latency = 0;
+        /** Routed hop count (the links a unicast charges). */
+        std::uint16_t hops = 0;
+    };
+
+    /** Fill routes_ from the geometry and the installed dead links:
+     *  every pair's shortest intact path, which is the XY route
+     *  whenever that avoids the dead links (MeshRouter's policy). */
+    void buildRoutes();
+
+    const PairRoute &
+    route(PeId src, PeId dst) const
+    {
+        const int n = geom_.numPes();
+        MARIONETTE_ASSERT(src >= 0 && src < n && dst >= 0 && dst < n,
+                          "mesh send %d -> %d out of range", src, dst);
+        return routes_[static_cast<std::size_t>(src * n + dst)];
+    }
+
+    /** Call @p fn(link) for every directed link of the routed path
+     *  from @p src to @p dst (connected pairs only). */
+    template <typename F>
+    void
+    forEachRouteLink(PeId src, PeId dst, F &&fn)
+    {
+        if (!router_.faulty()) {
+            geom_.forEachXyLink(src, dst, fn);
+            return;
+        }
+        const std::vector<PeId> &path = router_.path(src, dst);
+        for (std::size_t i = 0; i + 1 < path.size(); ++i)
+            fn(geom_.linkIndex(path[i], path[i + 1]));
+    }
+
+    /** One more traversal of @p link. */
+    void
+    chargeLink(int link)
+    {
+        std::uint64_t &load = linkLoads_[static_cast<std::size_t>(link)];
+        ++load;
+        if (load > statMaxLinkLoad_.value())
+            statMaxLinkLoad_.set(load);
+    }
+
+    /** Count a word the dead links leave no route for. */
+    void dropWord(PeId src, PeId dst);
+
+    /** Put a word for @p dst on the wire, arriving after @p latency. */
+    void schedule(Cycle now, Cycles latency, PeId src, PeId dst,
+                  Word value, int channel);
+
     MeshGeometry geom_;
     StatGroup stats_;
     CalendarQueue<MeshPacket> flight_;
@@ -339,8 +408,15 @@ class DataMesh
     std::vector<std::uint64_t> linkLoads_;
     /** Fault-aware router; pass-through until setDeadLinks(). */
     MeshRouter router_;
-    /** multicast()'s route-tree link union (capacity reused). */
-    std::vector<int> treeLinks_;
+    /** Send geometry per pair, at src * numPes + dst. */
+    std::vector<PairRoute> routes_;
+    /** multicast()'s link-union marks: a link belongs to the
+     *  current multicast's union when its stamp equals stamp_.
+     *  Narrow on purpose, so the wrap (every 65,535 multicasts,
+     *  where every mark is cleared) is exercised by ordinary runs;
+     *  none of this is run-time state a snapshot needs. */
+    std::vector<std::uint16_t> linkStamp_;
+    std::uint16_t stamp_ = 0;
     std::uint64_t dropped_ = 0;
     PeId lastDropSrc_ = invalidPe;
     PeId lastDropDst_ = invalidPe;

@@ -5,15 +5,19 @@
  * Channels decouple producers from consumers: the mesh deposits
  * words, the FU pops them when an instruction fires.  Bounded depth
  * gives the fabric back-pressure; the machine checks credit before
- * letting a producer fire.
+ * letting a producer fire.  The words sit in a WordRing
+ * (sim/ring.h) of the channel's depth, so pushes and pops allocate
+ * nothing.
  */
 
 #ifndef MARIONETTE_PE_CHANNEL_H
 #define MARIONETTE_PE_CHANNEL_H
 
-#include <deque>
+#include <span>
+#include <vector>
 
 #include "sim/logging.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 
 namespace marionette
@@ -23,21 +27,20 @@ namespace marionette
 class InputChannel
 {
   public:
-    explicit InputChannel(int depth = 8) : depth_(depth) {}
+    explicit InputChannel(int depth = 8) : words_(depth) {}
 
-    int depth() const { return depth_; }
-    int occupancy() const
-    { return static_cast<int>(words_.size()); }
+    int depth() const { return words_.capacity(); }
+    int occupancy() const { return words_.size(); }
     bool empty() const { return words_.empty(); }
-    bool full() const { return occupancy() >= depth_; }
-    int space() const { return depth_ - occupancy(); }
+    bool full() const { return words_.full(); }
+    int space() const { return depth() - occupancy(); }
 
     void
     push(Word value)
     {
         MARIONETTE_ASSERT(!full(),
                           "channel overflow (credit protocol bug)");
-        words_.push_back(value);
+        words_.push(value);
     }
 
     Word
@@ -51,9 +54,7 @@ class InputChannel
     pop()
     {
         MARIONETTE_ASSERT(!empty(), "pop of empty channel");
-        Word v = words_.front();
-        words_.pop_front();
-        return v;
+        return words_.pop();
     }
 
     void clear() { words_.clear(); }
@@ -69,17 +70,13 @@ class InputChannel
     }
 
     /** Buffered words, oldest first (machine snapshots). */
-    const std::deque<Word> &words() const { return words_; }
+    std::vector<Word> contents() const { return words_.contents(); }
 
-    /** Restore a words() capture (machine snapshots). */
-    void restoreWords(const std::deque<Word> &words)
-    {
-        words_ = words;
-    }
+    /** Restore a contents() capture (machine snapshots). */
+    void restore(std::span<const Word> words) { words_.assign(words); }
 
   private:
-    int depth_;
-    std::deque<Word> words_;
+    WordRing words_;
 };
 
 } // namespace marionette

@@ -33,7 +33,6 @@ Pe::Pe(PeId id, const MachineConfig &config, bool nonlinear_capable)
       config_(config),
       nonlinearCapable_(nonlinear_capable),
       trigger_(config.configLatency),
-      channels_(numChannels, InputChannel(8)),
       regs_(static_cast<std::size_t>(config.localRegs), 0),
       stats_("pe" + std::to_string(id)),
       hot_(stats_)
@@ -45,7 +44,6 @@ Pe::loadProgram(const PeProgram &program)
 {
     reset();
     instrs_ = program.instrs;
-    entry_ = program.entry;
     for (const Instruction &in : instrs_) {
         if (isNonlinearOp(in.op) && !nonlinearCapable_)
             MARIONETTE_FATAL("nonlinear op '%.*s' mapped to "
@@ -196,30 +194,30 @@ Pe::applyConfiguration(Cycle now, PeTickResult &out)
 }
 
 bool
-Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
+Pe::tryFireLoop(Cycle now, const Instruction &in, FabricIface &fabric,
+                PeTickResult &out)
 {
-    const Instruction *in = current();
     // Acquire a new round when idle.  FIFO-fed loops start a round
     // per FIFO entry (Sec. 4.3); immediate-bound loops run exactly
     // one round per configuration.
     if (!loopActive_) {
-        Word start = in->loopStart;
-        Word bound = in->loopBound;
-        bool fifo_fed = in->startFifo >= 0 || in->boundFifo >= 0;
+        Word start = in.loopStart;
+        Word bound = in.loopBound;
+        bool fifo_fed = in.startFifo >= 0 || in.boundFifo >= 0;
         if (!fifo_fed && loopOnceDone_) {
             wait_.on = WakeOn::Control;
             return false;
         }
-        for (int fifo : {in->startFifo, in->boundFifo}) {
+        for (int fifo : {in.startFifo, in.boundFifo}) {
             if (fifo >= 0 && !fabric.fifoHasData(fifo)) {
                 wait_ = PeWait{WakeOn::FifoData, invalidPe, fifo};
                 return false;
             }
         }
-        if (in->startFifo >= 0)
-            start = fabric.fifoPop(in->startFifo);
-        if (in->boundFifo >= 0)
-            bound = fabric.fifoPop(in->boundFifo);
+        if (in.startFifo >= 0)
+            start = fabric.fifoPop(in.startFifo);
+        if (in.boundFifo >= 0)
+            bound = fabric.fifoPop(in.boundFifo);
         loopIter_ = start;
         loopBound_ = bound;
         loopActive_ = true;
@@ -236,31 +234,30 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
     if (loopIter_ >= loopBound_) {
         // Round complete: emit the exit address once, go idle.
         loopActive_ = false;
-        if (in->startFifo < 0 && in->boundFifo < 0)
+        if (in.startFifo < 0 && in.boundFifo < 0)
             loopOnceDone_ = true;
-        if (in->loopExitAddr != invalidInstr &&
-            !in->ctrlDests.empty()) {
+        if (in.loopExitAddr != invalidInstr && !in.ctrlDests.empty()) {
             out.ctrlSends.push_back(
-                CtrlSend{in->ctrlDests, in->loopExitAddr});
+                CtrlSend{in.ctrlDests, in.loopExitAddr});
             hot_.loopExits.inc();
         }
         return true;
     }
 
     // Credit check on every data destination before generating.
-    if (creditClosed(*in, fabric))
+    if (creditClosed(in, fabric))
         return false;
-    for (const DestSel &d : in->dests) {
+    for (const DestSel &d : in.dests) {
         if (d.kind == DestSel::Kind::PeChannel)
             fabric.claimDataCredit(d.pe, d.channel);
     }
-    if (in->pushFifo >= 0)
-        fabric.claimFifoSlot(in->pushFifo);
+    if (in.pushFifo >= 0)
+        fabric.claimFifoSlot(in.pushFifo);
 
     // Emit the induction value.  All channel dests of this firing
     // share one group: the mesh multicasts them as a single word.
     const int group = out.dataGroups++;
-    for (const DestSel &d : in->dests) {
+    for (const DestSel &d : in.dests) {
         switch (d.kind) {
           case DestSel::Kind::PeChannel:
             out.dataSends.push_back(
@@ -276,12 +273,12 @@ Pe::tryFireLoop(Cycle now, FabricIface &fabric, PeTickResult &out)
             break;
         }
     }
-    if (in->pushFifo >= 0)
-        out.fifoPushes.push_back(FifoPush{in->pushFifo, loopIter_});
+    if (in.pushFifo >= 0)
+        out.fifoPushes.push_back(FifoPush{in.pushFifo, loopIter_});
 
-    loopIter_ += in->loopStep;
+    loopIter_ += in.loopStep;
     loopNextFire_ =
-        now + static_cast<Cycles>(std::max(1, in->pipelineII));
+        now + static_cast<Cycles>(std::max(1, in.pipelineII));
     hot_.fires.inc();
     hot_.loopIterations.inc();
     // Nothing moves the generator before its next II slot; at
@@ -360,16 +357,16 @@ Pe::countStall(Cycles cycles)
 }
 
 bool
-Pe::tryFire(Cycle now, FabricIface &fabric, PeTickResult &out)
+Pe::tryFire(Cycle now, const Instruction *in, FabricIface &fabric,
+            PeTickResult &out)
 {
-    const Instruction *in = current();
     if (in == nullptr || in->mode == SenderMode::Idle) {
         wait_.on = WakeOn::Control;
         return false;
     }
 
     if (in->mode == SenderMode::LoopOp)
-        return tryFireLoop(now, fabric, out);
+        return tryFireLoop(now, *in, fabric, out);
 
     if (gateClosed(*in, fabric)) {
         countStall(1);
@@ -535,8 +532,9 @@ Pe::tick(Cycle now, FabricIface &fabric, PeTickResult &out)
     // configuration before it ever took effect.  A gated PE defers
     // applying while unconsumed firing credits remain, keeping the
     // datum/configuration pairing exact.
-    bool gated_busy = current() != nullptr &&
-                      current()->ctrlGated && gateCredits_ > 0;
+    const Instruction *in = current();
+    const bool gated_busy =
+        in != nullptr && in->ctrlGated && gateCredits_ > 0;
     if (!gated_busy) {
         applyConfiguration(now, out);
         if (pendingGateCredits_ > 0 && !trigger_.configuring()) {
@@ -559,15 +557,17 @@ Pe::tick(Cycle now, FabricIface &fabric, PeTickResult &out)
     }
 
     // Data flow part: retire completed work, then try to issue.
+    // The configuration phase is over, so the instruction stays
+    // fixed for the rest of the tick.
+    in = current();
+    const bool active = in != nullptr && in->mode != SenderMode::Idle;
     retire(now, out);
-    if (tryFire(now, fabric, out))
+    if (tryFire(now, in, fabric, out))
         out.progressed = true;
-    else if (current() != nullptr &&
-             current()->mode != SenderMode::Idle)
+    else if (active)
         hot_.stallCycles.inc();
 
-    if (current() != nullptr &&
-        current()->mode != SenderMode::Idle)
+    if (active)
         hot_.activeCycles.inc();
 
     if (wait_.on != WakeOn::Tick) {
@@ -579,9 +579,8 @@ Pe::tick(Cycle now, FabricIface &fabric, PeTickResult &out)
         // while deferred applies on the next tick.
         for (const InFlight &op : inflight_)
             wait_.until = std::min(wait_.until, op.complete);
-        const bool gated_next = current() != nullptr &&
-                                current()->ctrlGated &&
-                                gateCredits_ > 0;
+        const bool gated_next =
+            in != nullptr && in->ctrlGated && gateCredits_ > 0;
         if (trigger_.configuring() && !gated_next)
             wait_.until = std::min(
                 wait_.until, std::max(trigger_.readyAt(), now + 1));
@@ -609,11 +608,9 @@ Pe::saveState() const
 {
     State s;
     s.instrs = instrs_;
-    s.entry = entry_;
     s.trigger = trigger_.saveState();
-    s.channels.reserve(channels_.size());
-    for (const InputChannel &ch : channels_)
-        s.channels.push_back(ch.words());
+    for (std::size_t i = 0; i < channels_.size(); ++i)
+        s.channels[i] = channels_[i].contents();
     s.regs = regs_;
     s.inflight = inflight_;
     s.ctrlIn = ctrlIn_;
@@ -634,12 +631,9 @@ void
 Pe::restoreState(const State &s)
 {
     instrs_ = s.instrs;
-    entry_ = s.entry;
     trigger_.restoreState(s.trigger);
-    MARIONETTE_ASSERT(s.channels.size() == channels_.size(),
-                      "snapshot channel count mismatch");
     for (std::size_t i = 0; i < channels_.size(); ++i)
-        channels_[i].restoreWords(s.channels[i]);
+        channels_[i].restore(s.channels[i]);
     regs_ = s.regs;
     inflight_ = s.inflight;
     ctrlIn_ = s.ctrlIn;

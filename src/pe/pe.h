@@ -22,6 +22,7 @@
 #ifndef MARIONETTE_PE_PE_H
 #define MARIONETTE_PE_PE_H
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
@@ -192,12 +193,6 @@ class Pe
     /** Clear all runtime state (channels, regs, trigger, FU). */
     void reset();
 
-    /** True when the PE has any instruction loaded. */
-    bool hasProgram() const { return !instrs_.empty(); }
-
-    /** Entry address requested by the program (controller boot). */
-    InstrAddr entryAddr() const { return entry_; }
-
     /** Deposit a control word (check phase runs immediately). */
     void acceptControl(Cycle now, InstrAddr addr);
 
@@ -254,8 +249,7 @@ class Pe
     void
     corruptChannel(int channel, Word xor_mask)
     {
-        if (channel >= 0 &&
-            channel < static_cast<int>(channels_.size()))
+        if (channel >= 0 && channel < numChannels)
             channels_[static_cast<std::size_t>(channel)]
                 .corruptFront(xor_mask);
     }
@@ -284,9 +278,10 @@ class Pe
     struct State
     {
         std::vector<Instruction> instrs;
-        InstrAddr entry = invalidInstr;
         ControlFlowTrigger::State trigger;
-        std::vector<std::deque<Word>> channels;
+        /** Each input channel's words, oldest first: an empty
+         *  channel holds no allocation. */
+        std::array<std::vector<Word>, numChannels> channels;
         std::vector<Word> regs;
         std::vector<InFlight> inflight;
         std::optional<InstrAddr> ctrlIn;
@@ -306,6 +301,9 @@ class Pe
     void restoreState(const State &state);
 
   private:
+    /** The configured instruction; nullptr when unconfigured.  It
+     *  changes only in the configuration phase (applyConfiguration),
+     *  so the rest of a tick reads one lookup. */
     const Instruction *current() const;
 
     bool operandReady(const OperandSel &sel) const;
@@ -323,9 +321,11 @@ class Pe
     /** Count @p cycles of lastStall_'s per-reason stall counter. */
     void countStall(Cycles cycles);
 
-    bool tryFire(Cycle now, FabricIface &fabric, PeTickResult &out);
-    bool tryFireLoop(Cycle now, FabricIface &fabric,
-                     PeTickResult &out);
+    /** Attempt a firing of @p in, the current instruction. */
+    bool tryFire(Cycle now, const Instruction *in, FabricIface &fabric,
+                 PeTickResult &out);
+    bool tryFireLoop(Cycle now, const Instruction &in,
+                     FabricIface &fabric, PeTickResult &out);
     void retire(Cycle now, PeTickResult &out);
     void applyConfiguration(Cycle now, PeTickResult &out);
 
@@ -359,10 +359,8 @@ class Pe
     bool nonlinearCapable_;
 
     std::vector<Instruction> instrs_;
-    InstrAddr entry_ = invalidInstr;
 
     ControlFlowTrigger trigger_;
-    std::vector<InputChannel> channels_;
     std::vector<Word> regs_;
     std::vector<InFlight> inflight_;
 
@@ -398,6 +396,13 @@ class Pe
 
     StatGroup stats_;
     HotStats hot_;
+
+    /** Input channels, each 8 words deep (paper Fig. 4a).  Last, so
+     *  their 128 bytes of ring headers do not spread the state
+     *  above, which every tick reads, over more cache lines: between
+     *  the trigger and the registers they cost the fully-active
+     *  hot-path benchmark about 6 %. */
+    std::array<InputChannel, numChannels> channels_;
 };
 
 } // namespace marionette

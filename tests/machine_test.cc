@@ -460,49 +460,69 @@ expectSame(const RunCapture &a, const RunCapture &b,
 
 /** Restoring a post-prepare checkpoint — into the same machine
  *  after a run, or into a fresh machine — reproduces the straight
- *  prepare-and-run byte for byte. */
+ *  prepare-and-run byte for byte.  SI on the prototype starts with
+ *  empty channels; SCD on the evaluation fabric starts with boot
+ *  seeds in its channels, so its snapshot carries channel words. */
 TEST(Machine, SnapshotRestoreDeterminism)
 {
-    MachineConfig config; // paper-prototype defaults.
-    CompileResult r = Compiler(config).compile("SI");
-    ASSERT_TRUE(r.ok()) << r.report.toString();
-    const CompiledKernel &kernel = *r.kernel;
-
-    auto capture = [&](MarionetteMachine &m) {
-        RunCapture cap;
-        cap.result = m.run(kernel.cycleBudget);
-        cap.stats = m.renderAllStats();
-        cap.memDump = m.scratchpad().dump(
-            0, static_cast<int>(config.scratchpadBytes /
-                                sizeof(Word)));
-        EXPECT_EQ(kernel.validate(m, cap.result), "");
-        return cap;
+    const struct
+    {
+        MachineConfig config;
+        const char *kernel;
+        bool seeded;
+    } cases[] = {
+        {MachineConfig{}, "SI", false}, // paper-prototype defaults.
+        {evalFabric(), "SCD", true},
     };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.kernel);
+        const MachineConfig &config = c.config;
+        CompileResult r = Compiler(config).compile(c.kernel);
+        ASSERT_TRUE(r.ok()) << r.report.toString();
+        const CompiledKernel &kernel = *r.kernel;
 
-    MarionetteMachine a(config);
-    kernel.prepare(a);
-    MachineSnapshot snap = a.snapshot();
-    RunCapture straight = capture(a);
+        auto capture = [&](MarionetteMachine &m) {
+            RunCapture cap;
+            cap.result = m.run(kernel.cycleBudget);
+            cap.stats = m.renderAllStats();
+            cap.memDump = m.scratchpad().dump(
+                0, static_cast<int>(config.scratchpadBytes /
+                                    sizeof(Word)));
+            EXPECT_EQ(kernel.validate(m, cap.result), "");
+            return cap;
+        };
 
-    // Rewind the very machine that just ran.
-    a.restore(snap);
-    RunCapture rewound = capture(a);
-    expectSame(straight, rewound, "in-place restore");
+        MarionetteMachine a(config);
+        kernel.prepare(a);
+        MachineSnapshot snap = a.snapshot();
+        std::size_t channel_words = 0;
+        for (const Pe::State &pe : snap.pes)
+            for (const std::vector<Word> &words : pe.channels)
+                channel_words += words.size();
+        EXPECT_EQ(channel_words > 0, c.seeded) << channel_words;
+        RunCapture straight = capture(a);
 
-    // Warm-start a machine that never saw prepare().
-    MarionetteMachine b(config);
-    b.restore(snap);
-    RunCapture warmed = capture(b);
-    expectSame(straight, warmed, "fresh-machine restore");
+        // Rewind the very machine that just ran.
+        a.restore(snap);
+        RunCapture rewound = capture(a);
+        expectSame(straight, rewound, "in-place restore");
 
-    // A snapshot of a restored machine is as good as the original.
-    MarionetteMachine c(config);
-    c.restore(snap);
-    MachineSnapshot resnap = c.snapshot();
-    MarionetteMachine d(config);
-    d.restore(resnap);
-    RunCapture chained = capture(d);
-    expectSame(straight, chained, "snapshot-of-restore");
+        // Warm-start a machine that never saw prepare().
+        MarionetteMachine b(config);
+        b.restore(snap);
+        RunCapture warmed = capture(b);
+        expectSame(straight, warmed, "fresh-machine restore");
+
+        // A snapshot of a restored machine is as good as the
+        // original.
+        MarionetteMachine m(config);
+        m.restore(snap);
+        MachineSnapshot resnap = m.snapshot();
+        MarionetteMachine d(config);
+        d.restore(resnap);
+        RunCapture chained = capture(d);
+        expectSame(straight, chained, "snapshot-of-restore");
+    }
 }
 
 TEST(MachineDeath, ConfigurationExceedingInstrMemoryRejected)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "mem/control_fifo.h"
 #include "mem/scratchpad.h"
 
@@ -95,6 +97,63 @@ TEST(ControlFifoTest, PushPopFifoOrder)
     EXPECT_EQ(f.pop(), 1);
     EXPECT_EQ(f.pop(), 2);
     EXPECT_TRUE(f.empty());
+
+    // Uneven push and pop rounds walk the head past the ring's end
+    // many times; a plain deque is the model.  A push into a full
+    // FIFO is refused and changes nothing.
+    for (int depth : {1, 4, 8, 16}) {
+        ControlFifo ring(depth);
+        std::deque<Word> model;
+        Word next = 1;
+        for (int round = 0; round < 6 * depth; ++round) {
+            for (int k = 0; k <= round % depth + 1; ++k) {
+                const bool room = static_cast<int>(model.size()) < depth;
+                EXPECT_EQ(ring.push(next), room) << depth;
+                if (room)
+                    model.push_back(next);
+                ++next;
+            }
+            EXPECT_EQ(ring.occupancy(), static_cast<int>(model.size()));
+            for (int k = 0; k <= (3 * round) % depth && !model.empty();
+                 ++k) {
+                EXPECT_EQ(ring.front(), model.front()) << depth;
+                EXPECT_EQ(ring.pop(), model.front()) << depth;
+                model.pop_front();
+            }
+            EXPECT_EQ(ring.contents(),
+                      std::vector<Word>(model.begin(), model.end()))
+                << depth;
+        }
+        EXPECT_EQ(ring.stats().value("max_occupancy"),
+                  static_cast<std::uint64_t>(depth));
+    }
+}
+
+TEST(ControlFifoTest, RestoreOfWrappedContentsKeepsOrder)
+{
+    ControlFifo f(4, "f");
+    for (Word w : {1, 2, 3})
+        f.push(w);
+    f.pop();
+    f.pop();
+    f.push(4);
+    f.push(5); // wrapped: slots 2, 3, 0 hold 3, 4, 5.
+    const std::vector<Word> saved = f.contents();
+    ASSERT_EQ(saved, (std::vector<Word>{3, 4, 5}));
+    const StatGroupState stats = f.saveStats();
+
+    ControlFifo g(4, "f");
+    g.push(8);
+    g.push(9);
+    g.pop(); // g's head sits at slot 1; the restore replaces all.
+    g.restoreState(saved, stats);
+    EXPECT_EQ(g.stats().value("pushes"), 5u);
+    EXPECT_TRUE(g.push(6));
+    EXPECT_FALSE(g.push(7)); // full at depth 4.
+    for (Word w : {3, 4, 5, 6})
+        EXPECT_EQ(g.pop(), w);
+    EXPECT_EQ(ControlFifo(4).contents().capacity(), 0u)
+        << "an empty FIFO's capture allocates nothing";
 }
 
 TEST(ControlFifoTest, FullRejectsPush)

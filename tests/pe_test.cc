@@ -122,6 +122,82 @@ TEST(Channel, PushPopAndSpace)
     EXPECT_EQ(ch.pop(), 1);
     EXPECT_EQ(ch.pop(), 2);
     EXPECT_TRUE(ch.empty());
+
+    // Uneven fill and drain rounds walk the head past the ring's end
+    // many times; a plain deque is the model.
+    for (int depth : {1, 4, 8, 16}) {
+        InputChannel ring(depth);
+        std::deque<Word> model;
+        Word next = 1;
+        for (int round = 0; round < 6 * depth; ++round) {
+            for (int k = 0; k <= round % depth && !ring.full(); ++k) {
+                ring.push(next);
+                model.push_back(next++);
+            }
+            const int held = static_cast<int>(model.size());
+            EXPECT_EQ(ring.occupancy(), held) << depth;
+            EXPECT_EQ(ring.space(), depth - held) << depth;
+            EXPECT_EQ(ring.full(), held == depth) << depth;
+            for (int k = 0; k <= (3 * round) % depth && !model.empty();
+                 ++k) {
+                EXPECT_EQ(ring.front(), model.front()) << depth;
+                EXPECT_EQ(ring.pop(), model.front()) << depth;
+                model.pop_front();
+            }
+            EXPECT_EQ(ring.contents(),
+                      std::vector<Word>(model.begin(), model.end()))
+                << depth;
+        }
+        EXPECT_GT(next, 3 * depth); // the head wrapped.
+    }
+}
+
+TEST(Channel, CorruptFrontAfterWrapFlipsOldestWord)
+{
+    InputChannel ch(4);
+    for (Word w : {1, 2, 3})
+        ch.push(w);
+    ch.pop();
+    ch.pop();
+    ch.push(4);
+    ch.push(5); // lands in slot 0: the ring wrapped.
+    EXPECT_EQ(ch.pop(), 3);
+    ch.corruptFront(0x100); // the oldest word, 4, in the last slot.
+    EXPECT_EQ(ch.contents(), (std::vector<Word>{4 ^ 0x100, 5}));
+    EXPECT_EQ(ch.pop(), 4 ^ 0x100);
+    ch.corruptFront(0x1); // the head itself wrapped to slot 0.
+    EXPECT_EQ(ch.pop(), 5 ^ 0x1);
+    ch.corruptFront(0x1); // empty: no-op.
+    EXPECT_TRUE(ch.empty());
+}
+
+TEST(Channel, SaveRestoreOfWrappedRingKeepsOrder)
+{
+    EXPECT_EQ(InputChannel(8).contents().capacity(), 0u)
+        << "an empty channel's capture allocates nothing";
+    InputChannel ch(8);
+    for (Word w = 0; w < 7; ++w)
+        ch.push(w);
+    for (int k = 0; k < 6; ++k)
+        ch.pop();
+    for (Word w = 7; w < 11; ++w)
+        ch.push(w); // 8, 9 and 10 wrap to slots 0-2.
+    const std::vector<Word> saved = ch.contents();
+    ASSERT_EQ(saved, (std::vector<Word>{6, 7, 8, 9, 10}));
+
+    InputChannel other(8);
+    other.push(-1); // replaced by the restore.
+    other.restore(saved);
+    ch.push(11);
+    ch.restore(saved); // over its own, differently placed words.
+    for (InputChannel *c : {&ch, &other}) {
+        EXPECT_EQ(c->occupancy(), 5);
+        for (Word w = 11; w < 14; ++w)
+            c->push(w); // fills to depth again.
+        EXPECT_TRUE(c->full());
+        for (Word w = 6; w < 14; ++w)
+            EXPECT_EQ(c->pop(), w);
+    }
 }
 
 TEST(ChannelDeath, OverflowPanics)
