@@ -29,9 +29,26 @@ runErrorName(RunError error)
         return "bad_program";
       case RunError::Protocol:
         return "protocol";
+      case RunError::BadAddress:
+        return "bad_address";
     }
     return "unknown";
 }
+
+namespace
+{
+
+/** errorDetail of a RunError::BadAddress; kept out of line so the
+ *  run loop stays small. */
+[[gnu::cold]] std::string
+badAccessDetail(PeId pe, const char *access, Word addr, int words)
+{
+    return "PE " + std::to_string(pe) + " " + access + " of word " +
+           std::to_string(addr) + " outside the " +
+           std::to_string(words) + "-word scratchpad";
+}
+
+} // namespace
 
 MarionetteMachine::MarionetteMachine(const MachineConfig &config)
     : config_(config),
@@ -537,6 +554,15 @@ MarionetteMachine::run(Cycle max_cycles)
                                   std::countr_zero(popped));
             if (r.progressed)
                 progressed = true;
+            if (badAccess_ != nullptr) [[unlikely]] {
+                if (result.error == RunError::None) {
+                    fail(RunError::BadAddress,
+                         badAccessDetail(p, badAccess_, badAddr_,
+                                         scratchpad_->numWords()));
+                    result.faultPe = p;
+                }
+                badAccess_ = nullptr;
+            }
             if (event_driven && pe.wait().on != WakeOn::Tick) {
                 // Every later tick would fail at the gate the wait
                 // names until its event or deadline: sleep until
@@ -694,7 +720,7 @@ MarionetteMachine::snapshot() const
     for (const auto &pe : pes_)
         s.pes.push_back(pe->saveState());
     s.mesh = mesh_.saveState();
-    s.scratchpadWords = scratchpad_->words();
+    s.scratchpad = scratchpad_->image();
     s.scratchpadStats = scratchpad_->saveStats();
     s.fifoContents.reserve(fifos_.size());
     s.fifoStats.reserve(fifos_.size());
@@ -729,8 +755,7 @@ MarionetteMachine::restore(const Snapshot &s)
     for (std::size_t i = 0; i < pes_.size(); ++i)
         pes_[i]->restoreState(s.pes[i]);
     mesh_.restoreState(s.mesh);
-    scratchpad_->restoreState(s.scratchpadWords,
-                              s.scratchpadStats);
+    scratchpad_->restoreState(s.scratchpad, s.scratchpadStats);
     for (std::size_t i = 0; i < fifos_.size(); ++i)
         fifos_[i]->restoreState(s.fifoContents[i], s.fifoStats[i]);
     stats_.restoreState(s.machineStats);
@@ -853,16 +878,27 @@ MarionetteMachine::memPortAvailable(Word addr)
     return scratchpad_->tryAccess(addr);
 }
 
+bool
+MarionetteMachine::inScratchpad(Word addr, const char *access)
+{
+    if (addr >= 0 && addr < scratchpad_->numWords()) [[likely]]
+        return true;
+    badAccess_ = access;
+    badAddr_ = addr;
+    return false;
+}
+
 Word
 MarionetteMachine::memRead(Word addr)
 {
-    return scratchpad_->read(addr);
+    return inScratchpad(addr, "load") ? scratchpad_->read(addr) : 0;
 }
 
 void
 MarionetteMachine::memWrite(Word addr, Word value)
 {
-    scratchpad_->write(addr, value);
+    if (inScratchpad(addr, "store"))
+        scratchpad_->write(addr, value);
 }
 
 bool

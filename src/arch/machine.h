@@ -37,16 +37,21 @@
  * (sim/event_queue.h) bucketed by arrival cycle, as does the data
  * mesh's traffic, making delivery O(arrivals) per cycle.
  *
- * Machine snapshots are plain state copies: snapshot() deep-copies
- * every mutable field of a loaded machine through the components'
+ * Machine snapshots are state copies sized by what the loaded
+ * kernel holds, not by the fabric's capacity: snapshot() copies a
+ * loaded machine's run-time state through the components'
  * saveState() and restore() brings an identically-configured
  * machine back to that point through restoreState(), so the
  * serving core can warm-start repeated runs from a compiled+filled
- * checkpoint instead of re-preparing from scratch.  Per input
- * channel and control FIFO a snapshot keeps only the buffered
- * words, oldest first, as a plain vector (empty: no allocation);
- * per (PE, channel) it keeps the claimed-but-undelivered credit
- * count in one flat array.
+ * checkpoint instead of re-preparing from scratch.  The scratchpad
+ * is kept as its nonzero-word runs (Scratchpad::Image; restore
+ * zeroes the whole pad, then lays the runs back), and every
+ * statistic group as its touched or nonzero entries (restore resets
+ * the rest to the untouched zero state).  Per input channel and
+ * control FIFO a snapshot keeps only the buffered words, oldest
+ * first, as a plain vector (empty: no allocation); per (PE,
+ * channel) it keeps the claimed-but-undelivered credit count in one
+ * flat array.
  */
 
 #ifndef MARIONETTE_ARCH_MACHINE_H
@@ -131,6 +136,10 @@ enum class RunError : std::uint8_t
     /** The fabric violated its own credit protocol (a simulator
      *  bug surfaced as data instead of an abort). */
     Protocol,
+    /** A Load or Store addressed a word outside the scratchpad (a
+     *  corrupted address, e.g. after a transient upset); the access
+     *  reads 0 or writes nothing. */
+    BadAddress,
 };
 
 /** Stable lowercase name of a RunError ("deadlock", ...). */
@@ -160,8 +169,8 @@ struct RunResult
     std::string errorDetail;
     /** Last cycle that made forward progress before the failure. */
     Cycle stalledCycle = 0;
-    /** Offending PE (dead target, stranded generator); invalidPe
-     *  when the failure has no single PE. */
+    /** Offending PE (dead target, stranded generator, wild
+     *  access); invalidPe when the failure has no single PE. */
     PeId faultPe = invalidPe;
     /** Offending mesh endpoints of a lost word (src, dst);
      *  invalidPe when no word was lost. */
@@ -268,12 +277,13 @@ class MarionetteMachine : public FabricIface
 
   public:
     /**
-     * Deep copy of every mutable field of a loaded machine.  Taken
-     * with snapshot(), applied with restore() on a machine built
-     * from the *same architectural configuration* (guarded by
-     * configHash).  A restored machine is indistinguishable from
-     * the one the snapshot was taken on: run() produces the same
-     * RunResult and the same stat dump to the byte.
+     * The run-time state of a loaded machine, kept sparsely (see
+     * the file comment).  Taken with snapshot(), applied with
+     * restore() on a machine built from the *same architectural
+     * configuration* (guarded by configHash).  A restored machine
+     * is indistinguishable from the one the snapshot was taken on:
+     * run() produces the same RunResult and the same stat dump to
+     * the byte.
      */
     struct Snapshot
     {
@@ -296,7 +306,7 @@ class MarionetteMachine : public FabricIface
 
         std::vector<Pe::State> pes;
         DataMesh::State mesh;
-        std::vector<Word> scratchpadWords;
+        Scratchpad::Image scratchpad;
         StatGroupState scratchpadStats;
         /** Each control FIFO's words, oldest first: an empty FIFO
          *  holds no allocation. */
@@ -338,6 +348,9 @@ class MarionetteMachine : public FabricIface
     PeId nextAwake(PeId from) const;
     bool peDead(PeId pe) const
     { return peDead_[static_cast<std::size_t>(pe)] != 0; }
+    /** True when @p addr is a scratchpad word; otherwise records the
+     *  access for run() (see badAccess_). */
+    bool inScratchpad(Word addr, const char *access);
     /** meshInflight_'s slot for @p channel of @p pe. */
     static std::size_t
     inflightSlot(PeId pe, int channel)
@@ -376,6 +389,11 @@ class MarionetteMachine : public FabricIface
     /** Claimed-but-unapplied control FIFO slots. */
     std::vector<int> fifoInflight_;
     std::vector<std::vector<Word>> outputs_;
+    /** The out-of-range access ("load" or "store") of the PE tick in
+     *  progress (a tick issues at most one) and its address; nullptr
+     *  when none.  run() turns it into RunError::BadAddress. */
+    const char *badAccess_ = nullptr;
+    Word badAddr_ = 0;
 
     // ---- activity-driven worklist state (hot path only) ----
     /** Bit p % 64 of word p / 64: PE p is on the active worklist

@@ -90,6 +90,41 @@ Scratchpad::fill(Word base, int count, Word value)
     std::fill_n(data_.begin() + base, count, value);
 }
 
+Scratchpad::Image
+Scratchpad::image() const
+{
+    Image image;
+    auto nonzero = [](Word w) { return w != 0; };
+    for (auto it = std::find_if(data_.begin(), data_.end(), nonzero);
+         it != data_.end();
+         it = std::find_if(it, data_.end(), nonzero)) {
+        auto end = std::find(it, data_.end(), 0);
+        image.runs.push_back({static_cast<Word>(it - data_.begin()),
+                              static_cast<int>(end - it)});
+        image.words.insert(image.words.end(), it, end);
+        it = end;
+    }
+    return image;
+}
+
+void
+Scratchpad::restoreState(const Image &image, const StatGroupState &stats)
+{
+    fill(0, numWords(), 0);
+    auto word = image.words.begin();
+    for (const Image::Run &run : image.runs) {
+        MARIONETTE_ASSERT(run.start >= 0 && run.count >= 0 &&
+                              run.count <= numWords() - run.start &&
+                              run.count <= image.words.end() - word,
+                          "snapshot scratchpad run of %d words at %d "
+                          "out of %d", run.count, run.start,
+                          numWords());
+        std::copy_n(word, run.count, data_.begin() + run.start);
+        word += run.count;
+    }
+    stats_.restoreState(stats);
+}
+
 std::vector<Word>
 Scratchpad::dump(Word base, int count) const
 {

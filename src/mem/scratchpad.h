@@ -71,19 +71,29 @@ class Scratchpad
     /** Zero every statistic (persistent-machine request reset). */
     void resetStats() { stats_.resetAll(); }
 
-    /** Full word image (machine snapshots). */
-    const std::vector<Word> &words() const { return data_; }
-
-    /** Restore a words() + stats capture (machine snapshots). */
-    void
-    restoreState(const std::vector<Word> &words,
-                 const StatGroupState &stats)
+    /**
+     * The nonzero words of the pad (machine snapshots): each run
+     * covers words [start, start + count), and the runs' values sit
+     * back to back in @c words, in run order.  Every word outside
+     * the runs is zero.
+     */
+    struct Image
     {
-        MARIONETTE_ASSERT(words.size() == data_.size(),
-                          "snapshot scratchpad size mismatch");
-        data_ = words;
-        stats_.restoreState(stats);
-    }
+        struct Run
+        {
+            Word start = 0;
+            int count = 0;
+        };
+        std::vector<Run> runs;
+        std::vector<Word> words;
+    };
+
+    /** Capture the nonzero runs (machine snapshots). */
+    Image image() const;
+
+    /** Zero the pad, lay an image() back and restore a saveStats()
+     *  capture (machine snapshots). */
+    void restoreState(const Image &image, const StatGroupState &stats);
 
     /** Snapshot the scratchpad's statistics (machine snapshots). */
     StatGroupState saveStats() const

@@ -44,11 +44,14 @@ StatGroup::render(std::vector<std::string> &out) const
 StatGroupState
 StatGroup::captureState() const
 {
+    // restoreState() resets every entry absent from a capture to
+    // the untouched zero state render() skips, so entries already
+    // in that state need no copy.
     StatGroupState state;
-    state.stats.reserve(stats_.size());
     for (const auto &kv : stats_)
-        state.stats.emplace_back(kv.first, kv.second.value(),
-                                 kv.second.touched());
+        if (kv.second.touched() || kv.second.value() != 0)
+            state.stats.emplace_back(kv.first, kv.second.value(),
+                                     kv.second.touched());
     return state;
 }
 

@@ -66,10 +66,11 @@ class Stat
     bool touched_ = false;
 };
 
-/** Deep copy of a StatGroup's contents (machine snapshots). */
+/** Copy of a StatGroup's contents (machine snapshots). */
 struct StatGroupState
 {
-    /** (name, value, touched) per registered stat. */
+    /** (name, value, touched) per stat that is touched or nonzero;
+     *  every other stat is untouched and zero. */
     std::vector<std::tuple<std::string, std::uint64_t, bool>> stats;
 };
 
@@ -106,7 +107,8 @@ class StatGroup
      *  Stats that were registered but never written are omitted. */
     void render(std::vector<std::string> &out) const;
 
-    /** Deep-copy every stat (machine snapshots). */
+    /** Copy every stat that is touched or nonzero (machine
+     *  snapshots). */
     StatGroupState captureState() const;
 
     /**

@@ -5,7 +5,8 @@
  * watchdog (structured deadlock instead of a hang), zero-fault
  * byte-identity across the whole kernel suite, the fault-aware
  * re-place/re-route acceptance criterion, the discovery-mode retry
- * loop, sweep exception safety, and scheduled transient upsets.
+ * loop, sweep exception safety, scheduled transient upsets, and
+ * wild scratchpad addresses ending a run with a structured error.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +82,78 @@ TEST(Machine, RefusesProgramTargetingDeadPe)
     EXPECT_EQ(run.faultPe, 5);
     EXPECT_NE(run.errorDetail.find("dead PE 5"), std::string::npos)
         << run.errorDetail;
+}
+
+/** The event-driven run (index 0) and the reference run (index 1)
+ *  ended the same way. */
+void
+expectPathsAgree(const RunResult (&runs)[2], const std::string (&stats)[2])
+{
+    EXPECT_EQ(runs[1].error, runs[0].error);
+    EXPECT_EQ(runs[1].faultPe, runs[0].faultPe);
+    EXPECT_EQ(runs[1].errorDetail, runs[0].errorDetail);
+    EXPECT_EQ(runs[1].cycles, runs[0].cycles);
+    EXPECT_EQ(runs[1].outputs, runs[0].outputs);
+    EXPECT_EQ(stats[1], stats[0]);
+}
+
+/** A Load or Store outside the scratchpad ends the run at that
+ *  cycle's boundary with a structured BadAddress naming the issuing
+ *  PE and the address, identically on both run paths; the access
+ *  reads 0 or writes nothing. */
+TEST(Machine, WildAddressIsAStructuredError)
+{
+    MachineConfig config; // 4x4 default.
+    const Word words = config.scratchpadBytes / 4;
+    const struct
+    {
+        Opcode op;
+        Word addr;
+        std::string detail;
+    } cases[] = {
+        {Opcode::Load, -1, "PE 1 load of word -1 outside the " +
+                               std::to_string(words) +
+                               "-word scratchpad"},
+        {Opcode::Store, words,
+         "PE 1 store of word " + std::to_string(words)},
+    };
+    for (const auto &c : cases) {
+        ProgramBuilder b("wild", config);
+        b.setNumOutputs(1);
+        Instruction &in = b.place(1, 0);
+        in.mode = SenderMode::Dfg;
+        in.op = c.op;
+        in.a = OperandSel::channel(0);
+        if (c.op == Opcode::Store)
+            in.b = OperandSel::channel(1);
+        in.dests = {DestSel::toOutput(0)};
+        b.setEntry(1, 0);
+        Program program = b.finish();
+
+        RunResult runs[2];
+        std::string stats[2];
+        for (int i = 0; i < 2; ++i) {
+            MachineConfig run_config = config;
+            run_config.eventDrivenSim = i == 0;
+            MarionetteMachine machine(run_config);
+            machine.load(program);
+            machine.injectData(1, 0, c.addr);
+            machine.injectData(1, 1, 42);
+            runs[i] = machine.run(10'000);
+            stats[i] = machine.renderAllStats();
+            EXPECT_EQ(machine.scratchpad().dump(0, words),
+                      std::vector<Word>(static_cast<std::size_t>(words)))
+                << c.detail;
+        }
+        EXPECT_EQ(runs[0].error, RunError::BadAddress) << c.detail;
+        EXPECT_STREQ(runErrorName(runs[0].error), "bad_address");
+        EXPECT_EQ(runs[0].faultPe, 1);
+        EXPECT_NE(runs[0].errorDetail.find(c.detail), std::string::npos)
+            << runs[0].errorDetail;
+        EXPECT_LT(runs[0].cycles, 10u);
+        EXPECT_TRUE(runs[0].outputs[0].empty()) << c.detail;
+        expectPathsAgree(runs, stats);
+    }
 }
 
 /** The PR-4 bug shape: a word launched toward a destination the
@@ -230,6 +303,38 @@ TEST(FaultPlan, FaultedRunPathsAgree)
         EXPECT_EQ(runs[0].outputs, runs[1].outputs) << name;
         EXPECT_EQ(stats[0], stats[1]) << name;
     }
+}
+
+/** A transient upset can turn a data word into a wild address:
+ *  LDPC under 400 single-bit upsets loads word -362.  The run ends
+ *  with a structured BadAddress, identically on both run paths,
+ *  instead of aborting the process. */
+TEST(FaultPlan, UpsetAddressEndsTheRunOnBothPaths)
+{
+    MachineConfig upset = evalFabric();
+    for (int i = 0; i < 400; ++i)
+        upset.faults.transients.push_back(
+            TransientFault{static_cast<Cycle>(20 + 7 * i),
+                           static_cast<PeId>(13 * i % 100), i % 4,
+                           Word{1} << (i % 3)});
+    CompileResult r = Compiler(upset).compile("LDPC");
+    ASSERT_TRUE(r.ok()) << r.report.toString();
+    RunResult runs[2];
+    std::string stats[2];
+    for (int i = 0; i < 2; ++i) {
+        MachineConfig config = upset;
+        config.eventDrivenSim = i == 0;
+        MarionetteMachine machine(config);
+        r.kernel->prepare(machine);
+        runs[i] = machine.run(r.kernel->cycleBudget);
+        stats[i] = machine.renderAllStats();
+    }
+    EXPECT_EQ(runs[0].error, RunError::BadAddress) << runs[0].errorDetail;
+    EXPECT_NE(runs[0].errorDetail.find("load of word -362"),
+              std::string::npos)
+        << runs[0].errorDetail;
+    EXPECT_NE(runs[0].faultPe, invalidPe);
+    expectPathsAgree(runs, stats);
 }
 
 /** Discovery mode: kill a PE the fault-oblivious mapping actually

@@ -459,10 +459,15 @@ expectSame(const RunCapture &a, const RunCapture &b,
 }
 
 /** Restoring a post-prepare checkpoint — into the same machine
- *  after a run, or into a fresh machine — reproduces the straight
- *  prepare-and-run byte for byte.  SI on the prototype starts with
- *  empty channels; SCD on the evaluation fabric starts with boot
- *  seeds in its channels, so its snapshot carries channel words. */
+ *  after a run, into a fresh machine, or into one whose scratchpad
+ *  holds garbage — reproduces the straight prepare-and-run byte for
+ *  byte.  SI on the prototype starts with empty channels; SCD on
+ *  the evaluation fabric starts with boot seeds in its channels, so
+ *  its snapshot carries channel words.  A snapshot keeps only the
+ *  nonzero scratchpad words: SI's input image is 2,048 words.  On
+ *  the evaluation fabric SCD is also prepared where SI ran, as a
+ *  serving lane does; that snapshot must carry SI's leftover words
+ *  too. */
 TEST(Machine, SnapshotRestoreDeterminism)
 {
     const struct
@@ -470,9 +475,12 @@ TEST(Machine, SnapshotRestoreDeterminism)
         MachineConfig config;
         const char *kernel;
         bool seeded;
+        std::size_t imageWords;
+        const char *ranBefore;
     } cases[] = {
-        {MachineConfig{}, "SI", false}, // paper-prototype defaults.
-        {evalFabric(), "SCD", true},
+        // paper-prototype defaults.
+        {MachineConfig{}, "SI", false, 2048, nullptr},
+        {evalFabric(), "SCD", true, 128, "SI"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.kernel);
@@ -491,6 +499,19 @@ TEST(Machine, SnapshotRestoreDeterminism)
             EXPECT_EQ(kernel.validate(m, cap.result), "");
             return cap;
         };
+        // Warm-start a machine that never saw prepare(), and one
+        // whose scratchpad is full of garbage.
+        auto expectRestoresMatch = [&](const MachineSnapshot &snap,
+                                       const RunCapture &straight) {
+            MarionetteMachine fresh(config);
+            fresh.restore(snap);
+            expectSame(straight, capture(fresh), "fresh-machine restore");
+            MarionetteMachine garbage(config);
+            garbage.scratchpad().fill(
+                0, garbage.scratchpad().numWords(), 0x5a5a5a5a);
+            garbage.restore(snap);
+            expectSame(straight, capture(garbage), "garbage-pad restore");
+        };
 
         MarionetteMachine a(config);
         kernel.prepare(a);
@@ -500,18 +521,14 @@ TEST(Machine, SnapshotRestoreDeterminism)
             for (const std::vector<Word> &words : pe.channels)
                 channel_words += words.size();
         EXPECT_EQ(channel_words > 0, c.seeded) << channel_words;
+        EXPECT_EQ(snap.scratchpad.words.size(), c.imageWords);
         RunCapture straight = capture(a);
 
         // Rewind the very machine that just ran.
         a.restore(snap);
         RunCapture rewound = capture(a);
         expectSame(straight, rewound, "in-place restore");
-
-        // Warm-start a machine that never saw prepare().
-        MarionetteMachine b(config);
-        b.restore(snap);
-        RunCapture warmed = capture(b);
-        expectSame(straight, warmed, "fresh-machine restore");
+        expectRestoresMatch(snap, straight);
 
         // A snapshot of a restored machine is as good as the
         // original.
@@ -522,6 +539,21 @@ TEST(Machine, SnapshotRestoreDeterminism)
         d.restore(resnap);
         RunCapture chained = capture(d);
         expectSame(straight, chained, "snapshot-of-restore");
+
+        if (c.ranBefore == nullptr)
+            continue;
+        SCOPED_TRACE(std::string("prepared after ") + c.ranBefore);
+        CompileResult before = Compiler(config).compile(c.ranBefore);
+        ASSERT_TRUE(before.ok()) << before.report.toString();
+        MarionetteMachine lane(config);
+        before.kernel->prepare(lane);
+        ASSERT_TRUE(lane.run(before.kernel->cycleBudget).ok());
+        lane.resetStats();
+        kernel.prepare(lane);
+        MachineSnapshot reused = lane.snapshot();
+        EXPECT_GT(reused.scratchpad.words.size(), c.imageWords);
+        RunCapture straight_reused = capture(lane);
+        expectRestoresMatch(reused, straight_reused);
     }
 }
 

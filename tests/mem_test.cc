@@ -76,6 +76,41 @@ TEST(Scratchpad, BulkLoadAndDump)
     EXPECT_EQ(s.dump(100, 4), (std::vector<Word>{1, 2, 3, 4}));
 }
 
+/** A snapshot image keeps exactly the nonzero words: laid back onto
+ *  a pad full of garbage it reproduces the source word for word,
+ *  whatever the runs' shape. */
+TEST(Scratchpad, ImageRoundTripsOntoAGarbagePad)
+{
+    const int n = 256;
+    const struct
+    {
+        const char *shape;
+        Word base;
+        std::vector<Word> words;
+        std::size_t runs;
+    } cases[] = {
+        {"empty", 0, {}, 0},
+        {"run at word 0", 0, {1, 2, 3}, 1},
+        {"run ending at the last word", n - 3, {4, 5, 6}, 1},
+        {"runs split by one zero word", 10, {7, 8, 0, 9, -1}, 2},
+        {"all nonzero", 0, std::vector<Word>(n, -3), 1},
+    };
+    for (const auto &c : cases) {
+        Scratchpad source(n * 4, 4);
+        source.load(c.base, c.words);
+        source.beginCycle();
+        source.tryAccess(c.base);
+        const Scratchpad::Image image = source.image();
+        EXPECT_EQ(image.runs.size(), c.runs) << c.shape;
+
+        Scratchpad target(n * 4, 4);
+        target.fill(0, n, 0x5a5a5a5a);
+        target.restoreState(image, source.saveStats());
+        EXPECT_EQ(target.dump(0, n), source.dump(0, n)) << c.shape;
+        EXPECT_EQ(target.stats().value("accesses"), 1u) << c.shape;
+    }
+}
+
 TEST(ScratchpadDeath, OutOfBoundsRead)
 {
     Scratchpad s(64, 2);

@@ -58,6 +58,28 @@ TEST(Stats, ResetAllClearsEverything)
     EXPECT_EQ(g.value("b"), 0u);
 }
 
+/** A capture keeps a stat that was written, even with value 0 (it
+ *  still renders), and drops the untouched ones; restoring resets
+ *  every stat the capture lacks to the untouched zero state. */
+TEST(Stats, RestoreKeepsTouchedZeroAndResetsTheRest)
+{
+    StatGroup source("g");
+    source.stat("zero").set(0);
+    source.stat("five").inc(5);
+    source.stat("idle"); // registered, never written.
+    const StatGroupState state = source.captureState();
+    EXPECT_EQ(state.stats.size(), 2u);
+
+    StatGroup target("g");
+    target.stat("five").inc(1);
+    target.stat("idle").inc(7);
+    target.stat("other").inc(9);
+    target.restoreState(state);
+    std::vector<std::string> lines;
+    target.render(lines);
+    EXPECT_EQ(lines, (std::vector<std::string>{"g.five 5", "g.zero 0"}));
+}
+
 TEST(Stats, RenderSortsByNameWithPrefix)
 {
     StatGroup g("pe3");
