@@ -1,6 +1,7 @@
 #include "arch/machine.h"
 
 #include "isa/encoding.h"
+#include "net/control_network.h"
 
 #include <algorithm>
 #include <bit>
@@ -53,7 +54,6 @@ badAccessDetail(PeId pe, const char *access, Word addr, int words)
 MarionetteMachine::MarionetteMachine(const MachineConfig &config)
     : config_(config),
       mesh_(config.rows, config.cols, config.meshHopLatency),
-      ctrlNet_(config.numPes(), config.controlFifoCount + 2),
       stats_("machine"),
       statCtrlWords_(stats_.stat("ctrl_words")),
       statCycles_(stats_.stat("cycles")),
@@ -139,12 +139,6 @@ MarionetteMachine::load(const Program &program)
     for (const PeProgram &p : program.pes)
         pes_[static_cast<std::size_t>(p.pe)]->loadProgram(p);
     buildWakeLists();
-
-    if (config_.features.controlNetwork) {
-        if (!configureControlNetwork(program))
-            MARIONETTE_FATAL("kernel '%s' exceeds control network "
-                             "capacity", program.name.c_str());
-    }
 }
 
 void
@@ -186,55 +180,6 @@ MarionetteMachine::buildWakeLists()
     }
 }
 
-bool
-MarionetteMachine::configureControlNetwork(const Program &program)
-{
-    // Static configuration: one multicast route per PE that sends
-    // control, covering the union of its instructions' destinations
-    // (the compiler's "fixed connection", Sec. 4.1).
-    std::vector<ControlRoute> routes;
-    for (const PeProgram &p : program.pes) {
-        std::set<int> dests;
-        for (const Instruction &in : p.instrs)
-            for (PeId d : in.ctrlDests)
-                dests.insert(static_cast<int>(d));
-        if (dests.empty())
-            continue;
-        ControlRoute route;
-        route.srcPort = static_cast<int>(p.pe);
-        route.destPorts.assign(dests.begin(), dests.end());
-        routes.push_back(std::move(route));
-    }
-    if (routes.empty())
-        return true;
-
-    // Destination sets may overlap between sources (two branches
-    // configuring the same PE at different times).  The physical
-    // network dedicates an output port per listener, so overlapping
-    // sets are legal in hardware; our single-port-per-listener
-    // model falls back to per-source sequential configurations,
-    // which is equivalent because a PE's control input arbitrates
-    // per cycle anyway.  Feasibility is what we check here.
-    std::set<int> seen;
-    bool overlapping = false;
-    for (const ControlRoute &r : routes)
-        for (int d : r.destPorts)
-            if (!seen.insert(d).second)
-                overlapping = true;
-    if (overlapping) {
-        // Validate each source individually against the fabric.
-        for (const ControlRoute &r : routes) {
-            if (!ctrlNet_.configure({r}))
-                return false;
-        }
-        // Leave the last single-route configuration installed; the
-        // transfer path below only uses the network datapath when a
-        // joint configuration exists.
-        return true;
-    }
-    return ctrlNet_.configure(routes);
-}
-
 void
 MarionetteMachine::bootPes()
 {
@@ -249,34 +194,28 @@ MarionetteMachine::bootPes()
 }
 
 void
-MarionetteMachine::scheduleCtrl(Cycle now, const CtrlSend &send,
-                                PeId src)
+MarionetteMachine::scheduleCtrl(Cycle now, PeId src, PeId dst,
+                                InstrAddr addr)
 {
     // Peer-to-peer control: 1 cycle through the dedicated network.
     // Without the dedicated network the address rides the data mesh
     // (Fig. 4d: 6 cycles corner to corner) — the ablation of
     // Fig. 12.
-    for (PeId dst : send.dests) {
-        Cycles lat;
-        if (config_.features.controlNetwork) {
-            lat = ctrlNet_.latency();
-        } else {
-            // Mesh-routed control ablation: the address rides the
-            // data mesh, so dead links detour it — or lose it when
-            // the endpoints are disconnected (the watchdog turns
-            // the loss into a structured deadlock).
-            Cycles mesh_lat = mesh_.routedLatency(src, dst);
-            if (mesh_lat == 0) {
-                ++lostCtrlWords_;
-                continue;
-            }
-            lat = std::max<Cycles>(mesh_lat,
-                                   config_.controlNetLatency);
+    Cycles lat = ControlNetwork::latency();
+    if (!config_.features.controlNetwork) {
+        // Mesh-routed control ablation: the address rides the data
+        // mesh, so dead links detour it — or lose it when the
+        // endpoints are disconnected (the watchdog turns the loss
+        // into a structured deadlock).
+        Cycles mesh_lat = mesh_.routedLatency(src, dst);
+        if (mesh_lat == 0) {
+            ++lostCtrlWords_;
+            return;
         }
-        pendingCtrl_.schedule(now + lat,
-                              PendingCtrl{dst, send.addr});
-        statCtrlWords_.inc();
+        lat = std::max<Cycles>(mesh_lat, config_.controlNetLatency);
     }
+    pendingCtrl_.schedule(now + lat, PendingCtrl{dst, addr});
+    statCtrlWords_.inc();
 }
 
 void
@@ -528,7 +467,16 @@ MarionetteMachine::run(Cycle max_cycles)
                 progressed = true;
             }
             for (const CtrlSend &s : r.ctrlSends) {
-                scheduleCtrl(now_, s, pe.id());
+                for (PeId dst : s.dests) {
+                    if (dst < 0 || dst >= num_pes) {
+                        fail(RunError::BadProgram,
+                             "control word to out-of-range PE " +
+                                 std::to_string(dst));
+                        result.faultPe = pe.id();
+                        continue;
+                    }
+                    scheduleCtrl(now_, pe.id(), dst, s.addr);
+                }
                 progressed = true;
             }
             for (const FifoPush &push : r.fifoPushes) {
@@ -541,7 +489,7 @@ MarionetteMachine::run(Cycle max_cycles)
                     continue;
                 }
                 pendingPush_.schedule(
-                    now_ + ctrlNet_.latency(),
+                    now_ + ControlNetwork::latency(),
                     PendingPush{push.fifo, push.value});
                 progressed = true;
             }
@@ -729,7 +677,6 @@ MarionetteMachine::snapshot() const
         s.fifoStats.push_back(fifo->saveStats());
     }
     s.machineStats = stats_.captureState();
-    s.ctrlNetStats = ctrlNet_.saveStats();
     return s;
 }
 
@@ -760,16 +707,6 @@ MarionetteMachine::restore(const Snapshot &s)
         fifos_[i]->restoreState(s.fifoContents[i], s.fifoStats[i]);
     stats_.restoreState(s.machineStats);
     buildWakeLists();
-    if (config_.features.controlNetwork) {
-        // Re-derive the switch state, then restore the captured
-        // statistics — undoing the configuration counter the re-run
-        // just bumped.
-        if (!configureControlNetwork(program_))
-            MARIONETTE_FATAL("kernel '%s' exceeds control network "
-                             "capacity on restore",
-                             program_.name.c_str());
-    }
-    ctrlNet_.restoreStats(s.ctrlNetStats);
 }
 
 std::string
@@ -780,7 +717,6 @@ MarionetteMachine::renderAllStats() const
     for (const auto &pe : pes_)
         groups.push_back(&pe->stats());
     groups.push_back(&mesh_.stats());
-    groups.push_back(&ctrlNet_.stats());
     groups.push_back(&scratchpad_->stats());
     for (const auto &fifo : fifos_)
         groups.push_back(&fifo->stats());
@@ -794,7 +730,6 @@ MarionetteMachine::resetStats()
     for (const auto &pe : pes_)
         pe->stats().resetAll();
     mesh_.resetStats();
-    ctrlNet_.resetStats();
     scratchpad_->resetStats();
     for (const auto &fifo : fifos_)
         fifo->resetStats();

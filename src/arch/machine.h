@@ -6,6 +6,17 @@
  * data scratchpad.  Control flow plane: PE control-flow parts, the
  * CS-Benes control network, the Control FIFOs and the Controller.
  *
+ * The control network is configured statically, once per kernel
+ * mapping, so every control word crosses it in
+ * ControlNetwork::latency() cycles without arbitration.  That
+ * latency is all the machine models of it: it holds no switch state
+ * and no network statistics, and neither load() nor a snapshot
+ * touches either.  A compiled kernel's control routes are
+ * single-destination links, which route by construction
+ * (CompilePipeline.BitExactOnTwoConfigs checks it); the switched
+ * datapath itself (ControlNetwork) is the model behind Table 3 and
+ * the area model.
+ *
  * The machine is the cycle-accurate functional simulator of Sec. 5:
  * it loads the compiler's binary configuration, boots the PEs
  * through the controller, advances cycle by cycle, and reports both
@@ -64,7 +75,6 @@
 #include "isa/instruction.h"
 #include "mem/control_fifo.h"
 #include "mem/scratchpad.h"
-#include "net/control_network.h"
 #include "net/mesh.h"
 #include "pe/pe.h"
 #include "sim/config.h"
@@ -225,7 +235,7 @@ class MarionetteMachine : public FabricIface
 
     /**
      * Render every statistic in the machine — per-PE groups, the
-     * networks, the scratchpad, the control FIFOs and the machine
+     * data mesh, the scratchpad, the control FIFOs and the machine
      * itself — as sorted "prefix.name value" lines (the simulator
      * report a performance study greps).
      */
@@ -233,16 +243,13 @@ class MarionetteMachine : public FabricIface
 
     /**
      * Zero every statistic in the machine — per-PE groups, the
-     * networks, the scratchpad, the control FIFOs and the machine
+     * data mesh, the scratchpad, the control FIFOs and the machine
      * itself.  Persistent machines (serve/server.h) call this at
      * request boundaries so a request's stat dump — and the stats a
      * post-prepare snapshot captures — never leak a previous
      * tenant's counters.  Runtime state is untouched.
      */
     void resetStats();
-
-    /** The control network instance (area/ablation queries). */
-    const ControlNetwork &controlNetwork() const { return ctrlNet_; }
 
     /** The data mesh instance (geometry/congestion queries). */
     const DataMesh &mesh() const { return mesh_; }
@@ -313,7 +320,6 @@ class MarionetteMachine : public FabricIface
         std::vector<std::vector<Word>> fifoContents;
         std::vector<StatGroupState> fifoStats;
         StatGroupState machineStats;
-        StatGroupState ctrlNetStats;
     };
 
     /** Capture the full machine state (requires a loaded program). */
@@ -321,10 +327,10 @@ class MarionetteMachine : public FabricIface
 
     /**
      * Restore a snapshot taken on an identically-configured machine
-     * (panics on a configHash mismatch).  Re-derives all static
-     * per-program state (wake lists, control-network switch
-     * configuration) and leaves the machine exactly as loaded —
-     * injectData()/run() behave as they would have on the original.
+     * (panics on a configHash mismatch).  Re-derives the one piece
+     * of static per-program state, the wake lists, and leaves the
+     * machine exactly as loaded — injectData()/run() behave as they
+     * would have on the original.
      */
     void restore(const Snapshot &snapshot);
 
@@ -337,8 +343,8 @@ class MarionetteMachine : public FabricIface
 
   private:
     void bootPes();
-    bool configureControlNetwork(const Program &program);
-    void scheduleCtrl(Cycle now, const CtrlSend &send, PeId src);
+    /** Send control word @p addr from @p src to in-range PE @p dst. */
+    void scheduleCtrl(Cycle now, PeId src, PeId dst, InstrAddr addr);
     void buildWakeLists();
     /** Put @p pe on the worklist (a no-op for a dead PE). */
     void wake(PeId pe);
@@ -361,7 +367,6 @@ class MarionetteMachine : public FabricIface
     MachineConfig config_;
     std::vector<std::unique_ptr<Pe>> pes_;
     DataMesh mesh_;
-    ControlNetwork ctrlNet_;
     std::unique_ptr<Scratchpad> scratchpad_;
     std::vector<std::unique_ptr<ControlFifo>> fifos_;
 

@@ -29,6 +29,7 @@
 #include <sstream>
 
 #include "compiler/pipeline.h"
+#include "net/control_network.h"
 #include "net/delay_model.h"
 
 namespace marionette
@@ -98,7 +99,7 @@ passRoute(Compilation &cc)
     // mesh's worst case otherwise (the Fig. 12 ablation).
     plan.controlLatency =
         config.features.controlNetwork
-            ? static_cast<Cycles>(1)
+            ? ControlNetwork::latency()
             : std::max<Cycles>(geom.maxLatency(),
                                config.controlNetLatency);
 

@@ -192,15 +192,6 @@ struct PeProgram
     InstrAddr entry = invalidInstr;
 };
 
-/** Static control-network multicast (source PE -> dest PEs). */
-struct CtrlLink
-{
-    PeId src = invalidPe;
-    std::vector<PeId> dests;
-    /** True when the link also pushes into a control FIFO. */
-    int fifo = -1;
-};
-
 /** A complete compiled kernel. */
 struct Program
 {

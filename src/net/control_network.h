@@ -67,8 +67,10 @@ class ControlNetwork
     /** Internal datapath width (the "64" of the 64x64 Benes). */
     int width() const { return width_; }
 
-    /** One-way transfer latency in cycles (paper: 1). */
-    Cycles latency() const { return 1; }
+    /** One-way transfer latency in cycles (paper: 1): the latency
+     *  of every control word and control-FIFO push on the machine,
+     *  and the route pass's control latency. */
+    static constexpr Cycles latency() { return 1; }
 
     /**
      * Install a static configuration.  Destination sets must be
@@ -80,9 +82,6 @@ class ControlNetwork
      *         is left untouched in that case.
      */
     bool configure(const std::vector<ControlRoute> &routes);
-
-    /** True once a configuration is installed. */
-    bool configured() const { return configured_; }
 
     /**
      * Send one word from each listed source port through the fabric
@@ -115,23 +114,6 @@ class ControlNetwork
     }
 
     const StatGroup &stats() const { return stats_; }
-
-    /** Zero every statistic (persistent-machine request reset). */
-    void resetStats() { stats_.resetAll(); }
-
-    /** Snapshot the network's statistics (machine snapshots: the
-     *  switch state is rebuilt by re-running configure(), which
-     *  bumps the configuration counter — restoring the captured
-     *  stats afterwards undoes the double count). */
-    StatGroupState saveStats() const
-    {
-        return stats_.captureState();
-    }
-
-    void restoreStats(const StatGroupState &state)
-    {
-        stats_.restoreState(state);
-    }
 
   private:
     int inPosition(int port) const { return port * strideIn_; }

@@ -19,6 +19,7 @@
 #include "compiler/compiler.h"
 #include "compiler/program_cache.h"
 #include "model/arch_model.h"
+#include "net/control_network.h"
 #include "sim/sweep.h"
 
 namespace marionette
@@ -89,6 +90,38 @@ TEST_P(CompilePipeline, BitExactOnTwoConfigs)
         RunResult run = machine.run(kernel.cycleBudget);
         EXPECT_EQ(kernel.validate(machine, run), "")
             << w.name() << "\n" << kernel.report.toString();
+
+        // The compiler's fixed control-network configuration
+        // (Sec. 4.1): one route per PE that sends control, covering
+        // its instructions' destinations.  The machine models only
+        // the network's latency, so routability is checked here, once
+        // per compile cell.  It cannot fail: emit creates only
+        // single-destination links (a phase's generator to its drain
+        // loop, the drain loop to the next phase's generator), each
+        // from its own PE to a distinct PE, and the first CS stage
+        // routes a single-destination link on the source's own
+        // corridor.
+        std::vector<ControlRoute> routes;
+        std::set<int> listeners;
+        for (const PeProgram &p : kernel.program.pes) {
+            std::set<int> dests;
+            for (const Instruction &in : p.instrs)
+                dests.insert(in.ctrlDests.begin(), in.ctrlDests.end());
+            if (dests.empty())
+                continue;
+            for (int d : dests)
+                ASSERT_TRUE(listeners.insert(d).second)
+                    << w.name() << ": PE " << d
+                    << " listens to two sources";
+            routes.push_back(
+                ControlRoute{p.pe, {dests.begin(), dests.end()}});
+        }
+        if (!routes.empty()) {
+            EXPECT_TRUE(ControlNetwork(config.numPes(),
+                                       config.controlFifoCount + 2)
+                            .configure(routes))
+                << w.name();
+        }
 
         // Analytic cross-check: the model is an idealized bound;
         // the cycle-accurate machine lands within a sane band of

@@ -6,7 +6,8 @@
  * byte-identity across the whole kernel suite, the fault-aware
  * re-place/re-route acceptance criterion, the discovery-mode retry
  * loop, sweep exception safety, scheduled transient upsets, and
- * wild scratchpad addresses ending a run with a structured error.
+ * wild scratchpad addresses and out-of-range control words ending a
+ * run with a structured error.
  */
 
 #include <gtest/gtest.h>
@@ -153,6 +154,79 @@ TEST(Machine, WildAddressIsAStructuredError)
         EXPECT_LT(runs[0].cycles, 10u);
         EXPECT_TRUE(runs[0].outputs[0].empty()) << c.detail;
         expectPathsAgree(runs, stats);
+    }
+}
+
+/** A control word addressed outside the array ends the run at that
+ *  cycle's boundary with a structured BadProgram naming the sender,
+ *  identically on both run paths and whether the word would cross
+ *  the control network or the mesh; the word is never scheduled.
+ *  ProgramBuilder rejects such a destination, but a decoded or
+ *  patched program can carry one. */
+TEST(Machine, OutOfRangeControlWordIsAStructuredError)
+{
+    MachineConfig config; // 4x4 default.
+    ProgramBuilder b("wild_ctrl", config);
+    b.setNumOutputs(1);
+    Instruction &gen = b.place(0, 0);
+    gen.mode = SenderMode::LoopOp;
+    gen.op = Opcode::Loop;
+    gen.loopStart = 0;
+    gen.loopBound = 4;
+    gen.dests = {DestSel::toOutput(0)};
+    gen.loopExitAddr = 0;
+    gen.ctrlDests = {1};
+    b.setEntry(0, 0);
+    Instruction &next = b.place(1, 0);
+    next.mode = SenderMode::LoopOp;
+    next.op = Opcode::Loop;
+    next.loopStart = 10;
+    next.loopBound = 12;
+    next.dests = {DestSel::toOutput(0)};
+    const Program chained = b.finish();
+    const std::vector<Word> first_round = {0, 1, 2, 3};
+
+    for (bool network : {true, false}) {
+        SCOPED_TRACE(network ? "control network" : "mesh-routed");
+        MachineConfig net_config = config;
+        net_config.features.controlNetwork = network;
+        {
+            MarionetteMachine machine(net_config);
+            machine.load(chained);
+            RunResult run = machine.run(10'000);
+            ASSERT_TRUE(run.ok()) << run.errorDetail;
+            EXPECT_EQ(run.outputs[0],
+                      (std::vector<Word>{0, 1, 2, 3, 10, 11}));
+            EXPECT_EQ(machine.stats().value("ctrl_words"), 1u);
+        }
+        for (PeId dst : {config.numPes(),
+                         config.numPes() + config.controlFifoCount + 1,
+                         PeId{-1}}) {
+            SCOPED_TRACE(dst);
+            Program program = chained;
+            for (PeProgram &p : program.pes)
+                if (p.pe == 0)
+                    p.instrs[0].ctrlDests = {dst};
+            RunResult runs[2];
+            std::string stats[2];
+            for (int i = 0; i < 2; ++i) {
+                MachineConfig run_config = net_config;
+                run_config.eventDrivenSim = i == 0;
+                MarionetteMachine machine(run_config);
+                machine.load(program);
+                runs[i] = machine.run(10'000);
+                stats[i] = machine.renderAllStats();
+                EXPECT_EQ(machine.stats().value("ctrl_words"), 0u);
+            }
+            EXPECT_EQ(runs[0].error, RunError::BadProgram);
+            EXPECT_EQ(runs[0].faultPe, 0);
+            EXPECT_EQ(runs[0].errorDetail,
+                      "control word to out-of-range PE " +
+                          std::to_string(dst));
+            EXPECT_LT(runs[0].cycles, 20u);
+            EXPECT_EQ(runs[0].outputs[0], first_round);
+            expectPathsAgree(runs, stats);
+        }
     }
 }
 

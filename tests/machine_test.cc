@@ -467,7 +467,10 @@ expectSame(const RunCapture &a, const RunCapture &b,
  *  nonzero scratchpad words: SI's input image is 2,048 words.  On
  *  the evaluation fabric SCD is also prepared where SI ran, as a
  *  serving lane does; that snapshot must carry SI's leftover words
- *  too. */
+ *  too.  CRC chains its two serial phases with control words (the
+ *  generator's loop exit configures a drain loop, whose exit
+ *  configures the next generator): a restore re-derives no switch
+ *  state, and the chain still replays. */
 TEST(Machine, SnapshotRestoreDeterminism)
 {
     const struct
@@ -476,11 +479,13 @@ TEST(Machine, SnapshotRestoreDeterminism)
         const char *kernel;
         bool seeded;
         std::size_t imageWords;
+        std::uint64_t ctrlWords;
         const char *ranBefore;
     } cases[] = {
         // paper-prototype defaults.
-        {MachineConfig{}, "SI", false, 2048, nullptr},
-        {evalFabric(), "SCD", true, 128, "SI"},
+        {MachineConfig{}, "SI", false, 2048, 0, nullptr},
+        {evalFabric(), "SCD", true, 128, 0, "SI"},
+        {evalFabric(), "CRC", true, 64, 2, nullptr},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.kernel);
@@ -523,6 +528,7 @@ TEST(Machine, SnapshotRestoreDeterminism)
         EXPECT_EQ(channel_words > 0, c.seeded) << channel_words;
         EXPECT_EQ(snap.scratchpad.words.size(), c.imageWords);
         RunCapture straight = capture(a);
+        EXPECT_EQ(a.stats().value("ctrl_words"), c.ctrlWords);
 
         // Rewind the very machine that just ran.
         a.restore(snap);
