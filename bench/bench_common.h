@@ -2,10 +2,11 @@
  * @file
  * Shared scaffolding for the per-table/per-figure bench binaries.
  *
- * Every binary in bench/ regenerates one artifact of the paper's
- * evaluation section: it prints the table/series on startup (the
- * reproduction artifact) and then runs google-benchmark timings of
- * the machinery behind it.
+ * Every binary in bench/ prints one artifact on startup and then
+ * runs google-benchmark timings of the machinery behind it.  The
+ * paper's Tables 1-4 and 6 and Figs. 11-17 have one renderer each,
+ * in model/eval.h: their benches print it for allProfiles(), and
+ * paper_eval prints the same text for its kernel selection.
  */
 
 #ifndef MARIONETTE_BENCH_BENCH_COMMON_H
@@ -20,58 +21,12 @@
 namespace marionette::bench
 {
 
-/** The model zoo every figure bench draws from. */
-struct ModelZoo
-{
-    ModelZoo()
-    {
-        Features base_f;
-        base_f.controlNetwork = false;
-        base_f.agileAssignment = false;
-        Features net_f = base_f;
-        net_f.controlNetwork = true;
-        Features full_f;
-
-        vonNeumann = makeVonNeumannPe(params);
-        dataflow = makeDataflowPe(params);
-        marionetteBase = makeMarionette(params, base_f);
-        marionetteNet = makeMarionette(params, net_f);
-        marionette = makeMarionette(params, full_f);
-        softbrain = makeSoftbrain(params);
-        tia = makeTia(params);
-        revel = makeRevel(params);
-        riptide = makeRiptide(params);
-    }
-
-    ModelParams params;
-    std::unique_ptr<ArchModel> vonNeumann;
-    std::unique_ptr<ArchModel> dataflow;
-    std::unique_ptr<ArchModel> marionetteBase; ///< proactive only.
-    std::unique_ptr<ArchModel> marionetteNet;  ///< + control net.
-    std::unique_ptr<ArchModel> marionette;     ///< + agile (full).
-    std::unique_ptr<ArchModel> softbrain;
-    std::unique_ptr<ArchModel> tia;
-    std::unique_ptr<ArchModel> revel;
-    std::unique_ptr<ArchModel> riptide;
-};
-
-inline ModelZoo &
-zoo()
-{
-    static ModelZoo z;
-    return z;
-}
-
-/** Banner for the printed artifact. */
+/** Print the banner of an artifact that has no model/eval.h
+ *  renderer. */
 inline void
 banner(const char *artifact, const char *paper_claim)
 {
-    std::printf("================================================"
-                "=============\n");
-    std::printf("%s\n", artifact);
-    std::printf("paper reports: %s\n", paper_claim);
-    std::printf("================================================"
-                "=============\n");
+    std::fputs(artifactBanner(artifact, paper_claim).c_str(), stdout);
 }
 
 } // namespace marionette::bench
@@ -88,5 +43,10 @@ banner(const char *artifact, const char *paper_claim)
         ::benchmark::Shutdown();                                  \
         return 0;                                                 \
     }
+
+/** Print a paper artifact's text (a model/eval.h renderer call)
+ *  once, then run the timings. */
+#define MARIONETTE_ARTIFACT_BENCH_MAIN(text) \
+    MARIONETTE_BENCH_MAIN([] { std::fputs((text).c_str(), stdout); })
 
 #endif // MARIONETTE_BENCH_BENCH_COMMON_H

@@ -56,7 +56,6 @@ printSurvivalTable()
         for (const auto &[d, l] : cells) {
             KernelSweepJob job{w, faultedFabric(d, l)};
             job.discoverFaults = true;
-            job.maxRetries = 1;
             jobs.push_back(std::move(job));
             labels.push_back(w->name());
         }
@@ -114,7 +113,6 @@ BM_DiscoveryRetry(benchmark::State &state)
         ProgramCache cache;
         KernelSweepJob job{crc, faulted};
         job.discoverFaults = true;
-        job.maxRetries = 1;
         std::vector<KernelSweepResult> r =
             runner.runKernels({job}, cache);
         benchmark::DoNotOptimize(r[0].validated);

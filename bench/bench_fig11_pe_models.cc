@@ -16,37 +16,9 @@ namespace
 {
 
 void
-printFig11()
-{
-    bench::banner(
-        "Fig 11: PE execution models (normalized to vonNeumann)",
-        "Marionette PE: 1.18x geomean over vonNeumann (max 1.45x "
-        "MS), 1.33x over dataflow (max 1.76x GEMM)");
-    auto &z = bench::zoo();
-    auto intensive = intensiveProfiles();
-    std::vector<const ArchModel *> models{
-        z.vonNeumann.get(), z.dataflow.get(),
-        z.marionetteBase.get()};
-    CycleTable table = runSuite(models, intensive);
-    std::printf(
-        "%s",
-        renderSpeedupTable(table, z.vonNeumann->name(),
-                           {z.vonNeumann->name(),
-                            z.dataflow->name(),
-                            z.marionetteBase->name()},
-                           intensive)
-            .c_str());
-    std::printf("\nOperators under branch (secondary axis):\n");
-    for (const WorkloadProfile &p : intensive)
-        std::printf("  %-6s %4.0f%%\n", p.name.c_str(),
-                    100 * p.controlFlow.opsUnderBranch);
-    std::printf("\n");
-}
-
-void
 BM_ModelEvaluation(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     const WorkloadProfile &p =
         allProfiles()[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
@@ -73,4 +45,5 @@ BENCHMARK(BM_GoldenRunWithTrace)->Arg(0)->Arg(5)->Arg(9);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig11)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig11(marionette::allProfiles()))

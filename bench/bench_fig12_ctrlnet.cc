@@ -13,27 +13,6 @@ namespace marionette
 namespace
 {
 
-void
-printFig12()
-{
-    bench::banner(
-        "Fig 12: + peer-to-peer control network",
-        "1.14x geomean improvement, up to 1.36x (CRC); partially-"
-        "pipelined kernels (CRC/ADPCM/MS) gain most");
-    auto &z = bench::zoo();
-    auto intensive = intensiveProfiles();
-    std::vector<const ArchModel *> models{
-        z.marionetteBase.get(), z.marionetteNet.get()};
-    CycleTable table = runSuite(models, intensive);
-    std::printf("%s",
-                renderSpeedupTable(table,
-                                   z.marionetteBase->name(),
-                                   {z.marionetteNet->name()},
-                                   intensive)
-                    .c_str());
-    std::printf("\n");
-}
-
 /** Functional-machine ablation: same kernel, network on/off. */
 void
 BM_MachineWithControlNetwork(benchmark::State &state)
@@ -107,4 +86,5 @@ BENCHMARK(BM_BenesRoute64);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig12)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig12(marionette::allProfiles()))

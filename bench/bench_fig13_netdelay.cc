@@ -14,16 +14,6 @@ namespace
 {
 
 void
-printFig13()
-{
-    bench::banner(
-        "Fig 13: network stages vs delay vs critical path",
-        "latency grows mildly with stages and frequency; "
-        "\"low increase in network latency is acceptable\"");
-    std::printf("%s\n", toString(delaySweep()).c_str());
-}
-
-void
 BM_TimingQuery(benchmark::State &state)
 {
     int pes = static_cast<int>(state.range(0));
@@ -47,4 +37,4 @@ BENCHMARK(BM_FullSweep);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig13)
+MARIONETTE_ARTIFACT_BENCH_MAIN(marionette::renderFig13())

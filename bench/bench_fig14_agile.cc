@@ -15,31 +15,6 @@ namespace
 {
 
 void
-printFig14()
-{
-    bench::banner(
-        "Fig 14: + Agile PE Assignment",
-        "2.03x geomean improvement, up to 5.99x; limited by loop "
-        "structure and inter-loop data dependences (LDPC)");
-    auto &z = bench::zoo();
-    auto intensive = intensiveProfiles();
-    std::vector<const ArchModel *> models{
-        z.marionetteNet.get(), z.marionette.get()};
-    CycleTable table = runSuite(models, intensive);
-    std::printf("%s",
-                renderSpeedupTable(table, z.marionetteNet->name(),
-                                   {z.marionette->name()},
-                                   intensive)
-                    .c_str());
-
-    // The scheduling decisions behind the speedup (Fig. 8).
-    std::printf("\nAgile schedule of GEMM on 16 PEs:\n");
-    Cdfg g = gemmWorkload().buildCdfg();
-    LoopInfo li = LoopInfo::analyze(g);
-    std::printf("%s\n", agileSchedule(g, li, 16).toString(g).c_str());
-}
-
-void
 BM_AgileSchedule(benchmark::State &state)
 {
     Cdfg g = allWorkloads()[static_cast<std::size_t>(
@@ -56,7 +31,7 @@ BENCHMARK(BM_AgileSchedule)->DenseRange(0, 9);
 void
 BM_AgileModelFullSuite(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     auto intensive = intensiveProfiles();
     for (auto _ : state) {
         double total = 0;
@@ -70,4 +45,5 @@ BENCHMARK(BM_AgileModelFullSuite);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig14)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig14(marionette::allProfiles()))

@@ -13,54 +13,10 @@ namespace marionette
 namespace
 {
 
-const char *const kNestedBenchmarks[] = {"FFT", "VI",  "NW",
-                                         "HT",  "SCD", "LDPC",
-                                         "GEMM"};
-
-void
-printFig15()
-{
-    bench::banner(
-        "Fig 15: Agile PE Assignment utilization effects",
-        "outer-BB PE utilization improves 21.57x on average "
-        "(GEMM 134x); pipeline utilization improves 1.54x");
-    auto &z = bench::zoo();
-    std::printf("%-6s %22s %26s\n", "", "outer-BB PE util",
-                "pipeline util");
-    std::vector<double> outer_gains, pipe_gains;
-    for (const char *name : kNestedBenchmarks) {
-        for (const WorkloadProfile &p : allProfiles()) {
-            if (p.name != name)
-                continue;
-            ModelResult s = z.marionetteNet->run(p);
-            ModelResult a = z.marionette->run(p);
-            double og = s.outerBbPeUtil > 0
-                            ? a.outerBbPeUtil / s.outerBbPeUtil
-                            : 0.0;
-            double pg = s.pipelineUtil > 0
-                            ? a.pipelineUtil / s.pipelineUtil
-                            : 0.0;
-            std::printf("%-6s %6.1f%% -> %6.1f%% (%5.1fx)   "
-                        "%5.1f%% -> %5.1f%% (%4.2fx)\n",
-                        p.name.c_str(), 100 * s.outerBbPeUtil,
-                        100 * a.outerBbPeUtil, og,
-                        100 * s.pipelineUtil,
-                        100 * a.pipelineUtil, pg);
-            if (og > 0)
-                outer_gains.push_back(og);
-            if (pg > 0)
-                pipe_gains.push_back(pg);
-        }
-    }
-    std::printf("%-6s outer-BB geomean %.2fx   pipeline geomean "
-                "%.2fx\n\n",
-                "GM", geomean(outer_gains), geomean(pipe_gains));
-}
-
 void
 BM_UtilizationMetrics(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     const WorkloadProfile &p =
         allProfiles()[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
@@ -75,4 +31,5 @@ BENCHMARK(BM_UtilizationMetrics)->Arg(1)->Arg(9);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig15)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig15(marionette::allProfiles()))

@@ -14,44 +14,9 @@ namespace
 {
 
 void
-printFig16()
-{
-    bench::banner(
-        "Fig 16: control network vs Agile PE Assignment split",
-        "CRC/ADPCM/MS/LDPC: network-dominated; VI/HT/SCD/GEMM: "
-        "pipeline(Agile)-dominated");
-    auto &z = bench::zoo();
-    // Paper's x-axis order groups network-dominated first.
-    const char *const order[] = {"MS",  "ADPCM", "CRC", "LDPC",
-                                 "NW",  "FFT",   "VI",  "HT",
-                                 "SCD", "GEMM"};
-    std::printf("%-8s %18s %18s %s\n", "", "network gain",
-                "agile gain", "dominant");
-    for (const char *name : order) {
-        for (const WorkloadProfile &p : allProfiles()) {
-            if (p.name != name)
-                continue;
-            double base = z.marionetteBase->run(p).cycles;
-            double net = z.marionetteNet->run(p).cycles;
-            double all = z.marionette->run(p).cycles;
-            double net_gain = base / net - 1.0;
-            double agile_gain = net / all - 1.0;
-            const char *dominant =
-                net_gain > agile_gain ? "network" : "agile";
-            if (net_gain < 0.02 && agile_gain < 0.02)
-                dominant = "neither";
-            std::printf("%-8s %17.0f%% %17.0f%% %s\n",
-                        p.name.c_str(), 100 * net_gain,
-                        100 * agile_gain, dominant);
-        }
-    }
-    std::printf("\n");
-}
-
-void
 BM_ThreeConfigSweep(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     const WorkloadProfile &p =
         allProfiles()[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
@@ -67,4 +32,5 @@ BENCHMARK(BM_ThreeConfigSweep)->Arg(0)->Arg(5)->Arg(9);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig16)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig16(marionette::allProfiles()))

@@ -14,60 +14,9 @@ namespace
 {
 
 void
-printFig17()
-{
-    bench::banner(
-        "Fig 17: vs state-of-the-art (normalized to Softbrain)",
-        "Marionette geomeans on intensive kernels: 2.88x vs "
-        "Softbrain, 3.38x vs TIA, 1.55x vs REVEL, 2.66x vs "
-        "RipTide; non-intensive kernels at parity");
-    auto &z = bench::zoo();
-    const auto &profiles = allProfiles();
-    auto intensive = intensiveProfiles();
-    std::vector<const ArchModel *> models{
-        z.softbrain.get(), z.tia.get(), z.revel.get(),
-        z.riptide.get(), z.marionette.get()};
-    CycleTable table = runSuite(models, profiles);
-    std::printf(
-        "%s",
-        renderSpeedupTable(
-            table, z.softbrain->name(),
-            {z.softbrain->name(), z.tia->name(), z.revel->name(),
-             z.riptide->name(), z.marionette->name()},
-            profiles)
-            .c_str());
-
-    std::printf("\nMarionette geomean speedups (intensive):\n");
-    for (const ArchModel *m :
-         {z.softbrain.get(), z.tia.get(), z.revel.get(),
-          z.riptide.get()}) {
-        std::printf("  vs %-10s %.2fx\n", m->name().c_str(),
-                    speedups(table, m->name(),
-                             z.marionette->name(), intensive)
-                        .back());
-    }
-
-    // Full LDPC application (intensive decode + non-intensive
-    // front-end processing), per the Fig. 17 caption.
-    auto composite = [&table](const std::string &arch) {
-        return table.at(arch).at("LDPC").cycles +
-               table.at(arch).at("GP").cycles;
-    };
-    std::printf("\nFull LDPC application (LDPC + GP phases):\n");
-    for (const ArchModel *m :
-         {z.softbrain.get(), z.tia.get(), z.revel.get(),
-          z.riptide.get()}) {
-        std::printf("  vs %-10s %.2fx\n", m->name().c_str(),
-                    composite(m->name()) /
-                        composite(z.marionette->name()));
-    }
-    std::printf("\n");
-}
-
-void
 BM_FullComparison(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     const auto &profiles = allProfiles();
     std::vector<const ArchModel *> models{
         z.softbrain.get(), z.tia.get(), z.revel.get(),
@@ -82,7 +31,7 @@ BENCHMARK(BM_FullComparison);
 void
 BM_SingleArchSuite(benchmark::State &state)
 {
-    auto &z = bench::zoo();
+    const ModelZoo &z = modelZoo();
     const ArchModel *models[] = {z.softbrain.get(), z.tia.get(),
                                  z.revel.get(), z.riptide.get(),
                                  z.marionette.get()};
@@ -101,4 +50,5 @@ BENCHMARK(BM_SingleArchSuite)->DenseRange(0, 4);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printFig17)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderFig17(marionette::allProfiles()))

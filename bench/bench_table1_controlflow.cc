@@ -14,30 +14,6 @@ namespace
 {
 
 void
-printTable1()
-{
-    bench::banner(
-        "Table 1: control flow forms across applications",
-        "nested/innermost branches; imperfect nested / serial "
-        "loops per Table 1");
-    std::printf("%-12s %-18s %-28s %s\n", "Workload",
-                "Intensive Branch", "Intensive Loop", "Sizes");
-    for (const Workload *w : allWorkloads()) {
-        Cdfg g = w->buildCdfg();
-        LoopInfo li = LoopInfo::analyze(g);
-        ControlFlowProfile p = analyzeControlFlow(g, li);
-        std::string loop(loopFormName(p.loopForm));
-        if (p.alsoSerialLoops)
-            loop += " + Serial Loops";
-        std::printf("%-12s %-18s %-28s %s\n", w->name().c_str(),
-                    std::string(branchFormName(p.branchForm))
-                        .c_str(),
-                    loop.c_str(), w->sizeDesc().c_str());
-    }
-    std::printf("\n");
-}
-
-void
 BM_CdfgBuild(benchmark::State &state)
 {
     const Workload *w = allWorkloads()[static_cast<std::size_t>(
@@ -67,4 +43,5 @@ BENCHMARK(BM_ControlFlowAnalysis)->DenseRange(0, 12);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printTable1)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderTable1(marionette::allProfiles()))

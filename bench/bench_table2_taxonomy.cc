@@ -16,28 +16,6 @@ namespace
 {
 
 void
-printTable2()
-{
-    bench::banner(
-        "Table 2: SA taxonomy by PE execution model",
-        "11 von Neumann-derived and 6 dataflow-derived designs "
-        "surveyed over the past decade");
-    std::printf("%s\n", renderTaxonomy().c_str());
-
-    // The archetype models this taxonomy motivates.
-    auto &z = bench::zoo();
-    auto intensive = intensiveProfiles();
-    double vn_total = 0, df_total = 0;
-    for (const WorkloadProfile &p : intensive) {
-        vn_total += z.vonNeumann->run(p).cycles;
-        df_total += z.dataflow->run(p).cycles;
-    }
-    std::printf("archetype totals on the intensive suite: "
-                "vonNeumannPE %.0f cycles, dataflowPE %.0f "
-                "cycles\n\n", vn_total, df_total);
-}
-
-void
 BM_TaxonomyRender(benchmark::State &state)
 {
     for (auto _ : state) {
@@ -50,4 +28,5 @@ BENCHMARK(BM_TaxonomyRender);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printTable2)
+MARIONETTE_ARTIFACT_BENCH_MAIN(
+    marionette::renderTable2(marionette::allProfiles()))

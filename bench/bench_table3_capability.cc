@@ -12,15 +12,6 @@ namespace marionette
 namespace
 {
 
-void
-printTable3()
-{
-    bench::banner("Table 3: control-flow capability matrix",
-                  "only Marionette has autonomous + peer-to-peer "
-                  "+ loosely-coupled control");
-    std::printf("%s\n", renderCapabilityMatrix().c_str());
-}
-
 /** A branch PE autonomously reconfiguring a peer, end to end. */
 Program
 steeringKernel(const MachineConfig &config, int n)
@@ -87,4 +78,4 @@ BENCHMARK(BM_ControlNetworkTransfer);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printTable3)
+MARIONETTE_ARTIFACT_BENCH_MAIN(marionette::renderTable3())

@@ -13,26 +13,6 @@ namespace
 {
 
 void
-printTable4()
-{
-    bench::banner("Table 4: area and power breakdown (28 nm)",
-                  "0.151 mm^2 / 152.09 mW total; control network "
-                  "0.0022 mm^2 / 13.89 mW");
-    MachineConfig config;
-    std::printf("%s\n",
-                marionetteAreaBreakdown(config).toString().c_str());
-
-    std::printf("scaling check (8x8 array):\n");
-    MachineConfig big;
-    big.rows = 8;
-    big.cols = 8;
-    big.nonlinearPes = 16;
-    AreaBreakdown bd = marionetteAreaBreakdown(big);
-    std::printf("  total %.4f mm^2 / %.2f mW\n\n", bd.totalAreaMm2,
-                bd.totalPowerMw);
-}
-
-void
 BM_AreaBreakdown(benchmark::State &state)
 {
     MachineConfig config;
@@ -49,4 +29,4 @@ BENCHMARK(BM_AreaBreakdown)->Arg(2)->Arg(4)->Arg(8);
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printTable4)
+MARIONETTE_ARTIFACT_BENCH_MAIN(marionette::renderTable4())

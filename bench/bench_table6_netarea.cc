@@ -14,18 +14,6 @@ namespace
 {
 
 void
-printTable6()
-{
-    bench::banner(
-        "Table 6: network area comparison (28 nm, 4x4, 32-bit)",
-        "Marionette network 0.0118 mm^2 = 11.5% of fabric; "
-        "others 47-76%");
-    MachineConfig config;
-    std::printf("%s\n",
-                toString(networkAreaComparison(config)).c_str());
-}
-
-void
 BM_NetworkAreaComparison(benchmark::State &state)
 {
     MachineConfig config;
@@ -53,4 +41,4 @@ BENCHMARK(BM_ControlNetworkConstruction)
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printTable6)
+MARIONETTE_ARTIFACT_BENCH_MAIN(marionette::renderTable6())

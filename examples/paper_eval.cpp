@@ -4,15 +4,14 @@
  * the paper's evaluation section from this repository's models,
  * then compiles the supported kernels through the CDFG->Program
  * pipeline and cross-validates them on the cycle-accurate machine.
- * (The bench/ binaries regenerate the same artifacts one at a time
- * with benchmark timing; this example is the human-readable tour.)
  *
- * The model x workload grid behind the tables runs through
- * runSuite() (model/eval.h), like every figure bench.  Every kernel
- * compile-and-run goes through the parallel sweep runner's
- * runKernels() (sim/sweep.h), whose results carry the compile
- * report.  Results are keyed by job, so every artifact is identical
- * on any thread count.
+ * Each artifact has one renderer (model/eval.h's paperArtifacts());
+ * the tour prints them all for the --kernels selection, and each
+ * bench/ binary prints its own for all 13 kernels, then times the
+ * machinery behind it.  Every kernel compile-and-run goes through
+ * the parallel sweep runner's runKernels() (sim/sweep.h), whose
+ * results carry the compile report.  Results are keyed by job, so
+ * every artifact is identical on any thread count.
  *
  * Flags:
  *   --list         print the 13 workload abbreviations and exit.
@@ -833,7 +832,6 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
                 seed);
             KernelSweepJob job{w, config};
             job.discoverFaults = true;
-            job.maxRetries = 1;
             jobs.push_back(std::move(job));
             ResilienceCell cell;
             cell.kernel = w->name();
@@ -1046,142 +1044,12 @@ main(int argc, char **argv)
         return runUnrollAblation(opts, ab_runner);
     }
 
-    ModelParams params;
-    Features base_f;
-    base_f.controlNetwork = false;
-    base_f.agileAssignment = false;
-    Features net_f = base_f;
-    net_f.controlNetwork = true;
-    Features full_f; // everything on.
-
-    auto vn = makeVonNeumannPe(params);
-    auto df = makeDataflowPe(params);
-    auto mar_base = makeMarionette(params, base_f);
-    auto mar_net = makeMarionette(params, net_f);
-    auto mar = makeMarionette(params, full_f);
-    auto sb = makeSoftbrain(params);
-    auto tia = makeTia(params);
-    auto revel = makeRevel(params);
-    auto riptide = makeRiptide(params);
-
     std::vector<WorkloadProfile> profiles;
     for (const WorkloadProfile &p : allProfiles())
         if (selected(opts, p.name))
             profiles.push_back(p);
-    std::vector<WorkloadProfile> intensive;
-    for (const WorkloadProfile &p : intensiveProfiles())
-        if (selected(opts, p.name))
-            intensive.push_back(p);
-    std::vector<const ArchModel *> models{
-        vn.get(),  df.get(),    mar_base.get(),
-        mar_net.get(), mar.get(), sb.get(),
-        tia.get(), revel.get(), riptide.get()};
-    const CycleTable table = runSuite(models, profiles);
-
-    std::printf("== Table 1: control flow forms ==\n");
-    for (const WorkloadProfile &p : profiles)
-        std::printf("  %s\n", toString(p.controlFlow).c_str());
-
-    std::printf("\n== Table 3: capability matrix ==\n%s",
-                renderCapabilityMatrix().c_str());
-
-    MachineConfig config;
-    std::printf("\n== Table 4: area & power (28nm) ==\n%s",
-                marionetteAreaBreakdown(config).toString().c_str());
-
-    std::printf("\n== Table 6: network area comparison ==\n%s",
-                toString(networkAreaComparison(config)).c_str());
-
-    std::printf("\n== Fig 11: PE execution models "
-                "(normalized to von Neumann PE) ==\n%s",
-                renderSpeedupTable(table, vn->name(),
-                                   {vn->name(), df->name(),
-                                    mar_base->name()},
-                                   intensive)
-                    .c_str());
-
-    std::printf("\n== Fig 12: + control network ==\n%s",
-                renderSpeedupTable(table, mar_base->name(),
-                                   {mar_net->name()}, intensive)
-                    .c_str());
-
-    std::printf("\n== Fig 13: control network timing ==\n%s",
-                toString(delaySweep()).c_str());
-
-    std::printf("\n== Fig 14: + Agile PE Assignment ==\n%s",
-                renderSpeedupTable(table, mar_net->name(),
-                                   {mar->name()}, intensive)
-                    .c_str());
-
-    std::printf("\n== Fig 15: Agile utilization effects ==\n");
-    for (const WorkloadProfile &p : intensive) {
-        const ModelResult &s = table.at(mar_net->name()).at(p.name);
-        const ModelResult &a = table.at(mar->name()).at(p.name);
-        if (s.outerBbPeUtil <= 0)
-            continue;
-        std::printf("  %-6s outerBB %5.1f%% -> %5.1f%% (%5.1fx)   "
-                    "pipeline %5.1f%% -> %5.1f%% (%4.2fx)\n",
-                    p.name.c_str(), 100 * s.outerBbPeUtil,
-                    100 * a.outerBbPeUtil,
-                    a.outerBbPeUtil / s.outerBbPeUtil,
-                    100 * s.pipelineUtil, 100 * a.pipelineUtil,
-                    a.pipelineUtil / s.pipelineUtil);
-    }
-
-    std::printf("\n== Fig 16: network vs Agile speedup split ==\n");
-    for (const WorkloadProfile &p : intensive) {
-        double net_gain =
-            table.at(mar_base->name()).at(p.name).cycles /
-            table.at(mar_net->name()).at(p.name).cycles;
-        double agile_gain =
-            table.at(mar_net->name()).at(p.name).cycles /
-            table.at(mar->name()).at(p.name).cycles;
-        std::printf("  %-6s network %4.0f%%   agile %4.0f%%\n",
-                    p.name.c_str(), 100 * (net_gain - 1),
-                    100 * (agile_gain - 1));
-    }
-
-    std::printf("\n== Fig 17: vs state of the art "
-                "(normalized to Softbrain) ==\n%s",
-                renderSpeedupTable(table, sb->name(),
-                                   {sb->name(), tia->name(),
-                                    revel->name(), riptide->name(),
-                                    mar->name()},
-                                   profiles)
-                    .c_str());
-
-    if (!intensive.empty()) {
-        std::printf("\nMarionette geomean speedups (intensive): "
-                    "Softbrain %.2fx, TIA %.2fx, REVEL %.2fx, "
-                    "RipTide %.2fx\n",
-                    speedups(table, sb->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, tia->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, revel->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, riptide->name(), mar->name(),
-                             intensive).back());
-    }
-
-    // Full-LDPC composite (Fig. 17 note): intensive LDPC decode
-    // plus a non-intensive front end (Gray-processing-like).
-    if (selected(opts, "LDPC") && selected(opts, "GP")) {
-        auto composite = [&](const char *arch) {
-            return table.at(arch).at("LDPC").cycles +
-                   table.at(arch).at("GP").cycles;
-        };
-        std::printf("Full LDPC application: Softbrain %.2fx, TIA "
-                    "%.2fx, REVEL %.2fx, RipTide %.2fx\n",
-                    composite(sb->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(tia->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(revel->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(riptide->name().c_str()) /
-                        composite(mar->name().c_str()));
-    }
+    for (const PaperArtifact &artifact : paperArtifacts())
+        std::fputs(artifact.render(profiles).c_str(), stdout);
 
     const SweepRunner runner(opts.jobs);
     const Coverage coverage = machineValidation(opts, runner);

@@ -212,7 +212,7 @@ MarionetteMachine::scheduleCtrl(Cycle now, PeId src, PeId dst,
             ++lostCtrlWords_;
             return;
         }
-        lat = std::max<Cycles>(mesh_lat, config_.controlNetLatency);
+        lat = mesh_lat;
     }
     pendingCtrl_.schedule(now + lat, PendingCtrl{dst, addr});
     statCtrlWords_.inc();

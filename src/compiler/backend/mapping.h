@@ -81,12 +81,6 @@ struct Mapping
     int nonlinearUsed = 0;
     /** Placement objective value (weighted edge latency sum). */
     std::uint64_t cost = 0;
-
-    PeId
-    peOfNode(std::size_t phase, NodeId node) const
-    {
-        return phases[phase].peOf.at(node);
-    }
 };
 
 /** One routed data edge: the mesh path behind a DataEdge. */
@@ -135,7 +129,6 @@ struct RoutePlan
     std::vector<Cycles> drainCycles;
     /** One-way latency of a control emission (network or mesh). */
     Cycles controlLatency = 1;
-    std::uint64_t totalHops = 0;
     /**
      * Predicted per-link traversal counts (MeshGeometry::linkIndex
      * layout) of the whole run, from the multicast route trees: a

@@ -100,8 +100,7 @@ passRoute(Compilation &cc)
     plan.controlLatency =
         config.features.controlNetwork
             ? ControlNetwork::latency()
-            : std::max<Cycles>(geom.maxLatency(),
-                               config.controlNetLatency);
+            : std::max<Cycles>(1, geom.maxLatency());
 
     const Cycles exec = config.executeLatency;
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
@@ -136,7 +135,6 @@ passRoute(Compilation &cc)
             }
             route.maxEdgeLatency =
                 std::max(route.maxEdgeLatency, r.latency);
-            plan.totalHops += static_cast<std::uint64_t>(r.hops);
             route.edges.push_back(std::move(r));
         }
 

@@ -5,16 +5,6 @@
 namespace marionette
 {
 
-int
-Region::numSpanfulChildren() const
-{
-    int n = 0;
-    for (const Region &c : children)
-        if (c.kind != RegionKind::Block)
-            ++n;
-    return n;
-}
-
 void
 Region::forEach(const std::function<void(const Region &)> &fn) const
 {

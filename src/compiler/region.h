@@ -96,9 +96,6 @@ struct Region
         return r;
     }
 
-    /** Number of loop-or-cond children (the span-carrying ones). */
-    int numSpanfulChildren() const;
-
     /** Depth-first visit of every region (this included). */
     void forEach(const std::function<void(const Region &)> &fn) const;
     void forEach(const std::function<void(Region &)> &fn);

@@ -46,9 +46,6 @@ class BenesNetwork
     /** Number of switch stages: 2*log2(n) - 1. */
     int numStages() const { return stages_; }
 
-    /** Switches per stage: n/2. */
-    int switchesPerStage() const { return n_ / 2; }
-
     /** Total 2x2 switches in the fabric. */
     int totalSwitches() const { return stages_ * (n_ / 2); }
 

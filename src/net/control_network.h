@@ -106,13 +106,6 @@ class ControlNetwork
     int csMuxes() const
     { return csIn_.totalMuxes() + csOut_.totalMuxes(); }
 
-    /** Switching-stage count end to end (delay model input). */
-    int totalStages() const
-    {
-        return csIn_.numStages() + benes_.numStages() +
-               csOut_.numStages();
-    }
-
     const StatGroup &stats() const { return stats_; }
 
   private:

@@ -40,8 +40,7 @@ MachineConfig::summary() const
     std::ostringstream out;
     out << rows << "x" << cols << " PEs, "
         << scratchpadBytes / 1024 << "KiB spad/" << scratchpadBanks
-        << " banks, ctrlNet=" << controlNetLatency
-        << "c, dataNet=" << dataNetLatency
+        << " banks, dataNet=" << dataNetLatency
         << "c, features{proactive=" << features.proactiveConfig
         << ",ctrlnet=" << features.controlNetwork
         << ",agile=" << features.agileAssignment << "}";
@@ -64,10 +63,8 @@ configHash(const MachineConfig &config)
     mix(static_cast<std::uint64_t>(config.cols));
     mix(config.configLatency);
     mix(config.executeLatency);
-    mix(config.controlNetLatency);
     mix(config.dataNetLatency);
     mix(config.meshHopLatency);
-    mix(config.ccuRoundTrip);
     mix(static_cast<std::uint64_t>(config.controlFifoDepth));
     mix(static_cast<std::uint64_t>(config.controlFifoCount));
     mix(static_cast<std::uint64_t>(config.scratchpadBytes));

@@ -49,15 +49,16 @@ struct MachineConfig
     /** Cycles for one FU execution (paper Sec. 2.3). */
     Cycles executeLatency = 2;
 
-    /** One-way latency of the dedicated control network (Fig. 4d). */
-    Cycles controlNetLatency = 1;
-    /** Corner-to-corner latency of the data mesh (Fig. 4d). */
+    /**
+     * Sizes run()'s quiescence grace window, with the execute and
+     * configure latencies: the silent cycles a run waits before it
+     * counts as finished.  The window sets the idle statistics and
+     * the cycle count of a watchdog-ended run.  The mesh does not
+     * read it: it charges meshHopLatency per hop.
+     */
     Cycles dataNetLatency = 6;
     /** Per-hop latency on the data mesh. */
     Cycles meshHopLatency = 1;
-
-    /** Round-trip penalty of routing control through the CCU. */
-    Cycles ccuRoundTrip = 8;
 
     /** Depth of each control FIFO (entries). */
     int controlFifoDepth = 16;

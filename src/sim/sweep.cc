@@ -146,7 +146,7 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
                 out.run = machine.run(kernel.cycleBudget);
                 out.congestion = machine.congestion();
                 if (out.run.error != RunError::None &&
-                    out.retries < job.maxRetries &&
+                    out.retries == 0 &&
                     configHash(compile_config) !=
                         configHash(job.config)) {
                     if (out.firstError.empty())

@@ -52,13 +52,12 @@ struct KernelSweepJob
      * Fault-discovery mode: compile fault-obliviously first (as if
      * the hardware were healthy), run on the *faulted* machine, and
      * on a structured run error re-place/re-route against the full
-     * fault plan and rerun — the dynamic story of a fabric whose
-     * faults are found at run time.  Off: the first compile already
-     * knows the fault plan (static story), and no retry can help.
+     * fault plan and rerun, once — the dynamic story of a fabric
+     * whose faults are found at run time.  Off: the first compile
+     * already knows the fault plan (static story), and no retry can
+     * help.
      */
     bool discoverFaults = false;
-    /** Retry budget of the discovery mode (recompiles per job). */
-    int maxRetries = 1;
 };
 
 /** Outcome of one compiled-kernel grid cell. */
@@ -79,7 +78,7 @@ struct KernelSweepResult
     /** Mesh traffic / stall profile of the run (hop and link-load
      *  statistics the mapped-cycles report prints). */
     CongestionReport congestion;
-    /** Fault-discovery retries taken (see
+    /** Fault-discovery retries taken, 0 or 1 (see
      *  KernelSweepJob::discoverFaults). */
     int retries = 0;
     /** True when a retry re-placed/re-routed around the faults. */

@@ -41,10 +41,8 @@ analyticEstimate(const Workload &w, const MachineConfig &config)
     params.numPes = config.numPes();
     params.configLat = static_cast<double>(config.configLatency);
     params.execLat = static_cast<double>(config.executeLatency);
-    params.ctrlNetLat =
-        static_cast<double>(config.controlNetLatency);
+    params.ctrlNetLat = static_cast<double>(ControlNetwork::latency());
     params.dataNetLat = static_cast<double>(config.dataNetLatency);
-    params.ccuRoundTrip = static_cast<double>(config.ccuRoundTrip);
     return makeMarionette(params, config.features)
         ->run(w.profile())
         .cycles;

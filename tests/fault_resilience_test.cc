@@ -435,7 +435,6 @@ TEST(Sweep, RetryRecompilesAroundDiscoveredFaults)
     faulted.faults.deadPes = {victim};
     KernelSweepJob job{nw, faulted};
     job.discoverFaults = true;
-    job.maxRetries = 1;
 
     SweepRunner runner(1);
     ProgramCache cache;
@@ -488,7 +487,6 @@ TEST(Sweep, RetryRecoversUnrolledKernel)
     faulted.faults.deadPes = {victim};
     KernelSweepJob job{gemm, faulted};
     job.discoverFaults = true;
-    job.maxRetries = 1;
 
     SweepRunner runner(1);
     ProgramCache cache;

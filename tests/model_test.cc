@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "model/arch_model.h"
 #include "model/capability.h"
 #include "model/taxonomy.h"
@@ -445,6 +447,52 @@ TEST(Eval, SpeedupTableRendersAllColumns)
     for (const WorkloadProfile &p : profiles)
         EXPECT_NE(s.find(p.name), std::string::npos) << p.name;
     EXPECT_NE(s.find("GM"), std::string::npos);
+}
+
+/** The profiles of @p names, in allProfiles() order. */
+std::vector<WorkloadProfile>
+profilesOf(const std::set<std::string> &names)
+{
+    std::vector<WorkloadProfile> out;
+    for (const WorkloadProfile &p : allProfiles())
+        if (names.count(p.name) > 0)
+            out.push_back(p);
+    return out;
+}
+
+// Every artifact renders for the full suite and for paper_eval
+// --kernels selections: no nested-loop kernel, LDPC or GP; LDPC
+// without GP; no intensive kernel.  Fig. 17's full-LDPC composite
+// needs both LDPC and GP.
+TEST(Eval, PaperArtifactsRenderForAnyKernelSelection)
+{
+    ASSERT_EQ(paperArtifacts().size(), 12u);
+    const std::string composite = "Full LDPC application";
+    struct Selection
+    {
+        std::vector<WorkloadProfile> profiles;
+        bool hasComposite;
+    };
+    const Selection selections[] = {
+        {allProfiles(), true},
+        {profilesOf({"SI", "CRC", "CO"}), false},
+        {profilesOf({"LDPC", "SI"}), false},
+        {profilesOf({"SI", "GP"}), false},
+    };
+    for (const Selection &sel : selections) {
+        for (const PaperArtifact &artifact : paperArtifacts()) {
+            std::string text;
+            ASSERT_NO_THROW(text = artifact.render(sel.profiles))
+                << artifact.name;
+            EXPECT_FALSE(text.empty()) << artifact.name;
+            EXPECT_NE(text.find("paper reports: "), std::string::npos)
+                << artifact.name;
+            if (std::string(artifact.name) == "Fig 17")
+                EXPECT_EQ(text.find(composite) != std::string::npos,
+                          sel.hasComposite)
+                    << sel.profiles.size() << " profiles";
+        }
+    }
 }
 
 } // namespace
