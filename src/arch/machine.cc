@@ -668,6 +668,7 @@ MarionetteMachine::snapshot() const
     for (const auto &pe : pes_)
         s.pes.push_back(pe->saveState());
     s.mesh = mesh_.saveState();
+    // Walks the scratchpad's held pages only.
     s.scratchpad = scratchpad_->image();
     s.scratchpadStats = scratchpad_->saveStats();
     s.fifoContents.reserve(fifos_.size());
@@ -702,6 +703,8 @@ MarionetteMachine::restore(const Snapshot &s)
     for (std::size_t i = 0; i < pes_.size(); ++i)
         pes_[i]->restoreState(s.pes[i]);
     mesh_.restoreState(s.mesh);
+    // Zeroes the held pages in place; a fresh machine comes to hold
+    // only the pages the image covers.
     scratchpad_->restoreState(s.scratchpad, s.scratchpadStats);
     for (std::size_t i = 0; i < fifos_.size(); ++i)
         fifos_[i]->restoreState(s.fifoContents[i], s.fifoStats[i]);

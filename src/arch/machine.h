@@ -55,14 +55,15 @@
  * machine back to that point through restoreState(), so the
  * serving core can warm-start repeated runs from a compiled+filled
  * checkpoint instead of re-preparing from scratch.  The scratchpad
- * is kept as its nonzero-word runs (Scratchpad::Image; restore
- * zeroes the whole pad, then lays the runs back), and every
- * statistic group as its touched or nonzero entries (restore resets
- * the rest to the untouched zero state).  Per input channel and
- * control FIFO a snapshot keeps only the buffered words, oldest
- * first, as a plain vector (empty: no allocation); per (PE,
- * channel) it keeps the claimed-but-undelivered credit count in one
- * flat array.
+ * is kept as its nonzero-word runs, found by walking only the pages
+ * the pad holds (Scratchpad::Image; restore zeroes the held pages
+ * in place, then lays the runs back, allocating only the pages a
+ * run covers), and every statistic group as its touched or nonzero
+ * entries (restore resets the rest to the untouched zero state).
+ * Per input channel and control FIFO a snapshot keeps only the
+ * buffered words, oldest first, as a plain vector (empty: no
+ * allocation); per (PE, channel) it keeps the claimed-but-
+ * undelivered credit count in one flat array.
  */
 
 #ifndef MARIONETTE_ARCH_MACHINE_H

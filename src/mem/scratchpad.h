@@ -6,6 +6,12 @@
  * Accesses in the same cycle to distinct banks proceed in parallel;
  * same-bank accesses beyond one port serialize, which the machine
  * observes as back-pressure.  Banking is low-order interleaved.
+ *
+ * Storage is paged: the pad holds a 1,024-word page from the first
+ * nonzero word written to it, and every word of a page it does not
+ * hold reads 0.  A machine's resident pad thus follows the words its
+ * kernels write, not the configured capacity, and snapshots and
+ * restores touch held pages only.
  */
 
 #ifndef MARIONETTE_MEM_SCRATCHPAD_H
@@ -31,8 +37,15 @@ class Scratchpad
      */
     Scratchpad(int bytes, int banks, int ports_per_bank = 1);
 
+    /** Words per storage page (4 KiB). */
+    static constexpr int pageWords = 1024;
+
     /** Capacity in 32-bit words. */
-    int numWords() const { return static_cast<int>(data_.size()); }
+    int numWords() const { return numWords_; }
+
+    /** Words the pad holds in storage: the pages a nonzero word was
+     *  written to, kept for the pad's lifetime. */
+    int heldWords() const;
 
     int numBanks() const { return banks_; }
 
@@ -54,13 +67,15 @@ class Scratchpad
     /** Read the word at @p addr (bounds-checked). */
     Word read(Word addr) const;
 
-    /** Write the word at @p addr. */
+    /** Write the word at @p addr (a zero allocates no page). */
     void write(Word addr, Word value);
 
-    /** Bulk initialization helper for workloads/tests. */
+    /** Bulk initialization helper for workloads/tests (a page that
+     *  would receive only zeros is not allocated). */
     void load(Word base, const std::vector<Word> &words);
 
-    /** Set words [base, base + count) to @p value. */
+    /** Set words [base, base + count) to @p value (a zero fill
+     *  clears held pages only). */
     void fill(Word base, int count, Word value);
 
     /** Bulk read-back helper. */
@@ -88,10 +103,12 @@ class Scratchpad
         std::vector<Word> words;
     };
 
-    /** Capture the nonzero runs (machine snapshots). */
+    /** Capture the nonzero runs, walking held pages only (machine
+     *  snapshots).  A run continues across a page boundary. */
     Image image() const;
 
-    /** Zero the pad, lay an image() back and restore a saveStats()
+    /** Zero the held pages in place, lay an image() back (holding
+     *  only the pages its runs cover) and restore a saveStats()
      *  capture (machine snapshots). */
     void restoreState(const Image &image, const StatGroupState &stats);
 
@@ -102,7 +119,18 @@ class Scratchpad
     }
 
   private:
-    std::vector<Word> data_;
+    /** Page @p p, allocated all-zero if the pad does not hold it. */
+    std::vector<Word> &hold(std::size_t p);
+
+    /** Copy @p count words to [base, base + count), holding only
+     *  the pages that receive a nonzero word. */
+    void store(Word base, const Word *words, int count);
+
+    int numWords_;
+    /** Page p covers words [p * pageWords, (p + 1) * pageWords),
+     *  clipped to the capacity; an empty vector is a page the pad
+     *  does not hold. */
+    std::vector<std::vector<Word>> pages_;
     int banks_;
     int portsPerBank_;
     std::vector<int> portsUsed_;

@@ -67,8 +67,7 @@ runSuite(const std::vector<const ArchModel *> &models,
 double
 geomean(const std::vector<double> &values)
 {
-    if (values.empty())
-        return 0.0;
+    MARIONETTE_ASSERT(!values.empty(), "geomean of an empty set");
     double log_sum = 0.0;
     for (double v : values) {
         MARIONETTE_ASSERT(v > 0, "geomean of non-positive value");
@@ -98,6 +97,8 @@ renderSpeedupTable(const CycleTable &table,
                    const std::vector<std::string> &subjects,
                    const std::vector<WorkloadProfile> &profiles)
 {
+    if (profiles.empty())
+        return "The selection holds no intensive kernel.\n";
     std::ostringstream out;
     out << std::left << std::setw(24) << "Architecture";
     for (const WorkloadProfile &p : profiles)
@@ -374,7 +375,7 @@ renderFig15(const std::vector<WorkloadProfile> &profiles)
         if (pg > 0)
             pipe_gains.push_back(pg);
     }
-    if (!outer_gains.empty() || !pipe_gains.empty())
+    if (!outer_gains.empty() && !pipe_gains.empty())
         appendf(out, "%-6s outer-BB geomean %.2fx   pipeline "
                      "geomean %.2fx\n",
                 "GM", geomean(outer_gains), geomean(pipe_gains));

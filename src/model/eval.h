@@ -33,13 +33,14 @@ CycleTable
 runSuite(const std::vector<const ArchModel *> &models,
          const std::vector<WorkloadProfile> &profiles);
 
-/** Geometric mean of a vector of ratios. */
+/** Geometric mean of a non-empty vector of ratios (panics on an
+ *  empty one: an average of nothing is not a ratio). */
 double geomean(const std::vector<double> &values);
 
 /**
  * Speedups of @p subject over @p baseline per workload (baseline
  * cycles / subject cycles), in profile order, plus the geomean
- * appended last.
+ * appended last (@p profiles must not be empty).
  */
 std::vector<double>
 speedups(const CycleTable &table, const std::string &baseline,
@@ -49,7 +50,8 @@ speedups(const CycleTable &table, const std::string &baseline,
 /**
  * Render a speedup table: one row per architecture (normalized to
  * @p normalize_to), columns per workload plus GM — the layout of
- * Figs. 11/12/14/17.
+ * Figs. 11/12/14/17.  An empty @p profiles renders one line saying
+ * the selection holds no intensive kernel.
  */
 std::string
 renderSpeedupTable(const CycleTable &table,

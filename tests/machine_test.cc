@@ -470,27 +470,38 @@ expectSame(const RunCapture &a, const RunCapture &b,
  *  too.  CRC chains its two serial phases with control words (the
  *  generator's loop exit configures a drain loop, whose exit
  *  configures the next generator): a restore re-derives no switch
- *  state, and the chain still replays. */
+ *  state, and the chain still replays.  SI compiled into co-tenancy
+ *  region 3's window (words 98,304 on) replays as well, and a
+ *  restored pad holds only the pages its kernel writes: SI's four,
+ *  wherever its window sits. */
 TEST(Machine, SnapshotRestoreDeterminism)
 {
+    CompilerOptions region3;
+    region3.memoryBase = 98304;
+    region3.memoryWords = 32768;
     const struct
     {
         MachineConfig config;
         const char *kernel;
+        CompilerOptions options;
         bool seeded;
         std::size_t imageWords;
+        /** Words a restored machine's pad holds after the run. */
+        int heldWords;
         std::uint64_t ctrlWords;
         const char *ranBefore;
     } cases[] = {
         // paper-prototype defaults.
-        {MachineConfig{}, "SI", false, 2048, 0, nullptr},
-        {evalFabric(), "SCD", true, 128, 0, "SI"},
-        {evalFabric(), "CRC", true, 64, 2, nullptr},
+        {MachineConfig{}, "SI", {}, false, 2048, 4096, 0, nullptr},
+        {evalFabric(), "SCD", {}, true, 128, 1024, 0, "SI"},
+        {evalFabric(), "CRC", {}, true, 64, 1024, 2, nullptr},
+        {evalFabric(), "SI", region3, false, 2048, 4096, 0, nullptr},
     };
     for (const auto &c : cases) {
-        SCOPED_TRACE(c.kernel);
+        SCOPED_TRACE(std::string(c.kernel) + " at word " +
+                     std::to_string(c.options.memoryBase));
         const MachineConfig &config = c.config;
-        CompileResult r = Compiler(config).compile(c.kernel);
+        CompileResult r = Compiler(config, c.options).compile(c.kernel);
         ASSERT_TRUE(r.ok()) << r.report.toString();
         const CompiledKernel &kernel = *r.kernel;
 
@@ -516,6 +527,7 @@ TEST(Machine, SnapshotRestoreDeterminism)
                 0, garbage.scratchpad().numWords(), 0x5a5a5a5a);
             garbage.restore(snap);
             expectSame(straight, capture(garbage), "garbage-pad restore");
+            return fresh.scratchpad().heldWords();
         };
 
         MarionetteMachine a(config);
@@ -534,7 +546,7 @@ TEST(Machine, SnapshotRestoreDeterminism)
         a.restore(snap);
         RunCapture rewound = capture(a);
         expectSame(straight, rewound, "in-place restore");
-        expectRestoresMatch(snap, straight);
+        EXPECT_EQ(expectRestoresMatch(snap, straight), c.heldWords);
 
         // A snapshot of a restored machine is as good as the
         // original.

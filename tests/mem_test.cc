@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 
 #include "mem/control_fifo.h"
 #include "mem/scratchpad.h"
+#include "sim/config.h"
+#include "sim/rng.h"
 
 namespace marionette
 {
@@ -78,10 +81,12 @@ TEST(Scratchpad, BulkLoadAndDump)
 
 /** A snapshot image keeps exactly the nonzero words: laid back onto
  *  a pad full of garbage it reproduces the source word for word,
- *  whatever the runs' shape. */
+ *  whatever the runs' shape.  The pad spans two full pages and a
+ *  256-word last page, so runs meet page boundaries too. */
 TEST(Scratchpad, ImageRoundTripsOntoAGarbagePad)
 {
-    const int n = 256;
+    const int page = Scratchpad::pageWords;
+    const int n = 2 * page + 256;
     const struct
     {
         const char *shape;
@@ -93,6 +98,10 @@ TEST(Scratchpad, ImageRoundTripsOntoAGarbagePad)
         {"run at word 0", 0, {1, 2, 3}, 1},
         {"run ending at the last word", n - 3, {4, 5, 6}, 1},
         {"runs split by one zero word", 10, {7, 8, 0, 9, -1}, 2},
+        {"run straddling words 1023/1024", page - 2, {1, 2, 3, 4}, 1},
+        {"run ending at word 1023", page - 3, {5, 6, 7, 0, 8}, 2},
+        {"run starting at word 1024", page - 2, {9, 0, 10, 11}, 2},
+        {"run on the last page", 2 * page + 7, {12, 13}, 1},
         {"all nonzero", 0, std::vector<Word>(n, -3), 1},
     };
     for (const auto &c : cases) {
@@ -108,6 +117,81 @@ TEST(Scratchpad, ImageRoundTripsOntoAGarbagePad)
         target.restoreState(image, source.saveStats());
         EXPECT_EQ(target.dump(0, n), source.dump(0, n)) << c.shape;
         EXPECT_EQ(target.stats().value("accesses"), 1u) << c.shape;
+    }
+}
+
+/** The nonzero runs of @p words, found by scanning every word (the
+ *  reference a paged image() must match). */
+std::pair<std::vector<std::pair<Word, int>>, std::vector<Word>>
+denseImage(const std::vector<Word> &words)
+{
+    std::pair<std::vector<std::pair<Word, int>>, std::vector<Word>> out;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        if (words[i] == 0)
+            continue;
+        if (i == 0 || words[i - 1] == 0)
+            out.first.push_back({static_cast<Word>(i), 0});
+        ++out.first.back().second;
+        out.second.push_back(words[i]);
+    }
+    return out;
+}
+
+/** An evaluation-fabric pad holds a page only once a nonzero word
+ *  is written to it: reads, dumps and zero fills hold nothing. */
+TEST(Scratchpad, PagesHeldOnlyWhereWritten)
+{
+    const int bytes = evalFabric().scratchpadBytes;
+    const int page = Scratchpad::pageWords;
+    Scratchpad pad(bytes, 8);
+    const int n = pad.numWords();
+    EXPECT_EQ(pad.heldWords(), 0);
+    EXPECT_EQ(pad.dump(0, n), std::vector<Word>(n, 0));
+    pad.fill(0, n, 0);
+    pad.write(5, 0);
+    EXPECT_EQ(pad.heldWords(), 0);
+    EXPECT_TRUE(pad.image().runs.empty());
+
+    pad.write(98304, 7);
+    EXPECT_EQ(pad.heldWords(), page);
+    EXPECT_EQ(pad.read(98304), 7);
+    EXPECT_EQ(pad.read(98304 - 1), 0);
+    pad.fill(0, n, 0);
+    EXPECT_EQ(pad.heldWords(), page);
+    EXPECT_EQ(pad.read(98304), 0);
+
+    // Seeded sparse pads: short runs of mixed words, some on page
+    // boundaries, over a few pages anywhere in the pad.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Scratchpad sparse(bytes, 8);
+        for (int r = 0; r < 12; ++r) {
+            const Word start =
+                rng.nextBool(0.25)
+                    ? static_cast<Word>(rng.nextRange(1, n / page - 1) *
+                                            page -
+                                        rng.nextRange(0, 3))
+                    : static_cast<Word>(rng.nextRange(0, n - 40));
+            const Word end = start + static_cast<Word>(rng.nextRange(1, 40));
+            for (Word a = start; a < end; ++a)
+                sparse.write(a, rng.nextBool(0.8)
+                                    ? static_cast<Word>(rng.next64())
+                                    : 0);
+        }
+        const Scratchpad::Image image = sparse.image();
+        std::vector<std::pair<Word, int>> runs;
+        for (const Scratchpad::Image::Run &run : image.runs)
+            runs.push_back({run.start, run.count});
+        const auto dense = denseImage(sparse.dump(0, n));
+        EXPECT_EQ(runs, dense.first);
+        EXPECT_EQ(image.words, dense.second);
+        EXPECT_LE(sparse.heldWords(), 2 * 12 * page);
+
+        Scratchpad fresh(bytes, 8);
+        fresh.restoreState(image, sparse.saveStats());
+        EXPECT_EQ(fresh.dump(0, n), sparse.dump(0, n));
+        EXPECT_LE(fresh.heldWords(), sparse.heldWords());
     }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "model/arch_model.h"
 #include "model/capability.h"
@@ -430,7 +431,11 @@ TEST(Eval, GeomeanBasics)
 {
     EXPECT_DOUBLE_EQ(geomean({4.0, 1.0}), 2.0);
     EXPECT_DOUBLE_EQ(geomean({3.0}), 3.0);
-    EXPECT_EQ(geomean({}), 0.0);
+}
+
+TEST(EvalDeath, GeomeanOfNothingPanics)
+{
+    EXPECT_DEATH(geomean({}), "geomean of an empty set");
 }
 
 TEST(Eval, SpeedupTableRendersAllColumns)
@@ -460,24 +465,53 @@ profilesOf(const std::set<std::string> &names)
     return out;
 }
 
+/** True when @p text shows a GM of 0.00: as the last column of a
+ *  row under a speedup table's header (which ends in "GM"), or on a
+ *  line that starts "GM". */
+bool
+showsZeroGeomean(const std::string &text)
+{
+    std::istringstream lines(text);
+    bool in_table = false;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.ends_with("GM")) {
+            in_table = true;
+            continue;
+        }
+        in_table = in_table && !line.empty();
+        if ((in_table && line.ends_with(" 0.00")) ||
+            (line.starts_with("GM ") &&
+             line.find(" 0.00x") != std::string::npos))
+            return true;
+    }
+    return false;
+}
+
 // Every artifact renders for the full suite and for paper_eval
 // --kernels selections: no nested-loop kernel, LDPC or GP; LDPC
 // without GP; no intensive kernel.  Fig. 17's full-LDPC composite
-// needs both LDPC and GP.
+// needs both LDPC and GP.  No text shows a GM of 0.00.
 TEST(Eval, PaperArtifactsRenderForAnyKernelSelection)
 {
     ASSERT_EQ(paperArtifacts().size(), 12u);
     const std::string composite = "Full LDPC application";
+    // Figs 11, 12 and 14 average intensive kernels only: a
+    // selection without one says so rather than print a GM.
+    const std::set<std::string> intensive_only = {"Fig 11", "Fig 12",
+                                                  "Fig 14"};
+    const std::string no_intensive =
+        "The selection holds no intensive kernel.";
     struct Selection
     {
         std::vector<WorkloadProfile> profiles;
         bool hasComposite;
+        bool hasIntensive;
     };
     const Selection selections[] = {
-        {allProfiles(), true},
-        {profilesOf({"SI", "CRC", "CO"}), false},
-        {profilesOf({"LDPC", "SI"}), false},
-        {profilesOf({"SI", "GP"}), false},
+        {allProfiles(), true, true},
+        {profilesOf({"SI", "CRC", "CO"}), false, true},
+        {profilesOf({"LDPC", "SI"}), false, true},
+        {profilesOf({"SI", "GP"}), false, false},
     };
     for (const Selection &sel : selections) {
         for (const PaperArtifact &artifact : paperArtifacts()) {
@@ -491,6 +525,13 @@ TEST(Eval, PaperArtifactsRenderForAnyKernelSelection)
                 EXPECT_EQ(text.find(composite) != std::string::npos,
                           sel.hasComposite)
                     << sel.profiles.size() << " profiles";
+            if (intensive_only.count(artifact.name) > 0)
+                EXPECT_EQ(text.find(no_intensive) != std::string::npos,
+                          !sel.hasIntensive)
+                    << artifact.name;
+            EXPECT_FALSE(showsZeroGeomean(text))
+                << artifact.name << ", " << sel.profiles.size()
+                << " profiles:\n" << text;
         }
     }
 }
