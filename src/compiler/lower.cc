@@ -78,11 +78,11 @@ log2Of(Word v)
 class BodyBuilder
 {
   public:
-    /** @p minMaxPeephole folds compare-select idioms into Min/Max
-     *  nodes (cost path only: the snake baseline must reproduce
-     *  the legacy program bit-for-bit). */
-    explicit BodyBuilder(bool minMaxPeephole)
-        : peephole_(minMaxPeephole)
+    /** @p selectPeephole applies foldSelect()'s rewrites (cost
+     *  path only: the snake baseline must reproduce the legacy
+     *  program bit-for-bit). */
+    explicit BodyBuilder(bool selectPeephole)
+        : peephole_(selectPeephole)
     {
         dfg_.addInput("t");
     }
@@ -103,17 +103,10 @@ class BodyBuilder
         if (pure && isImmish(a) && isImmish(b) && isImmish(c))
             return Operand::imm(evalOp(op, a.ref, b.ref, c.ref));
 
-        if (peephole_ && op == Opcode::Select &&
-            a.kind == OperandKind::Node) {
-            Opcode mm = selectAsMinMax(a, b, c);
-            if (mm != Opcode::Nop) {
-                const DfgNode &cmp = dfg_.node(a.ref);
-                return emit(mm, cmp.a, cmp.b, Operand::none(),
-                            name);
-            }
-            Operand three = selectAsMinMax3(a, b, c, name);
-            if (three.kind != OperandKind::None)
-                return three;
+        if (peephole_ && op == Opcode::Select) {
+            Operand folded = foldSelect(a, b, c, name);
+            if (folded.kind != OperandKind::None)
+                return folded;
         }
 
         if (pure) {
@@ -132,6 +125,116 @@ class BodyBuilder
     }
 
   private:
+    /**
+     * Select(cond, t, f) rewritten to the lane it provably yields,
+     * or to one cheaper node.  Every rule is value-exact on every
+     * input, and each takes the select's execute and hop off any
+     * loop-carried cycle that runs through it.  Returns a none()
+     * operand when no rule applies.
+     */
+    Operand
+    foldSelect(const Operand &cond, const Operand &t,
+               const Operand &f, const std::string &name)
+    {
+        // A constant condition picks its lane at compile time
+        // (SCD's g-node steers on the scalar live-in u = 0).
+        if (cond.kind == OperandKind::Immediate)
+            return cond.ref != 0 ? t : f;
+        if (gateAbsorbsSelect(cond, t, f))
+            return t;
+        if (cond.kind != OperandKind::Node)
+            return Operand::none();
+        Opcode mm = selectAsMinMax(cond, t, f);
+        if (mm != Opcode::Nop) {
+            const DfgNode &cmp = dfg_.node(cond.ref);
+            return emit(mm, cmp.a, cmp.b, Operand::none(), name);
+        }
+        Operand three = selectAsMinMax3(cond, t, f, name);
+        if (three.kind != OperandKind::None)
+            return three;
+        Operand x = selectAsAbs(cond, t, f);
+        if (x.kind != OperandKind::None)
+            return emit(Opcode::Abs, x, Operand::none(),
+                        Operand::none(), name);
+        return Operand::none();
+    }
+
+    /**
+     * Select(p, x op Load(addr, pred = p), x) is x op Load(...) for
+     * op in {Add, Xor, Or}, either operand order, and for Sub with
+     * the load as subtrahend: where p is 0 the PE skips the masked
+     * load and yields 0, a right identity of each.  The load must
+     * carry exactly p; under any other predicate, or none, it may
+     * yield a nonzero word there.  CRC's byte xor-in, a boundary
+     * block gated to its byte's first slot, is the motivating case.
+     */
+    bool
+    gateAbsorbsSelect(const Operand &p, const Operand &t,
+                      const Operand &x) const
+    {
+        if (t.kind != OperandKind::Node)
+            return false;
+        auto loadGatedByP = [&](const Operand &o) {
+            return o.kind == OperandKind::Node &&
+                   dfg_.node(o.ref).op == Opcode::Load &&
+                   dfg_.node(o.ref).b == p;
+        };
+        const DfgNode &n = dfg_.node(t.ref);
+        switch (n.op) {
+          case Opcode::Add:
+          case Opcode::Xor:
+          case Opcode::Or:
+            return (n.a == x && loadGatedByP(n.b)) ||
+                   (n.b == x && loadGatedByP(n.a));
+          case Opcode::Sub:
+            return n.a == x && loadGatedByP(n.b);
+          default:
+            return false;
+        }
+    }
+
+    /**
+     * Select(x < 0, Neg(x), x) is Abs(x), and so are its mirrored
+     * forms: the zero on either side of the compare, the lanes
+     * swapped for x > 0, and the non-strict compares (Neg(0) = 0,
+     * so both lanes agree on a tie).  Returns x, or a none()
+     * operand.  ADPCM's sign fold of `diff` is the motivating case.
+     */
+    Operand
+    selectAsAbs(const Operand &cond, const Operand &t,
+                const Operand &f) const
+    {
+        const DfgNode &cmp = dfg_.node(cond.ref);
+        auto isZero = [](const Operand &o) {
+            return o.kind == OperandKind::Immediate && o.ref == 0;
+        };
+        if (!isZero(cmp.a) && !isZero(cmp.b))
+            return Operand::none();
+        const bool xFirst = isZero(cmp.b);
+        const Operand &x = xFirst ? cmp.a : cmp.b;
+        bool less;
+        switch (cmp.op) {
+          case Opcode::CmpLt:
+          case Opcode::CmpLe:
+            less = true;
+            break;
+          case Opcode::CmpGt:
+          case Opcode::CmpGe:
+            less = false;
+            break;
+          default:
+            return Operand::none();
+        }
+        // The condition holds for negative x (x < 0, or 0 > x).
+        const bool negTaken = less == xFirst;
+        const Operand &neg = negTaken ? t : f;
+        const Operand &pos = negTaken ? f : t;
+        if (!(pos == x) || neg.kind != OperandKind::Node)
+            return Operand::none();
+        const DfgNode &n = dfg_.node(neg.ref);
+        return n.op == Opcode::Neg && n.a == x ? x : Operand::none();
+    }
+
     /**
      * Select(cmp(x,y), x, y) is a one-node Min/Max (value-exact:
      * on ties both sides of the select are the same word).  NW's

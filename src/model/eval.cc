@@ -281,7 +281,8 @@ renderFig11(const std::vector<WorkloadProfile> &profiles)
                                z.dataflow->name(),
                                z.marionetteBase->name()},
                               intensive);
-    out += "\nOperators under branch (secondary axis):\n";
+    if (!intensive.empty())
+        out += "\nOperators under branch (secondary axis):\n";
     for (const WorkloadProfile &p : intensive)
         appendf(out, "  %-6s %4.0f%%\n", p.name.c_str(),
                 100 * p.controlFlow.opsUnderBranch);

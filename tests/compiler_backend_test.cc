@@ -130,19 +130,19 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 3 "
          "cycle(s), weighted wirelength 44, 38 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"CRC", "default", 0xe7f1844be39fe9d4ull,
-         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
-         "16 cycle(s), weighted wirelength 108, 23 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "default", 0xfcaa6040d7c331b7ull,
-         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
-         "cycle(s), weighted wirelength 427, 78 improving move(s) "
+        {"CRC", "default", 0xb68e5afe71bc7039ull,
+         "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
+         "cycle(s), weighted wirelength 83, 20 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "default", 0xa825aba1d982f9c0ull,
+        {"ADPCM", "default", 0x7c8e6fcfd3afa35cull,
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
+         "cycle(s), weighted wirelength 397, 84 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "default", 0x456b51f7ae30b178ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
-         "cycle(s), weighted wirelength 506, 169 improving move(s) "
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 36 "
+         "cycle(s), weighted wirelength 391, 160 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"LDPC", "default", 0x4572c35cc1f80356ull,
          "fused 4 memory-ordering fence(s) into load ordering "
@@ -170,19 +170,19 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
          "cycle(s), weighted wirelength 4, 92 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"CRC", "faults", 0xe7f1844be39fe9d4ull,
-         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
-         "16 cycle(s), weighted wirelength 108, 26 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "faults", 0x8110e6b9ae1ddf4aull,
+        {"CRC", "faults", 0xb68e5afe71bc7039ull,
+         "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
+         "cycle(s), weighted wirelength 83, 23 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "faults", 0x7a5be2e4a9036fc1ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
-         "cycle(s), weighted wirelength 496, 185 improving move(s) "
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 34 "
+         "cycle(s), weighted wirelength 417, 171 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "faults", 0x9af65a5baf7e4122ull,
-         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
-         "cycle(s), weighted wirelength 429, 81 improving move(s) "
+        {"ADPCM", "faults", 0x7c8e6fcfd3afa35cull,
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
+         "cycle(s), weighted wirelength 397, 100 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"NW", "faults", 0x5abe0d399455df80ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
@@ -192,37 +192,37 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
          "cycle(s), weighted wirelength 4, 83 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"CRC", "unroll1", 0xe7f1844be39fe9d4ull,
-         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 "
-         "16 cycle(s), weighted wirelength 108, 23 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "unroll1", 0xa825aba1d982f9c0ull,
+        {"CRC", "unroll1", 0xb68e5afe71bc7039ull,
+         "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
+         "cycle(s), weighted wirelength 83, 20 improving move(s) "
+         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+        {"SCD", "unroll1", 0x456b51f7ae30b178ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 40 "
-         "cycle(s), weighted wirelength 506, 169 improving move(s) "
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 36 "
+         "cycle(s), weighted wirelength 391, 160 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "unroll1", 0xfcaa6040d7c331b7ull,
-         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 34 "
-         "cycle(s), weighted wirelength 427, 78 improving move(s) "
+        {"ADPCM", "unroll1", 0x7c8e6fcfd3afa35cull,
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
+         "cycle(s), weighted wirelength 397, 84 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"NW", "unroll1", 0x4048ebaed6a0ada6ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
          "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "hop2", 0x55e7374f61227323ull,
+        {"SCD", "hop2", 0xa7b5e7998d97b472ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 56 "
-         "cycle(s), weighted wirelength 988, 153 improving move(s) "
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 50 "
+         "cycle(s), weighted wirelength 776, 175 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "hop2", 0xe0c24edd97caf42full,
-         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 46 "
-         "cycle(s), weighted wirelength 898, 97 improving move(s) "
+        {"ADPCM", "hop2", 0xb51f65fbbfb23dbcull,
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 40 "
+         "cycle(s), weighted wirelength 766, 111 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"CRC", "hop2", 0x2c6f286158f715cbull,
-         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 22 "
-         "cycle(s), weighted wirelength 240, 50 improving move(s) "
+        {"CRC", "hop2", 0xd0bf525d7cbb5ae9ull,
+         "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 16 "
+         "cycle(s), weighted wirelength 172, 24 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"HT", "hop2", 0x9966fd6b5c6bea5eull,
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 4 "
@@ -234,19 +234,19 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 66/100 PEs (0 nonlinear), recurrence II 17 "
          "cycle(s), weighted wirelength 2292, 836 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "exec1", 0x76d04432affc5c8eull,
+        {"SCD", "exec1", 0x456b51f7ae30b178ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 30/100 PEs (0 nonlinear), recurrence II 28 "
-         "cycle(s), weighted wirelength 495, 180 improving move(s) "
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 25 "
+         "cycle(s), weighted wirelength 391, 208 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "exec1", 0xe0c24edd97caf42full,
-         "cost placer: 29/100 PEs (0 nonlinear), recurrence II 23 "
-         "cycle(s), weighted wirelength 453, 96 improving move(s) "
+        {"ADPCM", "exec1", 0xb51f65fbbfb23dbcull,
+         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 20 "
+         "cycle(s), weighted wirelength 387, 111 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"CRC", "exec1", 0x7cddbb86bd5cf565ull,
-         "cost placer: 16/100 PEs (0 nonlinear), recurrence II 1 11 "
-         "cycle(s), weighted wirelength 111, 19 improving move(s) "
+        {"CRC", "exec1", 0x5da0e81167306a21ull,
+         "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 8 "
+         "cycle(s), weighted wirelength 83, 20 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"HT", "exec1", 0x85ca9b95f53cd124ull,
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 2 "
@@ -339,22 +339,38 @@ TEST(Placement, SnakeAndCostBothBitExact)
            "well over 12.5% on the primary fabric";
 }
 
+int
+selectsIn(const Program &program)
+{
+    int n = 0;
+    for (const PeProgram &pe : program.pes)
+        for (const Instruction &in : pe.instrs)
+            n += in.op == Opcode::Select ? 1 : 0;
+    return n;
+}
+
 TEST(Placement, FenceFusionOnlyOnTheCostPath)
 {
+    // The snake baseline must reproduce the legacy program, so the
+    // cost path's rewrites stay off it: the place pass's fence
+    // fusion (LDPC) and the lower pass's select folds (CRC's byte
+    // xor-in; its bit step's select stays on both paths).
     MachineConfig config = evalFabric();
-    CompilerOptions cost;
-    CompileResult r = Compiler(config, cost).compile("LDPC");
-    ASSERT_TRUE(r.ok());
-    EXPECT_NE(placeNote(r.report).find("fused"),
-              std::string::npos);
-
     CompilerOptions snake;
     snake.placer = PlacerKind::Snake;
-    CompileResult s = Compiler(config, snake).compile("LDPC");
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(placeNote(s.report).find("fused"),
-              std::string::npos)
-        << "the snake baseline must reproduce the legacy program";
+    for (const CompilerOptions &opts : {CompilerOptions{}, snake}) {
+        const bool cost = opts.placer == PlacerKind::Cost;
+        CompileResult ldpc = Compiler(config, opts).compile("LDPC");
+        ASSERT_TRUE(ldpc.ok());
+        EXPECT_EQ(placeNote(ldpc.report).find("fused") !=
+                      std::string::npos,
+                  cost)
+            << placerName(opts.placer);
+        CompileResult crc = Compiler(config, opts).compile("CRC");
+        ASSERT_TRUE(crc.ok());
+        EXPECT_EQ(selectsIn(crc.kernel->program), cost ? 1 : 2)
+            << placerName(opts.placer);
+    }
 }
 
 // ------------------------------------------------------------------

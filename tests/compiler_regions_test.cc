@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "arch/machine.h"
 #include "compiler/compiler.h"
 #include "compiler/program_builder.h"
@@ -484,6 +486,277 @@ TEST(PredicatedMemory, LoadPredicateYieldsZeroWithoutMemory)
     ASSERT_TRUE(r.finished);
     std::vector<Word> want = {0, 11, 0, 13, 0, 15};
     EXPECT_EQ(r.outputs[0], want);
+}
+
+// ------------------------------------------------------------------
+// Select folds: the lower pass rewrites a Select to the lane it
+// provably yields, or to one cheaper node (cost path only).  Each
+// case is one counted loop whose body updates a carried
+// accumulator through one Select: the fold must fire where it is
+// exact and stay off where it is not, and the kernel must stay
+// bit-exact on both run paths either way.
+// ------------------------------------------------------------------
+
+/** One input: @p body builds the update of acc into the body DFG
+ *  from the ports i and acc; @p golden is the same update in C++,
+ *  from i, acc and the loaded word d = data[i]. */
+struct FoldCase
+{
+    const char *name;
+    bool folds;
+    std::function<NodeId(Dfg &, Operand i, Operand acc)> body;
+    std::function<Word(Word i, Word acc, Word d)> golden;
+};
+
+class SelectFoldWorkload : public Workload
+{
+  public:
+    explicit SelectFoldWorkload(const FoldCase &fc) : case_(fc) {}
+
+    std::string name() const override { return "select_fold"; }
+    std::string fullName() const override { return case_.name; }
+    std::string sizeDesc() const override { return "16 words"; }
+
+    static constexpr Word kSeed = 3;
+    /** Mixed signs: in the Abs cases x = acc - d is negative,
+     *  zero and positive. */
+    static std::vector<Word>
+    data()
+    {
+        return {5, -3, 12, 7, 9, 2, 4, -1, 30, 13, 2, 9, -6, 11, 16, 8};
+    }
+
+    Cdfg
+    buildCdfg() const override
+    {
+        CdfgBuilder b("select_fold");
+        BlockId loop = b.addLoopHeader("i_loop");
+        BlockId body = b.addBlock("body");
+        BlockId done = b.addBlock("done");
+        dfg_patterns::addCountedLoop(b.dfg(loop), 0, 1, "n");
+        {
+            Dfg &d = b.dfg(body);
+            Operand i = Operand::input(d.addInput("i"));
+            Operand acc = Operand::input(d.addInput("acc"));
+            d.addOutput("acc", case_.body(d, i, acc));
+        }
+        {
+            Dfg &d = b.dfg(done);
+            int x = d.addInput("x");
+            d.addOutput("x", d.addNode(Opcode::Copy,
+                                       Operand::input(x)));
+        }
+        b.fall(loop, body);
+        b.loopBack(body, loop);
+        b.loopExit(loop, done);
+        return b.finish();
+    }
+
+    WorkloadMachineSpec
+    machineSpec() const override
+    {
+        WorkloadMachineSpec spec;
+        spec.available = true;
+        const std::vector<Word> words = data();
+        const Word n = static_cast<Word>(words.size());
+        spec.loopBounds["i_loop"] = {0, n, 1};
+        spec.inductionPorts["i_loop"] = "i";
+        spec.scalars["acc"] = kSeed;
+        spec.memoryImage = words;
+        std::vector<Word> stream;
+        Word acc = kSeed;
+        for (Word i = 0; i < n; ++i) {
+            acc = case_.golden(i, acc,
+                               words[static_cast<std::size_t>(i)]);
+            stream.push_back(acc);
+        }
+        spec.observePorts = {"acc"};
+        spec.expectedOutputs = {std::move(stream)};
+        return spec;
+    }
+
+    std::uint64_t
+    runGolden(KernelRecorder &rec) const override
+    {
+        rec.round(0);
+        for (std::size_t i = 0; i < data().size(); ++i) {
+            rec.iteration(0);
+            rec.block(1);
+        }
+        rec.block(2);
+        return 0;
+    }
+
+  private:
+    FoldCase case_;
+};
+
+int
+selectsIn(const Program &program)
+{
+    int n = 0;
+    for (const PeProgram &pe : program.pes)
+        for (const Instruction &in : pe.instrs)
+            n += in.op == Opcode::Select ? 1 : 0;
+    return n;
+}
+
+/** Compile every case on the cost path: one Select stays unless
+ *  the case folds, and both run paths match the golden stream. */
+void
+expectFolds(const std::vector<FoldCase> &cases)
+{
+    for (const FoldCase &fc : cases) {
+        CompileResult r =
+            Compiler(evalFabric()).compile(SelectFoldWorkload(fc));
+        ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
+        EXPECT_EQ(selectsIn(r.kernel->program), fc.folds ? 0 : 1)
+            << fc.name;
+        for (bool event : {false, true}) {
+            MachineConfig config = evalFabric();
+            config.eventDrivenSim = event;
+            MarionetteMachine machine(config);
+            r.kernel->prepare(machine);
+            RunResult run = machine.run(r.kernel->cycleBudget);
+            EXPECT_EQ(r.kernel->validate(machine, run), "")
+                << fc.name << (event ? " (event)" : " (reference)");
+        }
+    }
+}
+
+Operand
+op(Dfg &d, Opcode code, Operand a, Operand b = Operand::none(),
+   Operand c = Operand::none())
+{
+    return Operand::node(d.addNode(code, a, b, c));
+}
+
+/** data[i], masked to 0 where @p pred is 0 (none: unmasked). */
+Operand
+load(Dfg &d, Operand i, Operand pred = Operand::none())
+{
+    return op(d, Opcode::Load, i, pred);
+}
+
+NodeId
+select(Dfg &d, Operand cond, Operand t, Operand f)
+{
+    return d.addNode(Opcode::Select, cond, t, f);
+}
+
+Operand
+odd(Dfg &d, Operand i)
+{
+    return op(d, Opcode::And, i, Operand::imm(1));
+}
+
+/** Select(#c, acc + data[i], acc - data[i]). */
+FoldCase
+constantCase(const char *name, Word c)
+{
+    return {name, true,
+            [=](Dfg &d, Operand i, Operand acc) {
+                Operand v = load(d, i);
+                return select(d, Operand::imm(c),
+                              op(d, Opcode::Add, acc, v),
+                              op(d, Opcode::Sub, acc, v));
+            },
+            [=](Word, Word acc, Word v) {
+                return c ? acc + v : acc - v;
+            }};
+}
+
+TEST(SelectFold, ConstantConditionPicksItsLane)
+{
+    expectFolds({constantCase("Select(#1, acc + d, acc - d)", 1),
+                 constantCase("Select(#0, acc + d, acc - d)", 0)});
+}
+
+/** Select(p, acc op Load(i, pred = p), acc) for p = i & 1, the
+ *  load on the side @p loadFirst names. */
+FoldCase
+gatedCase(const char *name, bool folds, Opcode code, bool loadFirst,
+          Word (*golden)(Word, Word))
+{
+    return {name, folds,
+            [=](Dfg &d, Operand i, Operand acc) {
+                Operand p = odd(d, i);
+                Operand v = load(d, i, p);
+                return select(d, p,
+                              loadFirst ? op(d, code, v, acc)
+                                        : op(d, code, acc, v),
+                              acc);
+            },
+            [=](Word i, Word acc, Word v) {
+                return (i & 1) ? golden(acc, v) : acc;
+            }};
+}
+
+TEST(SelectFold, MaskedLoadIsAbsorbedByItsGate)
+{
+    expectFolds({
+        gatedCase("acc ^ L", true, Opcode::Xor, false,
+                  [](Word a, Word v) { return a ^ v; }),
+        gatedCase("L + acc", true, Opcode::Add, true,
+                  [](Word a, Word v) { return a + v; }),
+        gatedCase("L | acc", true, Opcode::Or, true,
+                  [](Word a, Word v) { return a | v; }),
+        gatedCase("acc - L", true, Opcode::Sub, false,
+                  [](Word a, Word v) { return a - v; }),
+        // 0 - acc is not acc, and acc & 0 is not acc.
+        gatedCase("L - acc", false, Opcode::Sub, true,
+                  [](Word a, Word v) { return v - a; }),
+        gatedCase("acc & L", false, Opcode::And, false,
+                  [](Word a, Word v) { return a & v; }),
+        // A load masked by i & 2 reads data where i & 1 is 0.
+        {"acc ^ L under another predicate", false,
+         [](Dfg &d, Operand i, Operand acc) {
+             Operand v =
+                 load(d, i, op(d, Opcode::And, i, Operand::imm(2)));
+             return select(d, odd(d, i), op(d, Opcode::Xor, acc, v),
+                           acc);
+         },
+         [](Word i, Word acc, Word v) {
+             return (i & 1) ? acc ^ ((i & 2) ? v : 0) : acc;
+         }},
+    });
+}
+
+/** acc = Select(cmp(a, b), t, f) over x = acc - data[i], with the
+ *  compare's operands and the lanes drawn from x, Neg(x) and @p k. */
+FoldCase
+absCase(const char *name, bool folds, Opcode cmp, bool zeroFirst,
+        bool negTaken, Word k, Word (*golden)(Word))
+{
+    return {name, folds,
+            [=](Dfg &d, Operand i, Operand acc) {
+                Operand x = op(d, Opcode::Sub, acc, load(d, i));
+                Operand c = zeroFirst
+                                ? op(d, cmp, Operand::imm(k), x)
+                                : op(d, cmp, x, Operand::imm(k));
+                Operand nx = op(d, Opcode::Neg, x);
+                return negTaken ? select(d, c, nx, x)
+                                : select(d, c, x, nx);
+            },
+            [=](Word, Word acc, Word v) { return golden(acc - v); }};
+}
+
+TEST(SelectFold, SignSelectIsAbs)
+{
+    auto abs = [](Word x) { return x < 0 ? -x : x; };
+    expectFolds({
+        absCase("x < 0 ? -x : x", true, Opcode::CmpLt, false, true, 0,
+                abs),
+        absCase("0 > x ? -x : x", true, Opcode::CmpGt, true, true, 0,
+                abs),
+        absCase("x >= 0 ? x : -x", true, Opcode::CmpGe, false, false,
+                0, abs),
+        absCase("0 <= x ? x : -x", true, Opcode::CmpLe, true, false, 0,
+                abs),
+        // Against 3, x = 1 and x = 2 take the negated lane.
+        absCase("x < 3 ? -x : x", false, Opcode::CmpLt, false, true, 3,
+                [](Word x) { return x < 3 ? -x : x; }),
+    });
 }
 
 } // namespace

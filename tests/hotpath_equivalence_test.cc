@@ -553,9 +553,9 @@ TEST(HotpathEquivalence, ServeMixTicksPerCycle)
         const char *kernel;
         double measured;
     } bounds[] = {
-        {"CRC", 1.449},
+        {"CRC", 1.746},
         {"SCD", 1.775},
-        {"ADPCM", 1.854},
+        {"ADPCM", 2.035},
     };
     const MachineConfig config = evalFabric();
     Compiler compiler(config);

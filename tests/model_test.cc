@@ -501,6 +501,8 @@ TEST(Eval, PaperArtifactsRenderForAnyKernelSelection)
                                                   "Fig 14"};
     const std::string no_intensive =
         "The selection holds no intensive kernel.";
+    const std::string fig11_axis =
+        "Operators under branch (secondary axis):";
     struct Selection
     {
         std::vector<WorkloadProfile> profiles;
@@ -529,6 +531,12 @@ TEST(Eval, PaperArtifactsRenderForAnyKernelSelection)
                 EXPECT_EQ(text.find(no_intensive) != std::string::npos,
                           !sel.hasIntensive)
                     << artifact.name;
+            // Fig. 11's secondary axis lists intensive kernels: its
+            // heading goes with the rows.
+            if (std::string(artifact.name) == "Fig 11") {
+                EXPECT_EQ(text.find(fig11_axis) != std::string::npos,
+                          sel.hasIntensive);
+            }
             EXPECT_FALSE(showsZeroGeomean(text))
                 << artifact.name << ", " << sel.profiles.size()
                 << " profiles:\n" << text;
