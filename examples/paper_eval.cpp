@@ -30,7 +30,9 @@
  *                  band) against a checked-in expectation and
  *                  exit non-zero on any difference, so a change
  *                  can never quietly drop a working kernel or
- *                  regress its mapped cycles.
+ *                  regress its mapped cycles.  Every compiled
+ *                  kernel's mapped cycles must also lie within
+ *                  1.25x of its scheduled estimate.
  *   --mapped-report=PATH
  *                  run the snake-vs-cost placement A/B over both
  *                  evaluation fabrics and write the mapped-cycles
@@ -467,8 +469,8 @@ writeReport(const std::string &path, const Coverage &coverage)
         const auto &[kernel, r] = coverage[i];
         const double scheduled = r.report.scheduledCycleEstimate;
         // mapped / scheduled: how tight the schedule-aware model
-        // tracks the machine (1.0 = exact; the tentpole bar is
-        // "within ~2x").
+        // tracks the machine (1.0 = exact; checkCoverage holds it
+        // to at most 1.25).
         double ratio = scheduled > 0.0
                            ? static_cast<double>(r.run.cycles) /
                                  scheduled
@@ -511,7 +513,8 @@ field(const std::string &obj, const std::string &key)
 }
 
 /** Diff (kernel, compiled, failed_pass) against the expectation
- *  file; returns false (and prints every difference) on mismatch. */
+ *  file and hold every compiled kernel's estimate to 1.25x; returns
+ *  false (and prints every difference) on mismatch. */
 bool
 checkCoverage(const std::string &path, const Coverage &coverage)
 {
@@ -606,6 +609,23 @@ checkCoverage(const std::string &path, const Coverage &coverage)
         double want_ratio = std::atof(
             field(obj, "mapped_to_scheduled_ratio").c_str());
         const double scheduled = r.report.scheduledCycleEstimate;
+        // The estimate must also be honest in absolute terms: no
+        // compiled kernel may run more than 1.25x its prediction.
+        constexpr double kMaxRatio = 1.25;
+        if (r.compiled &&
+            (scheduled <= 0.0 ||
+             static_cast<double>(r.run.cycles) >
+                 kMaxRatio * scheduled)) {
+            std::fprintf(stderr,
+                         "coverage check: %s runs in %llu cycles, "
+                         "more than %.2fx its scheduled estimate "
+                         "%.0f\n",
+                         kernel.c_str(),
+                         static_cast<unsigned long long>(
+                             r.run.cycles),
+                         kMaxRatio, scheduled);
+            ok = false;
+        }
         if (r.compiled && want_compiled && want_ratio > 0.0 &&
             scheduled > 0.0) {
             double ratio =

@@ -15,10 +15,10 @@
  *   route  Mapping -> RoutePlan       (backend/route.cc)
  *          Every data edge is materialized as its dimension-ordered
  *          mesh path with the exact latency the machine will
- *          charge; control emissions get their network latency.
- *          The derived timing — recurrence II, pipeline critical
- *          path, drain bounds — feeds the emit pass's timing
- *          decisions.
+ *          charge.  The derived timing — the place pass's phase
+ *          timing model on routed latencies (II, pipeline critical
+ *          path) and the drain bounds — feeds the emit pass's
+ *          timing decisions.
  *
  *   emit   Mapping + RoutePlan -> Program   (emit.cc)
  *          Pure binary construction; no placement decisions left.
@@ -73,14 +73,11 @@ struct PlacedPhase
 /** The whole kernel's placement. */
 struct Mapping
 {
-    PlacerKind placer = PlacerKind::Cost;
     std::vector<PlacedPhase> phases;
     /** Drain generator PEs, one per serial phase boundary. */
     std::vector<PeId> drainPes;
     int pesUsed = 0;
     int nonlinearUsed = 0;
-    /** Placement objective value (weighted edge latency sum). */
-    std::uint64_t cost = 0;
 };
 
 /** One routed data edge: the mesh path behind a DataEdge. */
@@ -101,9 +98,9 @@ struct PhaseRoute
 {
     std::vector<RoutedEdge> edges;
     /**
-     * Worst loop-carried cycle latency (execute + mesh transit
-     * around the recurrence): the steady-state initiation interval
-     * the placed pipeline can sustain.
+     * The steady-state initiation interval the placed pipeline can
+     * sustain: its worst carried cycle or its channel-amortized
+     * operand skew, whichever binds (PhaseTiming, pipeline.h).
      */
     Cycles recurrenceII = 0;
     /** Longest feed-forward path latency (pipeline fill time). */
@@ -127,8 +124,6 @@ struct RoutePlan
      * phase to land before the next phase's first load issues.
      */
     std::vector<Cycles> drainCycles;
-    /** One-way latency of a control emission (network or mesh). */
-    Cycles controlLatency = 1;
     /**
      * Predicted per-link traversal counts (MeshGeometry::linkIndex
      * layout) of the whole run, from the multicast route trees: a

@@ -27,12 +27,13 @@
  *    keeps whichever scores better, so the cost placer never loses
  *    to its own baseline on the model it optimizes.
  *
- * Scoring a move (phaseII) is nearly all of a compile, and most
- * moves lose.  One relocation scorer and one swap scorer, shared by
- * the random search and the steepest-descent polish, skip the score
- * whenever a move provably cannot win.  Each rule is exact, so the
- * search draws, accepts and stops exactly as if every move were
- * scored:
+ * Scoring a move (phaseII, through the phase's PhaseTiming — the
+ * model the route pass reports too) is nearly all of a compile,
+ * and most moves lose.  One relocation scorer and one swap
+ * scorer, shared by the random search and the steepest-descent
+ * polish, skip the score whenever a move provably cannot win.
+ * Each rule is exact, so the search draws, accepts and stops
+ * exactly as if every move were scored:
  *
  *  1. No edge gets shorter.  If every edge incident to the moved
  *     entities is at least as long afterwards (for a swap, each
@@ -47,10 +48,9 @@
  *     that advances on every position change; nothing the score
  *     reads changes within a generation, so a move stamped in the
  *     current one is skipped.
- *  3. One-pass skew.  Template edges are sorted by consumer and
- *     every producer precedes its consumers, so one walk sees each
- *     consumer's arrivals as one group: it fires at the latest, and
- *     its skew is the latest minus the earliest.
+ *  3. One pass per term.  Entity order is topological, so the
+ *     carried-cycle and skew sweeps (PhaseTiming) each visit every
+ *     entity once.
  *
  * The Fig. 8 AssignmentPlan informs the tiebreak weighting: when
  * the planner maps every block at II = 1 the pipeline has no timing
@@ -59,7 +59,6 @@
  */
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <sstream>
 
@@ -117,6 +116,52 @@ closingEdgeSlack(const FlatPhase &phase, NodeId src, NodeId dst)
         slack = slack == 0 ? s : std::min(slack, s);
     }
     return std::max<Cycles>(1, slack);
+}
+
+PhaseTiming::PhaseTiming(const FlatPhase &phase,
+                         const std::vector<DataEdge> &netlist)
+{
+    std::vector<int> entity(
+        static_cast<std::size_t>(phase.body.numNodes()), -1);
+    int n = 1;
+    for (NodeId id : phase.liveNodes)
+        entity[static_cast<std::size_t>(id)] = n++;
+    auto entityOf = [&](NodeId id) {
+        return id == invalidNode
+                   ? 0
+                   : entity[static_cast<std::size_t>(id)];
+    };
+    out_.resize(static_cast<std::size_t>(n));
+    const std::set<std::pair<NodeId, NodeId>> closing =
+        closingEdges(phase);
+    for (const DataEdge &e : netlist) {
+        const int src = entityOf(e.src);
+        const int dst = entityOf(e.dst);
+        if (e.src != invalidNode && closing.count({e.src, e.dst})) {
+            std::size_t r = 0;
+            while (r < finals_.size() && finals_[r].fin != src)
+                ++r;
+            if (r == finals_.size())
+                finals_.push_back({src, dst});
+            finals_[r].lo = std::min(finals_[r].lo, dst);
+            closing_.push_back(
+                {src, dst, closingEdgeSlack(phase, e.src, e.dst), r});
+            continue;
+        }
+        MARIONETTE_ASSERT(src < dst,
+                          "phase timing: template edge %d -> %d "
+                          "runs against entity order",
+                          src, dst);
+        out_[static_cast<std::size_t>(src)].push_back(dst);
+        inEdges_.emplace_back(src, dst);
+    }
+    std::sort(inEdges_.begin(), inEdges_.end(),
+              [](const std::pair<int, int> &a,
+                 const std::pair<int, int> &b) {
+                  return a.second < b.second;
+              });
+    pathTo_.assign(finals_.size() * out_.size(), -1);
+    fire_.assign(out_.size(), 0);
 }
 
 namespace
@@ -444,28 +489,6 @@ struct Entity
     /** Incident edges as (peer entity, weight) pairs (tiebreak
      *  wirelength objective; both directions present). */
     std::vector<std::pair<int, std::uint64_t>> adj;
-    /** Template out-edges (entity indices; closures excluded). */
-    std::vector<int> tmplOut;
-};
-
-/** One closing carried edge of a phase (entity indices + channel
- *  slack) and the pathTo_ row of its final value. */
-struct ClosingPair
-{
-    int fin;
-    int consumer;
-    Cycles slack;
-    std::size_t row;
-};
-
-/** One distinct carried final value of a phase: the longest-path
- *  sweep to @p fin covers entities [lo, end), lo being the lowest
- *  consumer its closing edges feed and end the phase's end. */
-struct FinalSweep
-{
-    int fin;
-    int lo;
-    int end;
 };
 
 /** A phase's timing score (see CostPlacer::phaseII) and whether
@@ -629,23 +652,18 @@ class CostPlacer
             gen.phase = static_cast<int>(p);
             genIdx_.push_back(static_cast<int>(entities_.size()));
             entities_.push_back(gen);
-            for (const DfgNode &n : phase.body.nodes()) {
-                if (!phase.liveNodes.count(n.id))
-                    continue;
+            // PhaseTiming's entity order: a phase's entity k sits at
+            // genIdx_[p] + k.
+            for (NodeId id : phase.liveNodes) {
                 Entity e;
                 e.phase = static_cast<int>(p);
-                e.node = n.id;
-                e.nonlinear = isNonlinearOp(n.op);
-                nodeIdx_[{static_cast<int>(p), n.id}] =
+                e.node = id;
+                e.nonlinear = isNonlinearOp(phase.body.node(id).op);
+                nodeIdx_[{static_cast<int>(p), id}] =
                     static_cast<int>(entities_.size());
                 entities_.push_back(e);
             }
-            std::set<std::pair<NodeId, NodeId>> closing =
-                closingEdges(phase);
-            closing_.emplace_back();
-            finals_.emplace_back();
-            skewEdges_.emplace_back();
-            const int end = static_cast<int>(entities_.size());
+            timing_.emplace_back(phase, map_.phases[p].edges);
             for (const DataEdge &e : map_.phases[p].edges) {
                 int src = e.src == invalidNode
                               ? genIdx_[p]
@@ -658,53 +676,13 @@ class CostPlacer
                     .adj.emplace_back(dst, w);
                 entities_[static_cast<std::size_t>(dst)]
                     .adj.emplace_back(src, w);
-                if (e.src != invalidNode &&
-                    closing.count({e.src, e.dst})) {
-                    std::vector<FinalSweep> &finals = finals_.back();
-                    std::size_t row = 0;
-                    while (row < finals.size() &&
-                           finals[row].fin != src)
-                        ++row;
-                    if (row == finals.size())
-                        finals.push_back({src, dst, end});
-                    finals[row].lo = std::min(finals[row].lo, dst);
-                    closing_.back().push_back(
-                        {src, dst,
-                         closingEdgeSlack(phase, e.src, e.dst), row});
-                    continue;
-                }
-                // Feed-forward edge (generator feeds included): the
-                // template DAG that the skew DP and the longest-path
-                // sweeps both walk in entity-index order.  DFG node
-                // ids ascend along dependences and the generator
-                // precedes every node, so that order is topological.
-                MARIONETTE_ASSERT(
-                    src < dst,
-                    "place: template edge %d -> %d runs against "
-                    "entity order",
-                    src, dst);
-                skewEdges_.back().emplace_back(src, dst);
-                if (e.src != invalidNode)
-                    entities_[static_cast<std::size_t>(src)]
-                        .tmplOut.push_back(dst);
             }
-            std::sort(skewEdges_.back().begin(),
-                      skewEdges_.back().end(),
-                      [](const std::pair<int, int> &a,
-                         const std::pair<int, int> &b) {
-                          return a.second < b.second;
-                      });
         }
         ii_.assign(cc_.phases.size(), PhaseScore{});
-        fireScratch_.assign(entities_.size(), 0);
         relocStamp_.assign(entities_.size() *
                                static_cast<std::size_t>(numPes_),
                            0);
         swapStamp_.assign(entities_.size() * entities_.size(), 0);
-        std::size_t rows = 0;
-        for (const std::vector<FinalSweep> &finals : finals_)
-            rows = std::max(rows, finals.size());
-        pathTo_.assign(rows * entities_.size(), -1);
         // Positions unknown yet: the seed ring embeds each phase's
         // longest cycle by stage count (latency-free proxy).
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
@@ -721,118 +699,22 @@ class CostPlacer
                       static_cast<std::size_t>(q)];
     }
 
-    /** Mesh latency between the PEs of entities @p a and @p b. */
-    Cycles
-    lat(int a, int b) const
+    /** @p phase's pair-latency function for PhaseTiming: mesh
+     *  latency between its entities k and l, which sit at
+     *  genIdx_[phase] + k and + l.  It captures the arrays, not
+     *  `this`: the sweeps then keep them in registers instead of
+     *  reloading the members on every edge. */
+    auto
+    meshLat(int phase) const
     {
-        return peLat(entities_[static_cast<std::size_t>(a)].pe,
-                     entities_[static_cast<std::size_t>(b)].pe);
-    }
-
-    /** Row @p row of the longest-path scratch (one per distinct
-     *  carried final value of the phase being scored). */
-    std::int64_t *
-    pathRow(std::size_t row) const
-    {
-        return pathTo_.data() + row * entities_.size();
-    }
-
-    /** Cost of template edge @p a -> @p b beyond its stage: mesh
-     *  latency on the timed metric, nothing on the stage metric. */
-    std::int64_t
-    hop(int a, int b, bool timed) const
-    {
-        return timed ? static_cast<std::int64_t>(lat(a, b)) : 0;
-    }
-
-    /**
-     * Longest template path from every entity of @p phase to each
-     * of its distinct carried final values: one reverse sweep per
-     * final, into that final's pathTo_ row.  Entity-index order is
-     * topological (checked in buildEntities), so every successor is
-     * final before its predecessors read it.  A path costs execute
-     * per stage plus mesh latency per edge when @p timed, else one
-     * per stage; -1 where the final is unreachable.  A row is
-     * valid from its final's lowest consumer to the phase end.
-     */
-    void
-    sweepFinals(int phase, bool timed) const
-    {
-        const std::int64_t stage =
-            timed ? static_cast<std::int64_t>(exec_) : 1;
-        const std::vector<FinalSweep> &finals =
-            finals_[static_cast<std::size_t>(phase)];
-        for (std::size_t row = 0; row < finals.size(); ++row) {
-            const FinalSweep &f = finals[row];
-            std::int64_t *to = pathRow(row);
-            std::fill(to + f.fin + 1, to + f.end, -1);
-            to[f.fin] = stage;
-            for (int at = f.fin - 1; at >= f.lo; --at) {
-                const Entity &e =
-                    entities_[static_cast<std::size_t>(at)];
-                std::int64_t best = -1;
-                for (int next : e.tmplOut) {
-                    if (to[next] < 0)
-                        continue;
-                    const std::int64_t via =
-                        stage + hop(at, next, timed) + to[next];
-                    best = std::max(best, via);
-                }
-                to[at] = best;
-            }
-        }
-    }
-
-    /** Longest path consumer -> fin of @p cp from the last
-     *  sweepFinals of its phase; -1 when unreachable. */
-    std::int64_t
-    pathFrom(const ClosingPair &cp) const
-    {
-        return pathRow(cp.row)[cp.consumer];
-    }
-
-    /**
-     * Worst operand-arrival skew of @p phase: for every data edge,
-     * how much earlier its word lands than the consumer's
-     * last-arriving operand (longest feed-forward path from the
-     * generator).  Early words queue in the consumer's 8-deep
-     * channel, so a skew of S backpressures the producers into an
-     * effective initiation interval of about S / 8 — the binding
-     * constraint of recurrence-free kernels (HT's pixel pipeline),
-     * invisible to wirelength and cycle-latency objectives.
-     */
-    Cycles
-    phaseSkew(int phase) const
-    {
-        const auto &edges =
-            skewEdges_[static_cast<std::size_t>(phase)];
-        const int generator =
-            genIdx_[static_cast<std::size_t>(phase)];
-        auto &fire = fireScratch_;
-        // One pass, one group of edges per consumer: every producer
-        // has a lower index, so its group (and firing time) is
-        // final before any consumer reads it.
-        std::int64_t skew = 0;
-        for (std::size_t i = 0; i < edges.size();) {
-            const int dst = edges[i].second;
-            std::int64_t latest = 0;
-            std::int64_t earliest =
-                std::numeric_limits<std::int64_t>::max();
-            for (; i < edges.size() && edges[i].second == dst; ++i) {
-                const int src = edges[i].first;
-                const std::int64_t arrival =
-                    (src == generator
-                         ? 0
-                         : fire[static_cast<std::size_t>(src)] +
-                               static_cast<std::int64_t>(exec_)) +
-                    static_cast<std::int64_t>(lat(src, dst));
-                latest = std::max(latest, arrival);
-                earliest = std::min(earliest, arrival);
-            }
-            fire[static_cast<std::size_t>(dst)] = latest;
-            skew = std::max(skew, latest - earliest);
-        }
-        return static_cast<Cycles>(skew);
+        const Entity *ents =
+            entities_.data() + genIdx_[static_cast<std::size_t>(phase)];
+        return [ents, table = peLat_.data(), n = numPes_](int a,
+                                                          int b) {
+            return table[static_cast<std::size_t>(ents[a].pe) *
+                             static_cast<std::size_t>(n) +
+                         static_cast<std::size_t>(ents[b].pe)];
+        };
     }
 
     /**
@@ -848,29 +730,17 @@ class CostPlacer
     PhaseScore
     phaseII(int phase) const
     {
-        sweepFinals(phase, true);
-        Cycles max_ii = 0;
+        const PhaseTiming &timing =
+            timing_[static_cast<std::size_t>(phase)];
+        const auto mesh = meshLat(phase);
         std::uint64_t sq = 0;
-        for (const ClosingPair &cp :
-             closing_[static_cast<std::size_t>(phase)]) {
-            std::int64_t body = pathFrom(cp);
-            if (body < 0)
-                continue;
-            // A closing channel seeded `slack` words deep lets the
-            // consumer run that many slots ahead, so the cycle
-            // sustains II = ceil(round-trip / slack).
-            const Cycles rt = static_cast<Cycles>(body) +
-                              lat(cp.fin, cp.consumer);
-            const Cycles ii = (rt + cp.slack - 1) / cp.slack;
-            max_ii = std::max(max_ii, ii);
-            sq += static_cast<std::uint64_t>(ii) * ii;
-        }
+        Cycles max_ii = timing.carriedII(mesh, exec_, &sq);
         // Channel depth (8) amortizes skew: it only binds once it
         // exceeds 8x the cycle-driven II.  Folded in II units, and
         // only when it is binding or close to it — for cycle-
         // dominated phases the skew is slack and must not perturb
         // the cycle search's gradient.
-        Cycles skew_ii = (phaseSkew(phase) + 7) / 8;
+        const Cycles skew_ii = timing.skewII(mesh, exec_);
         const bool skewed = 2 * skew_ii > max_ii;
         if (skewed) {
             max_ii = std::max(max_ii, skew_ii);
@@ -1381,58 +1251,20 @@ class CostPlacer
         return m;
     }
 
-    /**
-     * The entities of @p phase's worst carried cycle, consumer ..
-     * final value in path order, on sweepFinals' @p timed metric
-     * (the timed one reads the current positions).  Ties go to the
-     * first worst closing pair in closing_ order and to the first
-     * longest edge along the path.
-     */
+    /** The entities of @p phase's worst carried cycle (see
+     *  PhaseTiming::worstCycle): by mesh latency under the current
+     *  positions when @p timed, else by stage count. */
     std::vector<int>
     criticalCycle(int phase, bool timed) const
     {
-        sweepFinals(phase, timed);
-        const ClosingPair *worst = nullptr;
-        std::int64_t worst_total = -1;
-        for (const ClosingPair &cp :
-             closing_[static_cast<std::size_t>(phase)]) {
-            std::int64_t body = pathFrom(cp);
-            if (body < 0)
-                continue;
-            std::int64_t total =
-                body + hop(cp.fin, cp.consumer, timed);
-            if (total > worst_total) {
-                worst_total = total;
-                worst = &cp;
-            }
-        }
-        std::vector<int> chain;
-        if (worst == nullptr)
-            return chain;
-        const std::int64_t stage =
-            timed ? static_cast<std::int64_t>(exec_) : 1;
-        const std::int64_t *to = pathRow(worst->row);
-        // Every entity on the walk reaches the final, so each step
-        // finds a successor; indices ascend, so the walk ends.
-        for (int at = worst->consumer;;) {
-            chain.push_back(at);
-            if (at == worst->fin)
-                break;
-            int best_next = -1;
-            std::int64_t best = -1;
-            for (int next :
-                 entities_[static_cast<std::size_t>(at)].tmplOut) {
-                if (to[next] < 0)
-                    continue;
-                std::int64_t via =
-                    stage + hop(at, next, timed) + to[next];
-                if (via > best) {
-                    best = via;
-                    best_next = next;
-                }
-            }
-            at = best_next;
-        }
+        const PhaseTiming &timing =
+            timing_[static_cast<std::size_t>(phase)];
+        std::vector<int> chain =
+            timed ? timing.worstCycle(meshLat(phase), exec_)
+                  : timing.worstCycle(
+                        [](int, int) { return Cycles{0}; }, 1);
+        for (int &e : chain)
+            e += genIdx_[static_cast<std::size_t>(phase)];
         return chain;
     }
 
@@ -1598,7 +1430,6 @@ class CostPlacer
     maybeFallBackToSnake(int nonlinear_total)
     {
         Mapping snake;
-        snake.placer = PlacerKind::Cost;
         placeSnake(cc_, snake, nonlinear_total);
         snake.phases.resize(cc_.phases.size());
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
@@ -1666,23 +1497,12 @@ class CostPlacer
     std::vector<Entity> entities_;
     std::vector<int> genIdx_; ///< entity index per phase generator.
     std::map<std::pair<int, NodeId>, int> nodeIdx_;
-    /** Closing carried edges per phase. */
-    std::vector<std::vector<ClosingPair>> closing_;
-    /** Distinct carried final values per phase (one sweep each). */
-    std::vector<std::vector<FinalSweep>> finals_;
-    /** Longest template paths to a final value, one row of
-     *  entities_.size() per FinalSweep of the phase being scored
-     *  (see sweepFinals). */
-    mutable std::vector<std::int64_t> pathTo_;
+    /** Per phase: its timing model (scratch included, so this
+     *  placer's alone). */
+    std::vector<PhaseTiming> timing_;
     /** Per phase: its longest cycle by stage count, the seed ring
      *  when no latency-critical chain overrides it. */
     std::vector<std::vector<int>> stageChains_;
-    /** Feed-forward directed edges per phase, topo-sorted by
-     *  consumer (the skew DP's DAG; generator feeds included). */
-    std::vector<std::vector<std::pair<int, int>>> skewEdges_;
-    /** Scratch firing-time buffer for phaseSkew (avoids a per-
-     *  evaluation allocation on the hot move-evaluation path). */
-    mutable std::vector<std::int64_t> fireScratch_;
     /** Cached per-phase timing scores (see phaseII). */
     std::vector<PhaseScore> ii_;
     /** Rule 2's memo: the generation at which each relocation
@@ -1768,7 +1588,6 @@ passPlace(Compilation &cc)
     }
 
     Mapping &map = cc.mapping;
-    map.placer = cc.options.placer;
     map.nonlinearUsed = nonlinear_needed;
 
     // The cost backend first shortens the recurrence itself:
@@ -1815,7 +1634,6 @@ passPlace(Compilation &cc)
         CostPlacer placer(cc, map, nonlinear_needed);
         placer.run();
         placer.maybeFallBackToSnake(nonlinear_needed);
-        map.cost = placer.wirelength();
         note << "cost placer: " << pes_needed << "/"
              << config.numPes() << " PEs (" << nonlinear_needed
              << " nonlinear), recurrence II";

@@ -8,13 +8,14 @@
  * construction, a routed edge's latency is what the machine
  * delivers (asserted by the backend unit tests).
  *
- * From the routed edges the pass derives the timing the emit pass
- * feeds into its decisions:
+ * On the routed latencies the pass evaluates the place pass's own
+ * timing model (PhaseTiming, pipeline.h) and derives what the emit
+ * pass feeds into its decisions:
  *
- *  - per-phase recurrence II: the worst loop-carried cycle latency
- *    (execute + mesh transit around the carried closure) — the
- *    steady-state initiation interval the placed pipeline can
- *    sustain, reported next to the placement cost;
+ *  - per-phase II: the worst loop-carried cycle (execute + mesh
+ *    transit around the carried closure) or the channel-amortized
+ *    operand skew, whichever binds — the steady-state initiation
+ *    interval the placed pipeline can sustain;
  *
  *  - the feed-forward critical path (pipeline fill) and the
  *    per-boundary *drain* bound: with the routed pipeline's depth,
@@ -35,46 +36,6 @@
 namespace marionette
 {
 
-namespace
-{
-
-/** Longest-latency path from @p node to @p target over node-to-node
- *  edges, counting execute latency per stage and mesh latency per
- *  edge; -1 when target is unreachable.  Memoized DFS over the
- *  acyclic template (carried closures are not in @p out_edges). */
-std::int64_t
-longestToTarget(NodeId node, NodeId target,
-                const std::map<NodeId,
-                               std::vector<const RoutedEdge *>>
-                    &out_edges,
-                Cycles exec, std::map<NodeId, std::int64_t> &memo)
-{
-    if (node == target)
-        return static_cast<std::int64_t>(exec);
-    auto m = memo.find(node);
-    if (m != memo.end())
-        return m->second;
-    memo[node] = -1; // cut (defensive; the template is acyclic).
-    std::int64_t best = -1;
-    auto it = out_edges.find(node);
-    if (it != out_edges.end()) {
-        for (const RoutedEdge *e : it->second) {
-            std::int64_t tail = longestToTarget(
-                e->edge.dst, target, out_edges, exec, memo);
-            if (tail < 0)
-                continue;
-            best = std::max(
-                best, static_cast<std::int64_t>(exec) +
-                          static_cast<std::int64_t>(e->latency) +
-                          tail);
-        }
-    }
-    memo[node] = best;
-    return best;
-}
-
-} // namespace
-
 // ------------------------------------------------------------------
 // Pass 8: route
 // ------------------------------------------------------------------
@@ -92,15 +53,6 @@ passRoute(Compilation &cc)
     MeshRouter router(geom, config.faults.deadLinks);
     RoutePlan &plan = cc.routes;
     plan.phases.resize(cc.phases.size());
-
-    // Control emissions ride the dedicated CS-Benes network when
-    // present (1 cycle; the standard-cell DelayModel gives the
-    // pipelined estimate for the record) and fall back to the data
-    // mesh's worst case otherwise (the Fig. 12 ablation).
-    plan.controlLatency =
-        config.features.controlNetwork
-            ? ControlNetwork::latency()
-            : std::max<Cycles>(1, geom.maxLatency());
 
     const Cycles exec = config.executeLatency;
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
@@ -142,83 +94,23 @@ passRoute(Compilation &cc)
             if (opInfo(phase.body.node(id).op).isMemory)
                 ++route.memNodes;
 
-        // Forward adjacency over node-to-node edges: the acyclic
-        // iteration template.  Only the cycle-*closing* edges stay
-        // out (recurrence-marked edges between two on-cycle nodes
-        // are template edges that merely carry placement weight);
-        // the closure rule is shared with the place pass
-        // (closingEdges, pipeline.h) so the two cannot drift.
-        std::set<std::pair<NodeId, NodeId>> closing =
-            closingEdges(phase);
-        std::map<NodeId, std::vector<const RoutedEdge *>> out_edges;
-        for (const RoutedEdge &r : route.edges)
-            if (r.edge.src != invalidNode &&
-                !closing.count({r.edge.src, r.edge.dst}))
-                out_edges[r.edge.src].push_back(&r);
-
-        // Recurrence II: worst carried-cycle latency = closing-edge
-        // transit + longest template path from the consumer back to
-        // the carried final value, amortized over the closing
-        // channel's boot seeds (slack): a channel seeded S words
-        // deep sustains II = ceil(round-trip / S).
-        for (const RoutedEdge &r : route.edges) {
-            if (!closing.count({r.edge.src, r.edge.dst}))
-                continue;
-            std::map<NodeId, std::int64_t> memo;
-            std::int64_t body = longestToTarget(
-                r.edge.dst, r.edge.src, out_edges, exec, memo);
-            if (body < 0)
-                continue;
-            const Cycles slack = closingEdgeSlack(
-                phase, r.edge.src, r.edge.dst);
-            const Cycles rt =
-                static_cast<Cycles>(body) + r.latency;
-            route.recurrenceII = std::max(
-                route.recurrenceII, (rt + slack - 1) / slack);
-        }
-
-        // Feed-forward critical path: longest latency chain from
-        // any generator-fed node (pipeline fill time and depth).
-        std::map<NodeId, std::pair<std::int64_t, int>> longest;
-        std::function<std::pair<std::int64_t, int>(NodeId)> walk =
-            [&](NodeId at) -> std::pair<std::int64_t, int> {
-            auto m = longest.find(at);
-            if (m != longest.end())
-                return m->second;
-            longest[at] = {static_cast<std::int64_t>(exec), 1};
-            std::pair<std::int64_t, int> best{
-                static_cast<std::int64_t>(exec), 1};
-            auto it = out_edges.find(at);
-            if (it != out_edges.end()) {
-                for (const RoutedEdge *e : it->second) {
-                    auto tail = walk(e->edge.dst);
-                    std::int64_t lat =
-                        static_cast<std::int64_t>(exec) +
-                        static_cast<std::int64_t>(e->latency) +
-                        tail.first;
-                    if (lat > best.first)
-                        best = {lat, tail.second + 1};
-                }
-            }
-            longest[at] = best;
-            return best;
+        // Timing: the place pass's model on routed latencies, over
+        // PhaseTiming's entities (generator, then live nodes by id).
+        const PhaseTiming timing(phase, placed.edges);
+        std::vector<PeId> pe_of{placed.generator};
+        for (NodeId id : phase.liveNodes)
+            pe_of.push_back(placed.peOf.at(id));
+        auto routed = [&](int a, int b) {
+            const PeId src = pe_of[static_cast<std::size_t>(a)];
+            const PeId dst = pe_of[static_cast<std::size_t>(b)];
+            return router.faulty() ? router.latency(src, dst)
+                                   : geom.latency(src, dst);
         };
-        for (const RoutedEdge &r : route.edges) {
-            if (r.edge.src != invalidNode)
-                continue;
-            auto chain = walk(r.edge.dst);
-            std::int64_t lat =
-                static_cast<std::int64_t>(r.latency) + chain.first;
-            if (static_cast<Cycles>(lat) >
-                route.criticalPathLatency) {
-                route.criticalPathLatency =
-                    static_cast<Cycles>(lat);
-                route.criticalPathDepth = chain.second;
-            }
-        }
-        if (route.criticalPathDepth == 0 && !phase.liveNodes.empty())
-            route.criticalPathDepth =
-                static_cast<int>(phase.liveNodes.size());
+        route.recurrenceII = std::max(timing.carriedII(routed, exec),
+                                      timing.skewII(routed, exec));
+        const PhaseTiming::Fill fill = timing.fill(routed, exec);
+        route.criticalPathLatency = fill.latency;
+        route.criticalPathDepth = fill.depth;
 
         // ----------------------------------------------------------
         // Multicast route trees -> predicted per-link loads.
@@ -241,6 +133,8 @@ passRoute(Compilation &cc)
 
             // Per-consumer-channel seeds: the boot words the emit
             // pass deposits on closing edges.
+            const std::set<std::pair<NodeId, NodeId>> closing =
+                closingEdges(phase);
             std::map<NodeId, std::vector<std::pair<NodeId, Cycles>>>
                 in_channels; // dst -> [(src or invalidNode, seeds)]
             for (const RoutedEdge &r : route.edges) {
@@ -352,8 +246,16 @@ passRoute(Compilation &cc)
              << " phase boundar(ies), drain";
         for (Cycles d : plan.drainCycles)
             note << " " << d;
+        // Control emissions ride the dedicated CS-Benes network
+        // when present (1 cycle; the standard-cell DelayModel gives
+        // the pipelined estimate for the record) and fall back to
+        // the data mesh's worst case otherwise (the Fig. 12
+        // ablation).
         note << " cycle(s); control latency "
-             << plan.controlLatency << " (DelayModel: "
+             << (config.features.controlNetwork
+                     ? ControlNetwork::latency()
+                     : std::max<Cycles>(1, geom.maxLatency()))
+             << " (DelayModel: "
              << controlNetworkLatencyCycles(
                     config.numPes(), config.clockHz / 1e9)
              << " pipelined)";

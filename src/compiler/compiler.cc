@@ -186,9 +186,9 @@ Compiler::compile(const Workload &workload) const
     CompileResult result;
     if (ok) {
         // Scheduled-cycle estimate: the route pass's derived
-        // timing (slack-adjusted recurrence IIs, fill latencies,
-        // drain bounds, multicast link traffic) folded into the
-        // cycle count the placed pipeline should sustain.
+        // timing (the placer's IIs and fill latencies on routed
+        // latencies, drain bounds, multicast link traffic) folded
+        // into the cycle count the placed pipeline should sustain.
         ScheduleModelInput sched;
         for (std::size_t p = 0; p < cc.phases.size(); ++p) {
             ScheduledPhase sp;

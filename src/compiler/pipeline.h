@@ -23,6 +23,9 @@
 #ifndef MARIONETTE_COMPILER_PIPELINE_H
 #define MARIONETTE_COMPILER_PIPELINE_H
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -175,10 +178,243 @@ std::set<std::pair<NodeId, NodeId>> closingEdges(
 /** Pipeline slack of the closing edge src -> dst (pipeline.h
  *  CarriedValue::slack semantics): the carried value's slack for
  *  non-self edges, 1 for the final value's own pass-through edge.
- *  Shared by place (II weighting) and route (recurrence II) so the
- *  two cannot drift.  Defined in backend/placement.cc. */
+ *  Shared by PhaseTiming (carried II) and the route pass (boot
+ *  seeds in its link-load prediction).  Defined in
+ *  backend/placement.cc. */
 Cycles closingEdgeSlack(const FlatPhase &phase, NodeId src,
                         NodeId dst);
+
+/**
+ * The timing of one phase's netlist: the one model the place pass
+ * scores moves with (on mesh latencies) and the route pass reports
+ * (on routed latencies).  Built once per phase.  Entity 0 is the
+ * generator, then come the live nodes by ascending id: node ids
+ * ascend along dependences, so this order is topological for the
+ * template (the netlist minus its closing edges; asserted) and each
+ * query is one sweep in index order.  A query takes the pair
+ * latency lat(a, b) over entity numbers (by value, so a small
+ * closure stays in registers through the sweeps) and charges
+ * @p exec per stage.  Queries reuse the object's scratch, so one
+ * object serves one thread.  The constructor is in
+ * backend/placement.cc.
+ */
+class PhaseTiming
+{
+  public:
+    PhaseTiming(const FlatPhase &phase,
+                const std::vector<DataEdge> &netlist);
+
+    /** Worst carried-cycle II: per closing edge, the round trip
+     *  (longest template path consumer -> final value, plus the
+     *  closing transit) over its slack, rounded up — a channel
+     *  seeded S words deep lets the consumer run S slots ahead.
+     *  0 without carried cycles.  Adds each II squared to @p sq. */
+    template <class Lat>
+    Cycles
+    carriedII(Lat lat, Cycles exec,
+              std::uint64_t *sq = nullptr) const
+    {
+        sweepFinals(lat, exec);
+        Cycles worst = 0;
+        for (const Closing &c : closing_) {
+            const std::int64_t body = row(c.row)[c.consumer];
+            if (body < 0)
+                continue;
+            const Cycles ii = (static_cast<Cycles>(body) +
+                               lat(c.fin, c.consumer) + c.slack - 1) /
+                              c.slack;
+            worst = std::max(worst, ii);
+            if (sq != nullptr)
+                *sq += ii * ii;
+        }
+        return worst;
+    }
+
+    /** Operand skew over the 8-deep consumer channels, rounded up:
+     *  a word landing S cycles before its consumer's last operand
+     *  (longest path from the generator) waits in the channel, so
+     *  a skew of S backpressures the producers into an II of about
+     *  S / 8 — what binds recurrence-free kernels such as HT. */
+    template <class Lat>
+    Cycles
+    skewII(Lat lat, Cycles exec) const
+    {
+        // Edges come grouped by ascending consumer, so a producer
+        // fires (at its latest arrival) before its consumers read.
+        std::int64_t *fire = fire_.data();
+        std::int64_t skew = 0;
+        for (std::size_t i = 0; i < inEdges_.size();) {
+            const int dst = inEdges_[i].second;
+            std::int64_t latest = 0;
+            std::int64_t earliest =
+                std::numeric_limits<std::int64_t>::max();
+            for (; i < inEdges_.size() && inEdges_[i].second == dst;
+                 ++i) {
+                const int src = inEdges_[i].first;
+                const std::int64_t arrival =
+                    (src == 0 ? 0
+                              : fire[src] +
+                                    static_cast<std::int64_t>(exec)) +
+                    static_cast<std::int64_t>(lat(src, dst));
+                latest = std::max(latest, arrival);
+                earliest = std::min(earliest, arrival);
+            }
+            fire[dst] = latest;
+            skew = std::max(skew, latest - earliest);
+        }
+        return (static_cast<Cycles>(skew) + 7) / 8;
+    }
+
+    /** Latency and stages of a longest template path. */
+    struct Fill
+    {
+        Cycles latency = 0;
+        int depth = 0;
+    };
+
+    /** Pipeline fill: the longest generator-fed path (its depth is
+     *  every live node when the generator feeds none).  Ties keep
+     *  the first successor in netlist order. */
+    template <class Lat>
+    Fill
+    fill(Lat lat, Cycles exec) const
+    {
+        std::vector<Fill> from(out_.size());
+        for (int at = size() - 1; at >= 0; --at) {
+            const int stages = at == 0 ? 0 : 1; // generator: none.
+            Fill &best = from[static_cast<std::size_t>(at)];
+            best = {stages * exec, stages};
+            for (int next : succ(at)) {
+                const Fill &tail = from[static_cast<std::size_t>(next)];
+                const Cycles via =
+                    stages * exec + lat(at, next) + tail.latency;
+                if (via > best.latency)
+                    best = {via, tail.depth + stages};
+            }
+        }
+        if (from[0].depth == 0)
+            from[0].depth = size() - 1;
+        return from[0];
+    }
+
+    /** The entities of the worst carried cycle, consumer .. final
+     *  value; empty without one.  Ties go to the first closing edge
+     *  in netlist order and the first longest successor. */
+    template <class Lat>
+    std::vector<int>
+    worstCycle(Lat lat, Cycles exec) const
+    {
+        sweepFinals(lat, exec);
+        const Closing *worst = nullptr;
+        std::int64_t worst_total = -1;
+        for (const Closing &c : closing_) {
+            const std::int64_t body = row(c.row)[c.consumer];
+            if (body < 0)
+                continue;
+            const std::int64_t total =
+                body +
+                static_cast<std::int64_t>(lat(c.fin, c.consumer));
+            if (total > worst_total) {
+                worst_total = total;
+                worst = &c;
+            }
+        }
+        std::vector<int> chain;
+        if (worst == nullptr)
+            return chain;
+        const std::int64_t *to = row(worst->row);
+        // Each entity on the walk reaches the final and indices
+        // ascend, so the walk ends there.
+        for (int at = worst->consumer;;) {
+            chain.push_back(at);
+            if (at == worst->fin)
+                break;
+            int best_next = -1;
+            std::int64_t best = -1;
+            for (int next : succ(at)) {
+                if (to[next] < 0)
+                    continue;
+                const std::int64_t via =
+                    static_cast<std::int64_t>(exec + lat(at, next)) +
+                    to[next];
+                if (via > best) {
+                    best = via;
+                    best_next = next;
+                }
+            }
+            at = best_next;
+        }
+        return chain;
+    }
+
+  private:
+    /** A closing edge and the row of its final value. */
+    struct Closing
+    {
+        int fin;
+        int consumer;
+        Cycles slack;
+        std::size_t row;
+    };
+
+    /** A distinct carried final value; its sweep covers entities
+     *  from its lowest closing consumer on. */
+    struct Final
+    {
+        int fin;
+        int lo;
+    };
+
+    int size() const { return static_cast<int>(out_.size()); }
+
+    const std::vector<int> &
+    succ(int entity) const
+    {
+        return out_[static_cast<std::size_t>(entity)];
+    }
+
+    std::int64_t *
+    row(std::size_t r) const
+    {
+        return pathTo_.data() + r * out_.size();
+    }
+
+    /** Into each final's row: the longest template path from every
+     *  entity to that final (exec per stage plus lat per edge), -1
+     *  where it is unreachable. */
+    template <class Lat>
+    void
+    sweepFinals(Lat lat, Cycles exec) const
+    {
+        const std::int64_t stage = static_cast<std::int64_t>(exec);
+        for (std::size_t r = 0; r < finals_.size(); ++r) {
+            const Final &f = finals_[r];
+            std::int64_t *to = row(r);
+            std::fill(to + f.fin + 1, to + size(), -1);
+            to[f.fin] = stage;
+            for (int at = f.fin - 1; at >= f.lo; --at) {
+                std::int64_t best = -1;
+                for (int next : succ(at))
+                    if (to[next] >= 0)
+                        best = std::max(
+                            best, stage + to[next] +
+                                      static_cast<std::int64_t>(
+                                          lat(at, next)));
+                to[at] = best;
+            }
+        }
+    }
+
+    /** Template successors per entity, in netlist order. */
+    std::vector<std::vector<int>> out_;
+    /** Template edges (producer, consumer) by ascending consumer. */
+    std::vector<std::pair<int, int>> inEdges_;
+    std::vector<Closing> closing_;
+    std::vector<Final> finals_;
+    /** Scratch: one longest-path row per final, firing times. */
+    mutable std::vector<std::int64_t> pathTo_;
+    mutable std::vector<std::int64_t> fire_;
+};
 
 // Pass entry points (one translation unit each).
 bool passAnalyze(Compilation &cc);     // structure.cc

@@ -179,6 +179,13 @@ sqrtFix(Word x)
     return static_cast<Word>(r);
 }
 
+/** -a in two's complement: -INT_MIN wraps to INT_MIN. */
+Word
+negate(Word a)
+{
+    return static_cast<Word>(0u - static_cast<UWord>(a));
+}
+
 } // namespace
 
 Word
@@ -196,22 +203,24 @@ evalOp(Opcode op, Word a, Word b, Word c)
       case Opcode::Mul:
         return static_cast<Word>(static_cast<UWord>(a) *
                                  static_cast<UWord>(b));
+      // x / 0 yields 0; INT_MIN / -1 wraps to INT_MIN (remainder 0)
+      // in two's complement, like Add, Sub and Mul.
       case Opcode::Div:
-        return b == 0 ? 0 : a / b;
+        return b == 0 ? 0 : b == -1 ? negate(a) : a / b;
       case Opcode::Rem:
-        return b == 0 ? 0 : a % b;
+        return b == 0 || b == -1 ? 0 : a % b;
       case Opcode::Mac:
         return static_cast<Word>(static_cast<UWord>(a) *
                                  static_cast<UWord>(b) +
                                  static_cast<UWord>(c));
       case Opcode::Abs:
-        return a < 0 ? -a : a;
+        return a < 0 ? negate(a) : a;
       case Opcode::Min:
         return a < b ? a : b;
       case Opcode::Max:
         return a > b ? a : b;
       case Opcode::Neg:
-        return -a;
+        return negate(a);
       case Opcode::And:
         return a & b;
       case Opcode::Or:

@@ -5,10 +5,13 @@
  * The analytic Marionette model (arch_model.h) predicts from the
  * workload's loop structure alone and knows nothing about where the
  * compiler actually put things.  This model closes that gap: it is
- * fed the route pass's *derived* timing — per-phase recurrence
- * initiation intervals, pipeline fill latencies, drain bounds and
- * the multicast route trees' busiest-link traffic — and folds them
- * into the cycle count the placed-and-routed kernel should sustain:
+ * fed the route pass's *derived* timing — per-phase initiation
+ * intervals and pipeline fill latencies from the place pass's own
+ * timing model (PhaseTiming: the worst carried cycle or the
+ * channel-amortized operand skew, on routed latencies), drain
+ * bounds and the multicast route trees' busiest-link traffic — and
+ * folds them into the cycle count the placed-and-routed kernel
+ * should sustain:
  *
  *   scheduled = max(sum_p trips_p * max(1, II_p) + fill_p,
  *                   max_link_load)
@@ -18,8 +21,9 @@
  * term is the bandwidth bound (a link carrying L words needs at
  * least L cycles).  Because every input is something the machine
  * charges by construction (shared MeshGeometry/MeshRouter), the
- * estimate lands within a small factor of the mapped cycles —
- * paper_eval reports the ratio per kernel.
+ * estimate lands within 1.25x of the mapped cycles on every kernel
+ * on the 10x10 evaluation fabric — paper_eval reports the ratio
+ * per kernel and its --check-coverage gate enforces the bound.
  */
 
 #ifndef MARIONETTE_MODEL_SCHEDULE_MODEL_H
@@ -38,8 +42,9 @@ struct ScheduledPhase
 {
     /** Generator trip count (after unroll striping). */
     std::uint64_t trips = 0;
-    /** Steady-state initiation interval (route pass recurrence II,
-     *  slack-adjusted); 0 or 1 both mean fully pipelined. */
+    /** Steady-state initiation interval (the route pass's II:
+     *  slack-adjusted carried cycles or operand skew); 0 or 1 both
+     *  mean fully pipelined. */
     Cycles initiationInterval = 0;
     /** Pipeline fill: the longest feed-forward path latency. */
     Cycles fillLatency = 0;

@@ -11,6 +11,8 @@
  *    the recurrence cycles leave room (NW/LDPC);
  *  - route plan exactness: every routed edge's latency and path
  *    must match what the cycle-accurate DataMesh actually charges;
+ *  - one timing model: the II the route pass reports for a phase
+ *    is the one the placer scored it at;
  *  - the quiescence fix the cost placer exposed: a word still in
  *    flight on a long mesh route must hold the machine open past
  *    the idle grace window.
@@ -435,6 +437,67 @@ TEST(RoutePlan, LatenciesMatchTheCycleAccurateMesh)
             EXPECT_LE(cc.routes.drainCycles[p],
                       64 + 8 * n * (3 * (n + 2) + 16));
         }
+    }
+}
+
+/** The per-phase IIs of the place note ("recurrence II 12 6
+ *  cycle(s)") and of the route notes ("phase 0: ... recurrence II
+ *  ~12 cycles"), in phase order. */
+std::vector<Cycles>
+notedIIs(const CompileReport &report, const std::string &pass)
+{
+    const std::string key =
+        pass == "place" ? "recurrence II " : "recurrence II ~";
+    std::vector<Cycles> iis;
+    for (const CompilerPassNote &n : report.notes) {
+        const std::size_t at = n.message.find(key);
+        if (n.pass != pass || at == std::string::npos)
+            continue;
+        std::istringstream in(n.message.substr(at + key.size()));
+        for (Cycles ii; in >> ii;)
+            iis.push_back(ii);
+    }
+    return iis;
+}
+
+TEST(RoutePlan, PhaseTimingMatchesThePlacer)
+{
+    // Healthy fabrics only: under dead links the placer still
+    // scores on healthy mesh latencies while the route pass charges
+    // the detours, so the two differ there (ADPCM under
+    // FaultPlan::seeded(10, 10, 8, 2, 1) places at II 32 and routes
+    // at II 36).
+    MachineConfig hop2 = evalFabric();
+    hop2.meshHopLatency = 2;
+    MachineConfig exec1 = evalFabric();
+    exec1.executeLatency = 1;
+    int compiled = 0;
+    for (const MachineConfig &config : {evalFabric(), hop2, exec1}) {
+        for (const Workload *w : allWorkloads()) {
+            CompileResult r = Compiler(config).compile(*w);
+            if (!r.ok())
+                continue;
+            ++compiled;
+            const std::vector<Cycles> placed =
+                notedIIs(r.report, "place");
+            EXPECT_FALSE(placed.empty()) << w->name();
+            EXPECT_EQ(notedIIs(r.report, "route"), placed)
+                << w->name() << " (hop " << config.meshHopLatency
+                << ", exec " << config.executeLatency << ")";
+        }
+    }
+    EXPECT_EQ(compiled, 33); // 11 kernels x 3 fabrics.
+
+    // HT, CO and GP carry no loop value: operand skew alone sets
+    // their II.
+    const std::pair<const char *, Cycles> skew_bound[] = {
+        {"HT", 3}, {"CO", 4}, {"GP", 2}};
+    for (const auto &[kernel, ii] : skew_bound) {
+        CompileResult r = Compiler(evalFabric()).compile(kernel);
+        ASSERT_TRUE(r.ok()) << kernel;
+        EXPECT_EQ(notedIIs(r.report, "route"),
+                  std::vector<Cycles>{ii})
+            << kernel;
     }
 }
 

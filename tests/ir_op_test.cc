@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ir/op.h"
 #include "sim/rng.h"
@@ -203,6 +204,22 @@ TEST(EvalProperty, CompareTrichotomy)
                   evalOp(Opcode::CmpGt, a, b);
         EXPECT_EQ(sum, 1);
     }
+}
+
+TEST(EvalProperty, OverflowWrapsLikeTwosComplement)
+{
+    // Every ALU firing and every compile-time constant fold goes
+    // through evalOp, so no operand pair may trap (INT_MIN / -1
+    // raises SIGFPE on x86) or overflow a signed int.
+    const Word min = std::numeric_limits<Word>::min();
+    EXPECT_EQ(evalOp(Opcode::Div, min, -1), min);
+    EXPECT_EQ(evalOp(Opcode::Rem, min, -1), 0);
+    EXPECT_EQ(evalOp(Opcode::Neg, min), min);
+    EXPECT_EQ(evalOp(Opcode::Abs, min), min);
+    EXPECT_EQ(evalOp(Opcode::Div, 7, -1), -7);
+    EXPECT_EQ(evalOp(Opcode::Rem, 7, -1), 0);
+    EXPECT_EQ(evalOp(Opcode::Div, -7, 2), -3);
+    EXPECT_EQ(evalOp(Opcode::Rem, -7, 2), -1);
 }
 
 } // namespace
