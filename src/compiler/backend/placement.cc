@@ -37,12 +37,16 @@
  *
  *  1. No edge gets shorter.  If every edge incident to the moved
  *     entities is at least as long afterwards (for a swap, each
- *     with the other at its new PE), every longest path, carried-
- *     cycle II and the wirelength can only grow.  That bounds the
- *     score only when the phase's committed score has no skew term
- *     (lengthening an early edge can shrink the skew), so phaseII
- *     reports whether it folded skew in and the flag is kept with
- *     each committed score.
+ *     with the other at its new PE), every firing time, carried-
+ *     cycle II and the wirelength can only grow.  The skew term can
+ *     still shrink (lengthening an early edge delays an early
+ *     operand), so when a phase's committed score folds skew in,
+ *     phaseII keeps a witness with it: a consumer whose own skew
+ *     sets the term and the producer of its earliest operand.  A
+ *     move that moves neither that consumer nor the producer nor
+ *     any template ancestor of it keeps the earliest arrival while
+ *     the latest can only grow, so the skew term cannot fall
+ *     either.
  *  2. A move that lost in this state loses again.  A move that does
  *     not beat the current objective is stamped with a generation
  *     that advances on every position change; nothing the score
@@ -160,6 +164,21 @@ PhaseTiming::PhaseTiming(const FlatPhase &phase,
                  const std::pair<int, int> &b) {
                   return a.second < b.second;
               });
+    // Producers precede their consumers, so each ancestor set is
+    // complete before a consumer folds it in.
+    ancestorWords_ = (static_cast<std::size_t>(n) + 63) / 64;
+    ancestors_.assign(static_cast<std::size_t>(n) * ancestorWords_, 0);
+    for (int e = 0; e < n; ++e)
+        ancestors_[static_cast<std::size_t>(e) * ancestorWords_ +
+                   static_cast<std::size_t>(e) / 64] |=
+            std::uint64_t{1} << (e % 64);
+    for (const auto &[src, dst] : inEdges_)
+        for (std::size_t w = 0; w < ancestorWords_; ++w)
+            ancestors_[static_cast<std::size_t>(dst) * ancestorWords_ +
+                       w] |=
+                ancestors_[static_cast<std::size_t>(src) *
+                               ancestorWords_ +
+                           w];
     pathTo_.assign(finals_.size() * out_.size(), -1);
     fire_.assign(out_.size(), 0);
 }
@@ -491,12 +510,14 @@ struct Entity
     std::vector<std::pair<int, std::uint64_t>> adj;
 };
 
-/** A phase's timing score (see CostPlacer::phaseII) and whether
- *  the operand-skew term was folded into it. */
+/** A phase's timing score (see CostPlacer::phaseII), whether the
+ *  operand-skew term was folded into it, and then the consumer
+ *  whose skew sets that term (rule 1's witness). */
 struct PhaseScore
 {
     std::uint64_t ii = 0;
     bool skewed = false;
+    PhaseTiming::SkewWitness witness;
 };
 
 /** A scored candidate move: the objective it reaches (~0 when it
@@ -748,7 +769,21 @@ class CostPlacer
         }
         return {(static_cast<std::uint64_t>(max_ii) << 24) +
                     std::min<std::uint64_t>(sq, (1u << 24) - 1),
-                skewed};
+                skewed, {}};
+    }
+
+    /** Adopt @p score, phaseII's score of the current positions, as
+     *  @p phase's committed score, with rule 1's skew witness when
+     *  it folds skew in.  Scores are committed far less often than
+     *  computed, so only here does the skew sweep name a witness. */
+    void
+    commitScore(int phase, PhaseScore score)
+    {
+        if (score.skewed)
+            score.witness =
+                timing_[static_cast<std::size_t>(phase)].skewWitness(
+                    meshLat(phase), exec_);
+        ii_[static_cast<std::size_t>(phase)] = score;
     }
 
     static Cycles
@@ -919,7 +954,7 @@ class CostPlacer
         }
         nonlinearUnplaced_ = 0;
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_[p] = phaseII(static_cast<int>(p));
+            commitScore(static_cast<int>(p), phaseII(static_cast<int>(p)));
         wire_ = fullWire();
         ++gen_;
     }
@@ -1061,7 +1096,7 @@ class CostPlacer
             }
         }
         for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_[p] = phaseII(static_cast<int>(p));
+            commitScore(static_cast<int>(p), phaseII(static_cast<int>(p)));
         wire_ = fullWire();
     }
 
@@ -1115,7 +1150,7 @@ class CostPlacer
                 free_pes[fi] = from;
                 a.pe = target;
                 wire_ = m.wire;
-                ii_[static_cast<std::size_t>(a.phase)] = m.a;
+                commitScore(a.phase, m.a);
                 ++gen_;
                 ++improvingMoves_;
                 stale = 0;
@@ -1133,8 +1168,8 @@ class CostPlacer
                 continue;
             std::swap(a.pe, b.pe);
             wire_ = m.wire;
-            ii_[static_cast<std::size_t>(a.phase)] = m.a;
-            ii_[static_cast<std::size_t>(b.phase)] = m.b;
+            commitScore(a.phase, m.a);
+            commitScore(b.phase, m.b);
             ++gen_;
             ++improvingMoves_;
             stale = 0;
@@ -1177,12 +1212,37 @@ class CostPlacer
         return true;
     }
 
+    /** Rule 1's skew test: moving entities @p ia and @p ib (-1:
+     *  none) cannot lower @p phase's skew term — its committed
+     *  score has none, or neither entity is the witness consumer
+     *  or feeds the witness's earliest operand. */
+    bool
+    skewHolds(int phase, int ia, int ib) const
+    {
+        const PhaseScore &score = ii_[static_cast<std::size_t>(phase)];
+        if (!score.skewed)
+            return true;
+        const PhaseTiming &timing =
+            timing_[static_cast<std::size_t>(phase)];
+        const int base = genIdx_[static_cast<std::size_t>(phase)];
+        for (int idx : {ia, ib}) {
+            if (idx < 0 ||
+                entities_[static_cast<std::size_t>(idx)].phase != phase)
+                continue;
+            const int k = idx - base;
+            if (k == score.witness.consumer ||
+                timing.feeds(k, score.witness.earliest))
+                return false;
+        }
+        return true;
+    }
+
     /**
      * Score moving entity @p ia to the free PE @p pe.  Skips
      * phaseII when rule 2 (the move was already rejected at this
      * generation) or rule 1 (no incident edge gets shorter and the
-     * phase's committed score has no skew term) proves the move
-     * cannot win; stamps it when it does not win.
+     * skew term cannot fall) proves the move cannot win; stamps it
+     * when it does not win.
      */
     Move
     scoreRelocation(int ia, PeId pe)
@@ -1195,7 +1255,7 @@ class CostPlacer
         if (stamp == gen_)
             return m;
         Entity &a = entities_[static_cast<std::size_t>(ia)];
-        if (ii_[static_cast<std::size_t>(a.phase)].skewed ||
+        if (!skewHolds(a.phase, ia, -1) ||
             !noEdgeShorter(ia, pe, -1, invalidPe)) {
             const PeId from = a.pe;
             m.wire = wire_ - incidentWire(ia, from, -1, invalidPe) +
@@ -1212,7 +1272,8 @@ class CostPlacer
 
     /** Score swapping the PEs of entities @p ia and @p ib, under
      *  the same rules as scoreRelocation (rule 1 checks each
-     *  entity with the other at its new PE, and both phases). */
+     *  entity with the other at its new PE, and both phases'
+     *  witnesses against both entities). */
     Move
     scoreSwap(int ia, int ib)
     {
@@ -1226,8 +1287,8 @@ class CostPlacer
             return m;
         Entity &a = entities_[static_cast<std::size_t>(ia)];
         Entity &b = entities_[static_cast<std::size_t>(ib)];
-        if (ii_[static_cast<std::size_t>(a.phase)].skewed ||
-            ii_[static_cast<std::size_t>(b.phase)].skewed ||
+        if (!skewHolds(a.phase, ia, ib) ||
+            !skewHolds(b.phase, ia, ib) ||
             !noEdgeShorter(ia, b.pe, ib, a.pe) ||
             !noEdgeShorter(ib, a.pe, ia, b.pe)) {
             m.wire = wire_ -
@@ -1341,8 +1402,7 @@ class CostPlacer
                         std::uint64_t wa = incidentWire(
                             ia, best_pe, -1, invalidPe);
                         wire_ = wire_ - from_wire + wa;
-                        ii_[static_cast<std::size_t>(a.phase)] =
-                            phaseII(a.phase);
+                        commitScore(a.phase, phaseII(a.phase));
                         improved = true;
                         ++gen_;
                         ++improvingMoves_;
@@ -1361,8 +1421,7 @@ class CostPlacer
                             incidentWire(best_ib, b.pe, ia,
                                          a.pe);
                         wire_ = wire_ - wb + wa;
-                        ii_[static_cast<std::size_t>(a.phase)] =
-                            phaseII(a.phase);
+                        commitScore(a.phase, phaseII(a.phase));
                         improved = true;
                         ++gen_;
                         ++improvingMoves_;
@@ -1451,7 +1510,8 @@ class CostPlacer
             // Refresh the reported metrics (entities already hold
             // the snake positions from scoreMapping).
             for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-                ii_[p] = phaseII(static_cast<int>(p));
+                commitScore(static_cast<int>(p),
+                            phaseII(static_cast<int>(p)));
             wire_ = snake_wire;
         } else {
             // scoreMapping moved entity positions; restore them

@@ -45,6 +45,8 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -875,18 +877,6 @@ PhaseLowering::runImpl()
                         "(round-entry reset expected)");
             }
         }
-        // A fence-carried ordering token with a proven minimum
-        // store->load alias distance D may run D slots ahead:
-        // seed the closing channel with min(D, depth-1) words
-        // instead of 1.  Cost path only — the snake baseline
-        // keeps the legacy single-token recurrence.
-        if (cc.options.placer == PlacerKind::Cost) {
-            auto fd = cc.spec.fenceMinDistance.find(cv.name);
-            if (fd != cc.spec.fenceMinDistance.end() &&
-                fd->second > 1)
-                cv.slack = std::min<Cycles>(
-                    static_cast<Cycles>(fd->second), 7);
-        }
     }
     if (replica == 0)
         flat.finalEnv = env;
@@ -950,6 +940,468 @@ finalizePhase(Compilation &cc, FlatPhase &flat, int phase_idx)
 
     flat.liveNodes = std::move(live);
     return true;
+}
+
+// ------------------------------------------------------------------
+// Run-ahead proof for ordering tokens (cost path only)
+// ------------------------------------------------------------------
+
+/** And(x, #0) either way round: 0 whatever x holds. */
+bool
+isZeroAnd(const DfgNode &n)
+{
+    auto zero = [](const Operand &o) {
+        return o.kind == OperandKind::Immediate && o.ref == 0;
+    };
+    return n.op == Opcode::And && (zero(n.a) || zero(n.b));
+}
+
+/** out[j] = op(a[j], b[j], c[j]) for j < @p len: the pure ops of
+ *  slot decodes and address arithmetic inline, the rest through
+ *  evalOp. */
+void
+evalColumn(Opcode op, const Word *a, const Word *b, const Word *c,
+           Word *out, int len)
+{
+    auto each = [&](auto f) {
+        for (int j = 0; j < len; ++j)
+            out[j] = f(a[j], b[j], c[j]);
+    };
+    auto u = [](Word v) { return static_cast<UWord>(v); };
+    switch (op) {
+      case Opcode::Add:
+        return each([&](Word x, Word y, Word) {
+            return static_cast<Word>(u(x) + u(y));
+        });
+      case Opcode::Sub:
+        return each([&](Word x, Word y, Word) {
+            return static_cast<Word>(u(x) - u(y));
+        });
+      case Opcode::Mul:
+        return each([&](Word x, Word y, Word) {
+            return static_cast<Word>(u(x) * u(y));
+        });
+      case Opcode::And:
+        return each([](Word x, Word y, Word) { return x & y; });
+      case Opcode::Or:
+        return each([](Word x, Word y, Word) { return x | y; });
+      case Opcode::Xor:
+        return each([](Word x, Word y, Word) { return x ^ y; });
+      case Opcode::Shl:
+        return each([&](Word x, Word y, Word) {
+            return static_cast<Word>(u(x) << (u(y) & 31u));
+        });
+      case Opcode::Shr:
+        return each([&](Word x, Word y, Word) {
+            return static_cast<Word>(u(x) >> (u(y) & 31u));
+        });
+      case Opcode::CmpEq:
+        return each([](Word x, Word y, Word) { return Word{x == y}; });
+      case Opcode::CmpLt:
+        return each([](Word x, Word y, Word) { return Word{x < y}; });
+      case Opcode::CmpGe:
+        return each([](Word x, Word y, Word) { return Word{x >= y}; });
+      case Opcode::Select:
+        return each(
+            [](Word x, Word y, Word z) { return x != 0 ? y : z; });
+      default:
+        return each([op](Word x, Word y, Word z) {
+            return evalOp(op, x, y, z);
+        });
+    }
+}
+
+/**
+ * How far @p flat's ordering tokens may run ahead, proven from the
+ * slot index alone; sets their CarriedValue::slack and returns the
+ * lower note (empty when the phase has no token).
+ *
+ * A token is a live carried value whose input reaches no memory
+ * operand, observed port or non-token final except through
+ * And(·, #0): only its arrival matters, never its word, so its
+ * closing channel may hold S boot words and its consumers run S
+ * slots ahead.  That is sound as long as every same-word pair of
+ * memory accesses (X at slot tx, Y at ty > tx, one a store) keeps
+ * a dependence path X -> Y weighing at most ty - tx, where each
+ * token closing edge weighs S, every other closing edge (self
+ * edges included) 1 and every template edge 0: a PE fires its
+ * slots in order and memory acts at issue, so a path of weight w
+ * makes Y at tx + w, and so at ty, fire after X at tx.
+ *
+ * Each live memory node's effective word (address + memBase) and
+ * predicate are evaluated per slot over their operand cones only;
+ * the nearest gap per (X, Y) node pair comes from one slot-order
+ * scan of a last-access table.  Pairs ordered without the tokens
+ * cannot cap S.  S is the largest value up to kDataChannelDepth - 1
+ * that orders every other pair; the tokens keep slack 1 when no
+ * S > 1 does, or when an address does not evaluate from the slot
+ * index (a predicate that does not is taken as always true).
+ */
+std::string
+proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx)
+{
+    const Dfg &dfg = flat.body;
+    const std::vector<NodeId> ids(flat.liveNodes.begin(),
+                                  flat.liveNodes.end());
+    const int n = static_cast<int>(ids.size());
+    std::vector<int> at(static_cast<std::size_t>(dfg.numNodes()), -1);
+    for (int k = 0; k < n; ++k)
+        at[static_cast<std::size_t>(ids[static_cast<std::size_t>(k)])] =
+            k;
+    auto node = [&](int k) -> const DfgNode & {
+        return dfg.node(ids[static_cast<std::size_t>(k)]);
+    };
+    auto dense = [&](const Operand &o) {
+        return o.kind == OperandKind::Node
+                   ? at[static_cast<std::size_t>(o.ref)]
+                   : -1;
+    };
+
+    // ---- Tokens: a greatest fixpoint over the live carried values.
+    // needs[c] lists the carried values whose final c's input
+    // reaches; c stays a token only while they all are.
+    const std::size_t nc = flat.carried.size();
+    std::vector<char> observed(static_cast<std::size_t>(n), 0);
+    for (const Observation &ob : cc.observations)
+        if (ob.phase == phase_idx &&
+            at[static_cast<std::size_t>(ob.node)] >= 0)
+            observed[static_cast<std::size_t>(
+                at[static_cast<std::size_t>(ob.node)])] = 1;
+    std::vector<char> token(nc, 0);
+    std::vector<std::vector<std::size_t>> needs(nc);
+    std::vector<char> taint(static_cast<std::size_t>(n));
+    for (std::size_t c = 0; c < nc; ++c) {
+        const CarriedValue &cv = flat.carried[c];
+        token[c] = cv.live;
+        std::fill(taint.begin(), taint.end(), 0);
+        for (int k = 0; k < n && token[c]; ++k) {
+            const DfgNode &nd = node(k);
+            bool hit = false;
+            for (const Operand *o : {&nd.a, &nd.b, &nd.c})
+                hit = hit ||
+                      (o->kind == OperandKind::Input &&
+                       static_cast<int>(o->ref) == cv.inputIdx) ||
+                      (dense(*o) >= 0 &&
+                       taint[static_cast<std::size_t>(dense(*o))]);
+            if (!hit || isZeroAnd(nd))
+                continue;
+            taint[static_cast<std::size_t>(k)] = 1;
+            token[c] = !isMemoryOp(nd.op) &&
+                       !observed[static_cast<std::size_t>(k)];
+            for (std::size_t i = 0; i < nc; ++i)
+                if (i != c && flat.carried[i].live &&
+                    flat.carried[i].finalVal.ref ==
+                        ids[static_cast<std::size_t>(k)])
+                    needs[c].push_back(i);
+        }
+    }
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (std::size_t c = 0; c < nc; ++c)
+            for (std::size_t i : needs[c])
+                if (token[c] && !token[i]) {
+                    token[c] = 0;
+                    changed = true;
+                }
+    }
+    std::vector<std::string> names;
+    for (std::size_t c = 0; c < nc; ++c)
+        if (token[c] && std::find(names.begin(), names.end(),
+                                  flat.carried[c].name) == names.end())
+            names.push_back(flat.carried[c].name);
+    if (names.empty())
+        return {};
+    std::ostringstream note;
+    note << "phase '" << cc.top.phases[static_cast<std::size_t>(
+                                           phase_idx)]
+                             .headerName
+         << "': ordering token(s)";
+    for (std::size_t i = 0; i < names.size(); ++i)
+        note << (i == 0 ? " '" : ", '") << names[i] << "'";
+
+    // ---- Address and predicate cones, evaluated from the slot.
+    std::vector<char> opaque(static_cast<std::size_t>(n), 0);
+    auto opaqueOperand = [&](const Operand &o) {
+        return (o.kind == OperandKind::Input && o.ref != 0) ||
+               (dense(o) >= 0 &&
+                opaque[static_cast<std::size_t>(dense(o))]);
+    };
+    for (int k = 0; k < n; ++k) {
+        const DfgNode &nd = node(k);
+        opaque[static_cast<std::size_t>(k)] =
+            !isZeroAnd(nd) &&
+            (isMemoryOp(nd.op) || isControlOp(nd.op) ||
+             nd.op == Opcode::Phi || opaqueOperand(nd.a) ||
+             opaqueOperand(nd.b) || opaqueOperand(nd.c));
+    }
+    // Every evaluated value is a column of kBlock slots in cols: the
+    // cone's nodes first, then the slot index, then one column per
+    // immediate.
+    constexpr int kBlock = 64;
+    struct Access
+    {
+        int addr;
+        int pred; ///< -1: always true.
+        bool store;
+        Word base;
+    };
+    std::vector<int> mems; // dense ids of the memory nodes.
+    std::vector<Access> access;
+    std::vector<char> inCone(static_cast<std::size_t>(n), 0);
+    auto need = [&](const Operand &o) {
+        if (dense(o) >= 0)
+            inCone[static_cast<std::size_t>(dense(o))] = 1;
+    };
+    for (int k = 0; k < n; ++k) {
+        const DfgNode &nd = node(k);
+        if (!isMemoryOp(nd.op))
+            continue;
+        const bool store = nd.op == Opcode::Store;
+        if (opaqueOperand(nd.a)) {
+            note << " keep slack 1: the address of "
+                 << (store ? "store" : "load") << " '" << nd.name
+                 << "' does not evaluate from the slot index";
+            return note.str();
+        }
+        // An absent predicate is always true, as is (taken here) one
+        // that does not evaluate.
+        const Operand &pred = store ? nd.c : nd.b;
+        const bool known =
+            pred.kind != OperandKind::None && !opaqueOperand(pred);
+        need(nd.a);
+        if (known)
+            need(pred);
+        mems.push_back(k);
+        auto base = flat.memBase.find(ids[static_cast<std::size_t>(k)]);
+        access.push_back({0, known ? 0 : -1, store,
+                          base == flat.memBase.end() ? 0
+                                                     : base->second});
+    }
+    for (int k = n - 1; k >= 0; --k)
+        if (inCone[static_cast<std::size_t>(k)] && !isZeroAnd(node(k)))
+            for (const Operand *o : {&node(k).a, &node(k).b, &node(k).c})
+                need(*o);
+    std::vector<int> cone;
+    std::vector<int> column(static_cast<std::size_t>(n), -1);
+    for (int k = 0; k < n; ++k)
+        if (inCone[static_cast<std::size_t>(k)] && !isZeroAnd(node(k))) {
+            column[static_cast<std::size_t>(k)] =
+                static_cast<int>(cone.size());
+            cone.push_back(k);
+        }
+    const int slotColumn = static_cast<int>(cone.size());
+    std::vector<Word> immediates;
+    auto source = [&](const Operand &o) {
+        if (o.kind == OperandKind::Input)
+            return slotColumn;
+        if (o.kind == OperandKind::Node &&
+            column[static_cast<std::size_t>(dense(o))] >= 0)
+            return column[static_cast<std::size_t>(dense(o))];
+        // An immediate; absent operands and And(·, #0) read 0.
+        const Word v = o.kind == OperandKind::Immediate ? o.ref : 0;
+        auto it = std::find(immediates.begin(), immediates.end(), v);
+        if (it == immediates.end())
+            it = immediates.insert(immediates.end(), v);
+        return slotColumn + 1 +
+               static_cast<int>(it - immediates.begin());
+    };
+    std::vector<std::array<int, 3>> coneSrc;
+    for (int k : cone)
+        coneSrc.push_back(
+            {source(node(k).a), source(node(k).b), source(node(k).c)});
+    for (std::size_t m = 0; m < mems.size(); ++m) {
+        const DfgNode &nd = node(mems[m]);
+        access[m].addr = source(nd.a);
+        if (access[m].pred >= 0)
+            access[m].pred =
+                source(nd.op == Opcode::Store ? nd.c : nd.b);
+    }
+    std::vector<Word> cols((cone.size() + 1 + immediates.size()) *
+                           kBlock);
+    auto col = [&](int c) {
+        return cols.data() + static_cast<std::size_t>(c) * kBlock;
+    };
+    for (std::size_t i = 0; i < immediates.size(); ++i)
+        std::fill_n(col(slotColumn + 1 + static_cast<int>(i)), kBlock,
+                    immediates[i]);
+
+    // words[t * nm + m]: the scratchpad word memory node m touches
+    // at slot t, or -1 (masked off, or outside the scratchpad).
+    const int nm = static_cast<int>(mems.size());
+    const std::size_t accesses =
+        static_cast<std::size_t>(flat.trips) * static_cast<std::size_t>(nm);
+    if (accesses > (std::size_t{1} << 22)) {
+        note << " keep slack 1: their phase makes " << accesses
+             << " slot accesses, too many to pair up";
+        return note.str();
+    }
+    std::vector<Word> words(accesses);
+    const Word numWords = cc.config.scratchpadBytes / 4;
+    Word lo = numWords, hi = -1;
+    for (Word t0 = 0; t0 < flat.trips; t0 += kBlock) {
+        const int len =
+            static_cast<int>(std::min<Word>(kBlock, flat.trips - t0));
+        for (int j = 0; j < len; ++j)
+            col(slotColumn)[j] = t0 + j;
+        for (std::size_t c = 0; c < cone.size(); ++c)
+            evalColumn(node(cone[c]).op, col(coneSrc[c][0]),
+                       col(coneSrc[c][1]), col(coneSrc[c][2]),
+                       col(static_cast<int>(c)), len);
+        Word *out = words.data() + static_cast<std::size_t>(t0) * nm;
+        for (int j = 0; j < len; ++j)
+            for (int m = 0; m < nm; ++m, ++out) {
+                const Access &a = access[static_cast<std::size_t>(m)];
+                const Word word = static_cast<Word>(
+                    static_cast<UWord>(col(a.addr)[j]) +
+                    static_cast<UWord>(a.base));
+                const bool on = a.pred < 0 || col(a.pred)[j] != 0;
+                *out = on && word >= 0 && word < numWords ? word : -1;
+                if (*out >= 0) {
+                    lo = std::min(lo, word);
+                    hi = std::max(hi, word);
+                }
+            }
+    }
+
+    // ---- Nearest same-word gap per (earlier, later) node pair, from
+    // one slot-order scan of each word's last access per node.
+    constexpr Word kNoGap = std::numeric_limits<Word>::max();
+    std::vector<Word> gap(static_cast<std::size_t>(nm) * nm, kNoGap);
+    if (hi >= lo) {
+        const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+        if (span * static_cast<std::size_t>(nm) > (std::size_t{1} << 18)) {
+            note << " keep slack 1: their phase touches " << span
+                 << " words, too many to pair up";
+            return note.str();
+        }
+        std::vector<Word> last(span * static_cast<std::size_t>(nm), -1);
+        const Word *w = words.data();
+        for (Word t = 0; t < flat.trips; ++t)
+            for (int y = 0; y < nm; ++y, ++w) {
+                if (*w < 0)
+                    continue;
+                Word *row =
+                    last.data() + static_cast<std::size_t>(*w - lo) * nm;
+                const bool store =
+                    access[static_cast<std::size_t>(y)].store;
+                for (int x = 0; x < nm; ++x) {
+                    const Word tx = row[x];
+                    if (x == y || tx < 0 || tx == t ||
+                        !(store ||
+                          access[static_cast<std::size_t>(x)].store))
+                        continue;
+                    Word &g = gap[static_cast<std::size_t>(x) * nm +
+                                  static_cast<std::size_t>(y)];
+                    g = std::min(g, t - tx);
+                }
+                row[y] = t;
+            }
+    }
+
+    // ---- Dependence-path weights between the memory nodes.
+    struct Closing
+    {
+        int from;
+        int to;
+        bool token; ///< a token's non-self edge: weighs the slack.
+    };
+    std::vector<Closing> closing;
+    for (std::size_t c = 0; c < nc; ++c) {
+        const CarriedValue &cv = flat.carried[c];
+        if (!cv.live)
+            continue;
+        const int fin = dense(cv.finalVal);
+        for (int k = 0; k < n; ++k)
+            for (const Operand *o : {&node(k).a, &node(k).b, &node(k).c})
+                if (o->kind == OperandKind::Input &&
+                    static_cast<int>(o->ref) == cv.inputIdx)
+                    closing.push_back({fin, k, token[c] && k != fin});
+    }
+    // Template in-edges: three operand slots per node, -1 if none.
+    std::vector<int> operands(3 * static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+        operands[3 * static_cast<std::size_t>(k)] = dense(node(k).a);
+        operands[3 * static_cast<std::size_t>(k) + 1] = dense(node(k).b);
+        operands[3 * static_cast<std::size_t>(k) + 2] = dense(node(k).c);
+    }
+    constexpr Word kFar = std::numeric_limits<Word>::max() / 2;
+    std::vector<Word> dist(static_cast<std::size_t>(n));
+    // Lightest path weights from memory node x, token edges at
+    // @p slack (0: without them).  Template edges ascend, so one
+    // sweep settles every zero-weight path; each further round
+    // crosses one more closing edge.
+    auto paths = [&](int x, Word slack) {
+        std::fill(dist.begin(), dist.end(), kFar);
+        dist[static_cast<std::size_t>(mems[static_cast<std::size_t>(x)])] =
+            0;
+        for (bool changed = true; changed;) {
+            const int *in = operands.data();
+            for (Word &d : dist)
+                for (int s = 0; s < 3; ++s, ++in)
+                    if (*in >= 0)
+                        d = std::min(d,
+                                     dist[static_cast<std::size_t>(*in)]);
+            changed = false;
+            for (const Closing &e : closing) {
+                if (e.token && slack == 0)
+                    continue;
+                const Word via = dist[static_cast<std::size_t>(e.from)] +
+                                 (e.token ? slack : 1);
+                if (via < dist[static_cast<std::size_t>(e.to)]) {
+                    dist[static_cast<std::size_t>(e.to)] = via;
+                    changed = true;
+                }
+            }
+        }
+    };
+    // The pairs only the tokens order: (x, y, gap).
+    std::vector<std::array<Word, 3>> pairs;
+    Word nearest = kNoGap;
+    for (int x = 0; x < nm; ++x) {
+        bool any = false;
+        for (int y = 0; y < nm; ++y)
+            any = any || gap[static_cast<std::size_t>(x) * nm +
+                             static_cast<std::size_t>(y)] != kNoGap;
+        if (!any)
+            continue;
+        paths(x, 0);
+        for (int y = 0; y < nm; ++y) {
+            const Word g = gap[static_cast<std::size_t>(x) * nm +
+                               static_cast<std::size_t>(y)];
+            if (g != kNoGap &&
+                dist[static_cast<std::size_t>(
+                    mems[static_cast<std::size_t>(y)])] > g) {
+                pairs.push_back({x, y, g});
+                nearest = std::min(nearest, g);
+            }
+        }
+    }
+    Word slack = kDataChannelDepth - 1;
+    for (; slack > 1; --slack) {
+        bool ordered = true;
+        int source = -1;
+        for (std::size_t i = 0; ordered && i < pairs.size(); ++i) {
+            const std::array<Word, 3> &p = pairs[i];
+            if (p[0] != source) {
+                source = p[0];
+                paths(source, slack);
+            }
+            ordered = dist[static_cast<std::size_t>(
+                          mems[static_cast<std::size_t>(p[1])])] <= p[2];
+        }
+        if (ordered)
+            break;
+    }
+    for (std::size_t c = 0; c < nc; ++c)
+        if (token[c])
+            flat.carried[c].slack = slack;
+    note << " run " << slack << " slot(s) ahead; nearest same-word "
+         << "pair they order: ";
+    if (nearest == kNoGap)
+        note << "none";
+    else
+        note << nearest << " slot(s) apart";
+    return note.str();
 }
 
 /** The bound phase region rewritten to replica @p r's stripe:
@@ -1200,6 +1652,14 @@ passLower(Compilation &cc)
                  << " (stripe " << cc.phases[p].stripeSpan
                  << " slot(s)/iteration)";
         cc.report.note(kPassLower, note.str());
+        // Cost path only: the snake baseline keeps every recurrence
+        // at the legacy single token.
+        if (cc.options.placer == PlacerKind::Cost) {
+            const std::string run_ahead =
+                proveRunAhead(cc, cc.phases[p], static_cast<int>(p));
+            if (!run_ahead.empty())
+                cc.report.note(kPassLower, run_ahead);
+        }
     }
     return true;
 }

@@ -38,6 +38,7 @@
 #include "compiler/region.h"
 #include "ir/dfg.h"
 #include "ir/loop_info.h"
+#include "pe/channel.h"
 #include "sim/config.h"
 #include "workloads/workload.h"
 
@@ -54,13 +55,13 @@ struct CarriedValue
     bool live = false;
     /** Pipeline slack of the recurrence: how many slots the
      *  carried channel is seeded ahead.  1 (the default) is the
-     *  classic single-token recurrence; a fence-ordering token
-     *  with a proven min store->load alias distance D runs with
-     *  slack min(D, channel depth - 1), letting D consumers
-     *  proceed before the producer catches up.  Slack applies to
-     *  the *non-self* closing edges only — the final value's own
-     *  pass-through chain keeps slack 1 so every slot stays
-     *  transitively ordered. */
+     *  classic single-token recurrence; an ordering token runs
+     *  with the largest slack (at most channel depth - 1) under
+     *  which the lower pass proves every same-word memory pair of
+     *  its phase stays ordered, letting its consumers run that
+     *  many slots ahead of the producer.  Slack applies to the
+     *  *non-self* closing edges only — the final value's own
+     *  pass-through chain keeps slack 1. */
     Cycles slack = 1;
 };
 
@@ -230,39 +231,51 @@ class PhaseTiming
         return worst;
     }
 
-    /** Operand skew over the 8-deep consumer channels, rounded up:
-     *  a word landing S cycles before its consumer's last operand
-     *  (longest path from the generator) waits in the channel, so
-     *  a skew of S backpressures the producers into an II of about
-     *  S / 8 — what binds recurrence-free kernels such as HT. */
+    /** Operand skew over the kDataChannelDepth-deep consumer
+     *  channels, rounded up: a word landing S cycles before its
+     *  consumer's last operand (longest path from the generator)
+     *  waits in the channel, so a skew of S backpressures the
+     *  producers into an II of about S / depth — what binds
+     *  recurrence-free kernels such as HT. */
     template <class Lat>
     Cycles
     skewII(Lat lat, Cycles exec) const
     {
-        // Edges come grouped by ascending consumer, so a producer
-        // fires (at its latest arrival) before its consumers read.
-        std::int64_t *fire = fire_.data();
-        std::int64_t skew = 0;
-        for (std::size_t i = 0; i < inEdges_.size();) {
-            const int dst = inEdges_[i].second;
-            std::int64_t latest = 0;
-            std::int64_t earliest =
-                std::numeric_limits<std::int64_t>::max();
-            for (; i < inEdges_.size() && inEdges_[i].second == dst;
-                 ++i) {
-                const int src = inEdges_[i].first;
-                const std::int64_t arrival =
-                    (src == 0 ? 0
-                              : fire[src] +
-                                    static_cast<std::int64_t>(exec)) +
-                    static_cast<std::int64_t>(lat(src, dst));
-                latest = std::max(latest, arrival);
-                earliest = std::min(earliest, arrival);
-            }
-            fire[dst] = latest;
-            skew = std::max(skew, latest - earliest);
-        }
-        return (static_cast<Cycles>(skew) + 7) / 8;
+        const std::int64_t skew = sweepSkew<false>(lat, exec, nullptr);
+        return (static_cast<Cycles>(skew) + kDataChannelDepth - 1) /
+               kDataChannelDepth;
+    }
+
+    /** A consumer whose own operand skew sets skewII, and the
+     *  producer of its earliest operand (entity numbers, -1 when
+     *  no consumer is skewed). */
+    struct SkewWitness
+    {
+        int consumer = -1;
+        int earliest = -1;
+    };
+
+    /** skewII's first most skewed consumer (a separate sweep, so
+     *  skewII itself tracks nothing per edge). */
+    template <class Lat>
+    SkewWitness
+    skewWitness(Lat lat, Cycles exec) const
+    {
+        SkewWitness witness;
+        sweepSkew<true>(lat, exec, &witness);
+        return witness;
+    }
+
+    /** Whether entity @p a is entity @p e or a template ancestor of
+     *  it: e's firing time in skewII's sweep depends on the
+     *  positions of exactly these entities. */
+    bool
+    feeds(int a, int e) const
+    {
+        const std::uint64_t word =
+            ancestors_[static_cast<std::size_t>(e) * ancestorWords_ +
+                       static_cast<std::size_t>(a) / 64];
+        return ((word >> (static_cast<unsigned>(a) % 64)) & 1) != 0;
     }
 
     /** Latency and stages of a longest template path. */
@@ -379,6 +392,45 @@ class PhaseTiming
         return pathTo_.data() + r * out_.size();
     }
 
+    /** The largest operand skew over the consumers; with
+     *  @p kWitness, names the first consumer that has it. */
+    template <bool kWitness, class Lat>
+    std::int64_t
+    sweepSkew(Lat lat, Cycles exec, SkewWitness *witness) const
+    {
+        // Edges come grouped by ascending consumer, so a producer
+        // fires (at its latest arrival) before its consumers read.
+        std::int64_t *fire = fire_.data();
+        std::int64_t skew = 0;
+        for (std::size_t i = 0; i < inEdges_.size();) {
+            const int dst = inEdges_[i].second;
+            std::int64_t latest = 0;
+            std::int64_t earliest =
+                std::numeric_limits<std::int64_t>::max();
+            [[maybe_unused]] int first = -1;
+            for (; i < inEdges_.size() && inEdges_[i].second == dst;
+                 ++i) {
+                const int src = inEdges_[i].first;
+                const std::int64_t arrival =
+                    (src == 0 ? 0
+                              : fire[src] +
+                                    static_cast<std::int64_t>(exec)) +
+                    static_cast<std::int64_t>(lat(src, dst));
+                latest = std::max(latest, arrival);
+                if constexpr (kWitness)
+                    if (arrival < earliest)
+                        first = src;
+                earliest = std::min(earliest, arrival);
+            }
+            fire[dst] = latest;
+            if constexpr (kWitness)
+                if (latest - earliest > skew)
+                    *witness = {dst, first};
+            skew = std::max(skew, latest - earliest);
+        }
+        return skew;
+    }
+
     /** Into each final's row: the longest template path from every
      *  entity to that final (exec per stage plus lat per edge), -1
      *  where it is unreachable. */
@@ -411,6 +463,10 @@ class PhaseTiming
     std::vector<std::pair<int, int>> inEdges_;
     std::vector<Closing> closing_;
     std::vector<Final> finals_;
+    /** Per entity, a bitset of itself and its template ancestors
+     *  (ancestorWords_ words each). */
+    std::vector<std::uint64_t> ancestors_;
+    std::size_t ancestorWords_ = 0;
     /** Scratch: one longest-path row per final, firing times. */
     mutable std::vector<std::int64_t> pathTo_;
     mutable std::vector<std::int64_t> fire_;

@@ -23,11 +23,20 @@
 namespace marionette
 {
 
+/** Words one data input channel holds: a producer may fire this many
+ *  times ahead of its consumer before credit stops it.  The
+ *  compiler's timing model (operand skew) and its run-ahead cap for
+ *  ordering tokens (a closing channel seeded at most one word short
+ *  of full) read the same figure. */
+inline constexpr int kDataChannelDepth = 8;
+
 /** A bounded FIFO of data words feeding one operand port. */
 class InputChannel
 {
   public:
-    explicit InputChannel(int depth = 8) : words_(depth) {}
+    explicit InputChannel(int depth = kDataChannelDepth)
+        : words_(depth)
+    {}
 
     int depth() const { return words_.capacity(); }
     int occupancy() const { return words_.size(); }

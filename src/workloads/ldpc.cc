@@ -361,16 +361,6 @@ class LdpcWorkload : public Workload
         // Store-chain fences boot from 0.
         spec.scalars["llrw"] = 0;
         spec.scalars["msgw"] = 0;
-        // The fence tokens serialize *every* load behind *every*
-        // store, but the true dependence distance is much larger:
-        // llr[v] and msg[e] are rewritten at least a full 128-slot
-        // sweep before any conflicting reload (a check rereads its
-        // msg entries only on the next outer iteration; llr updates
-        // land a whole check pass before the var pass rereads
-        // them).  Lowering may therefore run the fence chain up to
-        // this many slots ahead (slack-seeded recurrence).
-        spec.fenceMinDistance["llrw"] = 128;
-        spec.fenceMinDistance["msgw"] = 128;
 
         Rng rng(0x5eed0009);
         std::vector<Word> channel(static_cast<std::size_t>(kVars));

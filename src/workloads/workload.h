@@ -181,13 +181,6 @@ struct WorkloadMachineSpec
      *  legality (no memory recurrence, no genuine cross-iteration
      *  carried value) before replicating. */
     std::set<std::string> parallelLoops;
-    /** Minimum store->load alias distance (in flat slots) per
-     *  fence-carried value: a load at slot t can only alias a
-     *  store at slot <= t - distance.  Lets the lowering relax
-     *  the store->load ordering token chain by that many slots
-     *  (capped by channel depth) instead of serializing every
-     *  slot pair. */
-    std::map<std::string, Word> fenceMinDistance;
     /** DFG output ports to stream into output FIFOs, in FIFO
      *  order.  Each name must resolve in exactly one phase. */
     std::vector<std::string> observePorts;

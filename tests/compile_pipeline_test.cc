@@ -48,6 +48,32 @@ analyticEstimate(const Workload &w, const MachineConfig &config)
         .cycles;
 }
 
+/** Machine-run size over profiled size, where the two differ by
+ *  design.  SCD's machine run recomputes one 64-lane level in each
+ *  of 7 rounds (896 slots of llr_loop and psum_loop), while its
+ *  profile decodes all 2048 channels (33 792 iterations of the same
+ *  two loops), so its model estimate is scaled to the machine's
+ *  size; every other kernel compares unscaled. */
+double
+machineScale(const Workload &w)
+{
+    if (w.name() != "SCD")
+        return 1.0;
+    const WorkloadMachineSpec spec = w.machineSpec();
+    auto trips = [&](const char *header) {
+        const MachineLoopBound &b = spec.loopBounds.at(header);
+        return static_cast<double>((b.bound - b.start) / b.step);
+    };
+    const double machine =
+        trips("phase_loop") * (trips("llr_loop") + trips("psum_loop"));
+    const WorkloadProfile profile = w.profile();
+    double profiled = 0.0;
+    for (const BasicBlock &b : profile.cdfg.blocks())
+        if (b.name == "llr_loop" || b.name == "psum_loop")
+            profiled += static_cast<double>(profile.iterationsOf(b.id));
+    return machine / profiled;
+}
+
 /** A second architecture: slower mesh, more banks, deeper FIFOs. */
 MachineConfig
 altConfig()
@@ -127,13 +153,14 @@ TEST_P(CompilePipeline, BitExactOnTwoConfigs)
         // memory-port II, so it is slower, never orders of
         // magnitude off).  Kernels whose lowering masks slots or
         // serializes through store-chain fences (NW, HT, LDPC) or
-        // runs a reduced machine size (VI, HT, SCD — SCD's static
-        // schedule is *smaller* than the profiled decode, so its
-        // machine run undercuts the model) get a wider band.
-        const double analytic = analyticEstimate(w, config);
+        // runs a reduced machine size (VI, HT) get a wider band.
+        // SCD's reduced size has a stated scale (machineScale), so
+        // it is held to the narrow band at matched size.
+        const double analytic =
+            analyticEstimate(w, config) * machineScale(w);
         ASSERT_GT(analytic, 0.0) << w.name();
         const std::set<std::string> wide_band = {"NW", "VI", "HT",
-                                                 "LDPC", "SCD"};
+                                                 "LDPC"};
         double lo = wide_band.count(w.name()) ? 0.05 : 0.5;
         double hi = wide_band.count(w.name()) ? 1024.0 : 64.0;
         double ratio = static_cast<double>(run.cycles) / analytic;

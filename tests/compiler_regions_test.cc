@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 
 #include "arch/machine.h"
 #include "compiler/compiler.h"
 #include "compiler/program_builder.h"
 #include "ir/builder.h"
+#include "pe/channel.h"
 #include "workloads/workload.h"
 
 namespace marionette
@@ -757,6 +759,333 @@ TEST(SelectFold, SignSelectIsAbs)
         absCase("x < 3 ? -x : x", false, Opcode::CmpLt, false, true, 3,
                 [](Word x) { return x < 3 ? -x : x; }),
     });
+}
+
+// ------------------------------------------------------------------
+// Run-ahead: the lower pass proves how many slots a store-order
+// token may run ahead of its producer (cost path only).  Each case
+// is one 64-slot loop whose loads are fenced on the carried store
+// token aw, the workloads' idiom, over a 128-word array: the
+// derived slack is read from the lower note, and the kernel must
+// stay bit-exact on both run paths at that slack.
+// ------------------------------------------------------------------
+
+/** @p body builds the loop body from the ports i, aw and acc (a
+ *  carried accumulator the body may ignore) and returns the
+ *  observed value, the store and the next acc; @p golden runs slot
+ *  i on @p mem and returns the observed word. */
+struct RunAheadCase
+{
+    std::string name;
+    std::function<std::array<NodeId, 3>(Dfg &, Operand i, Operand aw,
+                                        Operand acc)>
+        body;
+    std::function<Word(std::vector<Word> &mem, Word i, Word &acc)>
+        golden;
+};
+
+class RunAheadWorkload : public Workload
+{
+  public:
+    explicit RunAheadWorkload(RunAheadCase rc) : case_(std::move(rc))
+    {}
+
+    std::string name() const override { return "run_ahead"; }
+    std::string fullName() const override { return case_.name; }
+    std::string sizeDesc() const override { return "64 slots"; }
+
+    static constexpr Word kSlots = 64;
+
+    /** a[k] = 5k + 3 below 64; above, a[64 + i] = i ^ 1 (the
+     *  permutation the indirect case scatters through). */
+    static std::vector<Word>
+    image()
+    {
+        std::vector<Word> mem(2 * kSlots);
+        for (Word k = 0; k < kSlots; ++k) {
+            mem[static_cast<std::size_t>(k)] = 5 * k + 3;
+            mem[static_cast<std::size_t>(kSlots + k)] = k ^ 1;
+        }
+        return mem;
+    }
+
+    Cdfg
+    buildCdfg() const override
+    {
+        CdfgBuilder b("run_ahead");
+        BlockId loop = b.addLoopHeader("i_loop");
+        BlockId body = b.addBlock("body");
+        BlockId done = b.addBlock("done");
+        dfg_patterns::addCountedLoop(b.dfg(loop), 0, 1, "n");
+        {
+            Dfg &d = b.dfg(body);
+            Operand i = Operand::input(d.addInput("i"));
+            Operand aw = Operand::input(d.addInput("aw"));
+            Operand acc = Operand::input(d.addInput("acc"));
+            const std::array<NodeId, 3> out = case_.body(d, i, aw, acc);
+            d.addOutput("v", out[0]);
+            d.addOutput("aw", out[1]);
+            if (out[2] != invalidNode)
+                d.addOutput("acc", out[2]);
+        }
+        {
+            Dfg &d = b.dfg(done);
+            int x = d.addInput("x");
+            d.addOutput("x", d.addNode(Opcode::Copy,
+                                       Operand::input(x)));
+        }
+        b.fall(loop, body);
+        b.loopBack(body, loop);
+        b.loopExit(loop, done);
+        return b.finish();
+    }
+
+    WorkloadMachineSpec
+    machineSpec() const override
+    {
+        WorkloadMachineSpec spec;
+        spec.available = true;
+        spec.loopBounds["i_loop"] = {0, kSlots, 1};
+        spec.inductionPorts["i_loop"] = "i";
+        spec.scalars["aw"] = 0;
+        spec.scalars["acc"] = 0;
+        std::vector<Word> mem = image();
+        spec.memoryImage = mem;
+        std::vector<Word> stream;
+        Word acc = 0;
+        for (Word i = 0; i < kSlots; ++i)
+            stream.push_back(case_.golden(mem, i, acc));
+        spec.observePorts = {"v"};
+        spec.expectedOutputs = {std::move(stream)};
+        spec.expectedMemory = {{"a", 0, mem}};
+        return spec;
+    }
+
+    std::uint64_t
+    runGolden(KernelRecorder &rec) const override
+    {
+        rec.round(0);
+        for (Word i = 0; i < kSlots; ++i) {
+            rec.iteration(0);
+            rec.block(1);
+        }
+        rec.block(2);
+        return 0;
+    }
+
+  private:
+    RunAheadCase case_;
+};
+
+/** The lower pass's run-ahead note ("" when the phase has no
+ *  ordering token). */
+std::string
+runAheadNote(const CompileReport &report)
+{
+    for (const CompilerPassNote &n : report.notes)
+        if (n.pass == "lower" &&
+            n.message.find("ordering token") != std::string::npos)
+            return n.message;
+    return {};
+}
+
+/** Compile @p rc on the cost path, check its run-ahead note, and
+ *  validate both run paths; returns the event path's cycles. */
+Cycles
+expectRunAhead(const RunAheadCase &rc, const std::string &note)
+{
+    CompileResult r =
+        Compiler(evalFabric()).compile(RunAheadWorkload(rc));
+    EXPECT_TRUE(r.ok()) << rc.name << "\n" << r.report.toString();
+    if (!r.ok())
+        return 0;
+    EXPECT_EQ(runAheadNote(r.report), note) << rc.name;
+    Cycles cycles = 0;
+    for (bool event : {false, true}) {
+        MachineConfig config = evalFabric();
+        config.eventDrivenSim = event;
+        MarionetteMachine machine(config);
+        r.kernel->prepare(machine);
+        RunResult run = machine.run(r.kernel->cycleBudget);
+        EXPECT_EQ(r.kernel->validate(machine, run), "")
+            << rc.name << (event ? " (event)" : " (reference)");
+        cycles = run.cycles;
+    }
+    return cycles;
+}
+
+/** v = a[i] + 0 * aw, fenced on the store token. */
+Operand
+fencedLoad(Dfg &d, Operand addr, Operand aw)
+{
+    Operand z = op(d, Opcode::And, aw, Operand::imm(0));
+    return load(d, op(d, Opcode::Add, addr, z));
+}
+
+/** a[i + D] = a[i] + 1: the store feeds the load D slots later. */
+RunAheadCase
+distanceCase(Word D)
+{
+    return {"a[i + " + std::to_string(D) + "] = a[i] + 1",
+            [=](Dfg &d, Operand i, Operand aw, Operand) {
+                Operand v = fencedLoad(d, i, aw);
+                NodeId st = d.addNode(
+                    Opcode::Store, op(d, Opcode::Add, i, Operand::imm(D)),
+                    op(d, Opcode::Add, v, Operand::imm(1)),
+                    Operand::none(), "a");
+                return std::array<NodeId, 3>{
+                    static_cast<NodeId>(v.ref), st, invalidNode};
+            },
+            [=](std::vector<Word> &mem, Word i, Word &) {
+                const Word v = mem[static_cast<std::size_t>(i)];
+                mem[static_cast<std::size_t>(i + D)] = v + 1;
+                return v;
+            }};
+}
+
+std::string
+tokenNote(Word slack, const std::string &nearest)
+{
+    return "phase 'i_loop': ordering token(s) 'aw' run " +
+           std::to_string(slack) +
+           " slot(s) ahead; nearest same-word pair they order: " +
+           nearest;
+}
+
+TEST(RunAhead, SlackIsTheProvenAliasDistance)
+{
+    Cycles previous = 0;
+    for (Word D : {1, 2, 3, 5, 7, 9}) {
+        const Word slack = std::min<Word>(D, kDataChannelDepth - 1);
+        const Cycles cycles = expectRunAhead(
+            distanceCase(D),
+            tokenNote(slack, std::to_string(D) + " slot(s) apart"));
+        // Each extra slot of slack shortens the token's recurrence;
+        // past the channel's depth there is none to gain.
+        if (D > 1 && D <= 7) {
+            EXPECT_LT(cycles, previous) << D;
+        } else if (D == 9) {
+            EXPECT_EQ(cycles, previous) << D;
+        }
+        previous = cycles;
+    }
+}
+
+TEST(RunAhead, LoadedAddressKeepsSlackOne)
+{
+    // a[perm[i]] = a[i] + 1 with perm[i] = i ^ 1: the store's word
+    // comes from memory, so the proof cannot pair it (and slot 0's
+    // store feeds slot 1's load).
+    expectRunAhead(
+        {"a[perm[i]] = a[i] + 1",
+         [](Dfg &d, Operand i, Operand aw, Operand) {
+             Operand p = fencedLoad(
+                 d, op(d, Opcode::Add, i,
+                       Operand::imm(RunAheadWorkload::kSlots)),
+                 aw);
+             Operand v = fencedLoad(d, i, aw);
+             NodeId st = d.addNode(
+                 Opcode::Store, p, op(d, Opcode::Add, v, Operand::imm(1)),
+                 Operand::none(), "a");
+             return std::array<NodeId, 3>{static_cast<NodeId>(v.ref),
+                                          st, invalidNode};
+         },
+         [](std::vector<Word> &mem, Word i, Word &) {
+             const Word p = mem[static_cast<std::size_t>(
+                 RunAheadWorkload::kSlots + i)];
+             const Word v = mem[static_cast<std::size_t>(i)];
+             mem[static_cast<std::size_t>(p)] = v + 1;
+             return v;
+         }},
+        "phase 'i_loop': ordering token(s) 'aw' keep slack 1: the "
+        "address of store 'a' does not evaluate from the slot index");
+}
+
+TEST(RunAhead, PairsOrderedWithoutTheTokenDoNotCapIt)
+{
+    // a[(i + 62) % 64] = acc += a[i]: each load's word is rewritten
+    // 2 slots later, but that pair is ordered through the carried
+    // acc (one slot per hop), not the token.  Only the wrap-around
+    // stores of slots 0 and 1, read 62 slots later, need the token.
+    expectRunAhead(
+        {"a[(i + 62) % 64] = acc += a[i]",
+         [](Dfg &d, Operand i, Operand aw, Operand acc) {
+             Operand v = fencedLoad(d, i, aw);
+             Operand sum = op(d, Opcode::Add, acc, v);
+             NodeId st = d.addNode(
+                 Opcode::Store,
+                 op(d, Opcode::And, op(d, Opcode::Add, i, Operand::imm(62)),
+                    Operand::imm(63)),
+                 sum, Operand::none(), "a");
+             return std::array<NodeId, 3>{static_cast<NodeId>(sum.ref),
+                                          st,
+                                          static_cast<NodeId>(sum.ref)};
+         },
+         [](std::vector<Word> &mem, Word i, Word &acc) {
+             acc += mem[static_cast<std::size_t>(i)];
+             mem[static_cast<std::size_t>((i + 62) % 64)] = acc;
+             return acc;
+         }},
+        tokenNote(7, "62 slot(s) apart"));
+}
+
+TEST(RunAhead, ValuesThatReachMemoryOrAPortAreNotTokens)
+{
+    // The store token also feeds the stored value: aw is data, so
+    // no phase value is a token and no note is written.
+    expectRunAhead(
+        {"a[i + 2] = a[i] ^ aw",
+         [](Dfg &d, Operand i, Operand aw, Operand) {
+             Operand v = fencedLoad(d, i, aw);
+             NodeId st = d.addNode(
+                 Opcode::Store, op(d, Opcode::Add, i, Operand::imm(2)),
+                 op(d, Opcode::Xor, v, aw), Operand::none(), "a");
+             return std::array<NodeId, 3>{static_cast<NodeId>(v.ref),
+                                          st, invalidNode};
+         },
+         [](std::vector<Word> &mem, Word i, Word &acc) {
+             // acc stands in for aw: the previous slot's stored word.
+             const Word v = mem[static_cast<std::size_t>(i)];
+             acc ^= v;
+             mem[static_cast<std::size_t>(i + 2)] = acc;
+             return v;
+         }},
+        "");
+
+    // CRC's crc reaches the stored value and the observed port;
+    // SCD's x and bit reach the partial-sum store and the port.
+    const Compiler compiler(evalFabric());
+    EXPECT_EQ(runAheadNote(compiler.compile("CRC").report), "");
+    EXPECT_EQ(runAheadNote(compiler.compile("SCD").report),
+              "phase 'phase_loop': ordering token(s) 'llrw', 'psw' run "
+              "7 slot(s) ahead; nearest same-word pair they order: 128 "
+              "slot(s) apart");
+}
+
+TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
+{
+    // LDPC's check pass reads msg[6c + j] at slot 12c + j and
+    // rewrites it at 12c + j + 6; the min tracker orders that pair
+    // one slot per hop, so it does not cap the tokens at 6.
+    const Compiler compiler(evalFabric());
+    EXPECT_EQ(runAheadNote(compiler.compile("LDPC").report),
+              "phase 'iter_loop': ordering token(s) 'llrw', 'msgw' run "
+              "7 slot(s) ahead; nearest same-word pair they order: 128 "
+              "slot(s) apart");
+    CompileResult scd = compiler.compile("SCD");
+    ASSERT_TRUE(scd.ok());
+    MarionetteMachine machine(evalFabric());
+    scd.kernel->prepare(machine);
+    const RunResult run = machine.run(scd.kernel->cycleBudget);
+    EXPECT_EQ(scd.kernel->validate(machine, run), "");
+    EXPECT_EQ(run.cycles, 4637u);
+
+    // The snake baseline keeps every recurrence at one token.
+    CompilerOptions snake;
+    snake.placer = PlacerKind::Snake;
+    EXPECT_EQ(runAheadNote(
+                  Compiler(evalFabric(), snake).compile("SCD").report),
+              "");
 }
 
 } // namespace

