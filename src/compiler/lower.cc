@@ -956,59 +956,14 @@ isZeroAnd(const DfgNode &n)
     return n.op == Opcode::And && (zero(n.a) || zero(n.b));
 }
 
-/** out[j] = op(a[j], b[j], c[j]) for j < @p len: the pure ops of
- *  slot decodes and address arithmetic inline, the rest through
- *  evalOp. */
+/** out[j] = evalOp(op, a[j], b[j], c[j]) for j < @p len: the
+ *  machine's own semantics, so the proof sees the words it will. */
 void
 evalColumn(Opcode op, const Word *a, const Word *b, const Word *c,
            Word *out, int len)
 {
-    auto each = [&](auto f) {
-        for (int j = 0; j < len; ++j)
-            out[j] = f(a[j], b[j], c[j]);
-    };
-    auto u = [](Word v) { return static_cast<UWord>(v); };
-    switch (op) {
-      case Opcode::Add:
-        return each([&](Word x, Word y, Word) {
-            return static_cast<Word>(u(x) + u(y));
-        });
-      case Opcode::Sub:
-        return each([&](Word x, Word y, Word) {
-            return static_cast<Word>(u(x) - u(y));
-        });
-      case Opcode::Mul:
-        return each([&](Word x, Word y, Word) {
-            return static_cast<Word>(u(x) * u(y));
-        });
-      case Opcode::And:
-        return each([](Word x, Word y, Word) { return x & y; });
-      case Opcode::Or:
-        return each([](Word x, Word y, Word) { return x | y; });
-      case Opcode::Xor:
-        return each([](Word x, Word y, Word) { return x ^ y; });
-      case Opcode::Shl:
-        return each([&](Word x, Word y, Word) {
-            return static_cast<Word>(u(x) << (u(y) & 31u));
-        });
-      case Opcode::Shr:
-        return each([&](Word x, Word y, Word) {
-            return static_cast<Word>(u(x) >> (u(y) & 31u));
-        });
-      case Opcode::CmpEq:
-        return each([](Word x, Word y, Word) { return Word{x == y}; });
-      case Opcode::CmpLt:
-        return each([](Word x, Word y, Word) { return Word{x < y}; });
-      case Opcode::CmpGe:
-        return each([](Word x, Word y, Word) { return Word{x >= y}; });
-      case Opcode::Select:
-        return each(
-            [](Word x, Word y, Word z) { return x != 0 ? y : z; });
-      default:
-        return each([op](Word x, Word y, Word z) {
-            return evalOp(op, x, y, z);
-        });
-    }
+    for (int j = 0; j < len; ++j)
+        out[j] = evalOp(op, a[j], b[j], c[j]);
 }
 
 /**
@@ -1275,27 +1230,34 @@ proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx)
             return note.str();
         }
         std::vector<Word> last(span * static_cast<std::size_t>(nm), -1);
-        const Word *w = words.data();
-        for (Word t = 0; t < flat.trips; ++t)
-            for (int y = 0; y < nm; ++y, ++w) {
-                if (*w < 0)
+        auto row = [&](Word word) {
+            return last.data() + static_cast<std::size_t>(word - lo) * nm;
+        };
+        // Slot t's accesses all read the table before any of them
+        // writes it, so each meets only earlier slots' accesses.
+        for (Word t = 0; t < flat.trips; ++t) {
+            const Word *w =
+                words.data() + static_cast<std::size_t>(t) * nm;
+            for (int y = 0; y < nm; ++y) {
+                if (w[y] < 0)
                     continue;
-                Word *row =
-                    last.data() + static_cast<std::size_t>(*w - lo) * nm;
+                const Word *r = row(w[y]);
                 const bool store =
                     access[static_cast<std::size_t>(y)].store;
                 for (int x = 0; x < nm; ++x) {
-                    const Word tx = row[x];
-                    if (x == y || tx < 0 || tx == t ||
+                    if (x == y || r[x] < 0 ||
                         !(store ||
                           access[static_cast<std::size_t>(x)].store))
                         continue;
                     Word &g = gap[static_cast<std::size_t>(x) * nm +
                                   static_cast<std::size_t>(y)];
-                    g = std::min(g, t - tx);
+                    g = std::min(g, t - r[x]);
                 }
-                row[y] = t;
             }
+            for (int y = 0; y < nm; ++y)
+                if (w[y] >= 0)
+                    row(w[y])[y] = t;
+        }
     }
 
     // ---- Dependence-path weights between the memory nodes.

@@ -914,12 +914,14 @@ expectRunAhead(const RunAheadCase &rc, const std::string &note)
     return cycles;
 }
 
-/** v = a[i] + 0 * aw, fenced on the store token. */
+/** v = a[i] + 0 * aw, fenced on the store token and masked to 0
+ *  where @p pred is 0 (none: unmasked). */
 Operand
-fencedLoad(Dfg &d, Operand addr, Operand aw)
+fencedLoad(Dfg &d, Operand addr, Operand aw,
+           Operand pred = Operand::none())
 {
     Operand z = op(d, Opcode::And, aw, Operand::imm(0));
-    return load(d, op(d, Opcode::Add, addr, z));
+    return load(d, op(d, Opcode::Add, addr, z), pred);
 }
 
 /** a[i + D] = a[i] + 1: the store feeds the load D slots later. */
@@ -1027,6 +1029,36 @@ TEST(RunAhead, PairsOrderedWithoutTheTokenDoNotCapIt)
              return acc;
          }},
         tokenNote(7, "62 slot(s) apart"));
+}
+
+TEST(RunAhead, AnAssumedPredicateHidesNoEarlierSlot)
+{
+    // a[0] = i + tog on odd slots, then v = a[0] on even slots, with
+    // tog a carried toggle (0, 1, 0, ...) that waits on v.  The
+    // store's predicate does not evaluate from the slot, so the
+    // proof takes the store at every slot, the load's own included;
+    // that same-slot access must not hide the store one slot
+    // earlier, which only the token orders before the load.
+    expectRunAhead(
+        {"a[0] = i + tog if tog; v = a[0] if i is even",
+         [](Dfg &d, Operand i, Operand aw, Operand tog) {
+             NodeId st = d.addNode(Opcode::Store, Operand::imm(0),
+                                   op(d, Opcode::Add, i, tog), tog, "a");
+             Operand even = op(d, Opcode::Xor, odd(d, i), Operand::imm(1));
+             Operand v = fencedLoad(d, Operand::imm(0), aw, even);
+             Operand next = op(d, Opcode::Add,
+                               op(d, Opcode::Xor, tog, Operand::imm(1)),
+                               op(d, Opcode::And, v, Operand::imm(0)));
+             return std::array<NodeId, 3>{static_cast<NodeId>(v.ref),
+                                          st,
+                                          static_cast<NodeId>(next.ref)};
+         },
+         [](std::vector<Word> &mem, Word i, Word &) {
+             if (i % 2 == 1)
+                 mem[0] = i + 1;
+             return i % 2 == 0 ? mem[0] : Word{0};
+         }},
+        tokenNote(1, "1 slot(s) apart"));
 }
 
 TEST(RunAhead, ValuesThatReachMemoryOrAPortAreNotTokens)
