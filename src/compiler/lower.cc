@@ -956,16 +956,6 @@ isZeroAnd(const DfgNode &n)
     return n.op == Opcode::And && (zero(n.a) || zero(n.b));
 }
 
-/** out[j] = evalOp(op, a[j], b[j], c[j]) for j < @p len: the
- *  machine's own semantics, so the proof sees the words it will. */
-void
-evalColumn(Opcode op, const Word *a, const Word *b, const Word *c,
-           Word *out, int len)
-{
-    for (int j = 0; j < len; ++j)
-        out[j] = evalOp(op, a[j], b[j], c[j]);
-}
-
 /**
  * How far @p flat's ordering tokens may run ahead, proven from the
  * slot index alone; sets their CarriedValue::slack and returns the
@@ -1198,10 +1188,17 @@ proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx)
             static_cast<int>(std::min<Word>(kBlock, flat.trips - t0));
         for (int j = 0; j < len; ++j)
             col(slotColumn)[j] = t0 + j;
-        for (std::size_t c = 0; c < cone.size(); ++c)
-            evalColumn(node(cone[c]).op, col(coneSrc[c][0]),
-                       col(coneSrc[c][1]), col(coneSrc[c][2]),
-                       col(static_cast<int>(c)), len);
+        // Through evalOp, the machine's own semantics, so the proof
+        // sees the words the machine will.
+        for (std::size_t c = 0; c < cone.size(); ++c) {
+            const Opcode op = node(cone[c]).op;
+            const Word *x = col(coneSrc[c][0]);
+            const Word *y = col(coneSrc[c][1]);
+            const Word *z = col(coneSrc[c][2]);
+            Word *out = col(static_cast<int>(c));
+            for (int j = 0; j < len; ++j)
+                out[j] = evalOp(op, x[j], y[j], z[j]);
+        }
         Word *out = words.data() + static_cast<std::size_t>(t0) * nm;
         for (int j = 0; j < len; ++j)
             for (int m = 0; m < nm; ++m, ++out) {

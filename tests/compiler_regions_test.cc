@@ -1033,12 +1033,13 @@ TEST(RunAhead, PairsOrderedWithoutTheTokenDoNotCapIt)
 
 TEST(RunAhead, AnAssumedPredicateHidesNoEarlierSlot)
 {
-    // a[0] = i + tog on odd slots, then v = a[0] on even slots, with
-    // tog a carried toggle (0, 1, 0, ...) that waits on v.  The
-    // store's predicate does not evaluate from the slot, so the
-    // proof takes the store at every slot, the load's own included;
-    // that same-slot access must not hide the store one slot
-    // earlier, which only the token orders before the load.
+    // a[0] = i + tog on odd slots, then v = a[0] on even slots, where
+    // tog is a carried toggle (0, 1, 0, ...) that waits on v, so it
+    // orders each load before the next slot's store.  The store's
+    // predicate does not evaluate from the slot, so the proof takes
+    // the store at every slot, the load's own included; that access
+    // must not hide the store one slot earlier, which only the token
+    // orders before the load.
     expectRunAhead(
         {"a[0] = i + tog if tog; v = a[0] if i is even",
          [](Dfg &d, Operand i, Operand aw, Operand tog) {
