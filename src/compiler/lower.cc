@@ -91,6 +91,11 @@ class BodyBuilder
 
     Dfg &dfg() { return dfg_; }
 
+    /** How many sign selects absorbSign() and clamp selects
+     *  selectIsClamp() rewrote (one lower note each). */
+    int signSelectsAbsorbed() const { return signAbsorbed_; }
+    int clampSelectsFolded() const { return clampsFolded_; }
+
     /** Emit (or reuse) a node; folds all-immediate pure ops. */
     Operand
     emit(Opcode op, Operand a, Operand b = Operand::none(),
@@ -109,6 +114,11 @@ class BodyBuilder
             Operand folded = foldSelect(a, b, c, name);
             if (folded.kind != OperandKind::None)
                 return folded;
+        }
+        if (peephole_ && op == Opcode::Add) {
+            Operand absorbed = absorbSign(a, b, name);
+            if (absorbed.kind != OperandKind::None)
+                return absorbed;
         }
 
         if (pure) {
@@ -146,6 +156,10 @@ class BodyBuilder
             return t;
         if (cond.kind != OperandKind::Node)
             return Operand::none();
+        if (selectIsClamp(cond, t, f)) {
+            ++clampsFolded_;
+            return t;
+        }
         Opcode mm = selectAsMinMax(cond, t, f);
         if (mm != Opcode::Nop) {
             const DfgNode &cmp = dfg_.node(cond.ref);
@@ -193,6 +207,103 @@ class BodyBuilder
           default:
             return false;
         }
+    }
+
+    /**
+     * Add(x, Select(c, Neg(v), v)) is Select(c, Sub(x, v), Add(x, v)),
+     * either operand order and the lanes mirrored: evalOp's Add, Sub
+     * and Neg all wrap mod 2^32, so x + Neg(v) is x - v on every
+     * word.  The PE count stays, and Neg leaves any carried cycle
+     * through x (ADPCM's `predicted`).  Returns a none() operand when
+     * neither operand is such a select.
+     */
+    Operand
+    absorbSign(const Operand &a, const Operand &b,
+               const std::string &name)
+    {
+        auto negOf = [&](const Operand &n, const Operand &v) {
+            return n.kind == OperandKind::Node &&
+                   dfg_.node(n.ref).op == Opcode::Neg &&
+                   dfg_.node(n.ref).a == v;
+        };
+        for (const bool selectFirst : {false, true}) {
+            const Operand &s = selectFirst ? a : b;
+            if (s.kind != OperandKind::Node ||
+                dfg_.node(s.ref).op != Opcode::Select)
+                continue;
+            // Copies: emitting may move the node table.
+            const DfgNode sel = dfg_.node(s.ref);
+            const bool negTaken = negOf(sel.b, sel.c);
+            if (!negTaken && !negOf(sel.c, sel.b))
+                continue;
+            const Operand x = selectFirst ? b : a;
+            const Operand v = negTaken ? sel.c : sel.b;
+            ++signAbsorbed_;
+            const Operand sub = emit(Opcode::Sub, x, v);
+            const Operand add = emit(Opcode::Add, x, v);
+            return emit(Opcode::Select, sel.a, negTaken ? sub : add,
+                        negTaken ? add : sub, name);
+        }
+        return Operand::none();
+    }
+
+    /**
+     * Select(Or(x < lo, x > hi), Min(Max(x, lo), hi), x) is the clamp
+     * Min(Max(x, lo), hi) for immediates lo <= hi: where the
+     * condition is 0, lo <= x <= hi, and there the clamp returns x.
+     * Either operand order of the Or, the Min and the Max, and the
+     * compares either way round (lo > x, hi < x).  ADPCM's step-index
+     * clamp is the motivating case.
+     */
+    bool
+    selectIsClamp(const Operand &cond, const Operand &t,
+                  const Operand &x) const
+    {
+        const DfgNode &orNode = dfg_.node(cond.ref);
+        if (orNode.op != Opcode::Or || t.kind != OperandKind::Node)
+            return false;
+        // A strict compare of x against an immediate k: whether it
+        // holds for x below k, and k; false for any other node.
+        auto bound = [&](const Operand &o, bool &below, Word &k) {
+            if (o.kind != OperandKind::Node)
+                return false;
+            const DfgNode &cmp = dfg_.node(o.ref);
+            const bool xFirst = cmp.a == x;
+            const Operand &imm = xFirst ? cmp.b : cmp.a;
+            if ((cmp.op != Opcode::CmpLt && cmp.op != Opcode::CmpGt) ||
+                !(xFirst || cmp.b == x) ||
+                imm.kind != OperandKind::Immediate)
+                return false;
+            below = (cmp.op == Opcode::CmpLt) == xFirst;
+            k = imm.ref;
+            return true;
+        };
+        bool belowA = false, belowB = false;
+        Word ka = 0, kb = 0;
+        if (!bound(orNode.a, belowA, ka) || !bound(orNode.b, belowB, kb) ||
+            belowA == belowB)
+            return false;
+        const Word lo = belowA ? ka : kb;
+        const Word hi = belowA ? kb : ka;
+        if (lo > hi)
+            return false;
+        // t = Min(Max(x, #lo), #hi), either operand order in each.
+        auto withImm = [&](const Operand &o, Opcode op, Word k,
+                           Operand &other) {
+            if (o.kind != OperandKind::Node)
+                return false;
+            const DfgNode &n = dfg_.node(o.ref);
+            if (n.op != op)
+                return false;
+            const Operand imm = Operand::imm(k);
+            if (!(n.a == imm) && !(n.b == imm))
+                return false;
+            other = n.a == imm ? n.b : n.a;
+            return true;
+        };
+        Operand inner, base;
+        return withImm(t, Opcode::Min, hi, inner) &&
+               withImm(inner, Opcode::Max, lo, base) && base == x;
     }
 
     /**
@@ -327,6 +438,8 @@ class BodyBuilder
 
     Dfg dfg_;
     bool peephole_ = false;
+    int signAbsorbed_ = 0;
+    int clampsFolded_ = 0;
     std::map<std::tuple<Opcode, int, Word, int, Word, int, Word>,
              NodeId>
         cse_;
@@ -892,6 +1005,8 @@ finalizePhase(Compilation &cc, FlatPhase &flat, int phase_idx)
     const Dfg &dfg = flat.body;
     std::set<NodeId> live;
     std::set<int> liveInputs;
+    for (CarriedValue &cv : flat.carried)
+        cv.live = false;
 
     std::vector<NodeId> work;
     for (const DfgNode &n : dfg.nodes())
@@ -957,16 +1072,150 @@ isZeroAnd(const DfgNode &n)
 }
 
 /**
- * How far @p flat's ordering tokens may run ahead, proven from the
- * slot index alone; sets their CarriedValue::slack and returns the
- * lower note (empty when the phase has no token).
- *
- * A token is a live carried value whose input reaches no memory
+ * The ordering tokens of @p flat, one flag per carried value.  A
+ * token is a live carried value whose input reaches no memory
  * operand, observed port or non-token final except through
- * And(·, #0): only its arrival matters, never its word, so its
- * closing channel may hold S boot words and its consumers run S
- * slots ahead.  That is sound as long as every same-word pair of
- * memory accesses (X at slot tx, Y at ty > tx, one a store) keeps
+ * And(·, #0) (a greatest fixpoint over the live carried values): only
+ * its arrival matters, never its word.  @p tainted receives, per node
+ * id, whether a token's input reaches the node that way.  Such a node
+ * is value-free: its word reaches only And(·, #0), other tainted
+ * nodes and token finals.
+ */
+std::vector<char>
+orderingTokens(const Compilation &cc, const FlatPhase &flat,
+               int phase_idx, std::vector<char> &tainted)
+{
+    const Dfg &dfg = flat.body;
+    const std::size_t nn = static_cast<std::size_t>(dfg.numNodes());
+    const std::size_t nc = flat.carried.size();
+    std::vector<char> observed(nn, 0);
+    for (const Observation &ob : cc.observations)
+        if (ob.phase == phase_idx)
+            observed[static_cast<std::size_t>(ob.node)] = 1;
+    // needs[c] lists the carried values whose final c's input
+    // reaches; c stays a token only while they all are.
+    std::vector<char> token(nc, 0);
+    std::vector<std::vector<std::size_t>> needs(nc);
+    std::vector<std::vector<char>> taint(nc, std::vector<char>(nn, 0));
+    for (std::size_t c = 0; c < nc; ++c) {
+        const CarriedValue &cv = flat.carried[c];
+        std::vector<char> &mine = taint[c];
+        token[c] = cv.live;
+        for (auto it = flat.liveNodes.begin();
+             token[c] && it != flat.liveNodes.end(); ++it) {
+            const DfgNode &nd = dfg.node(*it);
+            bool hit = false;
+            for (const Operand *o : {&nd.a, &nd.b, &nd.c})
+                hit = hit ||
+                      (o->kind == OperandKind::Input &&
+                       static_cast<int>(o->ref) == cv.inputIdx) ||
+                      (o->kind == OperandKind::Node &&
+                       mine[static_cast<std::size_t>(o->ref)]);
+            if (!hit || isZeroAnd(nd))
+                continue;
+            mine[static_cast<std::size_t>(*it)] = 1;
+            token[c] = !isMemoryOp(nd.op) &&
+                       !observed[static_cast<std::size_t>(*it)];
+            for (std::size_t i = 0; i < nc; ++i)
+                if (i != c && flat.carried[i].live &&
+                    flat.carried[i].finalVal.ref == *it)
+                    needs[c].push_back(i);
+        }
+    }
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (std::size_t c = 0; c < nc; ++c)
+            for (std::size_t i : needs[c])
+                if (token[c] && !token[i]) {
+                    token[c] = 0;
+                    changed = true;
+                }
+    }
+    tainted.assign(nn, 0);
+    for (std::size_t c = 0; c < nc; ++c)
+        for (std::size_t k = 0; token[c] && k < nn; ++k)
+            tainted[k] = tainted[k] || taint[c][k];
+    return token;
+}
+
+/**
+ * The token-gate fold (cost path, after liveness): a value-free
+ * Select(p, v, o) becomes v when p and o both lie in v's template
+ * cone, or o when p and v lie in o's.  The kept lane fires only after
+ * its whole cone has arrived, so everything that waited for the
+ * select still waits for p, v and o, and every run-ahead path keeps
+ * its weight (template edges weigh 0).  The token's word changes, but
+ * nothing reads it.  The live nodes are walked in id order and
+ * rewritten as they go, so a chain of gates folds in one pass.
+ * Returns how many selects folded; the caller re-runs liveness.
+ */
+int
+foldTokenGates(FlatPhase &flat, const std::vector<char> &tainted)
+{
+    Dfg &dfg = flat.body;
+    std::map<NodeId, Operand> subst;
+    auto rewrite = [&](Operand &o) {
+        if (o.kind != OperandKind::Node)
+            return;
+        auto it = subst.find(o.ref);
+        if (it != subst.end())
+            o = it->second;
+    };
+    // Whether @p o is @p root or one of its template ancestors
+    // (immediates carry no arrival); operands sit below their
+    // consumers in id order, so the cone is already rewritten.
+    auto inCone = [&](const Operand &o, NodeId root) {
+        if (o.kind != OperandKind::Node && o.kind != OperandKind::Input)
+            return true;
+        std::vector<NodeId> work{root};
+        std::set<NodeId> seen{root};
+        while (!work.empty()) {
+            const DfgNode &nd = dfg.node(work.back());
+            work.pop_back();
+            if (o.kind == OperandKind::Node && o.ref == nd.id)
+                return true;
+            for (const Operand *in : {&nd.a, &nd.b, &nd.c}) {
+                if (*in == o)
+                    return true;
+                if (in->kind == OperandKind::Node &&
+                    seen.insert(in->ref).second)
+                    work.push_back(in->ref);
+            }
+        }
+        return false;
+    };
+    int folded = 0;
+    for (NodeId id : flat.liveNodes) {
+        DfgNode &nd = dfg.node(id);
+        rewrite(nd.a);
+        rewrite(nd.b);
+        rewrite(nd.c);
+        if (nd.op != Opcode::Select || !tainted[static_cast<std::size_t>(id)])
+            continue;
+        const Operand p = nd.a, v = nd.b, o = nd.c;
+        for (const auto &[kept, other] : {std::pair{v, o}, std::pair{o, v}}) {
+            if (kept.kind == OperandKind::Node &&
+                inCone(p, kept.ref) && inCone(other, kept.ref)) {
+                subst[id] = kept;
+                ++folded;
+                break;
+            }
+        }
+    }
+    for (CarriedValue &cv : flat.carried)
+        rewrite(cv.finalVal);
+    return folded;
+}
+
+/**
+ * How far @p flat's ordering tokens (@p token, from orderingTokens)
+ * may run ahead, proven from the slot index alone; sets their
+ * CarriedValue::slack and returns the lower note (empty when the
+ * phase has no token).
+ *
+ * A token's closing channel may hold S boot words, so its consumers
+ * run S slots ahead.  That is sound as long as every same-word pair
+ * of memory accesses (X at slot tx, Y at ty > tx, one a store) keeps
  * a dependence path X -> Y weighing at most ty - tx, where each
  * token closing edge weighs S, every other closing edge (self
  * edges included) 1 and every template edge 0: a PE fires its
@@ -983,7 +1232,8 @@ isZeroAnd(const DfgNode &n)
  * index (a predicate that does not is taken as always true).
  */
 std::string
-proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx)
+proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx,
+              const std::vector<char> &token)
 {
     const Dfg &dfg = flat.body;
     const std::vector<NodeId> ids(flat.liveNodes.begin(),
@@ -1001,54 +1251,7 @@ proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx)
                    ? at[static_cast<std::size_t>(o.ref)]
                    : -1;
     };
-
-    // ---- Tokens: a greatest fixpoint over the live carried values.
-    // needs[c] lists the carried values whose final c's input
-    // reaches; c stays a token only while they all are.
     const std::size_t nc = flat.carried.size();
-    std::vector<char> observed(static_cast<std::size_t>(n), 0);
-    for (const Observation &ob : cc.observations)
-        if (ob.phase == phase_idx &&
-            at[static_cast<std::size_t>(ob.node)] >= 0)
-            observed[static_cast<std::size_t>(
-                at[static_cast<std::size_t>(ob.node)])] = 1;
-    std::vector<char> token(nc, 0);
-    std::vector<std::vector<std::size_t>> needs(nc);
-    std::vector<char> taint(static_cast<std::size_t>(n));
-    for (std::size_t c = 0; c < nc; ++c) {
-        const CarriedValue &cv = flat.carried[c];
-        token[c] = cv.live;
-        std::fill(taint.begin(), taint.end(), 0);
-        for (int k = 0; k < n && token[c]; ++k) {
-            const DfgNode &nd = node(k);
-            bool hit = false;
-            for (const Operand *o : {&nd.a, &nd.b, &nd.c})
-                hit = hit ||
-                      (o->kind == OperandKind::Input &&
-                       static_cast<int>(o->ref) == cv.inputIdx) ||
-                      (dense(*o) >= 0 &&
-                       taint[static_cast<std::size_t>(dense(*o))]);
-            if (!hit || isZeroAnd(nd))
-                continue;
-            taint[static_cast<std::size_t>(k)] = 1;
-            token[c] = !isMemoryOp(nd.op) &&
-                       !observed[static_cast<std::size_t>(k)];
-            for (std::size_t i = 0; i < nc; ++i)
-                if (i != c && flat.carried[i].live &&
-                    flat.carried[i].finalVal.ref ==
-                        ids[static_cast<std::size_t>(k)])
-                    needs[c].push_back(i);
-        }
-    }
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (std::size_t c = 0; c < nc; ++c)
-            for (std::size_t i : needs[c])
-                if (token[c] && !token[i]) {
-                    token[c] = 0;
-                    changed = true;
-                }
-    }
     std::vector<std::string> names;
     for (std::size_t c = 0; c < nc; ++c)
         if (token[c] && std::find(names.begin(), names.end(),
@@ -1405,6 +1608,8 @@ lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
             }
         }
         flat.body = std::move(bb.dfg());
+        flat.signSelectsAbsorbed = bb.signSelectsAbsorbed();
+        flat.clampSelectsFolded = bb.clampSelectsFolded();
     }
     return true;
 }
@@ -1595,27 +1800,49 @@ passLower(Compilation &cc)
             nextSmallerDivisor(orig_trips, factors[worst]);
     }
 
+    // Cost path only: the snake baseline keeps every select and
+    // every recurrence at the legacy single token.
+    const bool cost = cc.options.placer == PlacerKind::Cost;
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
+        FlatPhase &flat = cc.phases[p];
+        const int phase = static_cast<int>(p);
         if (p < cc.unroll.size())
             cc.unroll[p].factor = factors[p];
+        std::vector<char> token, tainted;
+        int gates = 0;
+        if (cost) {
+            token = orderingTokens(cc, flat, phase, tainted);
+            gates = foldTokenGates(flat, tainted);
+            if (gates > 0 && !finalizePhase(cc, flat, phase))
+                return false;
+        }
+        const std::string prefix =
+            "phase '" + cc.top.phases[p].headerName + "': ";
         std::ostringstream note;
         int carried_live = 0;
-        for (const CarriedValue &cv : cc.phases[p].carried)
+        for (const CarriedValue &cv : flat.carried)
             carried_live += cv.live ? 1 : 0;
-        note << "phase '" << cc.top.phases[p].headerName
-             << "': " << cc.phases[p].trips << " flat iterations, "
-             << cc.phases[p].liveNodes.size() << " operators, "
-             << carried_live << " loop-carried value(s)";
-        if (cc.phases[p].unrollFactor > 1)
-            note << ", replicated x" << cc.phases[p].unrollFactor
-                 << " (stripe " << cc.phases[p].stripeSpan
-                 << " slot(s)/iteration)";
+        note << prefix << flat.trips << " flat iterations, "
+             << flat.liveNodes.size() << " operators, " << carried_live
+             << " loop-carried value(s)";
+        if (flat.unrollFactor > 1)
+            note << ", replicated x" << flat.unrollFactor << " (stripe "
+                 << flat.stripeSpan << " slot(s)/iteration)";
         cc.report.note(kPassLower, note.str());
-        // Cost path only: the snake baseline keeps every recurrence
-        // at the legacy single token.
-        if (cc.options.placer == PlacerKind::Cost) {
+        auto rewrites = [&](int count, const char *what) {
+            if (count > 0)
+                cc.report.note(kPassLower, prefix + std::to_string(count) +
+                                               " " + what);
+        };
+        rewrites(flat.signSelectsAbsorbed,
+                 "sign select(s) absorbed into a Sub/Add pair");
+        rewrites(flat.clampSelectsFolded,
+                 "clamp select(s) folded into their Min/Max");
+        rewrites(gates, "token-gate select(s) folded into the lane that "
+                        "waits for the others");
+        if (cost) {
             const std::string run_ahead =
-                proveRunAhead(cc, cc.phases[p], static_cast<int>(p));
+                proveRunAhead(cc, flat, phase, token);
             if (!run_ahead.empty())
                 cc.report.note(kPassLower, run_ahead);
         }

@@ -88,6 +88,11 @@ struct FlatPhase
      *  to interleave per-replica observation streams back into
      *  source order. */
     Word stripeSpan = 0;
+    /** Selects the cost path's peephole rewrote here: sign selects
+     *  absorbed into a Sub/Add pair, and clamp selects folded into
+     *  their Min/Max (a lower note each). */
+    int signSelectsAbsorbed = 0;
+    int clampSelectsFolded = 0;
 };
 
 /** (fifo, phase, producing node) of one observed port. */

@@ -137,21 +137,21 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
          "cycle(s), weighted wirelength 83, 20 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "default", 0x7c8e6fcfd3afa35cull,
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
-         "cycle(s), weighted wirelength 397, 84 improving move(s) "
+        {"ADPCM", "default", 0x709a21904b682f03ull,
+         "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
+         "cycle(s), weighted wirelength 334, 95 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "default", 0xda558003443b60c0ull,
+        {"SCD", "default", 0x69abdafde87769faull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 6 "
-         "cycle(s), weighted wirelength 397, 181 improving move(s) "
+         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
+         "cycle(s), weighted wirelength 311, 166 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"LDPC", "default", 0x4572c35cc1f80356ull,
+        {"LDPC", "default", 0xe668f49f85e3d246ull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 12 "
-         "cycle(s), weighted wirelength 1087, 742 improving "
+         "cost placer: 64/100 PEs (0 nonlinear), recurrence II 12 "
+         "cycle(s), weighted wirelength 1137, 698 improving "
          "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"GEMM", "default", 0x301a4595584cbcd8ull,
          "cost placer: 81/100 PEs (0 nonlinear), recurrence II 6 "
@@ -177,15 +177,15 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
          "cycle(s), weighted wirelength 83, 23 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "faults", 0x2d980a5b1faa3d87ull,
+        {"SCD", "faults", 0x7a64b4fcd0bb9bfaull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 6 "
-         "cycle(s), weighted wirelength 390, 157 improving move(s) "
+         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
+         "cycle(s), weighted wirelength 319, 183 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "faults", 0x7c8e6fcfd3afa35cull,
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
-         "cycle(s), weighted wirelength 397, 100 improving move(s) "
+        {"ADPCM", "faults", 0xb29725aae722271cull,
+         "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
+         "cycle(s), weighted wirelength 317, 110 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"NW", "faults", 0x5abe0d399455df80ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
@@ -199,29 +199,29 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
          "cycle(s), weighted wirelength 83, 20 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "unroll1", 0xda558003443b60c0ull,
+        {"SCD", "unroll1", 0x69abdafde87769faull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 6 "
-         "cycle(s), weighted wirelength 397, 181 improving move(s) "
+         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
+         "cycle(s), weighted wirelength 311, 166 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "unroll1", 0x7c8e6fcfd3afa35cull,
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 30 "
-         "cycle(s), weighted wirelength 397, 84 improving move(s) "
+        {"ADPCM", "unroll1", 0x709a21904b682f03ull,
+         "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
+         "cycle(s), weighted wirelength 334, 95 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"NW", "unroll1", 0x4048ebaed6a0ada6ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
          "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "hop2", 0x849f125ea62574b9ull,
+        {"SCD", "hop2", 0x479cbf2ee691858eull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 8 "
-         "cycle(s), weighted wirelength 870, 188 improving move(s) "
+         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 6 "
+         "cycle(s), weighted wirelength 620, 149 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "hop2", 0xb51f65fbbfb23dbcull,
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 40 "
-         "cycle(s), weighted wirelength 766, 111 improving move(s) "
+        {"ADPCM", "hop2", 0xd5391176d113beadull,
+         "cost placer: 24/100 PEs (0 nonlinear), recurrence II 38 "
+         "cycle(s), weighted wirelength 648, 92 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"CRC", "hop2", 0xd0bf525d7cbb5ae9ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 16 "
@@ -231,21 +231,21 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 4 "
          "cycle(s), weighted wirelength 88, 60 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"LDPC", "hop2", 0x218f2ccd63154a29ull,
+        {"LDPC", "hop2", 0xe9753bb305f032a6ull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 17 "
-         "cycle(s), weighted wirelength 2292, 836 improving move(s) "
+         "cost placer: 64/100 PEs (0 nonlinear), recurrence II 16 "
+         "cycle(s), weighted wirelength 2170, 793 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "exec1", 0xd44bd33b43c0cde3ull,
+        {"SCD", "exec1", 0xcc37fbb0f052705eull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 4 "
-         "cycle(s), weighted wirelength 435, 181 improving move(s) "
+         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 3 "
+         "cycle(s), weighted wirelength 311, 161 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"ADPCM", "exec1", 0xb51f65fbbfb23dbcull,
-         "cost placer: 28/100 PEs (0 nonlinear), recurrence II 20 "
-         "cycle(s), weighted wirelength 387, 111 improving move(s) "
+        {"ADPCM", "exec1", 0xd5391176d113beadull,
+         "cost placer: 24/100 PEs (0 nonlinear), recurrence II 19 "
+         "cycle(s), weighted wirelength 324, 93 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"CRC", "exec1", 0x5da0e81167306a21ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 8 "
@@ -255,11 +255,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 2 "
          "cycle(s), weighted wirelength 44, 35 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"LDPC", "exec1", 0x7838ae847f742b05ull,
+        {"LDPC", "exec1", 0x961d0ab392c83dadull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 66/100 PEs (0 nonlinear), recurrence II 8 "
-         "cycle(s), weighted wirelength 1143, 807 improving move(s) "
+         "cost placer: 64/100 PEs (0 nonlinear), recurrence II 8 "
+         "cycle(s), weighted wirelength 1102, 706 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
     };
     for (const Pinned &cell : pinned) {

@@ -593,26 +593,29 @@ class SelectFoldWorkload : public Workload
     FoldCase case_;
 };
 
+/** How many instructions of @p program run @p op. */
 int
-selectsIn(const Program &program)
+countOf(const Program &program, Opcode op)
 {
     int n = 0;
     for (const PeProgram &pe : program.pes)
         for (const Instruction &in : pe.instrs)
-            n += in.op == Opcode::Select ? 1 : 0;
+            n += in.op == op ? 1 : 0;
     return n;
 }
 
-/** Compile every case on the cost path: one Select stays unless
- *  the case folds, and both run paths match the golden stream. */
+/** Compile every case on the cost path: one @p counted instruction
+ *  (a Select unless named) stays unless the case folds, and both run
+ *  paths match the golden stream. */
 void
-expectFolds(const std::vector<FoldCase> &cases)
+expectFolds(const std::vector<FoldCase> &cases,
+            Opcode counted = Opcode::Select)
 {
     for (const FoldCase &fc : cases) {
         CompileResult r =
             Compiler(evalFabric()).compile(SelectFoldWorkload(fc));
         ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
-        EXPECT_EQ(selectsIn(r.kernel->program), fc.folds ? 0 : 1)
+        EXPECT_EQ(countOf(r.kernel->program, counted), fc.folds ? 0 : 1)
             << fc.name;
         for (bool event : {false, true}) {
             MachineConfig config = evalFabric();
@@ -758,6 +761,121 @@ TEST(SelectFold, SignSelectIsAbs)
         // Against 3, x = 1 and x = 2 take the negated lane.
         absCase("x < 3 ? -x : x", false, Opcode::CmpLt, false, true, 3,
                 [](Word x) { return x < 3 ? -x : x; }),
+    });
+}
+
+/** acc + (odd ? -w : v) over v = data[i], with the sum's operands
+ *  and the select's lanes in the order named; w is v unless
+ *  @p shifted, then v + 1. */
+FoldCase
+signCase(const char *name, bool folds, bool selectFirst, bool negTaken,
+         bool shifted)
+{
+    return {name, folds,
+            [=](Dfg &d, Operand i, Operand acc) {
+                Operand v = load(d, i);
+                Operand w =
+                    shifted ? op(d, Opcode::Add, v, Operand::imm(1)) : v;
+                Operand nw = op(d, Opcode::Neg, w);
+                Operand s = Operand::node(
+                    negTaken ? select(d, odd(d, i), nw, v)
+                             : select(d, odd(d, i), v, nw));
+                return static_cast<NodeId>(
+                    (selectFirst ? op(d, Opcode::Add, s, acc)
+                                 : op(d, Opcode::Add, acc, s))
+                        .ref);
+            },
+            [=](Word i, Word acc, Word v) {
+                const Word w = shifted ? v + 1 : v;
+                return acc + (((i & 1) != 0) == negTaken ? -w : v);
+            }};
+}
+
+TEST(SelectFold, SignSelectIsAbsorbedIntoSubAndAdd)
+{
+    // The Neg leaves the program; the select stays, on Sub and Add.
+    expectFolds(
+        {
+            signCase("acc + (odd ? -d : d)", true, false, true, false),
+            signCase("(odd ? d : -d) + acc", true, true, false, false),
+            // -(d + 1) is not -d.
+            signCase("acc + (odd ? -(d + 1) : d)", false, false, true,
+                     true),
+        },
+        Opcode::Neg);
+}
+
+/** Select(cond(x), Min(Max(x, lo), hi), x) over x = data[i] + 2,
+ *  which runs below 0, through 14 and 15 and above 15; the Min's and
+ *  Max's immediates come first when @p immFirst. */
+FoldCase
+clampCase(const char *name, bool folds,
+          std::function<Operand(Dfg &, Operand x)> cond, Word lo, Word hi,
+          bool immFirst = false)
+{
+    return {name, folds,
+            [=](Dfg &d, Operand i, Operand) {
+                Operand x = op(d, Opcode::Add, load(d, i), Operand::imm(2));
+                auto with = [&](Opcode code, Operand o, Word k) {
+                    return immFirst ? op(d, code, Operand::imm(k), o)
+                                    : op(d, code, o, Operand::imm(k));
+                };
+                Operand c =
+                    with(Opcode::Min, with(Opcode::Max, x, lo), hi);
+                return select(d, cond(d, x), c, x);
+            },
+            [=](Word, Word, Word v) {
+                return std::min(std::max(v + 2, lo), hi);
+            }};
+}
+
+/** x < lo || x > hi, compares and Or in the order given, against
+ *  @p of(x) (x itself unless named). */
+std::function<Operand(Dfg &, Operand)>
+outside(Word lo, Word hi, bool mirrored = false,
+        std::function<Operand(Dfg &, Operand)> of = nullptr)
+{
+    return [=](Dfg &d, Operand x) {
+        const Operand y = of ? of(d, x) : x;
+        Operand below = mirrored ? op(d, Opcode::CmpGt, Operand::imm(lo), y)
+                                 : op(d, Opcode::CmpLt, y, Operand::imm(lo));
+        Operand above = mirrored ? op(d, Opcode::CmpLt, Operand::imm(hi), y)
+                                 : op(d, Opcode::CmpGt, y, Operand::imm(hi));
+        return mirrored ? op(d, Opcode::Or, above, below)
+                        : op(d, Opcode::Or, below, above);
+    };
+}
+
+TEST(SelectFold, RangeCheckedClampIsTheClamp)
+{
+    auto unfolded = [](const char *name,
+                       std::function<Operand(Dfg &, Operand)> cond,
+                       std::function<bool(Word)> out, Word lo, Word hi) {
+        FoldCase fc = clampCase(name, false, cond, lo, hi);
+        fc.golden = [=](Word, Word, Word v) {
+            const Word x = v + 2;
+            return out(x) ? std::min(std::max(x, lo), hi) : x;
+        };
+        return fc;
+    };
+    expectFolds({
+        clampCase("x < 0 || x > 15 ? clamp(x, 0, 15) : x", true,
+                  outside(0, 15), 0, 15),
+        clampCase("15 < x || 0 > x ? Min(15, Max(0, x)) : x", true,
+                  outside(0, 15, true), 0, 15, true),
+        // The clamp gives 14 where x = 15 passes the compares.
+        unfolded("x < 0 || x > 15 ? clamp(x, 0, 14) : x", outside(0, 15),
+                 [](Word x) { return x < 0 || x > 15; }, 0, 14),
+        // lo > hi compares no range.
+        unfolded("x < 15 || x > 0 ? clamp(x, 15, 0) : x", outside(15, 0),
+                 [](Word x) { return x < 15 || x > 0; }, 15, 0),
+        // The compares test y = x + 2: x = -1 passes them.
+        unfolded("y < 0 || y > 15 ? clamp(x, 0, 15) : x",
+                 outside(0, 15, false,
+                         [](Dfg &d, Operand x) {
+                             return op(d, Opcode::Add, x, Operand::imm(2));
+                         }),
+                 [](Word x) { return x + 2 < 0 || x + 2 > 15; }, 0, 15),
     });
 }
 
@@ -1095,30 +1213,202 @@ TEST(RunAhead, ValuesThatReachMemoryOrAPortAreNotTokens)
               "slot(s) apart");
 }
 
+/** The lower note naming the token-gate fold ("" without one). */
+std::string
+gateFoldNote(const CompileReport &report)
+{
+    for (const CompilerPassNote &n : report.notes)
+        if (n.pass == "lower" &&
+            n.message.find("token-gate") != std::string::npos)
+            return n.message;
+    return {};
+}
+
+/** Two sibling loops in each of two rounds, and both store the token
+ *  aw: the first writes b[i] = i, the second a[j + 1] = a[j] + 1
+ *  with its loads fenced on aw.  The first loop's store never waits
+ *  for aw, so its gate must stay: folded onto that store, the second
+ *  loop's loads would no longer wait for its own earlier stores. */
+class SiblingTokenWorkload : public Workload
+{
+  public:
+    std::string name() const override { return "sibling_tokens"; }
+    std::string fullName() const override { return name(); }
+    std::string sizeDesc() const override { return "2 x 32 slots"; }
+
+    static constexpr Word kRounds = 2;
+    static constexpr Word kLanes = 16;
+    static constexpr Word kB = 32; ///< base of b; a sits at 0.
+
+    Cdfg
+    buildCdfg() const override
+    {
+        CdfgBuilder b("sibling_tokens");
+        BlockId round = b.addLoopHeader("r_loop");
+        BlockId first = b.addLoopHeader("b_loop");
+        BlockId firstBody = b.addBlock("b_body");
+        BlockId second = b.addLoopHeader("a_loop");
+        BlockId secondBody = b.addBlock("a_body");
+        BlockId latch = b.addBlock("latch");
+        BlockId done = b.addBlock("done");
+        for (BlockId hdr : {round, first, second})
+            dfg_patterns::addCountedLoop(b.dfg(hdr), 0, 1, "n");
+        {
+            Dfg &d = b.dfg(firstBody);
+            Operand i = Operand::input(d.addInput("i"));
+            d.addOutput("aw", d.addNode(Opcode::Store, i, i,
+                                        Operand::none(), "b"));
+        }
+        {
+            Dfg &d = b.dfg(secondBody);
+            Operand j = Operand::input(d.addInput("j"));
+            Operand aw = Operand::input(d.addInput("aw"));
+            Operand v = fencedLoad(d, j, aw);
+            d.addOutput("aw", d.addNode(
+                                  Opcode::Store,
+                                  op(d, Opcode::Add, j, Operand::imm(1)),
+                                  op(d, Opcode::Add, v, Operand::imm(1)),
+                                  Operand::none(), "a"));
+        }
+        for (BlockId blk : {latch, done}) {
+            Dfg &d = b.dfg(blk);
+            int aw = d.addInput("aw");
+            d.addOutput("aw",
+                        d.addNode(Opcode::Copy, Operand::input(aw)));
+        }
+        b.fall(round, first);
+        b.fall(first, firstBody);
+        b.loopBack(firstBody, first);
+        b.loopExit(first, second);
+        b.fall(second, secondBody);
+        b.loopBack(secondBody, second);
+        b.loopExit(second, latch);
+        b.loopBack(latch, round);
+        b.loopExit(round, done);
+        return b.finish();
+    }
+
+    WorkloadMachineSpec
+    machineSpec() const override
+    {
+        WorkloadMachineSpec spec;
+        spec.available = true;
+        spec.loopBounds["r_loop"] = {0, kRounds, 1};
+        spec.loopBounds["b_loop"] = {0, kLanes, 1};
+        spec.loopBounds["a_loop"] = {0, kLanes, 1};
+        spec.inductionPorts["b_loop"] = "i";
+        spec.inductionPorts["a_loop"] = "j";
+        spec.arrayBases["a"] = 0;
+        spec.arrayBases["b"] = kB;
+        spec.scalars["aw"] = 0;
+        // a[k] = 100k, so a load that overtakes the previous slot's
+        // store reads a word the chain never wrote.
+        std::vector<Word> mem(static_cast<std::size_t>(kB + kLanes), 0);
+        for (Word k = 0; k <= kLanes; ++k)
+            mem[static_cast<std::size_t>(k)] = 100 * k;
+        spec.memoryImage = mem;
+        for (Word r = 0; r < kRounds; ++r) {
+            for (Word i = 0; i < kLanes; ++i)
+                mem[static_cast<std::size_t>(kB + i)] = i;
+            for (Word j = 0; j < kLanes; ++j)
+                mem[static_cast<std::size_t>(j + 1)] =
+                    mem[static_cast<std::size_t>(j)] + 1;
+        }
+        spec.expectedMemory = {{"a and b", 0, mem}};
+        return spec;
+    }
+
+    std::uint64_t
+    runGolden(KernelRecorder &rec) const override
+    {
+        rec.round(0);
+        for (Word r = 0; r < kRounds; ++r) {
+            rec.iteration(0);
+            for (BlockId loop : {1, 3}) {
+                rec.round(loop);
+                for (Word i = 0; i < kLanes; ++i) {
+                    rec.iteration(loop);
+                    rec.block(loop + 1);
+                }
+            }
+            rec.block(5);
+        }
+        rec.block(6);
+        return 0;
+    }
+};
+
+TEST(RunAhead, AGateWhoseOtherLaneIsNotAwaitedStays)
+{
+    CompileResult r = Compiler(evalFabric()).compile(SiblingTokenWorkload());
+    ASSERT_TRUE(r.ok()) << r.report.toString();
+    // The second loop's gate folds onto its store, which waits for
+    // the first loop's gate through its fenced load; that gate stays.
+    EXPECT_EQ(gateFoldNote(r.report),
+              "phase 'r_loop': 1 token-gate select(s) folded into the "
+              "lane that waits for the others");
+    EXPECT_EQ(countOf(r.kernel->program, Opcode::Select), 1);
+    for (bool event : {false, true}) {
+        MachineConfig config = evalFabric();
+        config.eventDrivenSim = event;
+        MarionetteMachine machine(config);
+        r.kernel->prepare(machine);
+        RunResult run = machine.run(r.kernel->cycleBudget);
+        EXPECT_EQ(r.kernel->validate(machine, run), "")
+            << (event ? "event" : "reference");
+    }
+}
+
 TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
 {
     // LDPC's check pass reads msg[6c + j] at slot 12c + j and
     // rewrites it at 12c + j + 6; the min tracker orders that pair
-    // one slot per hop, so it does not cap the tokens at 6.
+    // one slot per hop, so it does not cap the tokens at 6.  Its
+    // llrw.gate and msgw.gate fold onto their stores.
     const Compiler compiler(evalFabric());
-    EXPECT_EQ(runAheadNote(compiler.compile("LDPC").report),
+    const CompileResult ldpc = compiler.compile("LDPC");
+    EXPECT_EQ(runAheadNote(ldpc.report),
               "phase 'iter_loop': ordering token(s) 'llrw', 'msgw' run "
               "7 slot(s) ahead; nearest same-word pair they order: 128 "
               "slot(s) apart");
+    EXPECT_EQ(gateFoldNote(ldpc.report),
+              "phase 'iter_loop': 2 token-gate select(s) folded into the "
+              "lane that waits for the others");
+
+    // SCD's two llrw.gate and its psw.gate fold: 33 operators become
+    // 30, and the selects left (f, bit.gate, x.gate) carry values,
+    // not a token.
     CompileResult scd = compiler.compile("SCD");
     ASSERT_TRUE(scd.ok());
-    MarionetteMachine machine(evalFabric());
-    scd.kernel->prepare(machine);
-    const RunResult run = machine.run(scd.kernel->cycleBudget);
-    EXPECT_EQ(scd.kernel->validate(machine, run), "");
-    EXPECT_EQ(run.cycles, 4637u);
+    EXPECT_EQ(runAheadNote(scd.report),
+              "phase 'phase_loop': ordering token(s) 'llrw', 'psw' run "
+              "7 slot(s) ahead; nearest same-word pair they order: 128 "
+              "slot(s) apart");
+    EXPECT_EQ(gateFoldNote(scd.report),
+              "phase 'phase_loop': 3 token-gate select(s) folded into the "
+              "lane that waits for the others");
+    EXPECT_NE(scd.report.toString().find(
+                  "phase 'phase_loop': 896 flat iterations, 30 operators"),
+              std::string::npos);
+    EXPECT_EQ(countOf(scd.kernel->program, Opcode::Select), 3);
+    for (bool event : {false, true}) {
+        MachineConfig config = evalFabric();
+        config.eventDrivenSim = event;
+        MarionetteMachine machine(config);
+        scd.kernel->prepare(machine);
+        const RunResult run = machine.run(scd.kernel->cycleBudget);
+        EXPECT_EQ(scd.kernel->validate(machine, run), "")
+            << (event ? "event" : "reference");
+        EXPECT_EQ(run.cycles, 3875u);
+    }
 
     // The snake baseline keeps every recurrence at one token.
     CompilerOptions snake;
     snake.placer = PlacerKind::Snake;
-    EXPECT_EQ(runAheadNote(
-                  Compiler(evalFabric(), snake).compile("SCD").report),
-              "");
+    const CompileResult snakeScd =
+        Compiler(evalFabric(), snake).compile("SCD");
+    EXPECT_EQ(runAheadNote(snakeScd.report), "");
+    EXPECT_EQ(gateFoldNote(snakeScd.report), "");
 }
 
 } // namespace

@@ -379,20 +379,31 @@ TEST(FaultPlan, FaultedRunPathsAgree)
     }
 }
 
-/** A transient upset can turn a data word into a wild address:
- *  LDPC under 400 single-bit upsets loads word -362.  The run ends
- *  with a structured BadAddress, identically on both run paths,
- *  instead of aborting the process. */
+/** A transient upset can turn a data word into a wild address.  The
+ *  upsets hit the address channel (channel 0) of a Load PE that the
+ *  compiled LDPC program names, one high bit each, so the plan keeps
+ *  its aim through any re-placement.  The run ends with a structured
+ *  BadAddress at that PE, identically on both run paths, instead of
+ *  aborting the process. */
 TEST(FaultPlan, UpsetAddressEndsTheRunOnBothPaths)
 {
     MachineConfig upset = evalFabric();
-    for (int i = 0; i < 400; ++i)
-        upset.faults.transients.push_back(
-            TransientFault{static_cast<Cycle>(20 + 7 * i),
-                           static_cast<PeId>(13 * i % 100), i % 4,
-                           Word{1} << (i % 3)});
     CompileResult r = Compiler(upset).compile("LDPC");
     ASSERT_TRUE(r.ok()) << r.report.toString();
+    PeId load = invalidPe;
+    for (const PeProgram &p : r.kernel->program.pes)
+        for (const Instruction &in : p.instrs)
+            if (load == invalidPe && in.op == Opcode::Load &&
+                in.a == OperandSel::channel(0))
+                load = p.pe;
+    ASSERT_NE(load, invalidPe);
+    // One upset a cycle, each on the next of bits 20..30: a word that
+    // waits at the channel head through up to 11 of them still
+    // addresses past the 131 072-word scratchpad.
+    for (int i = 0; i < 400; ++i)
+        upset.faults.transients.push_back(
+            TransientFault{static_cast<Cycle>(20 + i), load, 0,
+                           Word{1} << (20 + i % 11)});
     RunResult runs[2];
     std::string stats[2];
     for (int i = 0; i < 2; ++i) {
@@ -404,10 +415,11 @@ TEST(FaultPlan, UpsetAddressEndsTheRunOnBothPaths)
         stats[i] = machine.renderAllStats();
     }
     EXPECT_EQ(runs[0].error, RunError::BadAddress) << runs[0].errorDetail;
-    EXPECT_NE(runs[0].errorDetail.find("load of word -362"),
+    EXPECT_NE(runs[0].errorDetail.find("PE " + std::to_string(load) +
+                                       " load of word"),
               std::string::npos)
         << runs[0].errorDetail;
-    EXPECT_NE(runs[0].faultPe, invalidPe);
+    EXPECT_EQ(runs[0].faultPe, load);
     expectPathsAgree(runs, stats);
 }
 

@@ -554,8 +554,8 @@ TEST(HotpathEquivalence, ServeMixTicksPerCycle)
         double measured;
     } bounds[] = {
         {"CRC", 1.746},
-        {"SCD", 7.359},
-        {"ADPCM", 2.035},
+        {"SCD", 11.643},
+        {"ADPCM", 1.930},
     };
     const MachineConfig config = evalFabric();
     Compiler compiler(config);
