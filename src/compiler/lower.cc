@@ -213,9 +213,10 @@ class BodyBuilder
      * Add(x, Select(c, Neg(v), v)) is Select(c, Sub(x, v), Add(x, v)),
      * either operand order and the lanes mirrored: evalOp's Add, Sub
      * and Neg all wrap mod 2^32, so x + Neg(v) is x - v on every
-     * word.  The PE count stays, and Neg leaves any carried cycle
-     * through x (ADPCM's `predicted`).  Returns a none() operand when
-     * neither operand is such a select.
+     * word.  Where the select feeds nothing else the PE count stays,
+     * and Neg leaves any carried cycle through x (ADPCM's
+     * `predicted`).  Returns a none() operand when neither operand is
+     * such a select.
      */
     Operand
     absorbSign(const Operand &a, const Operand &b,
@@ -1165,15 +1166,14 @@ foldTokenGates(FlatPhase &flat, const std::vector<char> &tainted)
     // (immediates carry no arrival); operands sit below their
     // consumers in id order, so the cone is already rewritten.
     auto inCone = [&](const Operand &o, NodeId root) {
-        if (o.kind != OperandKind::Node && o.kind != OperandKind::Input)
+        if ((o.kind != OperandKind::Node && o.kind != OperandKind::Input) ||
+            o == Operand::node(root))
             return true;
         std::vector<NodeId> work{root};
         std::set<NodeId> seen{root};
         while (!work.empty()) {
             const DfgNode &nd = dfg.node(work.back());
             work.pop_back();
-            if (o.kind == OperandKind::Node && o.ref == nd.id)
-                return true;
             for (const Operand *in : {&nd.a, &nd.b, &nd.c}) {
                 if (*in == o)
                     return true;

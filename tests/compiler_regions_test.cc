@@ -805,77 +805,73 @@ TEST(SelectFold, SignSelectIsAbsorbedIntoSubAndAdd)
         Opcode::Neg);
 }
 
-/** Select(cond(x), Min(Max(x, lo), hi), x) over x = data[i] + 2,
- *  which runs below 0, through 14 and 15 and above 15; the Min's and
- *  Max's immediates come first when @p immFirst. */
+/** The range check y < lo || y > hi on y = x + shift, its compares
+ *  and its Or written the other way round when @p mirrored. */
+struct Outside
+{
+    Word lo;
+    Word hi;
+    bool mirrored = false;
+    Word shift = 0;
+};
+
+/** Select(check, Min(Max(x, lo), hi), x) over x = data[i] + 2, which
+ *  runs below 0, through 14 and 15 and above 15; the Min's and Max's
+ *  immediates come first when @p immFirst. */
 FoldCase
-clampCase(const char *name, bool folds,
-          std::function<Operand(Dfg &, Operand x)> cond, Word lo, Word hi,
+clampCase(const char *name, bool folds, Outside check, Word lo, Word hi,
           bool immFirst = false)
 {
     return {name, folds,
             [=](Dfg &d, Operand i, Operand) {
                 Operand x = op(d, Opcode::Add, load(d, i), Operand::imm(2));
+                Operand y = check.shift == 0
+                                ? x
+                                : op(d, Opcode::Add, x,
+                                     Operand::imm(check.shift));
+                auto cmp = [&](Opcode code, Opcode flipped, Word k) {
+                    return check.mirrored
+                               ? op(d, flipped, Operand::imm(k), y)
+                               : op(d, code, y, Operand::imm(k));
+                };
+                Operand below = cmp(Opcode::CmpLt, Opcode::CmpGt, check.lo);
+                Operand above = cmp(Opcode::CmpGt, Opcode::CmpLt, check.hi);
+                Operand out = check.mirrored
+                                  ? op(d, Opcode::Or, above, below)
+                                  : op(d, Opcode::Or, below, above);
                 auto with = [&](Opcode code, Operand o, Word k) {
                     return immFirst ? op(d, code, Operand::imm(k), o)
                                     : op(d, code, o, Operand::imm(k));
                 };
-                Operand c =
-                    with(Opcode::Min, with(Opcode::Max, x, lo), hi);
-                return select(d, cond(d, x), c, x);
+                return select(d, out,
+                              with(Opcode::Min, with(Opcode::Max, x, lo), hi),
+                              x);
             },
             [=](Word, Word, Word v) {
-                return std::min(std::max(v + 2, lo), hi);
+                const Word x = v + 2;
+                const Word y = x + check.shift;
+                return y < check.lo || y > check.hi
+                           ? std::min(std::max(x, lo), hi)
+                           : x;
             }};
-}
-
-/** x < lo || x > hi, compares and Or in the order given, against
- *  @p of(x) (x itself unless named). */
-std::function<Operand(Dfg &, Operand)>
-outside(Word lo, Word hi, bool mirrored = false,
-        std::function<Operand(Dfg &, Operand)> of = nullptr)
-{
-    return [=](Dfg &d, Operand x) {
-        const Operand y = of ? of(d, x) : x;
-        Operand below = mirrored ? op(d, Opcode::CmpGt, Operand::imm(lo), y)
-                                 : op(d, Opcode::CmpLt, y, Operand::imm(lo));
-        Operand above = mirrored ? op(d, Opcode::CmpLt, Operand::imm(hi), y)
-                                 : op(d, Opcode::CmpGt, y, Operand::imm(hi));
-        return mirrored ? op(d, Opcode::Or, above, below)
-                        : op(d, Opcode::Or, below, above);
-    };
 }
 
 TEST(SelectFold, RangeCheckedClampIsTheClamp)
 {
-    auto unfolded = [](const char *name,
-                       std::function<Operand(Dfg &, Operand)> cond,
-                       std::function<bool(Word)> out, Word lo, Word hi) {
-        FoldCase fc = clampCase(name, false, cond, lo, hi);
-        fc.golden = [=](Word, Word, Word v) {
-            const Word x = v + 2;
-            return out(x) ? std::min(std::max(x, lo), hi) : x;
-        };
-        return fc;
-    };
     expectFolds({
-        clampCase("x < 0 || x > 15 ? clamp(x, 0, 15) : x", true,
-                  outside(0, 15), 0, 15),
+        clampCase("x < 0 || x > 15 ? clamp(x, 0, 15) : x", true, {0, 15},
+                  0, 15),
         clampCase("15 < x || 0 > x ? Min(15, Max(0, x)) : x", true,
-                  outside(0, 15, true), 0, 15, true),
+                  {0, 15, true}, 0, 15, true),
         // The clamp gives 14 where x = 15 passes the compares.
-        unfolded("x < 0 || x > 15 ? clamp(x, 0, 14) : x", outside(0, 15),
-                 [](Word x) { return x < 0 || x > 15; }, 0, 14),
-        // lo > hi compares no range.
-        unfolded("x < 15 || x > 0 ? clamp(x, 15, 0) : x", outside(15, 0),
-                 [](Word x) { return x < 15 || x > 0; }, 15, 0),
+        clampCase("x < 0 || x > 15 ? clamp(x, 0, 14) : x", false, {0, 15},
+                  0, 14),
+        // lo > hi bounds no range.
+        clampCase("x < 15 || x > 0 ? clamp(x, 15, 0) : x", false, {15, 0},
+                  15, 0),
         // The compares test y = x + 2: x = -1 passes them.
-        unfolded("y < 0 || y > 15 ? clamp(x, 0, 15) : x",
-                 outside(0, 15, false,
-                         [](Dfg &d, Operand x) {
-                             return op(d, Opcode::Add, x, Operand::imm(2));
-                         }),
-                 [](Word x) { return x + 2 < 0 || x + 2 > 15; }, 0, 15),
+        clampCase("y < 0 || y > 15 ? clamp(x, 0, 15) : x", false,
+                  {0, 15, false, 2}, 0, 15),
     });
 }
 
