@@ -1003,10 +1003,23 @@ runAheadNote(const CompileReport &report)
     return {};
 }
 
-/** Compile @p rc on the cost path, check its run-ahead note, and
- *  validate both run paths; returns the event path's cycles. */
+/** The lower note naming the token-gate fold ("" without one). */
+std::string
+gateFoldNote(const CompileReport &report)
+{
+    for (const CompilerPassNote &n : report.notes)
+        if (n.pass == "lower" &&
+            n.message.find("token-gate") != std::string::npos)
+            return n.message;
+    return {};
+}
+
+/** Compile @p rc on the cost path, check its run-ahead note and its
+ *  token-gate fold note (@p gates), and validate both run paths;
+ *  returns the event path's cycles. */
 Cycles
-expectRunAhead(const RunAheadCase &rc, const std::string &note)
+expectRunAhead(const RunAheadCase &rc, const std::string &note,
+               const std::string &gates = "")
 {
     CompileResult r =
         Compiler(evalFabric()).compile(RunAheadWorkload(rc));
@@ -1014,6 +1027,7 @@ expectRunAhead(const RunAheadCase &rc, const std::string &note)
     if (!r.ok())
         return 0;
     EXPECT_EQ(runAheadNote(r.report), note) << rc.name;
+    EXPECT_EQ(gateFoldNote(r.report), gates) << rc.name;
     Cycles cycles = 0;
     for (bool event : {false, true}) {
         MachineConfig config = evalFabric();
@@ -1209,15 +1223,30 @@ TEST(RunAhead, ValuesThatReachMemoryOrAPortAreNotTokens)
               "slot(s) apart");
 }
 
-/** The lower note naming the token-gate fold ("" without one). */
-std::string
-gateFoldNote(const CompileReport &report)
+TEST(RunAhead, AGateFoldsOntoTheLaneThatWaitsForTheOthers)
 {
-    for (const CompilerPassNote &n : report.notes)
-        if (n.pass == "lower" &&
-            n.message.find("token-gate") != std::string::npos)
-            return n.message;
-    return {};
+    // aw = odd ? st : aw + (st & 0) + (odd & 0): the else lane waits
+    // for the store and the condition, so the gate folds onto it, and
+    // each fenced load still waits for the store two slots back.
+    const RunAheadCase two = distanceCase(2);
+    expectRunAhead(
+        {"aw = odd ? st : aw + (st & 0) + (odd & 0)",
+         [](Dfg &d, Operand i, Operand aw, Operand acc) {
+             std::array<NodeId, 3> out = distanceCase(2).body(d, i, aw, acc);
+             const Operand st = Operand::node(out[1]);
+             const Operand p = odd(d, i);
+             auto zero = [&](Operand o) {
+                 return op(d, Opcode::And, o, Operand::imm(0));
+             };
+             const Operand waits = op(
+                 d, Opcode::Add, op(d, Opcode::Add, aw, zero(st)), zero(p));
+             out[1] = select(d, p, st, waits);
+             return out;
+         },
+         two.golden},
+        tokenNote(2, "2 slot(s) apart"),
+        "phase 'i_loop': 1 token-gate select(s) folded into the lane that "
+        "waits for the others");
 }
 
 /** Two sibling loops in each of two rounds, and both store the token
