@@ -5,10 +5,11 @@
  *
  * Placement decisions live in backend/placement.cc and the derived
  * timing in backend/route.cc; this pass only materializes the
- * Program: per-PE instructions, operand/destination wiring, boot
- * seeds, observation taps, the serial-phase control chain (with the
- * route plan's drain bounds), and the capacity checks a bitstream
- * generator owns (instruction memory, scratchpad extent).
+ * Program: per-PE instructions, operand/destination wiring and boot
+ * seeds (both from the placed netlist), observation taps, the
+ * serial-phase control chain (with the route plan's drain bounds),
+ * and the capacity checks a bitstream generator owns (instruction
+ * memory, scratchpad extent).
  */
 
 #include <algorithm>
@@ -68,6 +69,16 @@ passEmit(Compilation &cc)
     builder.setNumOutputs(std::max<int>(
         1, static_cast<int>(cc.observations.size())));
 
+    // Operands read their slot's channel; the netlist wires each
+    // channel's producer (generator, upstream node or carried final)
+    // and holds a closing channel's boot words.
+    auto operand = [](const Operand &src, int slot) {
+        if (src.kind == OperandKind::None)
+            return OperandSel::none();
+        if (src.kind == OperandKind::Immediate)
+            return OperandSel::immediate(src.ref);
+        return OperandSel::channel(slot);
+    };
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
         const FlatPhase &phase = cc.phases[p];
         const PlacedPhase &placed = map.phases[p];
@@ -82,8 +93,6 @@ passEmit(Compilation &cc)
         if (p == 0)
             builder.setEntry(gen_pe, 0);
 
-        // Wire operands; producers (generator, upstream nodes,
-        // carried finals) push into the consumer slot's channel.
         for (const DfgNode &n : phase.body.nodes()) {
             if (!phase.liveNodes.count(n.id))
                 continue;
@@ -94,58 +103,21 @@ passEmit(Compilation &cc)
             auto base = phase.memBase.find(n.id);
             if (base != phase.memBase.end())
                 in.memBase = base->second;
-            auto wire = [&](const Operand &src,
-                            int slot) -> OperandSel {
-                switch (src.kind) {
-                  case OperandKind::None:
-                    return OperandSel::none();
-                  case OperandKind::Immediate:
-                    return OperandSel::immediate(src.ref);
-                  case OperandKind::Input:
-                    if (src.ref == 0) {
-                        gen.dests.push_back(
-                            DestSel::toPe(pe, slot));
-                    } else {
-                        // Carried value: producer wired below,
-                        // seed injected at boot.
-                        for (const CarriedValue &cv :
-                             phase.carried) {
-                            if (cv.inputIdx !=
-                                static_cast<int>(src.ref))
-                                continue;
-                            // Slack-seeded recurrence: non-self
-                            // closing channels get cv.slack boot
-                            // words so the consumer can run that
-                            // many slots ahead; the final value's
-                            // own pass-through edge keeps the
-                            // single-token ordering chain.
-                            const Cycles seeds =
-                                n.id == cv.finalVal.ref
-                                    ? 1
-                                    : cv.slack;
-                            for (Cycles s = 0; s < seeds; ++s)
-                                out.boots.push_back(BootInjection{
-                                    pe, slot, cv.seed});
-                            builder
-                                .place(placed.peOf.at(
-                                           cv.finalVal.ref),
-                                       0)
-                                .dests.push_back(
-                                    DestSel::toPe(pe, slot));
-                        }
-                    }
-                    return OperandSel::channel(slot);
-                  case OperandKind::Node:
-                    builder.place(placed.peOf.at(src.ref), 0)
-                        .dests.push_back(DestSel::toPe(pe, slot));
-                    return OperandSel::channel(slot);
-                }
-                return OperandSel::none();
-            };
-            in.a = wire(n.a, 0);
-            in.b = wire(n.b, 1);
-            in.c = wire(n.c, 2);
+            in.a = operand(n.a, 0);
+            in.b = operand(n.b, 1);
+            in.c = operand(n.c, 2);
             builder.setEntry(pe, 0);
+        }
+        for (const DataEdge &e : placed.edges) {
+            const PeId src = e.src == invalidNode
+                                 ? gen_pe
+                                 : placed.peOf.at(e.src);
+            const PeId dst = placed.peOf.at(e.dst);
+            builder.place(src, 0).dests.push_back(
+                DestSel::toPe(dst, e.channel));
+            for (Cycles w = 0; w < e.bootWords; ++w)
+                out.boots.push_back(
+                    BootInjection{dst, e.channel, e.bootWord});
         }
 
         for (const Observation &ob : cc.observations) {

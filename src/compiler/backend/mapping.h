@@ -57,6 +57,17 @@ struct DataEdge
      *  its latency bounds the phase's initiation interval, so the
      *  placer weighs it far above feed-forward edges. */
     bool recurrence = false;
+    /** Words the consumer channel holds at boot; nonzero exactly on
+     *  the edges that close a carried cycle (the carried final value
+     *  into a consumer of its carried input).  1 on the final
+     *  value's own pass-through edge, the carried value's slack on
+     *  every other (CarriedValue::slack, pipeline.h): the consumer
+     *  runs that many slots ahead.  Set once by the place pass; the
+     *  timing model, the route pass's link loads and the emitted
+     *  boot injections all read it here. */
+    Cycles bootWords = 0;
+    /** The word each boot injection carries: the carried seed. */
+    Word bootWord = 0;
 };
 
 /** Placement of one flattened phase. */

@@ -23,9 +23,7 @@
  *    in dependence order, so the chain lays out mesh-adjacent),
  *    then deterministic iterative improvement (relocate/swap moves
  *    from a fixed-seed RNG, strictly-improving accepts over the
- *    exact objective).  A final comparison against the snake layout
- *    keeps whichever scores better, so the cost placer never loses
- *    to its own baseline on the model it optimizes.
+ *    exact objective).
  *
  * Scoring a move (phaseII, through the phase's PhaseTiming — the
  * model the route pass reports too) is nearly all of a compile,
@@ -73,55 +71,6 @@
 namespace marionette
 {
 
-/** An edge closes a carried cycle iff its source is the carried
- *  final value and its destination consumes that carried input.
- *  Shared with the route pass (declared in pipeline.h). */
-std::set<std::pair<NodeId, NodeId>>
-closingEdges(const FlatPhase &phase)
-{
-    std::set<std::pair<NodeId, NodeId>> closing;
-    for (const CarriedValue &cv : phase.carried) {
-        if (!cv.live)
-            continue;
-        for (const DfgNode &n : phase.body.nodes()) {
-            if (!phase.liveNodes.count(n.id))
-                continue;
-            for (const Operand *op : {&n.a, &n.b, &n.c})
-                if (op->kind == OperandKind::Input &&
-                    static_cast<int>(op->ref) == cv.inputIdx)
-                    closing.insert({cv.finalVal.ref, n.id});
-        }
-    }
-    return closing;
-}
-
-/** Pipeline slack of the closing edge src -> dst: the carried
- *  value's slack for non-self edges, 1 for the final value's own
- *  pass-through edge (the ordering chain must thread every slot).
- *  When several carried values share the pair, the tightest one
- *  governs.  Shared with the route pass (declared in pipeline.h). */
-Cycles
-closingEdgeSlack(const FlatPhase &phase, NodeId src, NodeId dst)
-{
-    Cycles slack = 0;
-    for (const CarriedValue &cv : phase.carried) {
-        if (!cv.live || cv.finalVal.kind != OperandKind::Node ||
-            cv.finalVal.ref != src)
-            continue;
-        const DfgNode &n = phase.body.node(dst);
-        bool consumes = false;
-        for (const Operand *op : {&n.a, &n.b, &n.c})
-            if (op->kind == OperandKind::Input &&
-                static_cast<int>(op->ref) == cv.inputIdx)
-                consumes = true;
-        if (!consumes)
-            continue;
-        const Cycles s = dst == src ? 1 : cv.slack;
-        slack = slack == 0 ? s : std::min(slack, s);
-    }
-    return std::max<Cycles>(1, slack);
-}
-
 PhaseTiming::PhaseTiming(const FlatPhase &phase,
                          const std::vector<DataEdge> &netlist)
 {
@@ -136,20 +85,17 @@ PhaseTiming::PhaseTiming(const FlatPhase &phase,
                    : entity[static_cast<std::size_t>(id)];
     };
     out_.resize(static_cast<std::size_t>(n));
-    const std::set<std::pair<NodeId, NodeId>> closing =
-        closingEdges(phase);
     for (const DataEdge &e : netlist) {
         const int src = entityOf(e.src);
         const int dst = entityOf(e.dst);
-        if (e.src != invalidNode && closing.count({e.src, e.dst})) {
+        if (e.bootWords > 0) {
             std::size_t r = 0;
             while (r < finals_.size() && finals_[r].fin != src)
                 ++r;
             if (r == finals_.size())
                 finals_.push_back({src, dst});
             finals_[r].lo = std::min(finals_[r].lo, dst);
-            closing_.push_back(
-                {src, dst, closingEdgeSlack(phase, e.src, e.dst), r});
+            closing_.push_back({src, dst, e.bootWords, r});
             continue;
         }
         MARIONETTE_ASSERT(src < dst,
@@ -257,26 +203,12 @@ fuseFenceLoads(FlatPhase &phase,
                 consumers[ops[s]->ref].emplace_back(n.id, s);
     }
 
-    auto isZeroAnd = [&](const DfgNode &n, Operand &token) {
-        if (n.op != Opcode::And)
-            return false;
-        if (n.a.kind == OperandKind::Immediate && n.a.ref == 0) {
-            token = n.b;
-            return true;
-        }
-        if (n.b.kind == OperandKind::Immediate && n.b.ref == 0) {
-            token = n.a;
-            return true;
-        }
-        return false;
-    };
-
     int fused = 0;
     for (const DfgNode &z : dfg.nodes()) {
         if (!phase.liveNodes.count(z.id) || protect.count(z.id))
             continue;
-        Operand token;
-        if (!isZeroAnd(z, token))
+        const Operand *token = zeroAnd(z);
+        if (token == nullptr)
             continue;
         for (const auto &[add_id, z_slot] : consumers[z.id]) {
             (void)z_slot;
@@ -313,7 +245,7 @@ fuseFenceLoads(FlatPhase &phase,
                 (void)slot;
                 DfgNode &ld = dfg.node(ld_id);
                 ld.a = v;
-                ld.c = token;
+                ld.c = *token;
             }
             phase.liveNodes.erase(ad.id);
             ++fused;
@@ -338,7 +270,8 @@ fuseFenceLoads(FlatPhase &phase,
 // Netlist construction
 // ------------------------------------------------------------------
 
-/** Build @p phase's data edges and mark recurrence cycles. */
+/** Build @p phase's data edges, with each closing edge's boot
+ *  words, and mark recurrence cycles. */
 std::vector<DataEdge>
 buildNetlist(const FlatPhase &phase)
 {
@@ -354,8 +287,14 @@ buildNetlist(const FlatPhase &phase)
                     if (!cv.live ||
                         cv.inputIdx != static_cast<int>(src.ref))
                         continue;
+                    // A cycle-closing edge: the final value's own
+                    // pass-through keeps the single-token ordering
+                    // chain, every other consumer runs cv.slack
+                    // slots ahead.
                     DataEdge e{cv.finalVal.ref, n.id, slot};
-                    e.recurrence = true; // cycle-closing edge.
+                    e.recurrence = true;
+                    e.bootWords = n.id == cv.finalVal.ref ? 1 : cv.slack;
+                    e.bootWord = cv.seed;
                     edges.push_back(e);
                 }
             }
@@ -380,13 +319,10 @@ buildNetlist(const FlatPhase &phase)
     // input's consumer to the carried final value are on the cycle;
     // node-to-node edges between two such nodes inherit the
     // recurrence weight (the closing edges are marked above).
-    std::set<std::pair<NodeId, NodeId>> closing =
-        closingEdges(phase);
     std::map<NodeId, std::vector<NodeId>> consumers_of;
     std::map<NodeId, std::vector<NodeId>> producers_of;
     for (const DataEdge &e : edges) {
-        if (e.src == invalidNode ||
-            closing.count({e.src, e.dst}))
+        if (e.src == invalidNode || e.bootWords > 0)
             continue;
         consumers_of[e.src].push_back(e.dst);
         producers_of[e.dst].push_back(e.src);
@@ -407,11 +343,13 @@ buildNetlist(const FlatPhase &phase)
         return seen;
     };
     std::set<NodeId> on_cycle;
-    for (const auto &[fin, consumer] : closing) {
-        std::set<NodeId> fwd = bfs(consumers_of, {consumer});
-        std::set<NodeId> bwd = bfs(producers_of, {fin});
-        fwd.insert(consumer);
-        bwd.insert(fin);
+    for (const DataEdge &closing : edges) {
+        if (closing.bootWords == 0)
+            continue;
+        std::set<NodeId> fwd = bfs(consumers_of, {closing.dst});
+        std::set<NodeId> bwd = bfs(producers_of, {closing.src});
+        fwd.insert(closing.dst);
+        bwd.insert(closing.src);
         for (NodeId n : fwd)
             if (bwd.count(n))
                 on_cycle.insert(n);
@@ -477,9 +415,6 @@ placeSnake(Compilation &cc, Mapping &map, int nonlinear_total)
         return invalidPe;
     };
 
-    map.phases.clear();
-    map.phases.resize(cc.phases.size());
-    map.drainPes.clear();
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
         const FlatPhase &phase = cc.phases[p];
         PlacedPhase &placed = map.phases[p];
@@ -633,25 +568,6 @@ class CostPlacer
     std::uint64_t wirelength() const { return wire_; }
     int improvingMoves() const { return improvingMoves_; }
     std::uint64_t recurrenceWeight() const { return recWeight_; }
-    bool keptSnake() const { return keptSnake_; }
-
-    /** Score a finished external mapping (the snake fallback
-     *  comparison) on the same objective. */
-    std::pair<std::uint64_t, std::uint64_t>
-    scoreMapping(const Mapping &other)
-    {
-        for (Entity &e : entities_) {
-            const PlacedPhase &placed =
-                other.phases[static_cast<std::size_t>(e.phase)];
-            e.pe = e.node == invalidNode ? placed.generator
-                                         : placed.peOf.at(e.node);
-        }
-        std::uint64_t ii_sum = 0;
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_sum += phaseII(static_cast<int>(p)).ii;
-        ++gen_;
-        return {ii_sum, fullWire()};
-    }
 
   private:
     void
@@ -1481,51 +1397,6 @@ class CostPlacer
         }
     }
 
-  public:
-    /** Snake fallback: if the legacy layout scores better on the
-     *  exact objective, keep it (the cost placer must never lose
-     *  to its own baseline on the model it optimizes). */
-    void
-    maybeFallBackToSnake(int nonlinear_total)
-    {
-        Mapping snake;
-        placeSnake(cc_, snake, nonlinear_total);
-        snake.phases.resize(cc_.phases.size());
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            snake.phases[p].edges = map_.phases[p].edges;
-
-        std::uint64_t cost_obj =
-            objective(iiSum(), wire_);
-        auto [snake_ii, snake_wire] = scoreMapping(snake);
-        std::uint64_t snake_obj =
-            objective(snake_ii, snake_wire);
-        if (snake_obj < cost_obj) {
-            for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
-                map_.phases[p].generator =
-                    snake.phases[p].generator;
-                map_.phases[p].peOf = snake.phases[p].peOf;
-            }
-            map_.drainPes = snake.drainPes;
-            keptSnake_ = true;
-            // Refresh the reported metrics (entities already hold
-            // the snake positions from scoreMapping).
-            for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-                commitScore(static_cast<int>(p),
-                            phaseII(static_cast<int>(p)));
-            wire_ = snake_wire;
-        } else {
-            // scoreMapping moved entity positions; restore them
-            // from the committed mapping.
-            for (Entity &e : entities_) {
-                const PlacedPhase &placed = map_.phases[
-                    static_cast<std::size_t>(e.phase)];
-                e.pe = e.node == invalidNode
-                           ? placed.generator
-                           : placed.peOf.at(e.node);
-            }
-        }
-    }
-
   private:
     Compilation &cc_;
     Mapping &map_;
@@ -1576,7 +1447,6 @@ class CostPlacer
     std::uint64_t wire_ = 0;
     std::uint64_t recWeight_ = 8;
     int improvingMoves_ = 0;
-    bool keptSnake_ = false;
 };
 
 const std::map<int, std::vector<int>> CostPlacer::kNoChains;
@@ -1593,62 +1463,38 @@ passPlace(Compilation &cc)
     const MachineConfig &config = cc.config;
 
     // Capacity pre-flight with diagnostics (the builder would
-    // assert-fatal instead).
-    int pes_needed = 0;
-    int nonlinear_needed = 0;
-    for (const FlatPhase &phase : cc.phases) {
-        pes_needed += 1; // the phase's loop generator.
-        for (NodeId id : phase.liveNodes)
-            if (isNonlinearOp(phase.body.node(id).op))
-                ++nonlinear_needed;
-        pes_needed += static_cast<int>(phase.liveNodes.size());
-    }
-    // One drain generator per phase boundary.
-    pes_needed += std::max<int>(
-        0, static_cast<int>(cc.phases.size()) - 1);
-    // Capacity is measured against the *alive* pool: the fault
+    // assert-fatal instead), against the *alive* pool: the fault
     // plan's dead PEs (and PEs isolated by dead links) are off
     // limits to both placers.
-    const std::vector<PeId> dead_pes =
-        config.faults.effectiveDeadPes(config.rows, config.cols);
-    int dead_nonlinear = 0;
-    for (PeId p : dead_pes)
-        if (p >= config.numPes() - config.nonlinearPes)
-            ++dead_nonlinear;
-    const int alive = config.numPes() -
-                      static_cast<int>(dead_pes.size());
-    const int alive_nonlinear =
-        config.nonlinearPes - dead_nonlinear;
-    if (pes_needed > alive) {
+    const PeBudget budget = peBudget(cc);
+    const int dead = config.numPes() - budget.alive;
+    if (budget.needed > budget.alive) {
         std::ostringstream why;
-        if (!dead_pes.empty())
+        if (dead > 0)
             why << "unmappable under faults: kernel needs "
-                << pes_needed << " PEs, only " << alive << " of "
-                << config.numPes() << " are alive ("
-                << dead_pes.size() << " dead)";
+                << budget.needed << " PEs, only " << budget.alive
+                << " of " << config.numPes() << " are alive ("
+                << dead << " dead)";
         else
-            why << "kernel needs " << pes_needed << " PEs, the "
+            why << "kernel needs " << budget.needed << " PEs, the "
                 << config.rows << "x" << config.cols
                 << " array has " << config.numPes();
         return cc.fail(kPassPlace, why.str());
     }
-    if (nonlinear_needed > alive_nonlinear) {
+    if (budget.nonlinearNeeded > budget.aliveNonlinear) {
         std::ostringstream why;
-        if (dead_nonlinear > 0)
+        if (budget.aliveNonlinear < config.nonlinearPes)
             why << "unmappable under faults: kernel needs "
-                << nonlinear_needed
+                << budget.nonlinearNeeded
                 << " nonlinear-fitting PEs, only "
-                << alive_nonlinear << " of " << config.nonlinearPes
-                << " are alive";
+                << budget.aliveNonlinear << " of "
+                << config.nonlinearPes << " are alive";
         else
-            why << "kernel needs " << nonlinear_needed
+            why << "kernel needs " << budget.nonlinearNeeded
                 << " nonlinear-fitting PEs, the array has "
                 << config.nonlinearPes;
         return cc.fail(kPassPlace, why.str());
     }
-
-    Mapping &map = cc.mapping;
-    map.nonlinearUsed = nonlinear_needed;
 
     // The cost backend first shortens the recurrence itself:
     // memory-ordering fences collapse into load ordering operands
@@ -1661,50 +1507,39 @@ passPlace(Compilation &cc)
             fused += fuseFenceLoads(cc.phases[p], cc.observations,
                                     static_cast<int>(p));
     if (fused > 0) {
-        pes_needed = 0;
-        for (const FlatPhase &phase : cc.phases)
-            pes_needed +=
-                1 + static_cast<int>(phase.liveNodes.size());
-        pes_needed += std::max<int>(
-            0, static_cast<int>(cc.phases.size()) - 1);
         std::ostringstream note;
         note << "fused " << fused
              << " memory-ordering fence(s) into load ordering "
                 "operands";
         cc.report.note(kPassPlace, note.str());
     }
-    map.pesUsed = pes_needed;
 
+    Mapping &map = cc.mapping;
+    const PeBudget used = peBudget(cc);
+    map.pesUsed = used.needed;
+    map.nonlinearUsed = used.nonlinearNeeded;
     map.phases.resize(cc.phases.size());
     for (std::size_t p = 0; p < cc.phases.size(); ++p)
         map.phases[p].edges = buildNetlist(cc.phases[p]);
 
     std::ostringstream note;
     if (cc.options.placer == PlacerKind::Snake) {
-        std::vector<std::vector<DataEdge>> edges;
-        for (PlacedPhase &placed : map.phases)
-            edges.push_back(std::move(placed.edges));
-        placeSnake(cc, map, nonlinear_needed);
-        for (std::size_t p = 0; p < map.phases.size(); ++p)
-            map.phases[p].edges = std::move(edges[p]);
-        note << "snake placer: " << pes_needed << "/"
-             << config.numPes() << " PEs (" << nonlinear_needed
+        placeSnake(cc, map, map.nonlinearUsed);
+        note << "snake placer: " << map.pesUsed << "/"
+             << config.numPes() << " PEs (" << map.nonlinearUsed
              << " nonlinear)";
     } else {
-        CostPlacer placer(cc, map, nonlinear_needed);
+        CostPlacer placer(cc, map, map.nonlinearUsed);
         placer.run();
-        placer.maybeFallBackToSnake(nonlinear_needed);
-        note << "cost placer: " << pes_needed << "/"
-             << config.numPes() << " PEs (" << nonlinear_needed
+        note << "cost placer: " << map.pesUsed << "/"
+             << config.numPes() << " PEs (" << map.nonlinearUsed
              << " nonlinear), recurrence II";
         for (Cycles ii : placer.phaseIIs())
             note << " " << ii;
         note << " cycle(s), weighted wirelength "
              << placer.wirelength() << ", "
-             << placer.improvingMoves() << " improving move(s)"
-             << (placer.keptSnake() ? ", kept the snake layout"
-                                    : "")
-             << " (recurrence tiebreak weight "
+             << placer.improvingMoves()
+             << " improving move(s) (recurrence tiebreak weight "
              << placer.recurrenceWeight() << " per Fig. 8 plan)";
     }
     cc.report.note(kPassPlace, note.str());

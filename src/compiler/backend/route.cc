@@ -131,21 +131,12 @@ passRoute(Compilation &cc)
                 plan.predictedLinkLoads.assign(
                     static_cast<std::size_t>(geom.numLinks()), 0);
 
-            // Per-consumer-channel seeds: the boot words the emit
-            // pass deposits on closing edges.
-            const std::set<std::pair<NodeId, NodeId>> closing =
-                closingEdges(phase);
+            // Per-consumer-channel seeds: the netlist's boot words.
             std::map<NodeId, std::vector<std::pair<NodeId, Cycles>>>
                 in_channels; // dst -> [(src or invalidNode, seeds)]
-            for (const RoutedEdge &r : route.edges) {
-                Cycles seeds = 0;
-                if (r.edge.src != invalidNode &&
-                    closing.count({r.edge.src, r.edge.dst}))
-                    seeds = closingEdgeSlack(phase, r.edge.src,
-                                             r.edge.dst);
+            for (const RoutedEdge &r : route.edges)
                 in_channels[r.edge.dst].emplace_back(r.edge.src,
-                                                     seeds);
-            }
+                                                     r.edge.bootWords);
             std::map<NodeId, std::uint64_t> extra;
             const std::uint64_t kInf = 1u << 30;
             for (NodeId id : phase.liveNodes)

@@ -1062,16 +1062,6 @@ finalizePhase(Compilation &cc, FlatPhase &flat, int phase_idx)
 // Run-ahead proof for ordering tokens (cost path only)
 // ------------------------------------------------------------------
 
-/** And(x, #0) either way round: 0 whatever x holds. */
-bool
-isZeroAnd(const DfgNode &n)
-{
-    auto zero = [](const Operand &o) {
-        return o.kind == OperandKind::Immediate && o.ref == 0;
-    };
-    return n.op == Opcode::And && (zero(n.a) || zero(n.b));
-}
-
 /**
  * The ordering tokens of @p flat, one flag per carried value.  A
  * token is a live carried value whose input reaches no memory
@@ -1112,7 +1102,7 @@ orderingTokens(const Compilation &cc, const FlatPhase &flat,
                        static_cast<int>(o->ref) == cv.inputIdx) ||
                       (o->kind == OperandKind::Node &&
                        mine[static_cast<std::size_t>(o->ref)]);
-            if (!hit || isZeroAnd(nd))
+            if (!hit || zeroAnd(nd))
                 continue;
             mine[static_cast<std::size_t>(*it)] = 1;
             token[c] = !isMemoryOp(nd.op) &&
@@ -1277,7 +1267,7 @@ proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx,
     for (int k = 0; k < n; ++k) {
         const DfgNode &nd = node(k);
         opaque[static_cast<std::size_t>(k)] =
-            !isZeroAnd(nd) &&
+            !zeroAnd(nd) &&
             (isMemoryOp(nd.op) || isControlOp(nd.op) ||
              nd.op == Opcode::Phi || opaqueOperand(nd.a) ||
              opaqueOperand(nd.b) || opaqueOperand(nd.c));
@@ -1326,13 +1316,13 @@ proveRunAhead(const Compilation &cc, FlatPhase &flat, int phase_idx,
                                                      : base->second});
     }
     for (int k = n - 1; k >= 0; --k)
-        if (inCone[static_cast<std::size_t>(k)] && !isZeroAnd(node(k)))
+        if (inCone[static_cast<std::size_t>(k)] && !zeroAnd(node(k)))
             for (const Operand *o : {&node(k).a, &node(k).b, &node(k).c})
                 need(*o);
     std::vector<int> cone;
     std::vector<int> column(static_cast<std::size_t>(n), -1);
     for (int k = 0; k < n; ++k)
-        if (inCone[static_cast<std::size_t>(k)] && !isZeroAnd(node(k))) {
+        if (inCone[static_cast<std::size_t>(k)] && !zeroAnd(node(k))) {
             column[static_cast<std::size_t>(k)] =
                 static_cast<int>(cone.size());
             cone.push_back(k);
@@ -1739,22 +1729,10 @@ passLower(Compilation &cc)
          p < cc.unroll.size() && p < factors.size(); ++p)
         factors[p] = std::max(1, cc.unroll[p].factor);
 
-    // The alive-PE pool the place pass will check against; the
-    // refinement below shrinks replication factors until the
-    // replicated bodies fit it, so a fault plan's dead PEs can
-    // legitimately lower the factor of a recompile.
-    const std::vector<PeId> dead_pes =
-        cc.config.faults.effectiveDeadPes(cc.config.rows,
-                                          cc.config.cols);
-    const int alive =
-        cc.config.numPes() - static_cast<int>(dead_pes.size());
-    int dead_nonlinear = 0;
-    for (PeId p : dead_pes)
-        if (p >= cc.config.numPes() - cc.config.nonlinearPes)
-            ++dead_nonlinear;
-    const int alive_nonlinear =
-        cc.config.nonlinearPes - dead_nonlinear;
-
+    // The refinement below shrinks replication factors until the
+    // replicated bodies fit the alive-PE pool the place pass will
+    // check against, so a fault plan's dead PEs can legitimately
+    // lower the factor of a recompile.
     for (;;) {
         if (!lowerAllPhases(cc, factors))
             return false;
@@ -1770,23 +1748,11 @@ passLower(Compilation &cc)
         if (!ok)
             return false;
 
-        int pes_needed = std::max<int>(
-            0, static_cast<int>(cc.phases.size()) - 1);
-        int nonlinear_needed = 0;
         int unrolled = -1;
-        for (std::size_t p = 0; p < cc.phases.size(); ++p) {
-            pes_needed +=
-                1 +
-                static_cast<int>(cc.phases[p].liveNodes.size());
-            for (NodeId id : cc.phases[p].liveNodes)
-                if (isNonlinearOp(cc.phases[p].body.node(id).op))
-                    ++nonlinear_needed;
+        for (std::size_t p = 0; p < cc.phases.size(); ++p)
             if (factors[p] > 1)
                 unrolled = static_cast<int>(p);
-        }
-        if ((pes_needed <= alive &&
-             nonlinear_needed <= alive_nonlinear) ||
-            unrolled < 0)
+        if (unrolled < 0 || peBudget(cc).fits())
             break;
 
         // Shrink the largest replication factor to the next

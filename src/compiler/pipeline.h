@@ -173,22 +173,68 @@ inline constexpr const char *kPassPlace = "place";
 inline constexpr const char *kPassRoute = "route";
 inline constexpr const char *kPassEmit = "emit";
 
-/** The edges that close a phase's loop-carried cycles (source =
- *  carried final value, destination = a consumer of that carried
- *  input).  Shared by the place and route passes so the two can
- *  never disagree on what is a recurrence closure.  Defined in
- *  backend/placement.cc. */
-std::set<std::pair<NodeId, NodeId>> closingEdges(
-    const FlatPhase &phase);
+/** PEs a kernel's phases occupy, against those its fabric has
+ *  alive.  A phase takes one PE per generator and live node, each
+ *  boundary between serial phases one more for its drain generator;
+ *  the nonlinear counts are the live nodes that need a nonlinear-
+ *  capable PE and the alive capable PEs.  The fault plan's dead PEs
+ *  (and PEs isolated by dead links) are not alive. */
+struct PeBudget
+{
+    int needed = 0;
+    int nonlinearNeeded = 0;
+    int alive = 0;
+    int aliveNonlinear = 0;
 
-/** Pipeline slack of the closing edge src -> dst (pipeline.h
- *  CarriedValue::slack semantics): the carried value's slack for
- *  non-self edges, 1 for the final value's own pass-through edge.
- *  Shared by PhaseTiming (carried II) and the route pass (boot
- *  seeds in its link-load prediction).  Defined in
- *  backend/placement.cc. */
-Cycles closingEdgeSlack(const FlatPhase &phase, NodeId src,
-                        NodeId dst);
+    bool
+    fits() const
+    {
+        return needed <= alive && nonlinearNeeded <= aliveNonlinear;
+    }
+};
+
+/** @p cc's PE budget over its current phases: the lower pass
+ *  refines unroll factors until it fits, the place pass checks it
+ *  and records what the placed phases use. */
+inline PeBudget
+peBudget(const Compilation &cc)
+{
+    const MachineConfig &config = cc.config;
+    PeBudget budget;
+    budget.needed =
+        std::max<int>(0, static_cast<int>(cc.phases.size()) - 1);
+    for (const FlatPhase &phase : cc.phases) {
+        budget.needed += 1 + static_cast<int>(phase.liveNodes.size());
+        for (NodeId id : phase.liveNodes)
+            if (isNonlinearOp(phase.body.node(id).op))
+                ++budget.nonlinearNeeded;
+    }
+    budget.alive = config.numPes();
+    budget.aliveNonlinear = config.nonlinearPes;
+    for (PeId p : config.faults.effectiveDeadPes(config.rows, config.cols)) {
+        --budget.alive;
+        if (p >= config.numPes() - config.nonlinearPes)
+            --budget.aliveNonlinear;
+    }
+    return budget;
+}
+
+/** The x of And(x, #0) either way round, a node whose word is 0
+ *  whatever x holds (the b side when both are #0); nullptr for any
+ *  other node.  The lower pass's ordering-token proof and the place
+ *  pass's fence fusion both match it. */
+inline const Operand *
+zeroAnd(const DfgNode &n)
+{
+    auto zero = [](const Operand &o) {
+        return o.kind == OperandKind::Immediate && o.ref == 0;
+    };
+    if (n.op != Opcode::And)
+        return nullptr;
+    if (zero(n.a))
+        return &n.b;
+    return zero(n.b) ? &n.a : nullptr;
+}
 
 /**
  * The timing of one phase's netlist: the one model the place pass
@@ -196,12 +242,12 @@ Cycles closingEdgeSlack(const FlatPhase &phase, NodeId src,
  * (on routed latencies).  Built once per phase.  Entity 0 is the
  * generator, then come the live nodes by ascending id: node ids
  * ascend along dependences, so this order is topological for the
- * template (the netlist minus its closing edges; asserted) and each
- * query is one sweep in index order.  A query takes the pair
- * latency lat(a, b) over entity numbers (by value, so a small
- * closure stays in registers through the sweeps) and charges
- * @p exec per stage.  Queries reuse the object's scratch, so one
- * object serves one thread.  The constructor is in
+ * template (the netlist minus its closing edges, the ones with boot
+ * words; asserted) and each query is one sweep in index order.  A
+ * query takes the pair latency lat(a, b) over entity numbers (by
+ * value, so a small closure stays in registers through the sweeps)
+ * and charges @p exec per stage.  Queries reuse the object's
+ * scratch, so one object serves one thread.  The constructor is in
  * backend/placement.cc.
  */
 class PhaseTiming
@@ -212,9 +258,10 @@ class PhaseTiming
 
     /** Worst carried-cycle II: per closing edge, the round trip
      *  (longest template path consumer -> final value, plus the
-     *  closing transit) over its slack, rounded up — a channel
-     *  seeded S words deep lets the consumer run S slots ahead.
-     *  0 without carried cycles.  Adds each II squared to @p sq. */
+     *  closing transit) over its boot words, rounded up — a
+     *  channel seeded S words deep lets the consumer run S slots
+     *  ahead.  0 without carried cycles.  Adds each II squared to
+     *  @p sq. */
     template <class Lat>
     Cycles
     carriedII(Lat lat, Cycles exec,
