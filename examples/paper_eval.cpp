@@ -34,11 +34,10 @@
  *                  kernel's mapped cycles must also lie within
  *                  1.25x of its scheduled estimate.
  *   --mapped-report=PATH
- *                  run the snake-vs-cost placement A/B over both
- *                  evaluation fabrics and write the mapped-cycles
- *                  comparison (per-kernel cycles, hop/congestion
- *                  stats, aggregate reduction) as JSON
- *                  (BENCH_mapped_cycles.json).
+ *                  compile and run every kernel on both evaluation
+ *                  fabrics and write its mapped cycles and mesh
+ *                  hop/congestion stats per (kernel, fabric) cell
+ *                  as JSON (BENCH_mapped_cycles.json).
  *   --unroll-ablation=PATH
  *                  compile GEMM and LDPC at a ladder of unroll
  *                  caps on the primary fabric, run each on the
@@ -64,7 +63,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -316,128 +314,55 @@ machineValidation(const Options &opts, const SweepRunner &runner)
 }
 
 /**
- * The mapped-cycles ablation: every kernel on both evaluation
- * fabrics, compiled with the legacy snake backend and with the
- * cost-driven backend, run to completion and cross-validated.  The
- * aggregate over NW+LDPC+GEMM (the kernels with the largest
- * model-vs-machine gap) is the geomean speedup across the
- * (kernel, fabric) points — the literature's standard aggregate
- * for per-kernel cycle ratios of very different magnitudes — next
- * to the raw per-fabric cycle sums.
+ * The mapped-cycles report: every kernel compiled once per
+ * evaluation fabric, run to completion and cross-validated, with
+ * its machine cycles and mesh hop/congestion stats per (kernel,
+ * fabric) cell.
  */
 void
-runMappedAblation(const Options &opts, const SweepRunner &runner)
+runMappedReport(const Options &opts, const SweepRunner &runner)
 {
     const MachineConfig fabrics[] = {evalFabric(),
                                      slowMeshFabric()};
     const char *fabric_names[] = {"10x10", "10x10s"};
 
-    // Jobs come in (snake, cost) pairs per (kernel, fabric) cell.
     std::vector<KernelSweepJob> jobs;
     for (const Workload *w : allWorkloads()) {
         if (!selected(opts, w->name()))
             continue;
-        for (const MachineConfig &fabric : fabrics) {
-            for (PlacerKind placer :
-                 {PlacerKind::Snake, PlacerKind::Cost}) {
-                CompilerOptions copts;
-                copts.placer = placer;
-                jobs.push_back(KernelSweepJob{w, fabric, copts});
-            }
-        }
+        for (const MachineConfig &fabric : fabrics)
+            jobs.push_back(KernelSweepJob{w, fabric});
     }
 
     ProgramCache cache;
-    std::vector<KernelSweepResult> results =
+    const std::vector<KernelSweepResult> results =
         runner.runKernels(jobs, cache);
-    auto compiled = [&](std::size_t i) {
-        return results[i].compiled && results[i + 1].compiled;
-    };
-
-    const std::set<std::string> aggregate_kernels = {"NW", "LDPC",
-                                                     "GEMM"};
-    double log_speedup_sum = 0.0;
-    int points = 0;
-    std::uint64_t snake_total = 0, cost_total = 0;
-    for (std::size_t i = 0; i < results.size(); i += 2) {
-        if (!compiled(i) ||
-            !aggregate_kernels.count(jobs[i].workload->name()))
-            continue;
-        snake_total += results[i].run.cycles;
-        cost_total += results[i + 1].run.cycles;
-        log_speedup_sum +=
-            std::log(static_cast<double>(results[i].run.cycles) /
-                     static_cast<double>(results[i + 1].run.cycles));
-        ++points;
-    }
-    double geomean =
-        points > 0 ? std::exp(log_speedup_sum / points) : 1.0;
 
     const std::string &path = opts.mappedReportPath;
     std::ofstream out;
-    if (!openReport(out, path, "mapped-cycles"))
+    // Schema 3: each cell's fields are one compile's figures.
+    if (!openReport(out, path, "mapped-cycles", 3))
         return;
-    out << "  \"baseline\": \"snake (legacy backend: "
-           "boustrophedon placement + legacy drain bounds)\",\n"
-           "  \"cells\": [\n";
+    out << "  \"cells\": [\n";
     bool first = true;
-    for (std::size_t i = 0; i < results.size(); i += 2) {
-        if (!compiled(i))
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const KernelSweepResult &r = results[i];
+        if (!r.compiled)
             continue;
-        const KernelSweepResult &snake = results[i];
-        const KernelSweepResult &cost = results[i + 1];
         if (!first)
             out << ",\n";
         first = false;
         out << "    {\"kernel\": \"" << jobs[i].workload->name()
-            << "\", \"fabric\": \"" << fabric_names[(i / 2) % 2]
-            << "\", \"snake_cycles\": " << snake.run.cycles
-            << ", \"cost_cycles\": " << cost.run.cycles
-            << ", \"speedup\": "
-            << static_cast<double>(snake.run.cycles) /
-                   static_cast<double>(cost.run.cycles)
-            << ", \"snake_mean_hops\": " << snake.congestion.meanHops
-            << ", \"cost_mean_hops\": " << cost.congestion.meanHops
-            << ", \"snake_max_link_load\": "
-            << snake.congestion.maxLinkLoad
-            << ", \"cost_max_link_load\": "
-            << cost.congestion.maxLinkLoad << ", \"validated\": "
-            << (snake.validated && cost.validated ? "true" : "false")
-            << "}";
+            << "\", \"fabric\": \"" << fabric_names[i % 2]
+            << "\", \"cycles\": " << r.run.cycles
+            << ", \"mean_hops\": " << r.congestion.meanHops
+            << ", \"max_link_load\": " << r.congestion.maxLinkLoad
+            << ", \"validated\": "
+            << (r.validated ? "true" : "false") << "}";
     }
-    out << "\n";
-    out << "  ],\n  \"aggregate\": {\n"
-        << "    \"kernels\": [\"NW\", \"LDPC\", \"GEMM\"],\n"
-        << "    \"metric\": \"geomean speedup over the (kernel, "
-           "fabric) points\",\n"
-        << "    \"points\": " << points << ",\n"
-        << "    \"snake_cycles_total\": " << snake_total << ",\n"
-        << "    \"cost_cycles_total\": " << cost_total << ",\n"
-        << "    \"sum_reduction_pct\": "
-        << (snake_total > 0
-                ? 100.0 * (1.0 - static_cast<double>(cost_total) /
-                                     static_cast<double>(
-                                         snake_total))
-                : 0.0)
-        << ",\n"
-        << "    \"geomean_speedup\": " << geomean << ",\n"
-        << "    \"aggregate_reduction_pct\": "
-        << 100.0 * (1.0 - 1.0 / geomean) << "\n  }\n";
+    out << "\n  ]\n";
     std::printf("\n");
     closeReport(out, path, "mapped-cycles");
-    std::printf("placement A/B aggregate (NW+LDPC+GEMM, both "
-                "fabrics): geomean speedup %.3fx "
-                "(%.1f%% cycle reduction; cycle sums %llu -> "
-                "%llu, %.1f%%)\n",
-                geomean, 100.0 * (1.0 - 1.0 / geomean),
-                static_cast<unsigned long long>(snake_total),
-                static_cast<unsigned long long>(cost_total),
-                snake_total > 0
-                    ? 100.0 * (1.0 -
-                               static_cast<double>(cost_total) /
-                                   static_cast<double>(
-                                       snake_total))
-                    : 0.0);
 }
 
 /** Wall time of a compile in microseconds: the sum of its
@@ -1076,7 +1001,7 @@ main(int argc, char **argv)
     if (!opts.reportPath.empty())
         writeReport(opts.reportPath, coverage);
     if (!opts.mappedReportPath.empty())
-        runMappedAblation(opts, runner);
+        runMappedReport(opts, runner);
     if (!opts.checkCoveragePath.empty() &&
         !checkCoverage(opts.checkCoveragePath, coverage))
         return 1;

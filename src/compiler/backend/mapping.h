@@ -8,9 +8,7 @@
  *   place  FlatPhases -> Mapping      (backend/placement.cc)
  *          Every live DFG node, phase generator and drain generator
  *          gets a PE.  The cost placer consumes the Fig. 8
- *          AssignmentPlan and the per-phase netlists built here;
- *          the snake placer reproduces the legacy boustrophedon
- *          walk for the mapped-cycles ablation.
+ *          AssignmentPlan and the per-phase netlists built here.
  *
  *   route  Mapping -> RoutePlan       (backend/route.cc)
  *          Every data edge is materialized as its dimension-ordered

@@ -2,28 +2,22 @@
  * @file
  * The place pass: FlatPhases -> Mapping.
  *
- * Builds each phase's netlist (generator feeds, node-to-node data
- * edges, loop-carried recurrence closures), checks PE capacity, and
- * assigns every generator and live DFG node a PE.
+ * Fuses memory-ordering fences into their loads, checks PE
+ * capacity, builds each phase's netlist (generator feeds, node-to-
+ * node data edges, loop-carried recurrence closures), and assigns
+ * every generator and live DFG node a PE.
  *
- * Two placers:
- *
- *  - snake: the legacy boustrophedon walk in node-creation order,
- *    mesh-oblivious, kept bit-for-bit so the mapped-cycles ablation
- *    has a faithful baseline;
- *
- *  - cost (default): timing-driven placement over the mesh
- *    geometry.  The objective is the quantity that actually bounds
- *    mapped cycles: each phase's *recurrence initiation interval* —
- *    the worst loop-carried cycle latency (execute + mesh transit
- *    around the carried closure), which every flattened iteration
- *    pays — plus total weighted wirelength as a tiebreaker (feed-
- *    forward hops cost pipeline-fill once per kernel, recurrence
- *    hops a little more).  Greedy seed (critical-cycle nodes first,
- *    in dependence order, so the chain lays out mesh-adjacent),
- *    then deterministic iterative improvement (relocate/swap moves
- *    from a fixed-seed RNG, strictly-improving accepts over the
- *    exact objective).
+ * The placer is timing-driven over the mesh geometry.  The
+ * objective is the quantity that actually bounds mapped cycles:
+ * each phase's *recurrence initiation interval* — the worst loop-
+ * carried cycle latency (execute + mesh transit around the carried
+ * closure), which every flattened iteration pays — plus total
+ * weighted wirelength as a tiebreaker (feed-forward hops cost
+ * pipeline-fill once per kernel, recurrence hops a little more).
+ * Greedy seed (critical-cycle nodes first, in dependence order, so
+ * the chain lays out mesh-adjacent), then deterministic iterative
+ * improvement (relocate/swap moves from a fixed-seed RNG,
+ * strictly-improving accepts over the exact objective).
  *
  * Scoring a move (phaseII, through the phase's PhaseTiming — the
  * model the route pass reports too) is nearly all of a compile,
@@ -132,24 +126,8 @@ PhaseTiming::PhaseTiming(const FlatPhase &phase,
 namespace
 {
 
-/** Boustrophedon PE order: consecutive allocations stay mesh-
- *  adjacent, which keeps recurrence round trips short. */
-std::vector<PeId>
-snakeOrder(const MachineConfig &config)
-{
-    std::vector<PeId> order;
-    for (int r = 0; r < config.rows; ++r)
-        for (int c = 0; c < config.cols; ++c) {
-            int col = (r % 2 == 0) ? c : config.cols - 1 - c;
-            order.push_back(
-                static_cast<PeId>(r * config.cols + col));
-        }
-    return order;
-}
-
 // ------------------------------------------------------------------
-// Fence fusion (cost backend only; the snake baseline reproduces
-// the legacy program exactly)
+// Fence fusion
 // ------------------------------------------------------------------
 
 /**
@@ -359,74 +337,6 @@ buildNetlist(const FlatPhase &phase)
             on_cycle.count(e.dst))
             e.recurrence = true;
     return edges;
-}
-
-// ------------------------------------------------------------------
-// Snake placer (legacy baseline)
-// ------------------------------------------------------------------
-
-void
-placeSnake(Compilation &cc, Mapping &map, int nonlinear_total)
-{
-    const MachineConfig &config = cc.config;
-    std::vector<PeId> order = snakeOrder(config);
-    std::vector<bool> taken(
-        static_cast<std::size_t>(config.numPes()), false);
-    const PeId first_nonlinear =
-        static_cast<PeId>(config.numPes() - config.nonlinearPes);
-    int nonlinear_unplaced = nonlinear_total;
-    int capable_free = config.nonlinearPes;
-    // Dead PEs (and PEs isolated by dead links) are permanently
-    // taken; the pass pre-flight already sized the kernel against
-    // the alive pool, so allocation cannot run dry.
-    for (PeId p :
-         config.faults.effectiveDeadPes(config.rows, config.cols)) {
-        taken[static_cast<std::size_t>(p)] = true;
-        if (p >= first_nonlinear)
-            --capable_free;
-    }
-    std::size_t cursor = 0;
-    auto allocPe = [&](bool nonlinear) -> PeId {
-        if (nonlinear) {
-            for (PeId pe = first_nonlinear; pe < config.numPes();
-                 ++pe)
-                if (!taken[static_cast<std::size_t>(pe)]) {
-                    taken[static_cast<std::size_t>(pe)] = true;
-                    --capable_free;
-                    --nonlinear_unplaced;
-                    return pe;
-                }
-            return invalidPe; // reservation makes this unreachable.
-        }
-        for (std::size_t at = cursor; at < order.size(); ++at) {
-            PeId pe = order[at];
-            if (taken[static_cast<std::size_t>(pe)])
-                continue;
-            if (pe >= first_nonlinear &&
-                capable_free <= nonlinear_unplaced)
-                continue; // held back for a nonlinear node.
-            taken[static_cast<std::size_t>(pe)] = true;
-            if (pe >= first_nonlinear)
-                --capable_free;
-            if (at == cursor)
-                ++cursor;
-            return pe;
-        }
-        return invalidPe;
-    };
-
-    for (std::size_t p = 0; p < cc.phases.size(); ++p) {
-        const FlatPhase &phase = cc.phases[p];
-        PlacedPhase &placed = map.phases[p];
-        placed.generator = allocPe(false);
-        for (const DfgNode &n : phase.body.nodes()) {
-            if (!phase.liveNodes.count(n.id))
-                continue;
-            placed.peOf[n.id] = allocPe(isNonlinearOp(n.op));
-        }
-    }
-    for (std::size_t p = 0; p + 1 < cc.phases.size(); ++p)
-        map.drainPes.push_back(allocPe(false));
 }
 
 // ------------------------------------------------------------------
@@ -1462,10 +1372,26 @@ passPlace(Compilation &cc)
 {
     const MachineConfig &config = cc.config;
 
+    // First shorten the recurrence itself: memory-ordering fences
+    // collapse into load ordering operands (value- and ordering-
+    // exact; see fuseFenceLoads).  Each fused fence frees its PEs
+    // before the capacity check counts them.
+    int fused = 0;
+    for (std::size_t p = 0; p < cc.phases.size(); ++p)
+        fused += fuseFenceLoads(cc.phases[p], cc.observations,
+                                static_cast<int>(p));
+    if (fused > 0) {
+        std::ostringstream note;
+        note << "fused " << fused
+             << " memory-ordering fence(s) into load ordering "
+                "operands";
+        cc.report.note(kPassPlace, note.str());
+    }
+
     // Capacity pre-flight with diagnostics (the builder would
     // assert-fatal instead), against the *alive* pool: the fault
     // plan's dead PEs (and PEs isolated by dead links) are off
-    // limits to both placers.
+    // limits to the placer.
     const PeBudget budget = peBudget(cc);
     const int dead = config.numPes() - budget.alive;
     if (budget.needed > budget.alive) {
@@ -1496,52 +1422,25 @@ passPlace(Compilation &cc)
         return cc.fail(kPassPlace, why.str());
     }
 
-    // The cost backend first shortens the recurrence itself:
-    // memory-ordering fences collapse into load ordering operands
-    // (value- and ordering-exact; see fuseFenceLoads).  The snake
-    // baseline skips this so the ablation's "before" reproduces the
-    // legacy backend program bit-for-bit.
-    int fused = 0;
-    if (cc.options.placer == PlacerKind::Cost)
-        for (std::size_t p = 0; p < cc.phases.size(); ++p)
-            fused += fuseFenceLoads(cc.phases[p], cc.observations,
-                                    static_cast<int>(p));
-    if (fused > 0) {
-        std::ostringstream note;
-        note << "fused " << fused
-             << " memory-ordering fence(s) into load ordering "
-                "operands";
-        cc.report.note(kPassPlace, note.str());
-    }
-
     Mapping &map = cc.mapping;
-    const PeBudget used = peBudget(cc);
-    map.pesUsed = used.needed;
-    map.nonlinearUsed = used.nonlinearNeeded;
+    map.pesUsed = budget.needed;
+    map.nonlinearUsed = budget.nonlinearNeeded;
     map.phases.resize(cc.phases.size());
     for (std::size_t p = 0; p < cc.phases.size(); ++p)
         map.phases[p].edges = buildNetlist(cc.phases[p]);
 
+    CostPlacer placer(cc, map, map.nonlinearUsed);
+    placer.run();
     std::ostringstream note;
-    if (cc.options.placer == PlacerKind::Snake) {
-        placeSnake(cc, map, map.nonlinearUsed);
-        note << "snake placer: " << map.pesUsed << "/"
-             << config.numPes() << " PEs (" << map.nonlinearUsed
-             << " nonlinear)";
-    } else {
-        CostPlacer placer(cc, map, map.nonlinearUsed);
-        placer.run();
-        note << "cost placer: " << map.pesUsed << "/"
-             << config.numPes() << " PEs (" << map.nonlinearUsed
-             << " nonlinear), recurrence II";
-        for (Cycles ii : placer.phaseIIs())
-            note << " " << ii;
-        note << " cycle(s), weighted wirelength "
-             << placer.wirelength() << ", "
-             << placer.improvingMoves()
-             << " improving move(s) (recurrence tiebreak weight "
-             << placer.recurrenceWeight() << " per Fig. 8 plan)";
-    }
+    note << "cost placer: " << map.pesUsed << "/" << config.numPes()
+         << " PEs (" << map.nonlinearUsed
+         << " nonlinear), recurrence II";
+    for (Cycles ii : placer.phaseIIs())
+        note << " " << ii;
+    note << " cycle(s), weighted wirelength " << placer.wirelength()
+         << ", " << placer.improvingMoves()
+         << " improving move(s) (recurrence tiebreak weight "
+         << placer.recurrenceWeight() << " per Fig. 8 plan)";
     cc.report.note(kPassPlace, note.str());
     return true;
 }

@@ -196,23 +196,10 @@ passRoute(Compilation &cc)
     // along the pipeline may hold up to its full depth (8 words);
     // the pipeline flushes stage by stage, each firing serviced
     // within execute + worst mesh transit + memory-port contention.
-    // 8 x depth firings bound the last store's issue; the legacy
-    // all-operators-serialize formula caps it so the bound is never
-    // worse than before.
+    // 8 x depth firings bound the last store's issue.
     const int mem_ports = config.scratchpadBanks * 2;
     for (std::size_t p = 0; p + 1 < cc.phases.size(); ++p) {
         const PhaseRoute &route = plan.phases[p];
-        Cycles n =
-            static_cast<Cycles>(cc.phases[p].liveNodes.size());
-        Cycles legacy = 64 + 8 * n * (3 * (n + 2) + 16);
-        if (cc.options.placer == PlacerKind::Snake) {
-            // The snake baseline reproduces the legacy backend's
-            // program bit-for-bit, including its all-operators-
-            // serialize drain guess, so the mapped-cycles ablation
-            // measures the whole backend against its predecessor.
-            plan.drainCycles.push_back(legacy);
-            continue;
-        }
         Cycles contention =
             route.memNodes > 0
                 ? static_cast<Cycles>(
@@ -228,8 +215,7 @@ passRoute(Compilation &cc)
                 per_firing +
             8 * static_cast<Cycles>(route.memNodes) *
                 (contention + 1);
-        plan.drainCycles.push_back(
-            std::max<Cycles>(128, std::min(routed, legacy)));
+        plan.drainCycles.push_back(std::max<Cycles>(128, routed));
     }
     if (!plan.drainCycles.empty()) {
         std::ostringstream note;

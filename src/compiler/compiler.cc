@@ -145,12 +145,6 @@ CompiledKernel::validate(const MarionetteMachine &machine,
 // Driver
 // ------------------------------------------------------------------
 
-std::string_view
-placerName(PlacerKind kind)
-{
-    return kind == PlacerKind::Snake ? "snake" : "cost";
-}
-
 Compiler::Compiler(const MachineConfig &config)
     : Compiler(config, CompilerOptions{})
 {

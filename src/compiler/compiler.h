@@ -30,11 +30,12 @@
  *                    round entry/exit; outer-level stores become
  *                    last-wins stores; serial phases chain through
  *                    loop-exit control emissions.
- *   7. place       — the backend's placement: every generator and
- *                    live DFG node gets a PE, cost-driven over the
- *                    mesh distance model with recurrence cycles
- *                    clustered (or the legacy snake walk for the
- *                    ablation baseline); PE capacity checks.
+ *   7. place       — the backend's placement: memory-ordering
+ *                    fences fuse into their loads, PE capacity is
+ *                    checked, then every generator and live DFG
+ *                    node gets a PE, cost-driven over the mesh
+ *                    distance model with recurrence cycles
+ *                    clustered.
  *   8. route       — data edges materialized as dimension-ordered
  *                    mesh paths with machine-exact latencies;
  *                    derives recurrence II, pipeline fill and the
@@ -54,7 +55,6 @@
 #include <compare>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -154,31 +154,13 @@ struct CompileResult
     bool ok() const { return kernel != nullptr; }
 };
 
-/** Which placement algorithm the backend's place pass runs. */
-enum class PlacerKind : std::uint8_t
-{
-    /** Boustrophedon walk in node-creation order — the legacy
-     *  mesh-oblivious baseline, kept for the mapped-cycles A/B. */
-    Snake,
-    /** Cost-driven: weighted wirelength with recurrence-loop edges
-     *  dominating, greedy seed + deterministic iterative
-     *  improvement over the mesh distance model.  The default. */
-    Cost,
-};
-
-/** Mnemonic of a placer kind ("snake" / "cost"). */
-std::string_view placerName(PlacerKind kind);
-
 /** Compile-time options (policy, not architecture: a machine runs
  *  any correctly-placed program regardless of these). */
 struct CompilerOptions
 {
-    PlacerKind placer = PlacerKind::Cost;
     /** Spatial unroll factor cap for stripe-safe inner loops:
      *  0 = automatic (largest legal factor that fits the fabric),
-     *  1 = replication off, N = replicate up to N ways.  Only the
-     *  cost placer unrolls; the snake baseline stays the legacy
-     *  program bit-for-bit. */
+     *  1 = replication off, N = replicate up to N ways. */
     int unrollFactor = 0;
     /** Scratchpad window base (words): every Load/Store base, the
      *  memory image and the golden memory checks are shifted by

@@ -80,14 +80,7 @@ log2Of(Word v)
 class BodyBuilder
 {
   public:
-    /** @p selectPeephole applies foldSelect()'s rewrites (cost
-     *  path only: the snake baseline must reproduce the legacy
-     *  program bit-for-bit). */
-    explicit BodyBuilder(bool selectPeephole)
-        : peephole_(selectPeephole)
-    {
-        dfg_.addInput("t");
-    }
+    BodyBuilder() { dfg_.addInput("t"); }
 
     Dfg &dfg() { return dfg_; }
 
@@ -110,12 +103,12 @@ class BodyBuilder
         if (pure && isImmish(a) && isImmish(b) && isImmish(c))
             return Operand::imm(evalOp(op, a.ref, b.ref, c.ref));
 
-        if (peephole_ && op == Opcode::Select) {
+        if (op == Opcode::Select) {
             Operand folded = foldSelect(a, b, c, name);
             if (folded.kind != OperandKind::None)
                 return folded;
         }
-        if (peephole_ && op == Opcode::Add) {
+        if (op == Opcode::Add) {
             Operand absorbed = absorbSign(a, b, name);
             if (absorbed.kind != OperandKind::None)
                 return absorbed;
@@ -438,7 +431,6 @@ class BodyBuilder
     }
 
     Dfg dfg_;
-    bool peephole_ = false;
     int signAbsorbed_ = 0;
     int clampsFolded_ = 0;
     std::map<std::tuple<Opcode, int, Word, int, Word, int, Word>,
@@ -1059,7 +1051,7 @@ finalizePhase(Compilation &cc, FlatPhase &flat, int phase_idx)
 }
 
 // ------------------------------------------------------------------
-// Run-ahead proof for ordering tokens (cost path only)
+// Run-ahead proof for ordering tokens
 // ------------------------------------------------------------------
 
 /**
@@ -1130,7 +1122,7 @@ orderingTokens(const Compilation &cc, const FlatPhase &flat,
 }
 
 /**
- * The token-gate fold (cost path, after liveness): a value-free
+ * The token-gate fold (after liveness): a value-free
  * Select(p, v, o) becomes v when p and o both lie in v's template
  * cone, or o when p and v lie in o's.  The kept lane fires only after
  * its whole cone has arrived, so everything that waited for the
@@ -1575,12 +1567,11 @@ bool
 lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
 {
     cc.phases.assign(cc.top.phases.size(), FlatPhase{});
-    const bool cost = cc.options.placer == PlacerKind::Cost;
     for (std::size_t p = 0; p < cc.top.phases.size(); ++p) {
         const Region &src = cc.top.phases[p];
         FlatPhase &flat = cc.phases[p];
         const int factor = factors[p];
-        BodyBuilder bb(cost);
+        BodyBuilder bb;
         if (factor <= 1) {
             PhaseLowering lowering(cc, src, flat, bb, 0);
             if (!lowering.runImpl())
@@ -1766,22 +1757,17 @@ passLower(Compilation &cc)
             nextSmallerDivisor(orig_trips, factors[worst]);
     }
 
-    // Cost path only: the snake baseline keeps every select and
-    // every recurrence at the legacy single token.
-    const bool cost = cc.options.placer == PlacerKind::Cost;
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
         FlatPhase &flat = cc.phases[p];
         const int phase = static_cast<int>(p);
         if (p < cc.unroll.size())
             cc.unroll[p].factor = factors[p];
-        std::vector<char> token, tainted;
-        int gates = 0;
-        if (cost) {
-            token = orderingTokens(cc, flat, phase, tainted);
-            gates = foldTokenGates(flat, tainted);
-            if (gates > 0 && !finalizePhase(cc, flat, phase))
-                return false;
-        }
+        std::vector<char> tainted;
+        const std::vector<char> token =
+            orderingTokens(cc, flat, phase, tainted);
+        const int gates = foldTokenGates(flat, tainted);
+        if (gates > 0 && !finalizePhase(cc, flat, phase))
+            return false;
         const std::string prefix =
             "phase '" + cc.top.phases[p].headerName + "': ";
         std::ostringstream note;
@@ -1806,12 +1792,10 @@ passLower(Compilation &cc)
                  "clamp select(s) folded into their Min/Max");
         rewrites(gates, "token-gate select(s) folded into the lane that "
                         "waits for the others");
-        if (cost) {
-            const std::string run_ahead =
-                proveRunAhead(cc, flat, phase, token);
-            if (!run_ahead.empty())
-                cc.report.note(kPassLower, run_ahead);
-        }
+        const std::string run_ahead =
+            proveRunAhead(cc, flat, phase, token);
+        if (!run_ahead.empty())
+            cc.report.note(kPassLower, run_ahead);
     }
     return true;
 }

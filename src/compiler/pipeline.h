@@ -88,9 +88,9 @@ struct FlatPhase
      *  to interleave per-replica observation streams back into
      *  source order. */
     Word stripeSpan = 0;
-    /** Selects the cost path's peephole rewrote here: sign selects
-     *  absorbed into a Sub/Add pair, and clamp selects folded into
-     *  their Min/Max (a lower note each). */
+    /** Selects the lower pass's peephole rewrote here: sign
+     *  selects absorbed into a Sub/Add pair, and clamp selects
+     *  folded into their Min/Max (a lower note each). */
     int signSelectsAbsorbed = 0;
     int clampSelectsFolded = 0;
 };

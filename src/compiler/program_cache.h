@@ -43,8 +43,8 @@ class ProgramCache
 {
   public:
     /** Compile (or reuse) @p workload for @p config under
-     *  @p options (the placer choice is part of the key: snake and
-     *  cost mappings are different programs). */
+     *  @p options (the options are part of the key: two unroll
+     *  caps or scratchpad windows are different programs). */
     CompileResult getOrCompile(const Workload &workload,
                                const MachineConfig &config,
                                const CompilerOptions &options = {});

@@ -332,12 +332,6 @@ bool
 passUnroll(Compilation &cc)
 {
     cc.unroll.assign(cc.top.phases.size(), UnrollDecision{});
-    if (cc.options.placer != PlacerKind::Cost) {
-        cc.report.note(kPassUnroll,
-                       "snake placer: replication disabled "
-                       "(legacy baseline stays bit-identical)");
-        return true;
-    }
     if (cc.options.unrollFactor == 1) {
         cc.report.note(kPassUnroll, "replication off by option");
         return true;

@@ -23,11 +23,12 @@ namespace marionette
 constexpr int kReportSchemaVersion = 2;
 
 /** Open @p path and write the opening brace and the schema_version
- *  field; false (and a message naming the @p kind of report) when
- *  the file cannot be written. */
+ *  field (@p version, for a report whose fields changed meaning on
+ *  their own); false (and a message naming the @p kind of report)
+ *  when the file cannot be written. */
 inline bool
 openReport(std::ofstream &out, const std::string &path,
-           const char *kind)
+           const char *kind, int version = kReportSchemaVersion)
 {
     out.open(path);
     if (!out) {
@@ -35,8 +36,7 @@ openReport(std::ofstream &out, const std::string &path,
                      path.c_str());
         return false;
     }
-    out << "{\n  \"schema_version\": " << kReportSchemaVersion
-        << ",\n";
+    out << "{\n  \"schema_version\": " << version << ",\n";
     return true;
 }
 

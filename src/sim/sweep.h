@@ -45,8 +45,8 @@ struct KernelSweepJob
 {
     const Workload *workload = nullptr;
     MachineConfig config;
-    /** Compile options (placer ablations share the cache safely:
-     *  the options are part of the cache key). */
+    /** Compile options (unroll-cap ablations share the cache
+     *  safely: the options are part of the cache key). */
     CompilerOptions options;
     /**
      * Fault-discovery mode: compile fault-obliviously first (as if

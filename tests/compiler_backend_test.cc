@@ -6,9 +6,10 @@
  *  - determinism: the cost placer's iterated local search is keyed
  *    by workload name only, so every compile — repeated, or racing
  *    on several threads — produces the identical binary;
- *  - snake-vs-cost A/B: both placers stay bit-exact on validated
- *    kernels, and the cost backend beats the legacy baseline where
- *    the recurrence cycles leave room (NW/LDPC);
+ *  - pinned layouts: the placer's program and place note, byte for
+ *    byte, on the evaluation fabric and four variants of it;
+ *  - rewrites: fences fuse into their loads before the capacity
+ *    check counts PEs, and CRC's byte select folds;
  *  - route plan exactness: every routed edge's latency and path,
  *    and every link's predicted load on the serving mix, must
  *    match what the cycle-accurate DataMesh actually charges;
@@ -296,56 +297,9 @@ TEST(Placement, MatchesPinnedLayouts)
 }
 
 // ------------------------------------------------------------------
-// Snake vs cost: both bit-exact; cost wins where recurrences
-// leave room.  The cost placer keeps its own layout, never the
-// snake one: this test and the byte-checked
-// BENCH_mapped_cycles.json (cost ahead on all 22 cells, by 1.03x
-// at the least, on HT) hold the cost back end to no worse than the
-// legacy baseline on the machine.
+// Rewrites: the place pass fuses fences, the lower pass folds
+// selects.
 // ------------------------------------------------------------------
-
-TEST(Placement, SnakeAndCostBothBitExact)
-{
-    MachineConfig config = evalFabric();
-    std::map<std::string, std::uint64_t> cycles_of[2];
-    for (const char *kernel :
-         {"NW", "LDPC", "GEMM", "SCD", "CRC", "SI", "GP", "ADPCM"}) {
-        for (PlacerKind placer :
-             {PlacerKind::Snake, PlacerKind::Cost}) {
-            CompilerOptions opts;
-            opts.placer = placer;
-            CompileResult r =
-                Compiler(config, opts).compile(kernel);
-            ASSERT_TRUE(r.ok())
-                << kernel << "\n" << r.report.toString();
-            MarionetteMachine machine(config);
-            r.kernel->prepare(machine);
-            RunResult run = machine.run(r.kernel->cycleBudget);
-            EXPECT_EQ(r.kernel->validate(machine, run), "")
-                << kernel << " (" << placerName(placer) << ")";
-            cycles_of[placer == PlacerKind::Cost][kernel] =
-                run.cycles;
-        }
-    }
-
-    // The cost backend never loses to the legacy baseline by more
-    // than noise, and wins decisively on the recurrence-bound
-    // kernels, where the snake layout stretches the carried cycles
-    // across the mesh.
-    for (const auto &[kernel, snake] : cycles_of[0]) {
-        std::uint64_t cost = cycles_of[1].at(kernel);
-        EXPECT_LE(cost, snake + snake / 20) << kernel;
-    }
-    std::uint64_t snake_gap = cycles_of[0]["NW"] +
-                              cycles_of[0]["LDPC"] +
-                              cycles_of[0]["GEMM"];
-    std::uint64_t cost_gap = cycles_of[1]["NW"] +
-                             cycles_of[1]["LDPC"] +
-                             cycles_of[1]["GEMM"];
-    EXPECT_LT(cost_gap, snake_gap - snake_gap / 8)
-        << "cost placer should cut the NW+LDPC+GEMM cycle sum by "
-           "well over 12.5% on the primary fabric";
-}
 
 int
 selectsIn(const Program &program)
@@ -357,27 +311,43 @@ selectsIn(const Program &program)
     return n;
 }
 
-TEST(Placement, FenceFusionOnlyOnTheCostPath)
+TEST(Placement, FencesFuseAndCrcKeepsOneSelect)
 {
-    // The snake baseline must reproduce the legacy program, so the
-    // cost path's rewrites stay off it: the place pass's fence
-    // fusion (LDPC) and the lower pass's select folds (CRC's byte
-    // xor-in; its bit step's select stays on both paths).
+    // The place pass's fence fusion (LDPC) and the lower pass's
+    // select folds (CRC's byte xor-in folds; its bit step's select
+    // stays).
     MachineConfig config = evalFabric();
-    CompilerOptions snake;
-    snake.placer = PlacerKind::Snake;
-    for (const CompilerOptions &opts : {CompilerOptions{}, snake}) {
-        const bool cost = opts.placer == PlacerKind::Cost;
-        CompileResult ldpc = Compiler(config, opts).compile("LDPC");
-        ASSERT_TRUE(ldpc.ok());
-        EXPECT_EQ(placeNote(ldpc.report).find("fused") !=
-                      std::string::npos,
-                  cost)
-            << placerName(opts.placer);
-        CompileResult crc = Compiler(config, opts).compile("CRC");
-        ASSERT_TRUE(crc.ok());
-        EXPECT_EQ(selectsIn(crc.kernel->program), cost ? 1 : 2)
-            << placerName(opts.placer);
+    CompileResult ldpc = Compiler(config).compile("LDPC");
+    ASSERT_TRUE(ldpc.ok());
+    EXPECT_NE(placeNote(ldpc.report).find("fused"), std::string::npos);
+    CompileResult crc = Compiler(config).compile("CRC");
+    ASSERT_TRUE(crc.ok());
+    EXPECT_EQ(selectsIn(crc.kernel->program), 1);
+}
+
+TEST(Placement, FencesFuseBeforeTheCapacityCheck)
+{
+    // LDPC's netlist needs 69 PEs before its 4 fences fuse and 64
+    // after.  With 32 dead PEs only 68 are alive, so the capacity
+    // check must count the fused netlist.
+    MachineConfig config = evalFabric();
+    config.faults = FaultPlan::seeded(10, 10, 32, 0, 1);
+    CompileResult ldpc = Compiler(config).compile("LDPC");
+    ASSERT_TRUE(ldpc.ok()) << ldpc.report.toString();
+    const std::string note = placeNote(ldpc.report);
+    EXPECT_NE(note.find("fused 4 memory-ordering fence(s)"),
+              std::string::npos)
+        << note;
+    EXPECT_NE(note.find("cost placer: 64/100 PEs"), std::string::npos)
+        << note;
+    for (bool event : {false, true}) {
+        config.eventDrivenSim = event;
+        MarionetteMachine machine(config);
+        ldpc.kernel->prepare(machine);
+        const RunResult run = machine.run(ldpc.kernel->cycleBudget);
+        EXPECT_EQ(ldpc.kernel->validate(machine, run), "")
+            << (event ? "event" : "reference");
+        EXPECT_EQ(run.cycles, 215140u) << (event ? "event" : "reference");
     }
 }
 

@@ -492,8 +492,8 @@ TEST(PredicatedMemory, LoadPredicateYieldsZeroWithoutMemory)
 
 // ------------------------------------------------------------------
 // Select folds: the lower pass rewrites a Select to the lane it
-// provably yields, or to one cheaper node (cost path only).  Each
-// case is one counted loop whose body updates a carried
+// provably yields, or to one cheaper node.  Each case is one
+// counted loop whose body updates a carried
 // accumulator through one Select: the fold must fire where it is
 // exact and stay off where it is not, and the kernel must stay
 // bit-exact on both run paths either way.
@@ -604,7 +604,7 @@ countOf(const Program &program, Opcode op)
     return n;
 }
 
-/** Compile every case on the cost path: one @p counted instruction
+/** Compile every case: one @p counted instruction
  *  (a Select unless named) stays unless the case folds, and both run
  *  paths match the golden stream. */
 void
@@ -877,11 +877,11 @@ TEST(SelectFold, RangeCheckedClampIsTheClamp)
 
 // ------------------------------------------------------------------
 // Run-ahead: the lower pass proves how many slots a store-order
-// token may run ahead of its producer (cost path only).  Each case
-// is one 64-slot loop whose loads are fenced on the carried store
-// token aw, the workloads' idiom, over a 128-word array: the
-// derived slack is read from the lower note, and the kernel must
-// stay bit-exact on both run paths at that slack.
+// token may run ahead of its producer.  Each case is one 64-slot
+// loop whose loads are fenced on the carried store token aw, the
+// workloads' idiom, over a 128-word array: the derived slack is
+// read from the lower note, and the kernel must stay bit-exact on
+// both run paths at that slack.
 // ------------------------------------------------------------------
 
 /** @p body builds the loop body from the ports i, aw and acc (a
@@ -1014,8 +1014,8 @@ gateFoldNote(const CompileReport &report)
     return {};
 }
 
-/** Compile @p rc on the cost path, check its run-ahead note and its
- *  token-gate fold note (@p gates), and validate both run paths;
+/** Compile @p rc, check its run-ahead note and its token-gate
+ *  fold note (@p gates), and validate both run paths;
  *  returns the event path's cycles. */
 Cycles
 expectRunAhead(const RunAheadCase &rc, const std::string &note,
@@ -1426,14 +1426,6 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
             << (event ? "event" : "reference");
         EXPECT_EQ(run.cycles, 3875u);
     }
-
-    // The snake baseline keeps every recurrence at one token.
-    CompilerOptions snake;
-    snake.placer = PlacerKind::Snake;
-    const CompileResult snakeScd =
-        Compiler(evalFabric(), snake).compile("SCD");
-    EXPECT_EQ(runAheadNote(snakeScd.report), "");
-    EXPECT_EQ(gateFoldNote(snakeScd.report), "");
 }
 
 } // namespace

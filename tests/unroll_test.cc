@@ -226,25 +226,14 @@ TEST(Unroll, RecurrenceDiagnosticsArePinned)
     EXPECT_EQ(committedFactor(nw.report), 1);
 }
 
-TEST(Unroll, OptOutAndSnakeStayUnreplicated)
+TEST(Unroll, OptOutStaysUnreplicated)
 {
-    // An unroll cap of 1 turns replication off by option...
+    // An unroll cap of 1 turns replication off by option.
     CompileResult off = compileAt("GEMM", 1);
     ASSERT_TRUE(off.ok());
     EXPECT_TRUE(
         hasNote(off.report, "unroll", "replication off by option"));
     EXPECT_EQ(committedFactor(off.report), 1);
-
-    // ...and the snake baseline never replicates at all, so the
-    // legacy A/B programs stay bit-identical.
-    CompilerOptions snake;
-    snake.placer = PlacerKind::Snake;
-    CompileResult legacy =
-        Compiler(evalFabric(), snake).compile("GEMM");
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_TRUE(hasNote(legacy.report, "unroll",
-                        "snake placer: replication disabled"));
-    EXPECT_EQ(committedFactor(legacy.report), 1);
 }
 
 } // namespace
