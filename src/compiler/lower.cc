@@ -38,7 +38,8 @@
  * CSE automatically shares every replica-invariant node (the slot
  * decode, induction arithmetic on the shared stream), so one loop
  * generator feeds all replicas while the per-replica loads, stores
- * and recurrences replicate across PEs.  The factor is refined
+ * and recurrences replicate across PEs (a load merges only with one
+ * of its own replica).  The factor is refined
  * downward (over divisors of the trip count) until the replicated
  * body fits the alive-PE pool — fault plans shrink the pool, so a
  * discovery-mode recompile may legitimately pick a smaller factor.
@@ -84,12 +85,20 @@ class BodyBuilder
 
     Dfg &dfg() { return dfg_; }
 
+    /** The replica whose loads emit() builds next: a load merges only
+     *  with one of its own replica. */
+    void setReplica(int replica) { replica_ = replica; }
+
     /** How many sign selects absorbSign() and clamp selects
-     *  selectIsClamp() rewrote (one lower note each). */
+     *  selectIsClamp() rewrote, loads emit() merged and x-op-x
+     *  operators selfOperand() folded (one lower note each). */
     int signSelectsAbsorbed() const { return signAbsorbed_; }
     int clampSelectsFolded() const { return clampsFolded_; }
+    int loadsMerged() const { return loadsMerged_; }
+    int selfOpsFolded() const { return selfOpsFolded_; }
 
-    /** Emit (or reuse) a node; folds all-immediate pure ops. */
+    /** Emit (or reuse) a node; folds all-immediate pure ops and
+     *  x-op-x, and reuses an identical load of the same replica. */
     Operand
     emit(Opcode op, Operand a, Operand b = Operand::none(),
          Operand c = Operand::none(), const std::string &name = {})
@@ -102,6 +111,13 @@ class BodyBuilder
         };
         if (pure && isImmish(a) && isImmish(b) && isImmish(c))
             return Operand::imm(evalOp(op, a.ref, b.ref, c.ref));
+        if (pure) {
+            Operand self = selfOperand(op, a, b, c);
+            if (self.kind != OperandKind::None) {
+                ++selfOpsFolded_;
+                return self;
+            }
+        }
 
         if (op == Opcode::Select) {
             Operand folded = foldSelect(a, b, c, name);
@@ -126,10 +142,67 @@ class BodyBuilder
             cse_[key] = id;
             return Operand::node(id);
         }
+        if (op == Opcode::Load) {
+            // Keyed by replica and array (which fixes the memBase) as
+            // well: identical address, predicate and ordering operands
+            // have identical ancestors, so the fence chains order the
+            // same stores before both loads.
+            auto key = std::make_tuple(
+                replica_, name, static_cast<int>(a.kind), a.ref,
+                static_cast<int>(b.kind), b.ref,
+                static_cast<int>(c.kind), c.ref);
+            auto it = loads_.find(key);
+            if (it != loads_.end()) {
+                ++loadsMerged_;
+                return Operand::node(it->second);
+            }
+            NodeId id = dfg_.addNode(op, a, b, c, name);
+            loads_[key] = id;
+            return Operand::node(id);
+        }
         return Operand::node(dfg_.addNode(op, a, b, c, name));
     }
 
   private:
+    /**
+     * x op x for the operators whose result needs no bit of x: Min,
+     * Max, And and Or give x, Xor and Sub give 0, CmpEq, CmpLe and
+     * CmpGe give 1, CmpNe, CmpLt and CmpGt give 0, and
+     * Select(c, x, x) gives x.  Div and Rem stay: at x = 0 their
+     * result is evalOp's zero-divisor rule, not x / x.  SCD's f and g
+     * blocks, once their two loads of one word merge, are the
+     * motivating case.  Returns a none() operand when no rule
+     * applies.
+     */
+    static Operand
+    selfOperand(Opcode op, const Operand &a, const Operand &b,
+                const Operand &c)
+    {
+        if (op == Opcode::Select)
+            return b == c ? b : Operand::none();
+        if (!(a == b))
+            return Operand::none();
+        switch (op) {
+          case Opcode::Min:
+          case Opcode::Max:
+          case Opcode::And:
+          case Opcode::Or:
+            return a;
+          case Opcode::Xor:
+          case Opcode::Sub:
+          case Opcode::CmpNe:
+          case Opcode::CmpLt:
+          case Opcode::CmpGt:
+            return Operand::imm(0);
+          case Opcode::CmpEq:
+          case Opcode::CmpLe:
+          case Opcode::CmpGe:
+            return Operand::imm(1);
+          default:
+            return Operand::none();
+        }
+    }
+
     /**
      * Select(cond, t, f) rewritten to the lane it provably yields,
      * or to one cheaper node.  Every rule is value-exact on every
@@ -431,11 +504,17 @@ class BodyBuilder
     }
 
     Dfg dfg_;
+    int replica_ = 0;
     int signAbsorbed_ = 0;
     int clampsFolded_ = 0;
+    int loadsMerged_ = 0;
+    int selfOpsFolded_ = 0;
     std::map<std::tuple<Opcode, int, Word, int, Word, int, Word>,
              NodeId>
         cse_;
+    std::map<std::tuple<int, std::string, int, Word, int, Word, int, Word>,
+             NodeId>
+        loads_;
 };
 
 // ------------------------------------------------------------------
@@ -446,12 +525,13 @@ class PhaseLowering
 {
   public:
     /** Lower @p root_in (replica @p replica_in of the phase) into
-     *  @p flat_in through the shared builder @p bb_in. */
+     *  @p flat_in through the shared builder @p bb_in; the carried
+     *  values named in @p paced_in wait for each slot. */
     PhaseLowering(Compilation &cc_in, const Region &root_in,
                   FlatPhase &flat_in, BodyBuilder &bb_in,
-                  int replica_in)
+                  int replica_in, const std::set<std::string> &paced_in)
         : cc(cc_in), root(root_in), flat(flat_in), bb(bb_in),
-          replica(replica_in)
+          replica(replica_in), paced(paced_in)
     {}
 
     bool runImpl();
@@ -462,6 +542,7 @@ class PhaseLowering
     FlatPhase &flat;
     BodyBuilder &bb;
     int replica;
+    const std::set<std::string> &paced;
     std::map<std::string, Operand> env;
     std::set<std::string> definedNames;
     std::map<std::string, int> carriedIdx;
@@ -553,6 +634,11 @@ class PhaseLowering
                 flat.carried.push_back(cv);
             }
             Operand op = Operand::input(idx);
+            // Mac(t, #0, v) = v, once per slot: a ring no slot index
+            // reaches would otherwise run free (see freeRings).
+            if (paced.count(name))
+                op = bb.emit(Opcode::Mac, Operand::input(0), Operand::imm(0),
+                             op, name + ".paced");
             env[name] = op;
             return op;
         }
@@ -1562,9 +1648,11 @@ stripedClone(const Region &phase, int r, int factor)
     return clone;
 }
 
-/** Lower every phase at the given factors (1 = plain). */
+/** Lower every phase at the given factors (1 = plain), with the
+ *  carried values @p paced names (per phase) waiting for each slot. */
 bool
-lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
+lowerAllPhases(Compilation &cc, const std::vector<int> &factors,
+               const std::vector<std::set<std::string>> &paced)
 {
     cc.phases.assign(cc.top.phases.size(), FlatPhase{});
     for (std::size_t p = 0; p < cc.top.phases.size(); ++p) {
@@ -1573,7 +1661,7 @@ lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
         const int factor = factors[p];
         BodyBuilder bb;
         if (factor <= 1) {
-            PhaseLowering lowering(cc, src, flat, bb, 0);
+            PhaseLowering lowering(cc, src, flat, bb, 0, paced[p]);
             if (!lowering.runImpl())
                 return false;
             flat.replicaEnvs.clear();
@@ -1583,7 +1671,8 @@ lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
                 std::max<Word>(1, src.span / src.trips);
             for (int r = 0; r < factor; ++r) {
                 Region clone = stripedClone(src, r, factor);
-                PhaseLowering lowering(cc, clone, flat, bb, r);
+                bb.setReplica(r);
+                PhaseLowering lowering(cc, clone, flat, bb, r, paced[p]);
                 if (!lowering.runImpl())
                     return false;
             }
@@ -1591,6 +1680,8 @@ lowerAllPhases(Compilation &cc, const std::vector<int> &factors)
         flat.body = std::move(bb.dfg());
         flat.signSelectsAbsorbed = bb.signSelectsAbsorbed();
         flat.clampSelectsFolded = bb.clampSelectsFolded();
+        flat.loadsMerged = bb.loadsMerged();
+        flat.selfOpsFolded = bb.selfOpsFolded();
     }
     return true;
 }
@@ -1696,6 +1787,34 @@ resolveObservations(Compilation &cc, std::vector<int> &factors,
     return true;
 }
 
+/**
+ * Adds to @p paced the live carried values of @p flat whose final no
+ * slot index reaches within the template: only their own ring paces
+ * them, so they would fire as fast as the ring turns and on past the
+ * phase's last slot.  `acc += 1` is one; `acc + (x - x)` becomes one
+ * when x - x folds to 0.  Returns whether it named a new one; the
+ * caller then lowers again, and each such ring waits for the slot
+ * where it reads its carried input.
+ */
+bool
+freeRings(const FlatPhase &flat, std::set<std::string> &paced)
+{
+    const Dfg &dfg = flat.body;
+    std::vector<char> slotted(static_cast<std::size_t>(dfg.numNodes()), 0);
+    // Operands sit below their consumers in id order.
+    for (const DfgNode &nd : dfg.nodes())
+        for (const Operand *o : {&nd.a, &nd.b, &nd.c})
+            if ((o->kind == OperandKind::Input && o->ref == 0) ||
+                (o->kind == OperandKind::Node &&
+                 slotted[static_cast<std::size_t>(o->ref)]))
+                slotted[static_cast<std::size_t>(nd.id)] = 1;
+    bool added = false;
+    for (const CarriedValue &cv : flat.carried)
+        if (cv.live && !slotted[static_cast<std::size_t>(cv.finalVal.ref)])
+            added = paced.insert(cv.name).second || added;
+    return added;
+}
+
 /** Next smaller divisor of @p trips below @p factor (>= 1). */
 int
 nextSmallerDivisor(Word trips, int factor)
@@ -1719,13 +1838,14 @@ passLower(Compilation &cc)
     for (std::size_t p = 0;
          p < cc.unroll.size() && p < factors.size(); ++p)
         factors[p] = std::max(1, cc.unroll[p].factor);
+    std::vector<std::set<std::string>> paced(cc.top.phases.size());
 
     // The refinement below shrinks replication factors until the
     // replicated bodies fit the alive-PE pool the place pass will
     // check against, so a fault plan's dead PEs can legitimately
     // lower the factor of a recompile.
     for (;;) {
-        if (!lowerAllPhases(cc, factors))
+        if (!lowerAllPhases(cc, factors, paced))
             return false;
         bool retry = false;
         if (!resolveObservations(cc, factors, retry))
@@ -1738,6 +1858,11 @@ passLower(Compilation &cc)
                                      static_cast<int>(p));
         if (!ok)
             return false;
+        bool unpaced = false;
+        for (std::size_t p = 0; p < cc.phases.size(); ++p)
+            unpaced = freeRings(cc.phases[p], paced[p]) || unpaced;
+        if (unpaced)
+            continue;
 
         int unrolled = -1;
         for (std::size_t p = 0; p < cc.phases.size(); ++p)
@@ -1790,6 +1915,12 @@ passLower(Compilation &cc)
                  "sign select(s) absorbed into a Sub/Add pair");
         rewrites(flat.clampSelectsFolded,
                  "clamp select(s) folded into their Min/Max");
+        rewrites(flat.loadsMerged,
+                 "load(s) merged into an identical load of their replica");
+        rewrites(flat.selfOpsFolded, "x-op-x operator(s) folded");
+        rewrites(static_cast<int>(paced[p].size()),
+                 "free-running loop-carried value(s) paced by the slot "
+                 "index");
         rewrites(gates, "token-gate select(s) folded into the lane that "
                         "waits for the others");
         const std::string run_ahead =

@@ -88,11 +88,14 @@ struct FlatPhase
      *  to interleave per-replica observation streams back into
      *  source order. */
     Word stripeSpan = 0;
-    /** Selects the lower pass's peephole rewrote here: sign
-     *  selects absorbed into a Sub/Add pair, and clamp selects
-     *  folded into their Min/Max (a lower note each). */
+    /** What the lower pass's peephole rewrote here: sign selects
+     *  absorbed into a Sub/Add pair, clamp selects folded into their
+     *  Min/Max, loads merged into an identical load of their replica,
+     *  and x-op-x operators folded (a lower note each). */
     int signSelectsAbsorbed = 0;
     int clampSelectsFolded = 0;
+    int loadsMerged = 0;
+    int selfOpsFolded = 0;
 };
 
 /** (fifo, phase, producing node) of one observed port. */

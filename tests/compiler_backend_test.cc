@@ -143,11 +143,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
          "cycle(s), weighted wirelength 334, 95 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "default", 0x69abdafde87769faull,
+        {"SCD", "default", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
-         "cycle(s), weighted wirelength 311, 166 improving move(s) "
+         "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
+         "cycle(s), weighted wirelength 158, 87 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"LDPC", "default", 0xe668f49f85e3d246ull,
          "fused 4 memory-ordering fence(s) into load ordering "
@@ -179,11 +179,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
          "cycle(s), weighted wirelength 83, 23 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "faults", 0x7a64b4fcd0bb9bfaull,
+        {"SCD", "faults", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
-         "cycle(s), weighted wirelength 319, 183 improving move(s) "
+         "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
+         "cycle(s), weighted wirelength 158, 75 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"ADPCM", "faults", 0xb29725aae722271cull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
@@ -201,11 +201,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
          "cycle(s), weighted wirelength 83, 20 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "unroll1", 0x69abdafde87769faull,
+        {"SCD", "unroll1", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 5 "
-         "cycle(s), weighted wirelength 311, 166 improving move(s) "
+         "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
+         "cycle(s), weighted wirelength 158, 87 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"ADPCM", "unroll1", 0x709a21904b682f03ull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
@@ -215,11 +215,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
          "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "hop2", 0x479cbf2ee691858eull,
+        {"SCD", "hop2", 0xc9ee95c5e6cf1b6bull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 6 "
-         "cycle(s), weighted wirelength 620, 149 improving move(s) "
+         "cost placer: 17/100 PEs (0 nonlinear), recurrence II 4 "
+         "cycle(s), weighted wirelength 304, 34 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"ADPCM", "hop2", 0xd5391176d113beadull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 38 "
@@ -239,11 +239,11 @@ TEST(Placement, MatchesPinnedLayouts)
          "cost placer: 64/100 PEs (0 nonlinear), recurrence II 16 "
          "cycle(s), weighted wirelength 2170, 793 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
-        {"SCD", "exec1", 0xcc37fbb0f052705eull,
+        {"SCD", "exec1", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
-         "cost placer: 25/100 PEs (0 nonlinear), recurrence II 3 "
-         "cycle(s), weighted wirelength 311, 161 improving move(s) "
+         "cost placer: 17/100 PEs (0 nonlinear), recurrence II 2 "
+         "cycle(s), weighted wirelength 158, 43 improving move(s) "
          "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
         {"ADPCM", "exec1", 0xd5391176d113beadull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 19 "

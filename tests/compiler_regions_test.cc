@@ -604,12 +604,39 @@ countOf(const Program &program, Opcode op)
     return n;
 }
 
+/** Run @p kernel on the reference and event paths: both must match
+ *  its goldens. */
+void
+expectBitExact(const CompiledKernel &kernel, const std::string &what)
+{
+    for (bool event : {false, true}) {
+        MachineConfig config = evalFabric();
+        config.eventDrivenSim = event;
+        MarionetteMachine machine(config);
+        kernel.prepare(machine);
+        RunResult run = machine.run(kernel.cycleBudget);
+        EXPECT_EQ(kernel.validate(machine, run), "")
+            << what << (event ? " (event)" : " (reference)");
+    }
+}
+
+/** The lower note holding @p needle ("" without one). */
+std::string
+lowerNote(const CompileReport &report, const std::string &needle)
+{
+    for (const CompilerPassNote &n : report.notes)
+        if (n.pass == "lower" && n.message.find(needle) != std::string::npos)
+            return n.message;
+    return {};
+}
+
 /** Compile every case: one @p counted instruction
  *  (a Select unless named) stays unless the case folds, and both run
- *  paths match the golden stream. */
+ *  paths match the golden stream.  With a @p rewrite, a folding case's
+ *  lower note counts one such rewrite and any other case has none. */
 void
 expectFolds(const std::vector<FoldCase> &cases,
-            Opcode counted = Opcode::Select)
+            Opcode counted = Opcode::Select, const std::string &rewrite = {})
 {
     for (const FoldCase &fc : cases) {
         CompileResult r =
@@ -617,15 +644,11 @@ expectFolds(const std::vector<FoldCase> &cases,
         ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
         EXPECT_EQ(countOf(r.kernel->program, counted), fc.folds ? 0 : 1)
             << fc.name;
-        for (bool event : {false, true}) {
-            MachineConfig config = evalFabric();
-            config.eventDrivenSim = event;
-            MarionetteMachine machine(config);
-            r.kernel->prepare(machine);
-            RunResult run = machine.run(r.kernel->cycleBudget);
-            EXPECT_EQ(r.kernel->validate(machine, run), "")
-                << fc.name << (event ? " (event)" : " (reference)");
-        }
+        if (!rewrite.empty())
+            EXPECT_EQ(lowerNote(r.report, rewrite),
+                      fc.folds ? "phase 'i_loop': 1 " + rewrite : "")
+                << fc.name;
+        expectBitExact(*r.kernel, fc.name);
     }
 }
 
@@ -636,11 +659,13 @@ op(Dfg &d, Opcode code, Operand a, Operand b = Operand::none(),
     return Operand::node(d.addNode(code, a, b, c));
 }
 
-/** data[i], masked to 0 where @p pred is 0 (none: unmasked). */
+/** @p array[i], masked to 0 where @p pred is 0 (none: unmasked). */
 Operand
-load(Dfg &d, Operand i, Operand pred = Operand::none())
+load(Dfg &d, Operand i, Operand pred = Operand::none(),
+     const std::string &array = {})
 {
-    return op(d, Opcode::Load, i, pred);
+    return Operand::node(
+        d.addNode(Opcode::Load, i, pred, Operand::none(), array));
 }
 
 NodeId
@@ -875,6 +900,91 @@ TEST(SelectFold, RangeCheckedClampIsTheClamp)
     });
 }
 
+/** acc + (x op x) over x = data[i] - 2, which is 0 at two slots;
+ *  Select(odd, x, x) for the Select.  @p same is what x op x gives. */
+FoldCase
+selfCase(const char *name, Opcode code, bool folds, Word (*same)(Word))
+{
+    return {name, folds,
+            [=](Dfg &d, Operand i, Operand acc) {
+                Operand x = op(d, Opcode::Add, load(d, i), Operand::imm(-2));
+                Operand y = code == Opcode::Select
+                                ? Operand::node(select(d, odd(d, i), x, x))
+                                : op(d, code, x, x);
+                return static_cast<NodeId>(op(d, Opcode::Add, acc, y).ref);
+            },
+            [=](Word, Word acc, Word v) { return acc + same(v - 2); }};
+}
+
+TEST(SelfFold, EveryIdentityFoldsOnANonConstantOperand)
+{
+    auto x = [](Word v) { return v; };
+    auto zero = [](Word) { return Word{0}; };
+    auto one = [](Word) { return Word{1}; };
+    const struct
+    {
+        const char *name;
+        Opcode code;
+        Word (*same)(Word);
+    } identities[] = {
+        {"Min(x, x) = x", Opcode::Min, x},
+        {"Max(x, x) = x", Opcode::Max, x},
+        {"And(x, x) = x", Opcode::And, x},
+        {"Or(x, x) = x", Opcode::Or, x},
+        {"Xor(x, x) = 0", Opcode::Xor, zero},
+        {"Sub(x, x) = 0", Opcode::Sub, zero},
+        {"CmpEq(x, x) = 1", Opcode::CmpEq, one},
+        {"CmpLe(x, x) = 1", Opcode::CmpLe, one},
+        {"CmpGe(x, x) = 1", Opcode::CmpGe, one},
+        {"CmpNe(x, x) = 0", Opcode::CmpNe, zero},
+        {"CmpLt(x, x) = 0", Opcode::CmpLt, zero},
+        {"CmpGt(x, x) = 0", Opcode::CmpGt, zero},
+        {"Select(odd, x, x) = x", Opcode::Select, x},
+    };
+    for (const auto &id : identities)
+        expectFolds({selfCase(id.name, id.code, true, id.same)}, id.code,
+                    "x-op-x operator(s) folded");
+}
+
+TEST(SelfFold, DivAndRemStay)
+{
+    // x / x is 1 only where x is nonzero; at x = 0 both give 0.
+    expectFolds({selfCase("Div(x, x)", Opcode::Div, false,
+                          [](Word v) { return v == 0 ? 0 : Word{1}; })},
+                Opcode::Div, "x-op-x operator(s) folded");
+    expectFolds({selfCase("Rem(x, x)", Opcode::Rem, false,
+                          [](Word) { return Word{0}; })},
+                Opcode::Rem, "x-op-x operator(s) folded");
+}
+
+TEST(SelfFold, ARingNoSlotReachesWaitsForEachSlot)
+{
+    // acc + 1 reads only its own ring, and so does acc + (x - x) once
+    // x - x folds to 0: each waits for the slot index through one Mac,
+    // or it would run on past the last slot.
+    const FoldCase rings[] = {
+        {"acc + 1", false,
+         [](Dfg &d, Operand, Operand acc) {
+             return static_cast<NodeId>(
+                 op(d, Opcode::Add, acc, Operand::imm(1)).ref);
+         },
+         [](Word, Word acc, Word) { return acc + 1; }},
+        selfCase("acc + (x - x)", Opcode::Sub, true,
+                 [](Word) { return Word{0}; }),
+    };
+    for (const FoldCase &fc : rings) {
+        CompileResult r =
+            Compiler(evalFabric()).compile(SelectFoldWorkload(fc));
+        ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
+        EXPECT_EQ(lowerNote(r.report, "free-running"),
+                  "phase 'i_loop': 1 free-running loop-carried value(s) "
+                  "paced by the slot index")
+            << fc.name;
+        EXPECT_EQ(countOf(r.kernel->program, Opcode::Mac), 1) << fc.name;
+        expectBitExact(*r.kernel, fc.name);
+    }
+}
+
 // ------------------------------------------------------------------
 // Run-ahead: the lower pass proves how many slots a store-order
 // token may run ahead of its producer.  Each case is one 64-slot
@@ -963,6 +1073,8 @@ class RunAheadWorkload : public Workload
         spec.inductionPorts["i_loop"] = "i";
         spec.scalars["aw"] = 0;
         spec.scalars["acc"] = 0;
+        // Array b is the upper half: b[i] = a[64 + i].
+        spec.arrayBases["b"] = kSlots;
         std::vector<Word> mem = image();
         spec.memoryImage = mem;
         std::vector<Word> stream;
@@ -996,22 +1108,14 @@ class RunAheadWorkload : public Workload
 std::string
 runAheadNote(const CompileReport &report)
 {
-    for (const CompilerPassNote &n : report.notes)
-        if (n.pass == "lower" &&
-            n.message.find("ordering token") != std::string::npos)
-            return n.message;
-    return {};
+    return lowerNote(report, "ordering token");
 }
 
 /** The lower note naming the token-gate fold ("" without one). */
 std::string
 gateFoldNote(const CompileReport &report)
 {
-    for (const CompilerPassNote &n : report.notes)
-        if (n.pass == "lower" &&
-            n.message.find("token-gate") != std::string::npos)
-            return n.message;
-    return {};
+    return lowerNote(report, "token-gate");
 }
 
 /** Compile @p rc, check its run-ahead note and its token-gate
@@ -1400,9 +1504,11 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
               "phase 'iter_loop': 2 token-gate select(s) folded into the "
               "lane that waits for the others");
 
-    // SCD's two llrw.gate and its psw.gate fold: 33 operators become
-    // 30, and the selects left (f, bit.gate, x.gate) carry values,
-    // not a token.
+    // SCD's f and g blocks each load one llr word twice: the loads
+    // merge, Min, Xor and Sub fold on the merged word, so f is
+    // Abs(llr) and g is Add(x, x).  Its two llrw.gate and its
+    // psw.gate fold too: 22 operators, and the selects left
+    // (bit.gate, x.gate) carry values, not a token.
     CompileResult scd = compiler.compile("SCD");
     ASSERT_TRUE(scd.ok());
     EXPECT_EQ(runAheadNote(scd.report),
@@ -1412,10 +1518,15 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
     EXPECT_EQ(gateFoldNote(scd.report),
               "phase 'phase_loop': 3 token-gate select(s) folded into the "
               "lane that waits for the others");
+    EXPECT_EQ(lowerNote(scd.report, "load(s) merged"),
+              "phase 'phase_loop': 2 load(s) merged into an identical load "
+              "of their replica");
+    EXPECT_EQ(lowerNote(scd.report, "x-op-x"),
+              "phase 'phase_loop': 3 x-op-x operator(s) folded");
     EXPECT_NE(scd.report.toString().find(
-                  "phase 'phase_loop': 896 flat iterations, 30 operators"),
+                  "phase 'phase_loop': 896 flat iterations, 22 operators"),
               std::string::npos);
-    EXPECT_EQ(countOf(scd.kernel->program, Opcode::Select), 3);
+    EXPECT_EQ(countOf(scd.kernel->program, Opcode::Select), 2);
     for (bool event : {false, true}) {
         MachineConfig config = evalFabric();
         config.eventDrivenSim = event;
@@ -1424,8 +1535,232 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
         const RunResult run = machine.run(scd.kernel->cycleBudget);
         EXPECT_EQ(scd.kernel->validate(machine, run), "")
             << (event ? "event" : "reference");
-        EXPECT_EQ(run.cycles, 3875u);
+        EXPECT_EQ(run.cycles, 2706u);
     }
+}
+
+// ------------------------------------------------------------------
+// Load merging: the lower pass reuses an earlier load of its replica
+// with the same address, predicate and ordering operands and the
+// same array.  Each case counts the Loads left and the lower note,
+// and must stay bit-exact on both run paths.
+// ------------------------------------------------------------------
+
+/** Compile @p w with the unroll cap @p unroll: @p loads Load
+ *  instructions stay, the lower note counts @p merged merged loads
+ *  (none when 0), and both run paths match the goldens. */
+void
+expectLoadMerges(const Workload &w, int loads, int merged, int unroll = 0)
+{
+    CompilerOptions opts;
+    opts.unrollFactor = unroll;
+    CompileResult r = Compiler(evalFabric(), opts).compile(w);
+    ASSERT_TRUE(r.ok()) << w.fullName() << "\n" << r.report.toString();
+    EXPECT_EQ(countOf(r.kernel->program, Opcode::Load), loads)
+        << w.fullName();
+    EXPECT_EQ(lowerNote(r.report, "load(s) merged"),
+              merged == 0 ? ""
+                          : "phase 'i_loop': " + std::to_string(merged) +
+                                " load(s) merged into an identical load of "
+                                "their replica")
+        << w.fullName();
+    expectBitExact(*r.kernel, w.fullName());
+}
+
+TEST(LoadMerge, OneWordUnderOnePredicateAndOneFenceLoadsOnce)
+{
+    // SCD's idiom: both loads fenced on the store token aw, under one
+    // predicate.
+    expectLoadMerges(
+        RunAheadWorkload(
+            {"x = odd ? a[i] : 0, twice; a[i + 2] = x + 1; v = x + x",
+             [](Dfg &d, Operand i, Operand aw, Operand) {
+                 const Operand p = odd(d, i);
+                 const Operand x = fencedLoad(d, i, aw, p);
+                 const Operand v =
+                     op(d, Opcode::Add, x, fencedLoad(d, i, aw, p));
+                 NodeId st = d.addNode(Opcode::Store,
+                                       op(d, Opcode::Add, i, Operand::imm(2)),
+                                       op(d, Opcode::Add, x, Operand::imm(1)),
+                                       Operand::none(), "a");
+                 return std::array<NodeId, 3>{static_cast<NodeId>(v.ref), st,
+                                              invalidNode};
+             },
+             [](std::vector<Word> &mem, Word i, Word &) {
+                 const Word x = (i & 1) ? mem[static_cast<std::size_t>(i)] : 0;
+                 mem[static_cast<std::size_t>(i + 2)] = x + 1;
+                 return x + x;
+             }}),
+        1, 1);
+}
+
+TEST(LoadMerge, ALoadFencedBehindAStoreReadsTheStoredWord)
+{
+    // The second load orders behind the store through its ordering
+    // operand; merged with the first it would read the old word.
+    expectLoadMerges(
+        RunAheadWorkload(
+            {"a[i] += 1; v = a[i] after the store",
+             [](Dfg &d, Operand i, Operand, Operand) {
+                 const Operand x = load(d, i);
+                 NodeId st = d.addNode(Opcode::Store, i,
+                                       op(d, Opcode::Add, x, Operand::imm(1)),
+                                       Operand::none(), "a");
+                 const NodeId v =
+                     d.addNode(Opcode::Load, i, Operand::none(),
+                               Operand::node(st));
+                 return std::array<NodeId, 3>{v, st, invalidNode};
+             },
+             [](std::vector<Word> &mem, Word i, Word &) {
+                 return ++mem[static_cast<std::size_t>(i)];
+             }}),
+        2, 0);
+}
+
+TEST(LoadMerge, ADifferentPredicateOrArrayKeepsBothLoads)
+{
+    // Where i is even the masked load yields 0 and the other reads.
+    expectLoadMerges(
+        RunAheadWorkload(
+            {"x = a[i]; a[i + 2] = x + 1; v = (odd ? a[i] : 0) + x",
+             [](Dfg &d, Operand i, Operand aw, Operand) {
+                 const Operand x = fencedLoad(d, i, aw);
+                 const Operand v =
+                     op(d, Opcode::Add, fencedLoad(d, i, aw, odd(d, i)), x);
+                 NodeId st = d.addNode(Opcode::Store,
+                                       op(d, Opcode::Add, i, Operand::imm(2)),
+                                       op(d, Opcode::Add, x, Operand::imm(1)),
+                                       Operand::none(), "a");
+                 return std::array<NodeId, 3>{static_cast<NodeId>(v.ref), st,
+                                              invalidNode};
+             },
+             [](std::vector<Word> &mem, Word i, Word &) {
+                 const Word x = mem[static_cast<std::size_t>(i)];
+                 mem[static_cast<std::size_t>(i + 2)] = x + 1;
+                 return ((i & 1) ? x : 0) + x;
+             }}),
+        2, 0);
+    // One index node, two arrays: a[i] and b[i] = a[64 + i].
+    expectLoadMerges(
+        RunAheadWorkload(
+            {"a[i] = a[i] + b[i]",
+             [](Dfg &d, Operand i, Operand, Operand) {
+                 const Operand v =
+                     op(d, Opcode::Add, load(d, i, Operand::none(), "a"),
+                        load(d, i, Operand::none(), "b"));
+                 NodeId st =
+                     d.addNode(Opcode::Store, i, v, Operand::none(), "a");
+                 return std::array<NodeId, 3>{static_cast<NodeId>(v.ref), st,
+                                              invalidNode};
+             },
+             [](std::vector<Word> &mem, Word i, Word &) {
+                 const Word v = mem[static_cast<std::size_t>(i)] +
+                                mem[static_cast<std::size_t>(
+                                    RunAheadWorkload::kSlots + i)];
+                 mem[static_cast<std::size_t>(i)] = v;
+                 return v;
+             }}),
+        2, 0);
+}
+
+/** b[4i + k] = a[4i + k] + w[k] over i, k < 4, with i annotated
+ *  parallel: striped across replicas, each replica loads w[k] through
+ *  the same shared slot decode. */
+class ReplicaLoadWorkload : public Workload
+{
+  public:
+    std::string name() const override { return "replica_loads"; }
+    std::string fullName() const override { return name(); }
+    std::string sizeDesc() const override { return "4 x 4 words"; }
+
+    static constexpr Word kDim = 4;
+    static constexpr Word kW = kDim * kDim; ///< base of w; a sits at 0.
+    static constexpr Word kB = kW + kDim;   ///< base of b.
+
+    Cdfg
+    buildCdfg() const override
+    {
+        CdfgBuilder b("replica_loads");
+        BlockId iloop = b.addLoopHeader("i_loop");
+        BlockId kloop = b.addLoopHeader("k_loop");
+        BlockId body = b.addBlock("body");
+        BlockId latch = b.addBlock("latch");
+        BlockId done = b.addBlock("done");
+        for (BlockId hdr : {iloop, kloop})
+            dfg_patterns::addCountedLoop(b.dfg(hdr), 0, 1, "n");
+        {
+            Dfg &d = b.dfg(body);
+            Operand i = Operand::input(d.addInput("i"));
+            Operand k = Operand::input(d.addInput("k"));
+            Operand at = op(d, Opcode::Add,
+                            op(d, Opcode::Shl, i, Operand::imm(2)), k);
+            d.addNode(Opcode::Store, at,
+                      op(d, Opcode::Add, load(d, at, Operand::none(), "a"),
+                         load(d, k, Operand::none(), "w")),
+                      Operand::none(), "b");
+        }
+        for (BlockId blk : {latch, done}) {
+            Dfg &d = b.dfg(blk);
+            d.addOutput("x", d.addNode(Opcode::Const, Operand::imm(0)));
+        }
+        b.fall(iloop, kloop);
+        b.fall(kloop, body);
+        b.loopBack(body, kloop);
+        b.loopExit(kloop, latch);
+        b.loopBack(latch, iloop);
+        b.loopExit(iloop, done);
+        return b.finish();
+    }
+
+    WorkloadMachineSpec
+    machineSpec() const override
+    {
+        WorkloadMachineSpec spec;
+        spec.available = true;
+        spec.loopBounds["i_loop"] = {0, kDim, 1};
+        spec.loopBounds["k_loop"] = {0, kDim, 1};
+        spec.inductionPorts["i_loop"] = "i";
+        spec.inductionPorts["k_loop"] = "k";
+        spec.parallelLoops = {"i_loop"};
+        spec.arrayBases["a"] = 0;
+        spec.arrayBases["w"] = kW;
+        spec.arrayBases["b"] = kB;
+        std::vector<Word> mem(static_cast<std::size_t>(kB));
+        for (Word m = 0; m < kB; ++m)
+            mem[static_cast<std::size_t>(m)] = m < kW ? 3 * m + 1 : 100 * m;
+        spec.memoryImage = mem;
+        std::vector<Word> out;
+        for (Word m = 0; m < kW; ++m)
+            out.push_back(mem[static_cast<std::size_t>(m)] +
+                          mem[static_cast<std::size_t>(kW + m % kDim)]);
+        spec.expectedMemory = {{"b", kB, std::move(out)}};
+        return spec;
+    }
+
+    std::uint64_t
+    runGolden(KernelRecorder &rec) const override
+    {
+        rec.round(0);
+        for (Word i = 0; i < kDim; ++i) {
+            rec.iteration(0);
+            rec.round(1);
+            for (Word k = 0; k < kDim; ++k) {
+                rec.iteration(1);
+                rec.block(2);
+            }
+            rec.block(3);
+        }
+        rec.block(4);
+        return 0;
+    }
+};
+
+TEST(LoadMerge, ReplicasKeepTheirOwnLoads)
+{
+    // Two replicas load w[k] with the same operands; each keeps its
+    // own load, so a shared word never detours one replica's data.
+    expectLoadMerges(ReplicaLoadWorkload(), 4, 0, 2);
+    expectLoadMerges(ReplicaLoadWorkload(), 2, 0, 1);
 }
 
 } // namespace

@@ -554,7 +554,7 @@ TEST(HotpathEquivalence, ServeMixTicksPerCycle)
         double measured;
     } bounds[] = {
         {"CRC", 1.746},
-        {"SCD", 11.643},
+        {"SCD", 12.363},
         {"ADPCM", 1.930},
     };
     const MachineConfig config = evalFabric();
