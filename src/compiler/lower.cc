@@ -142,6 +142,11 @@ class BodyBuilder
             cse_[key] = id;
             return Operand::node(id);
         }
+        // A Store that reads no channel would write every cycle and
+        // never quiesce (x - x can leave one so): its value waits for
+        // the slot index through Mac(t, #0, v) = v.
+        if (op == Opcode::Store && isImmish(a) && isImmish(b) && isImmish(c))
+            b = emit(Opcode::Mac, Operand::input(0), Operand::imm(0), b);
         if (op == Opcode::Load) {
             // Keyed by replica and array (which fixes the memBase) as
             // well: identical address, predicate and ordering operands
@@ -1032,6 +1037,16 @@ PhaseLowering::runImpl()
     flat.trips = root.span;
     if (!lowerRegion(root, Operand::input(0), Operand::none()))
         return false;
+
+    // A carried final or an observed port that folds to a constant
+    // (x - x can) still streams one word per slot: Mac(t, #0, c) = c.
+    const std::vector<std::string> &ports = cc.spec.observePorts;
+    for (auto &[name, v] : env)
+        if (v.kind == OperandKind::Immediate &&
+            (carriedIdx.count(name) ||
+             std::find(ports.begin(), ports.end(), name) != ports.end()))
+            v = bb.emit(Opcode::Mac, Operand::input(0), Operand::imm(0), v,
+                        name);
 
     // Finalize carried chains.
     for (std::size_t ci = carriedBase; ci < flat.carried.size();

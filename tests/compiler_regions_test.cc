@@ -1539,6 +1539,86 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
     }
 }
 
+TEST(SelfFold, ConstantResultsStayBitExactAndQuiesce)
+{
+    // x - x and x ^ x fold to 0, so an observed port, a carried final,
+    // a load's address and a whole store become constants.  Each
+    // kernel stays bit-exact and quiesces; b[i] is a[64 + i].
+    auto storeB = [](Dfg &d, Operand i, Operand v) {
+        return d.addNode(Opcode::Store,
+                         op(d, Opcode::Add, i,
+                            Operand::imm(RunAheadWorkload::kSlots)),
+                         v, Operand::none(), "a");
+    };
+    auto at = [](std::vector<Word> &mem, Word k) -> Word & {
+        return mem[static_cast<std::size_t>(k)];
+    };
+    const Word kB = RunAheadWorkload::kSlots;
+    const RunAheadCase cases[] = {
+        {"b[i] = a[i] + 1; v = a[i] - a[i]",
+         [=](Dfg &d, Operand i, Operand, Operand) {
+             const Operand x = load(d, i);
+             const Operand v = op(d, Opcode::Sub, x, load(d, i));
+             const NodeId st =
+                 storeB(d, i, op(d, Opcode::Add, x, Operand::imm(1)));
+             return std::array<NodeId, 3>{static_cast<NodeId>(v.ref), st,
+                                          invalidNode};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &) {
+             at(mem, kB + i) = at(mem, i) + 1;
+             return Word{0};
+         }},
+        {"v = acc + a[i]; b[i] = v; acc = a[i] ^ a[i]",
+         [=](Dfg &d, Operand i, Operand, Operand acc) {
+             const Operand x = load(d, i);
+             const Operand v = op(d, Opcode::Add, acc, x);
+             return std::array<NodeId, 3>{
+                 static_cast<NodeId>(v.ref), storeB(d, i, v),
+                 static_cast<NodeId>(op(d, Opcode::Xor, x, x).ref)};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &acc) {
+             const Word v = acc + at(mem, i);
+             at(mem, kB + i) = v;
+             acc = 0;
+             return v;
+         }},
+        {"v = a[a[i] - a[i]] + a[i]; b[i] = v",
+         [=](Dfg &d, Operand i, Operand, Operand) {
+             const Operand x = load(d, i);
+             const Operand v =
+                 op(d, Opcode::Add, load(d, op(d, Opcode::Sub, x, x)), x);
+             return std::array<NodeId, 3>{static_cast<NodeId>(v.ref),
+                                          storeB(d, i, v), invalidNode};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &) {
+             const Word v = at(mem, 0) + at(mem, i);
+             at(mem, kB + i) = v;
+             return v;
+         }},
+        {"b[a[i] - a[i]] = a[i] ^ a[i]; v = a[i]",
+         [=](Dfg &d, Operand i, Operand, Operand) {
+             const Operand x = load(d, i);
+             const NodeId st = storeB(d, op(d, Opcode::Sub, x, x),
+                                      op(d, Opcode::Xor, x, x));
+             return std::array<NodeId, 3>{static_cast<NodeId>(x.ref), st,
+                                          invalidNode};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &) {
+             at(mem, kB) = 0;
+             return at(mem, i);
+         }},
+    };
+    for (const RunAheadCase &rc : cases) {
+        CompileResult r =
+            Compiler(evalFabric()).compile(RunAheadWorkload(rc));
+        EXPECT_TRUE(r.ok()) << rc.name << "\n" << r.report.toString();
+        if (!r.ok())
+            continue;
+        EXPECT_NE(lowerNote(r.report, "x-op-x"), "") << rc.name;
+        expectBitExact(*r.kernel, rc.name);
+    }
+}
+
 // ------------------------------------------------------------------
 // Load merging: the lower pass reuses an earlier load of its replica
 // with the same address, predicate and ordering operands and the
