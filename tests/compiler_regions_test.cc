@@ -644,10 +644,11 @@ expectFolds(const std::vector<FoldCase> &cases,
         ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
         EXPECT_EQ(countOf(r.kernel->program, counted), fc.folds ? 0 : 1)
             << fc.name;
-        if (!rewrite.empty())
+        if (!rewrite.empty()) {
             EXPECT_EQ(lowerNote(r.report, rewrite),
                       fc.folds ? "phase 'i_loop': 1 " + rewrite : "")
                 << fc.name;
+        }
         expectBitExact(*r.kernel, fc.name);
     }
 }
