@@ -142,11 +142,17 @@ class BodyBuilder
             cse_[key] = id;
             return Operand::node(id);
         }
-        // A Store that reads no channel would write every cycle and
-        // never quiesce (x - x can leave one so): its value waits for
-        // the slot index through Mac(t, #0, v) = v.
-        if (op == Opcode::Store && isImmish(a) && isImmish(b) && isImmish(c))
-            b = emit(Opcode::Mac, Operand::input(0), Operand::imm(0), b);
+        // A memory op that reads no channel would fire every cycle (x - x
+        // can leave one so).  It waits for the slot index: a Load through
+        // its ordering operand, which the ISA ignores, a Store through
+        // Mac(t, #0, v) = v.  So every node reads a channel, and a sink
+        // no slot index reaches reads a carried input (unpacedSinks).
+        if (info.isMemory && isImmish(a) && isImmish(b) && isImmish(c)) {
+            if (op == Opcode::Load)
+                c = Operand::input(0);
+            else
+                b = emit(Opcode::Mac, Operand::input(0), Operand::imm(0), b);
+        }
         if (op == Opcode::Load) {
             // Keyed by replica and array (which fixes the memBase) as
             // well: identical address, predicate and ordering operands
@@ -639,8 +645,8 @@ class PhaseLowering
                 flat.carried.push_back(cv);
             }
             Operand op = Operand::input(idx);
-            // Mac(t, #0, v) = v, once per slot: a ring no slot index
-            // reaches would otherwise run free (see freeRings).
+            // Mac(t, #0, v) = v, once per slot: a sink no slot index
+            // reaches would otherwise fire too often (unpacedSinks).
             if (paced.count(name))
                 op = bb.emit(Opcode::Mac, Operand::input(0), Operand::imm(0),
                              op, name + ".paced");
@@ -1803,19 +1809,23 @@ resolveObservations(Compilation &cc, std::vector<int> &factors,
 }
 
 /**
- * Adds to @p paced the live carried values of @p flat whose final no
- * slot index reaches within the template: only their own ring paces
- * them, so they would fire as fast as the ring turns and on past the
- * phase's last slot.  `acc += 1` is one; `acc + (x - x)` becomes one
- * when x - x folds to 0.  Returns whether it named a new one; the
- * caller then lowers again, and each such ring waits for the slot
- * where it reads its carried input.
+ * Adds to @p paced the carried values whose input feeds a sink of
+ * phase @p phase_idx that no slot index reaches within the template: a
+ * store, an observed node or a carried final.  Only carried inputs
+ * pace such a sink, and they deliver one word more than the phase has
+ * slots (the boot word), so it fires once past the last slot; a ring
+ * that paces itself (`acc += 1`) never stops.  `v = acc + (x - x)`
+ * becomes such a sink once x - x folds to 0.  Returns whether it named
+ * a new one; the caller then lowers again, reading each named input
+ * through Mac(t, #0, v).
  */
 bool
-freeRings(const FlatPhase &flat, std::set<std::string> &paced)
+unpacedSinks(const Compilation &cc, const FlatPhase &flat, int phase_idx,
+             std::set<std::string> &paced)
 {
     const Dfg &dfg = flat.body;
-    std::vector<char> slotted(static_cast<std::size_t>(dfg.numNodes()), 0);
+    const std::size_t n = static_cast<std::size_t>(dfg.numNodes());
+    std::vector<char> slotted(n, 0);
     // Operands sit below their consumers in id order.
     for (const DfgNode &nd : dfg.nodes())
         for (const Operand *o : {&nd.a, &nd.b, &nd.c})
@@ -1823,10 +1833,38 @@ freeRings(const FlatPhase &flat, std::set<std::string> &paced)
                 (o->kind == OperandKind::Node &&
                  slotted[static_cast<std::size_t>(o->ref)]))
                 slotted[static_cast<std::size_t>(nd.id)] = 1;
-    bool added = false;
+    std::vector<NodeId> work;
+    auto sink = [&](NodeId id) {
+        if (!slotted[static_cast<std::size_t>(id)])
+            work.push_back(id);
+    };
+    for (const DfgNode &nd : dfg.nodes())
+        if (nd.op == Opcode::Store)
+            sink(nd.id);
+    for (const Observation &ob : cc.observations)
+        if (ob.phase == phase_idx)
+            sink(ob.node);
     for (const CarriedValue &cv : flat.carried)
-        if (cv.live && !slotted[static_cast<std::size_t>(cv.finalVal.ref)])
-            added = paced.insert(cv.name).second || added;
+        if (cv.live)
+            sink(static_cast<NodeId>(cv.finalVal.ref));
+    // An unslotted node's operands are unslotted too: walk the cones.
+    std::vector<char> seen(n, 0);
+    bool added = false;
+    while (!work.empty()) {
+        const DfgNode &nd = dfg.node(work.back());
+        work.pop_back();
+        for (const Operand *o : {&nd.a, &nd.b, &nd.c}) {
+            if (o->kind == OperandKind::Node &&
+                !seen[static_cast<std::size_t>(o->ref)]) {
+                seen[static_cast<std::size_t>(o->ref)] = 1;
+                work.push_back(static_cast<NodeId>(o->ref));
+            }
+            if (o->kind == OperandKind::Input && o->ref != 0)
+                for (const CarriedValue &cv : flat.carried)
+                    if (cv.inputIdx == static_cast<int>(o->ref))
+                        added = paced.insert(cv.name).second || added;
+        }
+    }
     return added;
 }
 
@@ -1875,7 +1913,9 @@ passLower(Compilation &cc)
             return false;
         bool unpaced = false;
         for (std::size_t p = 0; p < cc.phases.size(); ++p)
-            unpaced = freeRings(cc.phases[p], paced[p]) || unpaced;
+            unpaced = unpacedSinks(cc, cc.phases[p], static_cast<int>(p),
+                                   paced[p]) ||
+                      unpaced;
         if (unpaced)
             continue;
 
@@ -1934,8 +1974,8 @@ passLower(Compilation &cc)
                  "load(s) merged into an identical load of their replica");
         rewrites(flat.selfOpsFolded, "x-op-x operator(s) folded");
         rewrites(static_cast<int>(paced[p].size()),
-                 "free-running loop-carried value(s) paced by the slot "
-                 "index");
+                 "loop-carried value(s) read through the slot index, so "
+                 "their sinks fire once per slot");
         rewrites(gates, "token-gate select(s) folded into the lane that "
                         "waits for the others");
         const std::string run_ahead =

@@ -977,9 +977,9 @@ TEST(SelfFold, ARingNoSlotReachesWaitsForEachSlot)
         CompileResult r =
             Compiler(evalFabric()).compile(SelectFoldWorkload(fc));
         ASSERT_TRUE(r.ok()) << fc.name << "\n" << r.report.toString();
-        EXPECT_EQ(lowerNote(r.report, "free-running"),
-                  "phase 'i_loop': 1 free-running loop-carried value(s) "
-                  "paced by the slot index")
+        EXPECT_EQ(lowerNote(r.report, "read through the slot index"),
+                  "phase 'i_loop': 1 loop-carried value(s) read through the "
+                  "slot index, so their sinks fire once per slot")
             << fc.name;
         EXPECT_EQ(countOf(r.kernel->program, Opcode::Mac), 1) << fc.name;
         expectBitExact(*r.kernel, fc.name);
@@ -1583,6 +1583,22 @@ TEST(SelfFold, ConstantResultsStayBitExactAndQuiesce)
              acc = 0;
              return v;
          }},
+        {"v = acc + (a[i] - a[i]); acc += a[i]; b[i] = a[i] + 1",
+         [=](Dfg &d, Operand i, Operand, Operand acc) {
+             const Operand x = load(d, i);
+             const Operand v = op(d, Opcode::Add, acc, op(d, Opcode::Sub, x, x));
+             const NodeId st =
+                 storeB(d, i, op(d, Opcode::Add, x, Operand::imm(1)));
+             return std::array<NodeId, 3>{
+                 static_cast<NodeId>(v.ref), st,
+                 static_cast<NodeId>(op(d, Opcode::Add, acc, x).ref)};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &acc) {
+             const Word v = acc;
+             acc += at(mem, i);
+             at(mem, kB + i) = at(mem, i) + 1;
+             return v;
+         }},
         {"v = a[a[i] - a[i]] + a[i]; b[i] = v",
          [=](Dfg &d, Operand i, Operand, Operand) {
              const Operand x = load(d, i);
@@ -1595,6 +1611,18 @@ TEST(SelfFold, ConstantResultsStayBitExactAndQuiesce)
              const Word v = at(mem, 0) + at(mem, i);
              at(mem, kB + i) = v;
              return v;
+         }},
+        {"b[a[i] - a[i]] = a[a[i] - a[i]]; v = a[i]",
+         [=](Dfg &d, Operand i, Operand, Operand) {
+             const Operand x = load(d, i);
+             const Operand zero = op(d, Opcode::Sub, x, x);
+             const NodeId st = storeB(d, zero, load(d, zero));
+             return std::array<NodeId, 3>{static_cast<NodeId>(x.ref), st,
+                                          invalidNode};
+         },
+         [=](std::vector<Word> &mem, Word i, Word &) {
+             at(mem, kB) = at(mem, 0);
+             return at(mem, i);
          }},
         {"b[a[i] - a[i]] = a[i] ^ a[i]; v = a[i]",
          [=](Dfg &d, Operand i, Operand, Operand) {
