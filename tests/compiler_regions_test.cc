@@ -1543,8 +1543,9 @@ TEST(RunAhead, ScdAndLdpcTokensRunSevenAhead)
 TEST(SelfFold, ConstantResultsStayBitExactAndQuiesce)
 {
     // x - x and x ^ x fold to 0, so an observed port, a carried final,
-    // a load's address and a whole store become constants.  Each
-    // kernel stays bit-exact and quiesces; b[i] is a[64 + i].
+    // a load's or a store's every operand become constants, and an
+    // observed sum keeps only a carried input.  Each kernel stays
+    // bit-exact and quiesces; b[i] is a[64 + i].
     auto storeB = [](Dfg &d, Operand i, Operand v) {
         return d.addNode(Opcode::Store,
                          op(d, Opcode::Add, i,
