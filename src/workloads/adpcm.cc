@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "ir/builder.h"
@@ -46,6 +47,81 @@ enum Block : BlockId
     bUpdate,     // predicted/step update + store nibble
     bDone
 };
+
+/** The 2000 input samples: a random walk, drawn once for trace
+ *  and machine. */
+std::vector<Word>
+adpcmSamples()
+{
+    Rng rng(0x5eed0007);
+    std::vector<Word> samples(static_cast<std::size_t>(kSamples));
+    Word wave = 0;
+    for (Word &s : samples) {
+        wave += static_cast<Word>(rng.nextRange(-64, 64));
+        s = wave;
+    }
+    return samples;
+}
+
+/** The ADPCM golden over the first kSamples words of @p samples,
+ *  observing port 0 ("predicted") at every update and storing the
+ *  nibble stream in @p nibbles.  @return the nibbles' checksum
+ *  (folded in the loop, where it overlaps the trace hooks). */
+template <class Recorder>
+std::uint64_t
+adpcmGolden(Recorder &rec, const std::vector<Word> &samples,
+            std::vector<Word> &nibbles)
+{
+    rec.block(bInit);
+    Word predicted = 0;
+    int index = 0;
+    std::uint64_t sum = 0;
+
+    rec.round(bSampleLoop);
+    for (int i = 0; i < kSamples; ++i) {
+        rec.iteration(bSampleLoop);
+        rec.block(bPredict);
+        Word step = kStepTable[index];
+        Word diff = samples[static_cast<std::size_t>(i)] - predicted;
+        Word sign = 0;
+        rec.block(bSignIf);
+        if (diff < 0) {
+            rec.block(bNegate);
+            diff = -diff;
+            sign = 8;
+        } else {
+            rec.block(bKeep);
+        }
+        rec.block(bQuant);
+        Word delta =
+            std::min<Word>(step == 0 ? 7 : diff * 4 / step, 7);
+        rec.block(bMagIf);
+        if (delta >= 4) {
+            rec.block(bMagHi);
+            index += kIndexTable[delta & 7];
+        } else {
+            rec.block(bMagLo);
+            index -= 1;
+        }
+        rec.block(bClampIf);
+        if (index < 0 || index > 15) {
+            rec.block(bClampFix);
+            index = std::clamp(index, 0, 15);
+        } else {
+            rec.block(bClampOk);
+        }
+        rec.block(bUpdate);
+        Word vpdiff = delta * step / 4;
+        predicted += sign ? -vpdiff : vpdiff;
+        rec.observe(0, predicted);
+        Word nibble = sign | delta;
+        nibbles[static_cast<std::size_t>(i)] = nibble;
+        sum = sum * 17 +
+              static_cast<std::uint64_t>(static_cast<UWord>(nibble));
+    }
+    rec.block(bDone);
+    return sum;
+}
 
 class AdpcmWorkload : public Workload
 {
@@ -255,55 +331,19 @@ class AdpcmWorkload : public Workload
         spec.scalars["sign"] = 0;
         spec.scalars["index"] = 0;
 
-        Rng rng(0x5eed0007);
-        spec.memoryImage.resize(
-            static_cast<std::size_t>(nibble_base));
-        Word wave = 0;
-        for (int i = 0; i < kSamples; ++i) {
-            wave += static_cast<Word>(rng.nextRange(-64, 64));
-            spec.memoryImage[static_cast<std::size_t>(i)] = wave;
-        }
-        for (int i = 0; i < 16; ++i)
-            spec.memoryImage[static_cast<std::size_t>(step_base +
-                                                      i)] =
-                kStepTable[i];
-        for (int i = 0; i < 8; ++i)
-            spec.memoryImage[static_cast<std::size_t>(index_base +
-                                                      i)] =
-                kIndexTable[i];
+        spec.memoryImage = adpcmSamples();
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                std::begin(kStepTable),
+                                std::end(kStepTable));
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                std::begin(kIndexTable),
+                                std::end(kIndexTable));
 
-        // Golden trace of the update block's "predicted" port and
-        // the stored nibble stream.
-        std::vector<Word> preds;
-        std::vector<Word> nibbles;
-        preds.reserve(static_cast<std::size_t>(kSamples));
-        nibbles.reserve(static_cast<std::size_t>(kSamples));
-        Word predicted = 0;
-        int index = 0;
-        for (int i = 0; i < kSamples; ++i) {
-            Word step = kStepTable[index];
-            Word diff =
-                spec.memoryImage[static_cast<std::size_t>(i)] -
-                predicted;
-            Word sign = 0;
-            if (diff < 0) {
-                diff = -diff;
-                sign = 8;
-            }
-            Word delta =
-                std::min<Word>(step == 0 ? 7 : diff * 4 / step, 7);
-            if (delta >= 4)
-                index += kIndexTable[delta & 7];
-            else
-                index -= 1;
-            index = std::clamp(index, 0, 15);
-            Word vpdiff = delta * step / 4;
-            predicted += sign ? -vpdiff : vpdiff;
-            preds.push_back(predicted);
-            nibbles.push_back(sign | delta);
-        }
+        StreamRecorder rec({static_cast<std::size_t>(kSamples)});
+        std::vector<Word> nibbles(static_cast<std::size_t>(kSamples));
+        adpcmGolden(rec, spec.memoryImage, nibbles);
         spec.observePorts = {"predicted"};
-        spec.expectedOutputs = {std::move(preds)};
+        spec.expectedOutputs = rec.take();
         spec.expectedMemory = {
             {"nibble", nibble_base, std::move(nibbles)}};
         return spec;
@@ -312,64 +352,8 @@ class AdpcmWorkload : public Workload
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0007);
-        std::vector<Word> samples(
-            static_cast<std::size_t>(kSamples));
-        Word wave = 0;
-        for (Word &s : samples) {
-            wave += static_cast<Word>(rng.nextRange(-64, 64));
-            s = wave;
-        }
-
-        rec.block(bInit);
-        Word predicted = 0;
-        int index = 0;
-        std::uint64_t sum = 0;
-
-        rec.round(bSampleLoop);
-        for (int i = 0; i < kSamples; ++i) {
-            rec.iteration(bSampleLoop);
-            rec.block(bPredict);
-            Word step = kStepTable[index];
-            Word diff = samples[static_cast<std::size_t>(i)] -
-                        predicted;
-            Word sign = 0;
-            rec.block(bSignIf);
-            if (diff < 0) {
-                rec.block(bNegate);
-                diff = -diff;
-                sign = 8;
-            } else {
-                rec.block(bKeep);
-            }
-            rec.block(bQuant);
-            Word delta =
-                std::min<Word>(step == 0 ? 7 : diff * 4 / step, 7);
-            rec.block(bMagIf);
-            if (delta >= 4) {
-                rec.block(bMagHi);
-                index += kIndexTable[delta & 7];
-            } else {
-                rec.block(bMagLo);
-                index -= 1;
-            }
-            rec.block(bClampIf);
-            if (index < 0 || index > 15) {
-                rec.block(bClampFix);
-                index = std::clamp(index, 0, 15);
-            } else {
-                rec.block(bClampOk);
-            }
-            rec.block(bUpdate);
-            Word vpdiff = delta * step / 4;
-            predicted += sign ? -vpdiff : vpdiff;
-            Word nibble = sign | delta;
-            sum = sum * 17 +
-                  static_cast<std::uint64_t>(
-                      static_cast<UWord>(nibble));
-        }
-        rec.block(bDone);
-        return sum;
+        std::vector<Word> nibbles(static_cast<std::size_t>(kSamples));
+        return adpcmGolden(rec, adpcmSamples(), nibbles);
     }
 };
 

@@ -41,6 +41,59 @@ enum Block : BlockId
     bDone
 };
 
+/** The 64 message bytes, drawn once for trace and machine. */
+std::vector<Word>
+crcMessage()
+{
+    Rng rng(0x5eed0006);
+    std::vector<Word> msg(static_cast<std::size_t>(kBytes));
+    for (Word &v : msg)
+        v = static_cast<Word>(rng.nextBounded(256));
+    return msg;
+}
+
+/** The CRC golden: salts @p msg in place (the prep loop's stores),
+ *  then folds it in bit by bit, observing port 0 ("crc") after
+ *  every polynomial/shift step.  @return the CRC register before
+ *  the final inversion. */
+template <class Recorder>
+UWord
+crcGolden(Recorder &rec, std::vector<Word> &msg)
+{
+    rec.block(bInit);
+    rec.round(bPrepLoop);
+    for (int i = 0; i < kBytes; ++i) {
+        rec.iteration(bPrepLoop);
+        rec.block(bPrepBody);
+        msg[static_cast<std::size_t>(i)] ^= 0x5a;
+    }
+
+    UWord crc = 0xffffffffu;
+    rec.round(bByteLoop);
+    for (int i = 0; i < kBytes; ++i) {
+        rec.iteration(bByteLoop);
+        rec.block(bXorIn);
+        crc ^= static_cast<UWord>(msg[static_cast<std::size_t>(i)]);
+        rec.round(bBitLoop);
+        for (int k = 0; k < 8; ++k) {
+            rec.iteration(bBitLoop);
+            rec.block(bMsbIf);
+            if (crc & 1u) {
+                rec.block(bPolyStep);
+                crc = (crc >> 1) ^ kPoly;
+            } else {
+                rec.block(bShiftStep);
+                crc >>= 1;
+            }
+            rec.observe(0, static_cast<Word>(crc));
+            rec.block(bBitLatch);
+        }
+        rec.block(bByteLatch);
+    }
+    rec.block(bDone);
+    return crc;
+}
+
 class CrcWorkload : public Workload
 {
   public:
@@ -157,29 +210,13 @@ class CrcWorkload : public Workload
         spec.loopBounds["bit_loop"] = {0, 8, 1};
         spec.inductionPorts["prep_loop"] = "i";
         spec.inductionPorts["byte_loop"] = "i";
-        Rng rng(0x5eed0006);
-        spec.memoryImage.resize(static_cast<std::size_t>(kBytes));
-        for (Word &v : spec.memoryImage)
-            v = static_cast<Word>(rng.nextBounded(256));
-        // Golden trace of the bit loop's "crc" port (the value
-        // after every polynomial/shift step) and the salted
-        // message the prep phase must leave in memory.
+        spec.memoryImage = crcMessage();
+        // The salted message the prep phase must leave in memory.
         std::vector<Word> msg = spec.memoryImage;
-        for (Word &v : msg)
-            v ^= 0x5a;
-        std::vector<Word> steps;
-        steps.reserve(static_cast<std::size_t>(kBytes) * 8);
-        UWord crc = 0xffffffffu;
-        for (int i = 0; i < kBytes; ++i) {
-            crc ^= static_cast<UWord>(
-                msg[static_cast<std::size_t>(i)]);
-            for (int k = 0; k < 8; ++k) {
-                crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
-                steps.push_back(static_cast<Word>(crc));
-            }
-        }
+        StreamRecorder rec({static_cast<std::size_t>(kBytes) * 8});
+        crcGolden(rec, msg);
         spec.observePorts = {"crc"};
-        spec.expectedOutputs = {std::move(steps)};
+        spec.expectedOutputs = rec.take();
         spec.expectedMemory = {{"msg", 0, std::move(msg)}};
         return spec;
     }
@@ -187,42 +224,8 @@ class CrcWorkload : public Workload
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0006);
-        std::vector<UWord> msg(static_cast<std::size_t>(kBytes));
-        for (UWord &v : msg)
-            v = static_cast<UWord>(rng.nextBounded(256));
-
-        rec.block(bInit);
-        rec.round(bPrepLoop);
-        for (int i = 0; i < kBytes; ++i) {
-            rec.iteration(bPrepLoop);
-            rec.block(bPrepBody);
-            msg[static_cast<std::size_t>(i)] ^= 0x5a;
-        }
-
-        UWord crc = 0xffffffffu;
-        rec.round(bByteLoop);
-        for (int i = 0; i < kBytes; ++i) {
-            rec.iteration(bByteLoop);
-            rec.block(bXorIn);
-            crc ^= msg[static_cast<std::size_t>(i)];
-            rec.round(bBitLoop);
-            for (int k = 0; k < 8; ++k) {
-                rec.iteration(bBitLoop);
-                rec.block(bMsbIf);
-                if (crc & 1u) {
-                    rec.block(bPolyStep);
-                    crc = (crc >> 1) ^ kPoly;
-                } else {
-                    rec.block(bShiftStep);
-                    crc >>= 1;
-                }
-                rec.block(bBitLatch);
-            }
-            rec.block(bByteLatch);
-        }
-        rec.block(bDone);
-        return ~crc;
+        std::vector<Word> msg = crcMessage();
+        return ~crcGolden(rec, msg);
     }
 };
 

@@ -37,6 +37,54 @@ enum Block : BlockId
     bDone
 };
 
+constexpr int kDim2 = kDim * kDim;
+
+/** A then B, row-major: the machine's memory image. */
+std::vector<Word>
+gemmInputs()
+{
+    Rng rng(0x5eed000a);
+    std::vector<Word> ab(static_cast<std::size_t>(2 * kDim2));
+    for (Word &v : ab)
+        v = static_cast<Word>(rng.nextRange(-9, 9));
+    return ab;
+}
+
+/** The GEMM golden over @p ab (A then B), observing port 0 ("sum")
+ *  after every (i, j, k) term.  @return C. */
+template <class Recorder>
+std::vector<Word>
+gemmGolden(Recorder &rec, const std::vector<Word> &ab)
+{
+    const Word *a = ab.data();
+    const Word *bm = a + kDim2;
+    std::vector<Word> c(static_cast<std::size_t>(kDim2), 0);
+
+    rec.block(bInit);
+    rec.round(bILoop);
+    for (int i = 0; i < kDim; ++i) {
+        rec.iteration(bILoop);
+        rec.round(bJLoop);
+        for (int j = 0; j < kDim; ++j) {
+            rec.iteration(bJLoop);
+            rec.block(bZero);
+            Word sum = 0;
+            rec.round(bKLoop);
+            for (int k = 0; k < kDim; ++k) {
+                rec.iteration(bKLoop);
+                rec.block(bMac);
+                sum += a[i * kDim + k] * bm[k * kDim + j];
+                rec.observe(0, sum);
+            }
+            rec.block(bStoreC);
+            c[static_cast<std::size_t>(i * kDim + j)] = sum;
+        }
+        rec.block(bILatch);
+    }
+    rec.block(bDone);
+    return c;
+}
+
 class GemmWorkload : public Workload
 {
   public:
@@ -150,80 +198,24 @@ class GemmWorkload : public Workload
         // C, and the observed running sum resets per (i, j).  The
         // unroll pass may stripe i across replicas.
         spec.parallelLoops = {"i_loop"};
-        const Word n2 = kDim * kDim;
         spec.arrayBases["A"] = 0;
-        spec.arrayBases["B"] = n2;
-        spec.arrayBases["C"] = 2 * n2;
-        Rng rng(0x5eed000a);
-        spec.memoryImage.resize(static_cast<std::size_t>(2 * n2));
-        for (Word &v : spec.memoryImage)
-            v = static_cast<Word>(rng.nextRange(-9, 9));
-        // Golden trace of the mac block's "sum" port: the running
-        // sum after every (i, j, k) term, plus the final C matrix.
-        std::vector<Word> sums;
-        sums.reserve(
-            static_cast<std::size_t>(kDim) * kDim * kDim);
-        std::vector<Word> c(static_cast<std::size_t>(n2));
-        const Word *a = spec.memoryImage.data();
-        const Word *b = spec.memoryImage.data() + n2;
-        for (int i = 0; i < kDim; ++i) {
-            for (int j = 0; j < kDim; ++j) {
-                Word sum = 0;
-                for (int k = 0; k < kDim; ++k) {
-                    sum += a[i * kDim + k] * b[k * kDim + j];
-                    sums.push_back(sum);
-                }
-                c[static_cast<std::size_t>(i * kDim + j)] = sum;
-            }
-        }
+        spec.arrayBases["B"] = kDim2;
+        spec.arrayBases["C"] = 2 * kDim2;
+        spec.memoryImage = gemmInputs();
+        StreamRecorder rec(
+            {static_cast<std::size_t>(kDim2) * kDim});
+        std::vector<Word> c = gemmGolden(rec, spec.memoryImage);
         spec.observePorts = {"sum"};
-        spec.expectedOutputs = {std::move(sums)};
-        spec.expectedMemory = {{"C", 2 * n2, std::move(c)}};
+        spec.expectedOutputs = rec.take();
+        spec.expectedMemory = {{"C", 2 * kDim2, std::move(c)}};
         return spec;
     }
 
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed000a);
-        std::vector<Word> a(
-            static_cast<std::size_t>(kDim * kDim));
-        std::vector<Word> bm(
-            static_cast<std::size_t>(kDim * kDim));
-        std::vector<Word> c(
-            static_cast<std::size_t>(kDim * kDim), 0);
-        for (Word &v : a)
-            v = static_cast<Word>(rng.nextRange(-9, 9));
-        for (Word &v : bm)
-            v = static_cast<Word>(rng.nextRange(-9, 9));
-
-        rec.block(bInit);
-        rec.round(bILoop);
-        for (int i = 0; i < kDim; ++i) {
-            rec.iteration(bILoop);
-            rec.round(bJLoop);
-            for (int j = 0; j < kDim; ++j) {
-                rec.iteration(bJLoop);
-                rec.block(bZero);
-                Word sum = 0;
-                rec.round(bKLoop);
-                for (int k = 0; k < kDim; ++k) {
-                    rec.iteration(bKLoop);
-                    rec.block(bMac);
-                    sum += a[static_cast<std::size_t>(
-                               i * kDim + k)] *
-                           bm[static_cast<std::size_t>(
-                               k * kDim + j)];
-                }
-                rec.block(bStoreC);
-                c[static_cast<std::size_t>(i * kDim + j)] = sum;
-            }
-            rec.block(bILatch);
-        }
-        rec.block(bDone);
-
         std::uint64_t sum = 0;
-        for (const Word v : c)
+        for (const Word v : gemmGolden(rec, gemmInputs()))
             sum = sum * 31 +
                   static_cast<std::uint64_t>(static_cast<UWord>(v));
         return sum;

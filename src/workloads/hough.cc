@@ -8,7 +8,6 @@
  * Table 1: sub-inner branch, imperfect nested loops.
  */
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -40,6 +39,82 @@ enum Block : BlockId
     bYLatch,
     bDone
 };
+
+/** One Hough run: its inputs and the vote array it leaves. */
+struct HoughRun
+{
+    std::vector<Word> img;   ///< height x width pixels.
+    std::vector<Word> cosT;  ///< Q15 cos per theta.
+    std::vector<Word> sinT;  ///< Q15 sin per theta.
+    std::vector<Word> acc;   ///< thetas x 2 rhoMax votes.
+};
+
+/** The Hough golden on a @p height x @p width synthetic image with
+ *  @p thetas angle bins: draws the image, builds the trig tables
+ *  and votes.  No port is observed; the machine checks @c acc. */
+template <class Recorder>
+HoughRun
+houghGolden(Recorder &rec, int height, int width, int thetas)
+{
+    HoughRun r;
+    Rng rng(0x5eed0005);
+    // Synthetic image: mostly dark with a few bright lines
+    // (about 10% edge pixels, the HosNa-like density).
+    r.img.resize(static_cast<std::size_t>(height * width));
+    for (int y = 0; y < height; ++y) {
+        for (int x = 0; x < width; ++x) {
+            bool line = (x + 2 * y) % 23 == 0 || (3 * x - y) % 31 == 0;
+            Word noise = static_cast<Word>(rng.nextBounded(100));
+            r.img[static_cast<std::size_t>(y * width + x)] =
+                line ? 200 + noise % 56 : noise;
+        }
+    }
+    // Q15 trig tables.
+    r.cosT.resize(static_cast<std::size_t>(thetas));
+    r.sinT.resize(static_cast<std::size_t>(thetas));
+    for (int t = 0; t < thetas; ++t) {
+        double a = 3.14159265358979 * t / thetas;
+        r.cosT[static_cast<std::size_t>(t)] =
+            static_cast<Word>(32767.0 * std::cos(a));
+        r.sinT[static_cast<std::size_t>(t)] =
+            static_cast<Word>(32767.0 * std::sin(a));
+    }
+    const int rho_max = width + height;
+    r.acc.assign(static_cast<std::size_t>(thetas * 2 * rho_max), 0);
+
+    rec.block(bInit);
+    rec.round(bYLoop);
+    for (int y = 0; y < height; ++y) {
+        rec.iteration(bYLoop);
+        rec.round(bXLoop);
+        for (int x = 0; x < width; ++x) {
+            rec.iteration(bXLoop);
+            rec.block(bPixelIf);
+            if (r.img[static_cast<std::size_t>(y * width + x)] >
+                kThreshold) {
+                rec.round(bThetaLoop);
+                for (int t = 0; t < thetas; ++t) {
+                    rec.iteration(bThetaLoop);
+                    rec.block(bVote);
+                    Word rho = static_cast<Word>(
+                        (static_cast<std::int64_t>(x) *
+                             r.cosT[static_cast<std::size_t>(t)] +
+                         static_cast<std::int64_t>(y) *
+                             r.sinT[static_cast<std::size_t>(t)]) >>
+                        15);
+                    int bin = t * 2 * rho_max + (rho + rho_max);
+                    ++r.acc[static_cast<std::size_t>(bin)];
+                }
+            } else {
+                rec.block(bSkip);
+            }
+            rec.block(bXLatch);
+        }
+        rec.block(bYLatch);
+    }
+    rec.block(bDone);
+    return r;
+}
 
 class HoughWorkload : public Workload
 {
@@ -158,9 +233,9 @@ class HoughWorkload : public Workload
     WorkloadMachineSpec
     machineSpec() const override
     {
-        // Reduced machine-run dimensions (the golden trace above
-        // keeps the full Table-5 image); same pixel statistics and
-        // Q15 vote arithmetic.
+        // Reduced machine-run dimensions (the trace keeps the full
+        // Table-5 image); same pixel statistics and Q15 vote
+        // arithmetic.
         constexpr int mH = 40;
         constexpr int mW = 60;
         constexpr int mT = 60;
@@ -186,130 +261,23 @@ class HoughWorkload : public Workload
         spec.scalars["binw"] = 2 * mRhoMax;
         spec.scalars["rhomax"] = mRhoMax;
 
-        Rng rng(0x5eed0005);
-        std::vector<Word> img(static_cast<std::size_t>(mH * mW));
-        for (int y = 0; y < mH; ++y) {
-            for (int x = 0; x < mW; ++x) {
-                bool line = (x + 2 * y) % 23 == 0 ||
-                            (3 * x - y) % 31 == 0;
-                Word noise =
-                    static_cast<Word>(rng.nextBounded(100));
-                img[static_cast<std::size_t>(y * mW + x)] =
-                    line ? 200 + noise % 56 : noise;
-            }
-        }
-        std::vector<Word> cos_t(mT), sin_t(mT);
-        for (int t = 0; t < mT; ++t) {
-            double a = 3.14159265358979 * t / mT;
-            cos_t[static_cast<std::size_t>(t)] =
-                static_cast<Word>(32767.0 * std::cos(a));
-            sin_t[static_cast<std::size_t>(t)] =
-                static_cast<Word>(32767.0 * std::sin(a));
-        }
-
-        spec.memoryImage.assign(
-            static_cast<std::size_t>(base_acc), 0);
-        std::copy(img.begin(), img.end(),
-                  spec.memoryImage.begin());
-        std::copy(cos_t.begin(), cos_t.end(),
-                  spec.memoryImage.begin() + base_cos);
-        std::copy(sin_t.begin(), sin_t.end(),
-                  spec.memoryImage.begin() + base_sin);
-
-        // Golden vote accumulation.
-        std::vector<Word> acc(
-            static_cast<std::size_t>(mT * 2 * mRhoMax), 0);
-        for (int y = 0; y < mH; ++y) {
-            for (int x = 0; x < mW; ++x) {
-                if (img[static_cast<std::size_t>(y * mW + x)] <=
-                    kThreshold)
-                    continue;
-                for (int t = 0; t < mT; ++t) {
-                    Word rho = static_cast<Word>(
-                        (static_cast<std::int64_t>(x) *
-                             cos_t[static_cast<std::size_t>(t)] +
-                         static_cast<std::int64_t>(y) *
-                             sin_t[static_cast<std::size_t>(t)]) >>
-                        15);
-                    int bin =
-                        t * 2 * mRhoMax + (rho + mRhoMax);
-                    ++acc[static_cast<std::size_t>(bin)];
-                }
-            }
-        }
-
-        spec.expectedMemory = {{"acc", base_acc, std::move(acc)}};
+        StreamRecorder rec;
+        HoughRun r = houghGolden(rec, mH, mW, mT);
+        spec.memoryImage = std::move(r.img);
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.cosT.begin(), r.cosT.end());
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.sinT.begin(), r.sinT.end());
+        spec.expectedMemory = {{"acc", base_acc, std::move(r.acc)}};
         return spec;
     }
 
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0005);
-        // Synthetic image: mostly dark with a few bright lines
-        // (about 10% edge pixels, the HosNa-like density).
-        std::vector<Word> img(
-            static_cast<std::size_t>(kHeight * kWidth));
-        for (int y = 0; y < kHeight; ++y) {
-            for (int x = 0; x < kWidth; ++x) {
-                bool line = (x + 2 * y) % 23 == 0 ||
-                            (3 * x - y) % 31 == 0;
-                Word noise =
-                    static_cast<Word>(rng.nextBounded(100));
-                img[static_cast<std::size_t>(y * kWidth + x)] =
-                    line ? 200 + noise % 56 : noise;
-            }
-        }
-        // Q15 trig tables.
-        std::vector<Word> cos_t(kThetas), sin_t(kThetas);
-        for (int t = 0; t < kThetas; ++t) {
-            double a = 3.14159265358979 * t / kThetas;
-            cos_t[static_cast<std::size_t>(t)] =
-                static_cast<Word>(32767.0 * std::cos(a));
-            sin_t[static_cast<std::size_t>(t)] =
-                static_cast<Word>(32767.0 * std::sin(a));
-        }
-        const int rho_max = kWidth + kHeight;
-        std::vector<Word> acc(
-            static_cast<std::size_t>(kThetas * 2 * rho_max), 0);
-
-        rec.block(bInit);
-        rec.round(bYLoop);
-        for (int y = 0; y < kHeight; ++y) {
-            rec.iteration(bYLoop);
-            rec.round(bXLoop);
-            for (int x = 0; x < kWidth; ++x) {
-                rec.iteration(bXLoop);
-                rec.block(bPixelIf);
-                if (img[static_cast<std::size_t>(
-                        y * kWidth + x)] > kThreshold) {
-                    rec.round(bThetaLoop);
-                    for (int t = 0; t < kThetas; ++t) {
-                        rec.iteration(bThetaLoop);
-                        rec.block(bVote);
-                        Word rho = static_cast<Word>(
-                            (static_cast<std::int64_t>(x) *
-                                 cos_t[static_cast<std::size_t>(
-                                     t)] +
-                             static_cast<std::int64_t>(y) *
-                                 sin_t[static_cast<std::size_t>(
-                                     t)]) >>
-                            15);
-                        int bin = t * 2 * rho_max +
-                                  (rho + rho_max);
-                        ++acc[static_cast<std::size_t>(bin)];
-                    }
-                } else {
-                    rec.block(bSkip);
-                }
-                rec.block(bXLatch);
-            }
-            rec.block(bYLatch);
-        }
-        rec.block(bDone);
-
+        HoughRun r = houghGolden(rec, kHeight, kWidth, kThetas);
         std::uint64_t sum = 0;
-        for (const Word v : acc)
+        for (const Word v : r.acc)
             sum = sum * 31 +
                   static_cast<std::uint64_t>(static_cast<UWord>(v));
         return sum;

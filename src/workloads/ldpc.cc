@@ -50,6 +50,132 @@ enum Block : BlockId
     bDone
 };
 
+constexpr int kEdges = kChecks * kCheckDeg;
+
+/** Edge-to-variable map of the trace's (3,6) H matrix: check c
+ *  connects to variables (c*2 + k*21 + (k*k*7) mod 128) mod 128 —
+ *  a structured construction with full rank properties adequate
+ *  for decoding work. */
+std::vector<int>
+permutedGraph()
+{
+    std::vector<int> var_of;
+    var_of.reserve(static_cast<std::size_t>(kEdges));
+    for (int c = 0; c < kChecks; ++c)
+        for (int k = 0; k < kCheckDeg; ++k)
+            var_of.push_back((c * 2 + k * 21 + (k * k * 7) % kVars) %
+                             kVars);
+    return var_of;
+}
+
+/** Edge-to-variable map the machine's CDFG computes: edge e ->
+ *  variable e mod 128, so variable v owns edges v, v+128, v+256. */
+std::vector<int>
+moduloGraph()
+{
+    std::vector<int> var_of(static_cast<std::size_t>(kEdges));
+    for (int e = 0; e < kEdges; ++e)
+        var_of[static_cast<std::size_t>(e)] = e & (kVars - 1);
+    return var_of;
+}
+
+/** The decoder's memory after a golden run. */
+struct LdpcRun
+{
+    std::vector<Word> channel; ///< Input LLRs, per variable.
+    std::vector<Word> llr;     ///< Posterior LLRs, per variable.
+    std::vector<Word> msg;     ///< Check-to-variable, per edge.
+};
+
+/** The LDPC golden: attenuated min-sum over the H matrix whose edge
+ *  e = c*6+k joins check c to variable @p var_of[e].  No port is
+ *  observed; the machine checks llr and msg. */
+template <class Recorder>
+LdpcRun
+ldpcGolden(Recorder &rec, const std::vector<int> &var_of)
+{
+    LdpcRun r;
+    Rng rng(0x5eed0009);
+    r.channel.resize(static_cast<std::size_t>(kVars));
+    for (Word &v : r.channel)
+        v = static_cast<Word>(rng.nextRange(-15, 25));
+    r.llr = r.channel;
+    r.msg.assign(static_cast<std::size_t>(kEdges), 0);
+    auto ext_of = [&](int e) {
+        return r.llr[static_cast<std::size_t>(
+                   var_of[static_cast<std::size_t>(e)])] -
+               r.msg[static_cast<std::size_t>(e)];
+    };
+
+    std::vector<Word> next;
+
+    rec.block(bInit);
+    rec.round(bIterLoop);
+    for (int it = 0; it < kIters; ++it) {
+        rec.iteration(bIterLoop);
+        rec.round(bCheckLoop);
+        for (int c = 0; c < kChecks; ++c) {
+            rec.iteration(bCheckLoop);
+            Word min1 = 0x7fffffff, min2 = 0x7fffffff;
+            int arg = 0;
+            Word sign_prod = 0;
+            rec.round(bScanLoop);
+            for (int k = 0; k < kCheckDeg; ++k) {
+                rec.iteration(bScanLoop);
+                rec.block(bLoadAbs);
+                Word ext = ext_of(c * kCheckDeg + k);
+                Word mag = ext < 0 ? -ext : ext;
+                sign_prod ^= ext < 0 ? 1 : 0;
+                rec.block(bMin1If);
+                if (mag < min1) {
+                    rec.block(bMin1Upd);
+                    min2 = min1;
+                    min1 = mag;
+                    arg = k;
+                } else {
+                    rec.block(bMin2If);
+                    if (mag < min2) {
+                        rec.block(bMin2Upd);
+                        min2 = mag;
+                    } else {
+                        rec.block(bMinSkip);
+                    }
+                }
+                rec.block(bScanLatch);
+            }
+            rec.round(bWriteLoop);
+            for (int k = 0; k < kCheckDeg; ++k) {
+                rec.iteration(bWriteLoop);
+                rec.block(bWriteBody);
+                int e = c * kCheckDeg + k;
+                Word ext = ext_of(e);
+                Word mag = k == arg ? min2 : min1;
+                // Attenuated min-sum (3/4 scaling).
+                mag = (mag * 3) >> 2;
+                Word s = sign_prod ^ (ext < 0 ? 1 : 0);
+                r.msg[static_cast<std::size_t>(e)] = s ? -mag : mag;
+            }
+            rec.block(bCheckLatch);
+        }
+        // Variable update: llr = channel + sum of messages.
+        next = r.channel;
+        for (int e = 0; e < kEdges; ++e)
+            next[static_cast<std::size_t>(
+                var_of[static_cast<std::size_t>(e)])] +=
+                r.msg[static_cast<std::size_t>(e)];
+        rec.round(bVarLoop);
+        for (int v = 0; v < kVars; ++v) {
+            rec.iteration(bVarLoop);
+            rec.block(bVarBody);
+            r.llr[static_cast<std::size_t>(v)] =
+                next[static_cast<std::size_t>(v)];
+        }
+        rec.block(bIterLatch);
+    }
+    rec.block(bDone);
+    return r;
+}
+
 class LdpcWorkload : public Workload
 {
   public:
@@ -332,8 +458,8 @@ class LdpcWorkload : public Workload
     WorkloadMachineSpec
     machineSpec() const override
     {
-        // Machine-run data over a *regular* (3,6) H matrix
-        // (edge e -> variable e mod 128): check c owns edges
+        // Machine-run data over the *regular* (3,6) H matrix the
+        // CDFG computes (moduloGraph): check c owns edges
         // c*6..c*6+5, variable v owns edges v, v+128, v+256.
         constexpr Word base_llr = 0;       // 128
         constexpr Word base_ch = 128;      // 128
@@ -362,185 +488,26 @@ class LdpcWorkload : public Workload
         spec.scalars["llrw"] = 0;
         spec.scalars["msgw"] = 0;
 
-        Rng rng(0x5eed0009);
-        std::vector<Word> channel(static_cast<std::size_t>(kVars));
-        for (Word &v : channel)
-            v = static_cast<Word>(rng.nextRange(-15, 25));
-
-        spec.memoryImage.assign(
-            static_cast<std::size_t>(base_msg + 3 * kVars), 0);
-        for (int v = 0; v < kVars; ++v) {
-            spec.memoryImage[static_cast<std::size_t>(v)] =
-                channel[static_cast<std::size_t>(v)];
-            spec.memoryImage[static_cast<std::size_t>(base_ch +
-                                                      v)] =
-                channel[static_cast<std::size_t>(v)];
-        }
-
-        // Golden attenuated min-sum over the regular H matrix.
-        std::vector<Word> llr = channel;
-        std::vector<Word> msg(static_cast<std::size_t>(3 * kVars),
-                              0);
-        for (int it = 0; it < kIters; ++it) {
-            for (int c = 0; c < kChecks; ++c) {
-                Word min1 = 0x7fffffff, min2 = 0x7fffffff;
-                Word arg = 0, sp = 0;
-                for (int k = 0; k < kCheckDeg; ++k) {
-                    int e = c * kCheckDeg + k;
-                    int v = e & (kVars - 1);
-                    Word ext =
-                        llr[static_cast<std::size_t>(v)] -
-                        msg[static_cast<std::size_t>(e)];
-                    Word mag = ext < 0 ? -ext : ext;
-                    sp ^= ext < 0 ? 1 : 0;
-                    if (mag < min1) {
-                        min2 = min1;
-                        min1 = mag;
-                        arg = k;
-                    } else if (mag < min2) {
-                        min2 = mag;
-                    }
-                }
-                for (int k = 0; k < kCheckDeg; ++k) {
-                    int e = c * kCheckDeg + k;
-                    int v = e & (kVars - 1);
-                    Word ext =
-                        llr[static_cast<std::size_t>(v)] -
-                        msg[static_cast<std::size_t>(e)];
-                    Word mag = k == arg ? min2 : min1;
-                    mag = (mag * 3) >> 2;
-                    Word s = sp ^ (ext < 0 ? 1 : 0);
-                    msg[static_cast<std::size_t>(e)] =
-                        s ? -mag : mag;
-                }
-            }
-            for (int v = 0; v < kVars; ++v)
-                llr[static_cast<std::size_t>(v)] =
-                    channel[static_cast<std::size_t>(v)] +
-                    msg[static_cast<std::size_t>(v)] +
-                    msg[static_cast<std::size_t>(v + kVars)] +
-                    msg[static_cast<std::size_t>(v + 2 * kVars)];
-        }
-
-        spec.expectedMemory = {
-            {"llr", base_llr, std::move(llr)},
-            {"msg", base_msg, std::move(msg)}};
+        StreamRecorder rec;
+        LdpcRun r = ldpcGolden(rec, moduloGraph());
+        // llr starts as the channel; msg starts zeroed.
+        spec.memoryImage = r.channel;
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.channel.begin(), r.channel.end());
+        spec.memoryImage.resize(
+            static_cast<std::size_t>(base_msg + kEdges), 0);
+        spec.expectedMemory = {{"llr", base_llr, std::move(r.llr)},
+                               {"msg", base_msg, std::move(r.msg)}};
         return spec;
     }
 
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0009);
-        // Regular (3,6) H matrix: check c connects to variables
-        // (c*2 + k*perm) mod kVars — a structured construction
-        // with full rank properties adequate for decoding work.
-        std::vector<std::vector<int>> check_vars(
-            static_cast<std::size_t>(kChecks));
-        for (int c = 0; c < kChecks; ++c) {
-            for (int k = 0; k < kCheckDeg; ++k) {
-                int v = (c * 2 + k * 21 + (k * k * 7) % kVars) %
-                        kVars;
-                check_vars[static_cast<std::size_t>(c)].push_back(
-                    v);
-            }
-        }
-
-        std::vector<Word> channel(static_cast<std::size_t>(kVars));
-        for (Word &v : channel)
-            v = static_cast<Word>(rng.nextRange(-15, 25));
-
-        // Messages per (check, edge).
-        std::vector<std::vector<Word>> msg(
-            static_cast<std::size_t>(kChecks),
-            std::vector<Word>(static_cast<std::size_t>(kCheckDeg),
-                              0));
-        std::vector<Word> llr = channel;
-
-        rec.block(bInit);
-        rec.round(bIterLoop);
-        for (int it = 0; it < kIters; ++it) {
-            rec.iteration(bIterLoop);
-            rec.round(bCheckLoop);
-            for (int c = 0; c < kChecks; ++c) {
-                rec.iteration(bCheckLoop);
-                Word min1 = 0x7fffffff, min2 = 0x7fffffff;
-                int arg = -1;
-                Word sign_prod = 0;
-                rec.round(bScanLoop);
-                for (int k = 0; k < kCheckDeg; ++k) {
-                    rec.iteration(bScanLoop);
-                    rec.block(bLoadAbs);
-                    int v = check_vars[static_cast<std::size_t>(
-                        c)][static_cast<std::size_t>(k)];
-                    Word ext =
-                        llr[static_cast<std::size_t>(v)] -
-                        msg[static_cast<std::size_t>(c)]
-                           [static_cast<std::size_t>(k)];
-                    Word mag = ext < 0 ? -ext : ext;
-                    sign_prod ^= ext < 0 ? 1 : 0;
-                    rec.block(bMin1If);
-                    if (mag < min1) {
-                        rec.block(bMin1Upd);
-                        min2 = min1;
-                        min1 = mag;
-                        arg = k;
-                    } else {
-                        rec.block(bMin2If);
-                        if (mag < min2) {
-                            rec.block(bMin2Upd);
-                            min2 = mag;
-                        } else {
-                            rec.block(bMinSkip);
-                        }
-                    }
-                    rec.block(bScanLatch);
-                }
-                rec.round(bWriteLoop);
-                for (int k = 0; k < kCheckDeg; ++k) {
-                    rec.iteration(bWriteLoop);
-                    rec.block(bWriteBody);
-                    int v = check_vars[static_cast<std::size_t>(
-                        c)][static_cast<std::size_t>(k)];
-                    Word ext =
-                        llr[static_cast<std::size_t>(v)] -
-                        msg[static_cast<std::size_t>(c)]
-                           [static_cast<std::size_t>(k)];
-                    Word mag = k == arg ? min2 : min1;
-                    // Attenuated min-sum (3/4 scaling).
-                    mag = (mag * 3) >> 2;
-                    Word s = (sign_prod ^ (ext < 0 ? 1 : 0)) ? -1
-                                                             : 1;
-                    msg[static_cast<std::size_t>(c)]
-                       [static_cast<std::size_t>(k)] = s * mag;
-                }
-                rec.block(bCheckLatch);
-            }
-            // Variable update: llr = channel + sum of messages.
-            std::vector<Word> next = channel;
-            for (int c = 0; c < kChecks; ++c)
-                for (int k = 0; k < kCheckDeg; ++k)
-                    next[static_cast<std::size_t>(
-                        check_vars[static_cast<std::size_t>(c)]
-                                  [static_cast<std::size_t>(
-                                      k)])] +=
-                        msg[static_cast<std::size_t>(c)]
-                           [static_cast<std::size_t>(k)];
-            rec.round(bVarLoop);
-            for (int v = 0; v < kVars; ++v) {
-                rec.iteration(bVarLoop);
-                rec.block(bVarBody);
-                llr[static_cast<std::size_t>(v)] =
-                    next[static_cast<std::size_t>(v)];
-            }
-            rec.block(bIterLatch);
-        }
-        rec.block(bDone);
-
+        LdpcRun r = ldpcGolden(rec, permutedGraph());
         std::uint64_t sum = 0;
-        for (int v = 0; v < kVars; ++v)
-            sum = sum * 3 +
-                  (llr[static_cast<std::size_t>(v)] < 0 ? 1 : 0);
+        for (Word v : r.llr)
+            sum = sum * 3 + (v < 0 ? 1 : 0);
         return sum;
     }
 

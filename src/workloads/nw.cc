@@ -7,7 +7,6 @@
  * branches innermost, nested loops.
  */
 
-#include <algorithm>
 #include <vector>
 
 #include "ir/builder.h"
@@ -44,6 +43,100 @@ enum Block : BlockId
     bTraceBody,
     bDone
 };
+
+// Machine memory layout: M (kW x kW), seqA, seqB, trace.
+constexpr int kW = kLen + 1;
+constexpr Word kBaseA = kW * kW;
+constexpr Word kBaseB = kBaseA + kLen;
+constexpr Word kBaseTrace = kBaseB + kLen;
+
+/** The memory image: M's boundary row and column (gap penalties),
+ *  then the two ACGT sequences, drawn once for trace and machine. */
+std::vector<Word>
+nwMemory()
+{
+    Rng rng(0x5eed0004);
+    std::vector<Word> mem(static_cast<std::size_t>(kBaseTrace), 0);
+    for (int i = 0; i <= kLen; ++i) {
+        mem[static_cast<std::size_t>(i * kW)] = kGap * i;
+        mem[static_cast<std::size_t>(i)] = kGap * i;
+    }
+    for (int i = 0; i < 2 * kLen; ++i) // seqA, then seqB.
+        mem[static_cast<std::size_t>(kBaseA + i)] =
+            static_cast<Word>(rng.nextBounded(4));
+    return mem;
+}
+
+/** The NW golden over the image @p mem: fills M in place,
+ *  observing port 0 ("win") at every cell, then walks the main
+ *  diagonal from the corner, observing port 1 ("tsum").  @return
+ *  the diagonal walk (the "trace" array). */
+template <class Recorder>
+std::vector<Word>
+nwGolden(Recorder &rec, std::vector<Word> &mem)
+{
+    Word *m = mem.data();
+    const Word *seq_a = m + kBaseA;
+    const Word *seq_b = m + kBaseB;
+
+    rec.block(bInit);
+    rec.round(bRowLoop);
+    for (int i = 1; i <= kLen; ++i) {
+        rec.iteration(bRowLoop);
+        rec.round(bColLoop);
+        for (int j = 1; j <= kLen; ++j) {
+            rec.iteration(bColLoop);
+            rec.block(bScores);
+            Word sub = seq_a[i - 1] == seq_b[j - 1] ? kMatch
+                                                    : kMismatch;
+            Word diag = m[(i - 1) * kW + (j - 1)] + sub;
+            Word up = m[(i - 1) * kW + j] + kGap;
+            Word left = m[i * kW + (j - 1)] + kGap;
+            Word win;
+            rec.block(bIf1);
+            if (diag >= up) {
+                rec.block(bIf2a);
+                if (diag >= left) {
+                    rec.block(bPickDiag);
+                    win = diag;
+                } else {
+                    rec.block(bPickLeftA);
+                    win = left;
+                }
+            } else {
+                rec.block(bIf2b);
+                if (up >= left) {
+                    rec.block(bPickUp);
+                    win = up;
+                } else {
+                    rec.block(bPickLeftB);
+                    win = left;
+                }
+            }
+            rec.observe(0, win);
+            rec.block(bStoreCell);
+            m[i * kW + j] = win;
+        }
+        rec.block(bRowLatch);
+    }
+
+    // Backtrace along the main diagonal (simplified greedy).
+    std::vector<Word> trace(static_cast<std::size_t>(kLen));
+    Word tsum = 0;
+    rec.round(bTraceLoop);
+    for (int jt = 0; jt < kLen; ++jt) {
+        rec.iteration(bTraceLoop);
+        rec.block(bTraceBody);
+        int ii = kLen - jt;
+        Word v = m[ii * kW + ii];
+        trace[static_cast<std::size_t>(jt)] = v;
+        tsum = static_cast<Word>(static_cast<UWord>(tsum) * 31u +
+                                 static_cast<UWord>(v));
+        rec.observe(1, tsum);
+    }
+    rec.block(bDone);
+    return trace;
+}
 
 class NwWorkload : public Workload
 {
@@ -228,178 +321,43 @@ class NwWorkload : public Workload
     WorkloadMachineSpec
     machineSpec() const override
     {
-        constexpr int w = kLen + 1;
-        constexpr Word base_m = 0;                 // 129 x 129
-        constexpr Word base_a = w * w;             // 128
-        constexpr Word base_b = base_a + kLen;     // 128
-        constexpr Word base_tr = base_b + kLen;    // 128
-
         WorkloadMachineSpec spec;
         spec.available = true;
-        spec.loopBounds["row_loop"] = {1, w, 1};
-        spec.loopBounds["col_loop"] = {1, w, 1};
+        spec.loopBounds["row_loop"] = {1, kW, 1};
+        spec.loopBounds["col_loop"] = {1, kW, 1};
         spec.loopBounds["trace_loop"] = {0, kLen, 1};
         spec.inductionPorts["row_loop"] = "i";
         spec.inductionPorts["col_loop"] = "j";
         spec.inductionPorts["trace_loop"] = "jt";
-        spec.arrayBases["M"] = base_m;
-        spec.arrayBases["seqA"] = base_a;
-        spec.arrayBases["seqB"] = base_b;
-        spec.arrayBases["trace"] = base_tr;
+        spec.arrayBases["M"] = 0;
+        spec.arrayBases["seqA"] = kBaseA;
+        spec.arrayBases["seqB"] = kBaseB;
+        spec.arrayBases["trace"] = kBaseTrace;
         spec.scalars["lastI"] = kLen;
         spec.scalars["tsum"] = 0;
 
-        Rng rng(0x5eed0004);
-        std::vector<Word> seq_a(static_cast<std::size_t>(kLen));
-        std::vector<Word> seq_b(static_cast<std::size_t>(kLen));
-        for (Word &v : seq_a)
-            v = static_cast<Word>(rng.nextBounded(4));
-        for (Word &v : seq_b)
-            v = static_cast<Word>(rng.nextBounded(4));
-
-        std::vector<Word> m(static_cast<std::size_t>(w * w), 0);
-        for (int i = 0; i <= kLen; ++i) {
-            m[static_cast<std::size_t>(i * w)] = kGap * i;
-            m[static_cast<std::size_t>(i)] = kGap * i;
-        }
-
-        spec.memoryImage.assign(
-            static_cast<std::size_t>(base_tr), 0);
-        std::copy(m.begin(), m.end(), spec.memoryImage.begin());
-        std::copy(seq_a.begin(), seq_a.end(),
-                  spec.memoryImage.begin() + base_a);
-        std::copy(seq_b.begin(), seq_b.end(),
-                  spec.memoryImage.begin() + base_b);
-
-        // Golden DP, recording the winner stream.
-        std::vector<Word> wins;
-        wins.reserve(static_cast<std::size_t>(kLen) * kLen);
-        for (int i = 1; i <= kLen; ++i) {
-            for (int j = 1; j <= kLen; ++j) {
-                Word sub =
-                    seq_a[static_cast<std::size_t>(i - 1)] ==
-                            seq_b[static_cast<std::size_t>(j - 1)]
-                        ? kMatch
-                        : kMismatch;
-                Word diag = m[static_cast<std::size_t>(
-                                (i - 1) * w + (j - 1))] +
-                            sub;
-                Word up = m[static_cast<std::size_t>((i - 1) * w +
-                                                     j)] +
-                          kGap;
-                Word left =
-                    m[static_cast<std::size_t>(i * w + (j - 1))] +
-                    kGap;
-                Word win;
-                if (diag >= up)
-                    win = diag >= left ? diag : left;
-                else
-                    win = up >= left ? up : left;
-                m[static_cast<std::size_t>(i * w + j)] = win;
-                wins.push_back(win);
-            }
-        }
-        std::vector<Word> trace(static_cast<std::size_t>(kLen));
-        std::vector<Word> tsum_stream;
-        Word tsum = 0;
-        for (int jt = 0; jt < kLen; ++jt) {
-            int ii = kLen - jt;
-            Word v = m[static_cast<std::size_t>(ii * w + ii)];
-            trace[static_cast<std::size_t>(jt)] = v;
-            tsum = static_cast<Word>(
-                static_cast<std::uint32_t>(tsum) * 31u +
-                static_cast<std::uint32_t>(v));
-            tsum_stream.push_back(tsum);
-        }
-
+        spec.memoryImage = nwMemory();
+        std::vector<Word> mem = spec.memoryImage;
+        StreamRecorder rec({static_cast<std::size_t>(kLen) * kLen,
+                            static_cast<std::size_t>(kLen)});
+        std::vector<Word> trace = nwGolden(rec, mem);
+        mem.resize(static_cast<std::size_t>(kBaseA)); // M alone.
         spec.observePorts = {"win", "tsum"};
-        spec.expectedOutputs = {std::move(wins),
-                                std::move(tsum_stream)};
+        spec.expectedOutputs = rec.take();
         spec.expectedMemory = {
-            {"M", base_m, std::move(m)},
-            {"trace", base_tr, std::move(trace)}};
+            {"M", 0, std::move(mem)},
+            {"trace", kBaseTrace, std::move(trace)}};
         return spec;
     }
 
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0004);
-        std::vector<Word> seq_a(static_cast<std::size_t>(kLen));
-        std::vector<Word> seq_b(static_cast<std::size_t>(kLen));
-        for (Word &v : seq_a)
-            v = static_cast<Word>(rng.nextBounded(4)); // ACGT.
-        for (Word &v : seq_b)
-            v = static_cast<Word>(rng.nextBounded(4));
-
-        const int w = kLen + 1;
-        std::vector<Word> m(
-            static_cast<std::size_t>(w * w), 0);
-        for (int i = 0; i <= kLen; ++i) {
-            m[static_cast<std::size_t>(i * w)] = kGap * i;
-            m[static_cast<std::size_t>(i)] = kGap * i;
-        }
-
-        rec.block(bInit);
-        rec.round(bRowLoop);
-        for (int i = 1; i <= kLen; ++i) {
-            rec.iteration(bRowLoop);
-            rec.round(bColLoop);
-            for (int j = 1; j <= kLen; ++j) {
-                rec.iteration(bColLoop);
-                rec.block(bScores);
-                Word sub =
-                    seq_a[static_cast<std::size_t>(i - 1)] ==
-                            seq_b[static_cast<std::size_t>(j - 1)]
-                        ? kMatch
-                        : kMismatch;
-                Word diag =
-                    m[static_cast<std::size_t>((i - 1) * w +
-                                               (j - 1))] + sub;
-                Word up =
-                    m[static_cast<std::size_t>((i - 1) * w + j)] +
-                    kGap;
-                Word left =
-                    m[static_cast<std::size_t>(i * w + (j - 1))] +
-                    kGap;
-                Word win;
-                rec.block(bIf1);
-                if (diag >= up) {
-                    rec.block(bIf2a);
-                    if (diag >= left) {
-                        rec.block(bPickDiag);
-                        win = diag;
-                    } else {
-                        rec.block(bPickLeftA);
-                        win = left;
-                    }
-                } else {
-                    rec.block(bIf2b);
-                    if (up >= left) {
-                        rec.block(bPickUp);
-                        win = up;
-                    } else {
-                        rec.block(bPickLeftB);
-                        win = left;
-                    }
-                }
-                rec.block(bStoreCell);
-                m[static_cast<std::size_t>(i * w + j)] = win;
-            }
-            rec.block(bRowLatch);
-        }
-
-        // Backtrace along the main diagonal (simplified greedy).
+        std::vector<Word> mem = nwMemory();
         std::uint64_t sum = 0;
-        rec.round(bTraceLoop);
-        for (int i = kLen; i > 0; --i) {
-            rec.iteration(bTraceLoop);
-            rec.block(bTraceBody);
+        for (Word v : nwGolden(rec, mem))
             sum = sum * 31 +
-                  static_cast<std::uint64_t>(static_cast<UWord>(
-                      m[static_cast<std::size_t>(i * w + i)]));
-        }
-        rec.block(bDone);
+                  static_cast<std::uint64_t>(static_cast<UWord>(v));
         return sum;
     }
 };

@@ -21,11 +21,45 @@ namespace marionette
 namespace
 {
 
-/** Common scaffold: init -> loop header -> body -> done. */
+/**
+ * Common scaffold: init -> loop header -> body -> done, one element
+ * per iteration.  @p Kernel supplies kN (the trip count),
+ * inputs() (the memory image, "y" is stored after it) and
+ * output(x, i) (element i's "y"); the scaffold runs that one golden
+ * for both the trace and the machine's streams.  Kernel calls are
+ * static, so each element costs no dispatch.
+ */
+template <class Kernel>
 class SingleLoopWorkload : public Workload
 {
   public:
     bool intensiveControlFlow() const override { return false; }
+
+    WorkloadMachineSpec
+    machineSpec() const override
+    {
+        WorkloadMachineSpec spec;
+        spec.available = true;
+        spec.loopBounds["loop"] = {0, Kernel::kN, 1};
+        spec.inductionPorts["loop"] = "i";
+        spec.memoryImage = Kernel::inputs();
+        const Word y_base = static_cast<Word>(spec.memoryImage.size());
+        spec.arrayBases["y"] = y_base;
+        StreamRecorder rec({static_cast<std::size_t>(Kernel::kN)});
+        std::vector<Word> ys(static_cast<std::size_t>(Kernel::kN));
+        golden(rec, spec.memoryImage, ys);
+        spec.observePorts = {"y"};
+        spec.expectedOutputs = rec.take();
+        spec.expectedMemory = {{"y", y_base, std::move(ys)}};
+        return spec;
+    }
+
+    std::uint64_t
+    runGolden(KernelRecorder &rec) const override
+    {
+        std::vector<Word> ys(static_cast<std::size_t>(Kernel::kN));
+        return golden(rec, Kernel::inputs(), ys);
+    }
 
   protected:
     enum Block : BlockId
@@ -67,18 +101,44 @@ class SingleLoopWorkload : public Workload
         b.loopExit(loop, done);
         return b.finish();
     }
+
+  private:
+    /** The golden over @p x: element i's "y" is observed on port
+     *  0 and stored in @p ys[i].  @return the checksum of the ys
+     *  (folded in the loop, where it overlaps the trace hooks). */
+    template <class Recorder>
+    static std::uint64_t
+    golden(Recorder &rec, const std::vector<Word> &x,
+           std::vector<Word> &ys)
+    {
+        std::uint64_t sum = 0;
+        rec.block(bInit);
+        rec.round(bLoop);
+        for (int i = 0; i < Kernel::kN; ++i) {
+            rec.iteration(bLoop);
+            rec.block(bBody);
+            Word y = Kernel::output(x, i);
+            rec.observe(0, y);
+            ys[static_cast<std::size_t>(i)] = y;
+            sum = sum * 31 +
+                  static_cast<std::uint64_t>(static_cast<UWord>(y));
+        }
+        rec.block(bDone);
+        return sum;
+    }
 };
 
 // ---------------------------------------------------------------
 // Conv-1d: 16384 samples, 8-tap FIR.
 // ---------------------------------------------------------------
 
-constexpr int kConvN = 16384;
 constexpr int kTaps = 8;
 
-class Conv1dWorkload : public SingleLoopWorkload
+class Conv1dWorkload : public SingleLoopWorkload<Conv1dWorkload>
 {
   public:
+    static constexpr int kN = 16384;
+
     std::string name() const override { return "CO"; }
     std::string fullName() const override { return "Conv-1d"; }
     std::string sizeDesc() const override { return "16384"; }
@@ -110,59 +170,24 @@ class Conv1dWorkload : public SingleLoopWorkload
         });
     }
 
-    WorkloadMachineSpec
-    machineSpec() const override
-    {
-        WorkloadMachineSpec spec;
-        spec.available = true;
-        spec.loopBounds["loop"] = {0, kConvN, 1};
-        spec.inductionPorts["loop"] = "i";
-        const Word y_base = kConvN + kTaps;
-        spec.arrayBases["y"] = y_base;
-        Rng rng(0x5eed000b);
-        spec.memoryImage.resize(
-            static_cast<std::size_t>(kConvN + kTaps));
-        for (Word &v : spec.memoryImage)
-            v = static_cast<Word>(rng.nextRange(-128, 127));
-        std::vector<Word> ys(static_cast<std::size_t>(kConvN));
-        for (int i = 0; i < kConvN; ++i) {
-            Word acc = 0;
-            for (int t = 0; t < kTaps; ++t)
-                acc += spec.memoryImage[static_cast<std::size_t>(
-                           i + t)] *
-                       (3 + t);
-            ys[static_cast<std::size_t>(i)] = acc;
-        }
-        spec.observePorts = {"y"};
-        spec.expectedOutputs = {ys};
-        spec.expectedMemory = {{"y", y_base, ys}};
-        return spec;
-    }
-
-    std::uint64_t
-    runGolden(KernelRecorder &rec) const override
+    /** kN + kTaps samples (the taps read past the last output). */
+    static std::vector<Word>
+    inputs()
     {
         Rng rng(0x5eed000b);
-        std::vector<Word> x(
-            static_cast<std::size_t>(kConvN + kTaps));
+        std::vector<Word> x(static_cast<std::size_t>(kN + kTaps));
         for (Word &v : x)
             v = static_cast<Word>(rng.nextRange(-128, 127));
-        std::uint64_t sum = 0;
-        rec.block(bInit);
-        rec.round(bLoop);
-        for (int i = 0; i < kConvN; ++i) {
-            rec.iteration(bLoop);
-            rec.block(bBody);
-            Word acc = 0;
-            for (int t = 0; t < kTaps; ++t)
-                acc += x[static_cast<std::size_t>(i + t)] *
-                       (3 + t);
-            sum = sum * 31 +
-                  static_cast<std::uint64_t>(
-                      static_cast<UWord>(acc));
-        }
-        rec.block(bDone);
-        return sum;
+        return x;
+    }
+
+    static Word
+    output(const std::vector<Word> &x, int i)
+    {
+        Word acc = 0;
+        for (int t = 0; t < kTaps; ++t)
+            acc += x[static_cast<std::size_t>(i + t)] * (3 + t);
+        return acc;
     }
 };
 
@@ -170,11 +195,11 @@ class Conv1dWorkload : public SingleLoopWorkload
 // Sigmoid: 2048 activations through the nonlinear-fitting unit.
 // ---------------------------------------------------------------
 
-constexpr int kSigN = 2048;
-
-class SigmoidWorkload : public SingleLoopWorkload
+class SigmoidWorkload : public SingleLoopWorkload<SigmoidWorkload>
 {
   public:
+    static constexpr int kN = 2048;
+
     std::string name() const override { return "SI"; }
     std::string fullName() const override { return "Sigmoid"; }
     std::string sizeDesc() const override { return "2048"; }
@@ -193,48 +218,22 @@ class SigmoidWorkload : public SingleLoopWorkload
         });
     }
 
-    WorkloadMachineSpec
-    machineSpec() const override
+    /** kN Q16 activations in [-6, 6]. */
+    static std::vector<Word>
+    inputs()
     {
-        WorkloadMachineSpec spec;
-        spec.available = true;
-        spec.loopBounds["loop"] = {0, kSigN, 1};
-        spec.inductionPorts["loop"] = "i";
-        spec.arrayBases["y"] = kSigN;
         Rng rng(0x5eed000c);
-        spec.memoryImage.resize(static_cast<std::size_t>(kSigN));
-        std::vector<Word> ys(static_cast<std::size_t>(kSigN));
-        for (int i = 0; i < kSigN; ++i) {
-            Word x = static_cast<Word>(
-                rng.nextRange(-6 << 16, 6 << 16));
-            spec.memoryImage[static_cast<std::size_t>(i)] = x;
-            ys[static_cast<std::size_t>(i)] =
-                evalOp(Opcode::SigmoidFix, x);
-        }
-        spec.observePorts = {"y"};
-        spec.expectedOutputs = {ys};
-        spec.expectedMemory = {{"y", kSigN, ys}};
-        return spec;
+        std::vector<Word> x(static_cast<std::size_t>(kN));
+        for (Word &v : x)
+            v = static_cast<Word>(rng.nextRange(-6 << 16, 6 << 16));
+        return x;
     }
 
-    std::uint64_t
-    runGolden(KernelRecorder &rec) const override
+    static Word
+    output(const std::vector<Word> &x, int i)
     {
-        Rng rng(0x5eed000c);
-        std::uint64_t sum = 0;
-        rec.block(bInit);
-        rec.round(bLoop);
-        for (int i = 0; i < kSigN; ++i) {
-            rec.iteration(bLoop);
-            rec.block(bBody);
-            Word x = static_cast<Word>(
-                rng.nextRange(-6 << 16, 6 << 16));
-            Word y = evalOp(Opcode::SigmoidFix, x);
-            sum = sum * 31 +
-                  static_cast<std::uint64_t>(static_cast<UWord>(y));
-        }
-        rec.block(bDone);
-        return sum;
+        return evalOp(Opcode::SigmoidFix,
+                      x[static_cast<std::size_t>(i)]);
     }
 };
 
@@ -242,11 +241,11 @@ class SigmoidWorkload : public SingleLoopWorkload
 // Gray Processing: 16384 RGB pixels to luma.
 // ---------------------------------------------------------------
 
-constexpr int kGrayN = 16384;
-
-class GrayWorkload : public SingleLoopWorkload
+class GrayWorkload : public SingleLoopWorkload<GrayWorkload>
 {
   public:
+    static constexpr int kN = 16384;
+
     std::string name() const override { return "GP"; }
     std::string fullName() const override
     { return "Gray Processing"; }
@@ -282,56 +281,22 @@ class GrayWorkload : public SingleLoopWorkload
         });
     }
 
-    WorkloadMachineSpec
-    machineSpec() const override
+    /** kN interleaved 8-bit r, g, b triples. */
+    static std::vector<Word>
+    inputs()
     {
-        WorkloadMachineSpec spec;
-        spec.available = true;
-        spec.loopBounds["loop"] = {0, kGrayN, 1};
-        spec.inductionPorts["loop"] = "i";
-        const Word y_base = 3 * kGrayN;
-        spec.arrayBases["y"] = y_base;
         Rng rng(0x5eed000d);
-        spec.memoryImage.resize(
-            static_cast<std::size_t>(3 * kGrayN));
-        std::vector<Word> ys(static_cast<std::size_t>(kGrayN));
-        for (int i = 0; i < kGrayN; ++i) {
-            Word r = static_cast<Word>(rng.nextBounded(256));
-            Word g = static_cast<Word>(rng.nextBounded(256));
-            Word b = static_cast<Word>(rng.nextBounded(256));
-            spec.memoryImage[static_cast<std::size_t>(3 * i)] = r;
-            spec.memoryImage[static_cast<std::size_t>(3 * i + 1)] =
-                g;
-            spec.memoryImage[static_cast<std::size_t>(3 * i + 2)] =
-                b;
-            ys[static_cast<std::size_t>(i)] =
-                (r * 77 + g * 150 + b * 29) >> 8;
-        }
-        spec.observePorts = {"y"};
-        spec.expectedOutputs = {ys};
-        spec.expectedMemory = {{"y", y_base, ys}};
-        return spec;
+        std::vector<Word> rgb(static_cast<std::size_t>(3 * kN));
+        for (Word &v : rgb)
+            v = static_cast<Word>(rng.nextBounded(256));
+        return rgb;
     }
 
-    std::uint64_t
-    runGolden(KernelRecorder &rec) const override
+    static Word
+    output(const std::vector<Word> &rgb, int i)
     {
-        Rng rng(0x5eed000d);
-        std::uint64_t sum = 0;
-        rec.block(bInit);
-        rec.round(bLoop);
-        for (int i = 0; i < kGrayN; ++i) {
-            rec.iteration(bLoop);
-            rec.block(bBody);
-            Word r = static_cast<Word>(rng.nextBounded(256));
-            Word g = static_cast<Word>(rng.nextBounded(256));
-            Word b = static_cast<Word>(rng.nextBounded(256));
-            Word y = (r * 77 + g * 150 + b * 29) >> 8;
-            sum = sum * 31 +
-                  static_cast<std::uint64_t>(static_cast<UWord>(y));
-        }
-        rec.block(bDone);
-        return sum;
+        const Word *p = rgb.data() + 3 * i;
+        return (p[0] * 77 + p[1] * 150 + p[2] * 29) >> 8;
     }
 };
 

@@ -9,7 +9,6 @@
  * nested loops.
  */
 
-#include <algorithm>
 #include <vector>
 
 #include "ir/builder.h"
@@ -45,6 +44,84 @@ enum Block : BlockId
     bBackBody,
     bDone
 };
+
+/** Inputs and forward-recursion results of one Viterbi run. */
+struct ViterbiRun
+{
+    std::vector<Word> trans; ///< kStates x kStates costs.
+    std::vector<Word> emit;  ///< kStates x kTokens costs.
+    std::vector<Word> obs;   ///< kObs observed tokens.
+    /** Path metrics, ping-ponging between two halves of kStates by
+     *  observation parity; the last observation's metrics sit in
+     *  half (nObs & 1). */
+    std::vector<Word> path;
+    std::vector<Word> bp; ///< nObs x kStates backpointers.
+};
+
+/** Draws the inputs (all kObs observations, whatever @p n_obs) and
+ *  runs the forward recursion over the first @p n_obs of them,
+ *  observing port 0 ("best") after every predecessor scanned.  The
+ *  backtrace is the caller's. */
+template <class Recorder>
+ViterbiRun
+viterbiForward(Recorder &rec, int n_obs)
+{
+    ViterbiRun r;
+    Rng rng(0x5eed0003);
+    r.trans.resize(static_cast<std::size_t>(kStates * kStates));
+    r.emit.resize(static_cast<std::size_t>(kStates * kTokens));
+    r.obs.resize(static_cast<std::size_t>(kObs));
+    for (Word &v : r.trans)
+        v = static_cast<Word>(rng.nextRange(1, 100));
+    for (Word &v : r.emit)
+        v = static_cast<Word>(rng.nextRange(1, 100));
+    for (Word &o : r.obs)
+        o = static_cast<Word>(rng.nextBounded(kTokens));
+    r.path.assign(static_cast<std::size_t>(2 * kStates), 0);
+    r.bp.assign(static_cast<std::size_t>(n_obs * kStates), 0);
+
+    rec.block(bInit);
+    rec.round(bObsLoop);
+    for (int t = 0; t < n_obs; ++t) {
+        rec.iteration(bObsLoop);
+        const Word *cur = r.path.data() + (t & 1) * kStates;
+        Word *nxt = r.path.data() + ((t + 1) & 1) * kStates;
+        rec.round(bStateLoop);
+        for (int s = 0; s < kStates; ++s) {
+            rec.iteration(bStateLoop);
+            rec.block(bSeed);
+            Word best = 0x7fffffff;
+            Word arg = 0;
+            rec.round(bPrevLoop);
+            for (int p = 0; p < kStates; ++p) {
+                rec.iteration(bPrevLoop);
+                rec.block(bScore);
+                Word metric =
+                    cur[p] + r.trans[static_cast<std::size_t>(
+                                 p * kStates + s)] +
+                    r.emit[static_cast<std::size_t>(
+                        s * kTokens +
+                        r.obs[static_cast<std::size_t>(t)])];
+                rec.block(bMinIf);
+                if (metric < best) {
+                    rec.block(bMinUpd);
+                    best = metric;
+                    arg = p;
+                } else {
+                    rec.block(bMinSkip);
+                }
+                rec.observe(0, best);
+                rec.block(bPrevLatch);
+            }
+            rec.block(bStore);
+            nxt[s] = best;
+            r.bp[static_cast<std::size_t>(t * kStates + s)] = arg;
+            rec.block(bStateLatch);
+        }
+        rec.block(bObsLatch);
+    }
+    return r;
+}
 
 class ViterbiWorkload : public Workload
 {
@@ -254,8 +331,8 @@ class ViterbiWorkload : public Workload
     machineSpec() const override
     {
         // Machine-run data at a reduced observation count (the
-        // golden trace above keeps the full Table-5 size); states
-        // and tokens match the paper.
+        // trace keeps the full Table-5 size); states and tokens
+        // match the paper.
         constexpr int mObs = 32;
         constexpr Word base_path = 0;                      // 2 x 64
         constexpr Word base_obs = 128;                     // mObs
@@ -284,85 +361,38 @@ class ViterbiWorkload : public Workload
         spec.scalars["bstate"] = 0;
         spec.scalars["bsum"] = 0;
 
-        // Inputs, generated in the golden implementation's order.
-        Rng rng(0x5eed0003);
-        std::vector<Word> trans(
-            static_cast<std::size_t>(kStates * kStates));
-        std::vector<Word> emit(
-            static_cast<std::size_t>(kStates * kTokens));
-        std::vector<Word> observations(
-            static_cast<std::size_t>(kObs));
-        for (Word &v : trans)
-            v = static_cast<Word>(rng.nextRange(1, 100));
-        for (Word &v : emit)
-            v = static_cast<Word>(rng.nextRange(1, 100));
-        for (Word &o : observations)
-            o = static_cast<Word>(rng.nextBounded(kTokens));
+        StreamRecorder rec(
+            {static_cast<std::size_t>(mObs) * kStates * kStates,
+             static_cast<std::size_t>(mObs)});
+        ViterbiRun r = viterbiForward(rec, mObs);
+        spec.memoryImage.assign(static_cast<std::size_t>(base_obs),
+                                0);
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.obs.begin(), r.obs.begin() + mObs);
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.trans.begin(), r.trans.end());
+        spec.memoryImage.insert(spec.memoryImage.end(),
+                                r.emit.begin(), r.emit.end());
 
-        spec.memoryImage.assign(
-            static_cast<std::size_t>(base_bp), 0);
-        for (int i = 0; i < mObs; ++i)
-            spec.memoryImage[static_cast<std::size_t>(base_obs +
-                                                      i)] =
-                observations[static_cast<std::size_t>(i)];
-        std::copy(trans.begin(), trans.end(),
-                  spec.memoryImage.begin() + base_trans);
-        std::copy(emit.begin(), emit.end(),
-                  spec.memoryImage.begin() + base_emit);
-
-        // Golden run: best-metric stream, ping-pong path halves,
-        // backpointers, and the backtrace checksum stream.
-        std::vector<Word> path(2 * 64, 0);
-        std::vector<Word> bp(
-            static_cast<std::size_t>(mObs * 64), 0);
-        std::vector<Word> best_stream;
-        best_stream.reserve(
-            static_cast<std::size_t>(mObs) * 64 * 64);
-        for (int t = 0; t < mObs; ++t) {
-            int cur = (t & 1) * 64;
-            int nxt = ((t + 1) & 1) * 64;
-            for (int s = 0; s < kStates; ++s) {
-                Word best = 0x7fffffff;
-                Word arg = 0;
-                for (int p = 0; p < kStates; ++p) {
-                    Word metric =
-                        path[static_cast<std::size_t>(cur + p)] +
-                        trans[static_cast<std::size_t>(
-                            p * kStates + s)] +
-                        emit[static_cast<std::size_t>(
-                            s * kTokens +
-                            observations[static_cast<std::size_t>(
-                                t)])];
-                    if (metric < best) {
-                        best = metric;
-                        arg = static_cast<Word>(p);
-                    }
-                    best_stream.push_back(best);
-                }
-                path[static_cast<std::size_t>(nxt + s)] = best;
-                bp[static_cast<std::size_t>(t * 64 + s)] = arg;
-            }
-        }
+        // The machine's backtrace: from state 0 (the "bstate"
+        // seed), folding the visited states into port 1 ("bsum").
         std::vector<Word> trace(static_cast<std::size_t>(mObs));
-        std::vector<Word> bsum_stream;
         Word bstate = 0, bsum = 0;
         for (int j = 0; j < mObs; ++j) {
             int tt = mObs - 1 - j;
-            bstate =
-                bp[static_cast<std::size_t>(tt * 64 + bstate)];
+            bstate = r.bp[static_cast<std::size_t>(tt * kStates +
+                                                   bstate)];
             trace[static_cast<std::size_t>(j)] = bstate;
-            bsum = static_cast<Word>(
-                static_cast<std::uint32_t>(bsum) * 31u +
-                static_cast<std::uint32_t>(bstate));
-            bsum_stream.push_back(bsum);
+            bsum = static_cast<Word>(static_cast<UWord>(bsum) * 31u +
+                                     static_cast<UWord>(bstate));
+            rec.observe(1, bsum);
         }
 
         spec.observePorts = {"best", "bsum"};
-        spec.expectedOutputs = {std::move(best_stream),
-                                std::move(bsum_stream)};
+        spec.expectedOutputs = rec.take();
         spec.expectedMemory = {
-            {"path", base_path, std::move(path)},
-            {"bp", base_bp, std::move(bp)},
+            {"path", base_path, std::move(r.path)},
+            {"bp", base_bp, std::move(r.bp)},
             {"trace", base_trace, std::move(trace)}};
         return spec;
     }
@@ -370,85 +400,20 @@ class ViterbiWorkload : public Workload
     std::uint64_t
     runGolden(KernelRecorder &rec) const override
     {
-        Rng rng(0x5eed0003);
-        std::vector<Word> trans(
-            static_cast<std::size_t>(kStates * kStates));
-        std::vector<Word> emit(
-            static_cast<std::size_t>(kStates * kTokens));
-        std::vector<int> observations(
-            static_cast<std::size_t>(kObs));
-        for (Word &v : trans)
-            v = static_cast<Word>(rng.nextRange(1, 100));
-        for (Word &v : emit)
-            v = static_cast<Word>(rng.nextRange(1, 100));
-        for (int &o : observations)
-            o = static_cast<int>(rng.nextBounded(kTokens));
-
-        std::vector<Word> path(static_cast<std::size_t>(kStates),
-                               0);
-        std::vector<Word> next(static_cast<std::size_t>(kStates));
-        std::vector<std::vector<int>> bp(
-            static_cast<std::size_t>(kObs),
-            std::vector<int>(static_cast<std::size_t>(kStates),
-                             0));
-
-        rec.block(bInit);
-        rec.round(bObsLoop);
-        for (int t = 0; t < kObs; ++t) {
-            rec.iteration(bObsLoop);
-            rec.round(bStateLoop);
-            for (int s = 0; s < kStates; ++s) {
-                rec.iteration(bStateLoop);
-                rec.block(bSeed);
-                Word best = 0x7fffffff;
-                int arg = 0;
-                rec.round(bPrevLoop);
-                for (int p = 0; p < kStates; ++p) {
-                    rec.iteration(bPrevLoop);
-                    rec.block(bScore);
-                    Word metric =
-                        path[static_cast<std::size_t>(p)] +
-                        trans[static_cast<std::size_t>(
-                            p * kStates + s)] +
-                        emit[static_cast<std::size_t>(
-                            s * kTokens +
-                            observations[static_cast<std::size_t>(
-                                t)])];
-                    rec.block(bMinIf);
-                    if (metric < best) {
-                        rec.block(bMinUpd);
-                        best = metric;
-                        arg = p;
-                    } else {
-                        rec.block(bMinSkip);
-                    }
-                    rec.block(bPrevLatch);
-                }
-                rec.block(bStore);
-                next[static_cast<std::size_t>(s)] = best;
-                bp[static_cast<std::size_t>(t)]
-                  [static_cast<std::size_t>(s)] = arg;
-                rec.block(bStateLatch);
-            }
-            path.swap(next);
-            rec.block(bObsLatch);
-        }
-
-        // Backtrace.
+        ViterbiRun r = viterbiForward(rec, kObs);
+        // Backtrace from the best final state.
+        const Word *last = r.path.data() + (kObs & 1) * kStates;
         int state = 0;
         for (int s = 1; s < kStates; ++s)
-            if (path[static_cast<std::size_t>(s)] <
-                path[static_cast<std::size_t>(state)])
+            if (last[s] < last[state])
                 state = s;
         std::uint64_t sum =
-            static_cast<std::uint64_t>(static_cast<UWord>(
-                path[static_cast<std::size_t>(state)]));
+            static_cast<std::uint64_t>(static_cast<UWord>(last[state]));
         rec.round(bBackLoop);
         for (int t = kObs - 1; t >= 0; --t) {
             rec.iteration(bBackLoop);
             rec.block(bBackBody);
-            state = bp[static_cast<std::size_t>(t)]
-                      [static_cast<std::size_t>(state)];
+            state = r.bp[static_cast<std::size_t>(t * kStates + state)];
             sum = sum * 31 + static_cast<std::uint64_t>(state);
         }
         rec.block(bDone);

@@ -4,11 +4,15 @@
  *
  * Every workload provides (a) its CDFG — the graph the paper's
  * modified-Clang flow would extract from the annotated C source —
- * and (b) a *golden* C++ implementation instrumented to record the
- * dynamic basic-block trace (loop rounds, iterations, branch
- * directions).  The trace-driven performance models replay those
- * traces under each architecture's execution model; the functional
- * machine runs a subset end to end.
+ * and (b) a *golden* C++ implementation, written once as a function
+ * template over a recorder.  Run with a KernelRecorder it records
+ * the dynamic basic-block trace (loop rounds, iterations, branch
+ * directions) that the trace-driven performance models replay
+ * under each architecture's execution model.  Run with a
+ * StreamRecorder it yields the observed-port value streams that
+ * the cycle-accurate machine must reproduce; the machine runs a
+ * subset end to end, some at a smaller size (README states each
+ * kernel's two sizes).
  *
  * All data is 32-bit, with the exact sizes of Table 5; inputs are
  * generated with the deterministic RNG so every run is reproducible.
@@ -17,6 +21,7 @@
 #ifndef MARIONETTE_WORKLOADS_WORKLOAD_H
 #define MARIONETTE_WORKLOADS_WORKLOAD_H
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -27,6 +32,7 @@
 #include "ir/cdfg.h"
 #include "ir/loop_info.h"
 #include "ir/trace.h"
+#include "sim/logging.h"
 
 namespace marionette
 {
@@ -36,7 +42,8 @@ namespace marionette
  * round()/iteration() keep exact loop statistics (the analytic
  * models need rounds and trip counts, not just block counts);
  * block() records ordinary body-block executions including branch
- * directions.
+ * directions.  observe() is where the golden produces an observed
+ * port's value; the trace ignores it.
  */
 class KernelRecorder
 {
@@ -58,6 +65,9 @@ class KernelRecorder
 
     /** One execution of a non-header block. */
     void block(BlockId b) { trace_.record(b); }
+
+    /** Observed port @p port produced @p value: not traced. */
+    void observe(int, Word) {}
 
     const BlockTrace &trace() const { return trace_; }
 
@@ -84,6 +94,62 @@ class KernelRecorder
     BlockTrace trace_;
     std::map<BlockId, std::uint64_t> rounds_;
     std::map<BlockId, std::uint64_t> iterations_;
+};
+
+/**
+ * The recorder machineSpec() runs a golden with: it keeps one value
+ * stream per observed port (WorkloadMachineSpec::expectedOutputs,
+ * port k being observePorts[k]) and ignores round(), iteration()
+ * and block(), so the run costs the bare computation plus one
+ * store per observed value.
+ *
+ * Each stream is sized up front to the exact number of values its
+ * port produces, so observe() is a plain indexed store: a loop
+ * that observes every element still vectorizes.  take() panics
+ * unless every stream was filled exactly; an overrun is caught
+ * where it happens only by libstdc++'s assertions
+ * (-D_GLIBCXX_ASSERTIONS, as the sanitizer build sets).
+ */
+class StreamRecorder
+{
+  public:
+    /** One stream of exactly @p lengths[k] words per observed port
+     *  k; none for a kernel checked by its final memory alone. */
+    explicit StreamRecorder(
+        std::initializer_list<std::size_t> lengths = {})
+    {
+        streams_.reserve(lengths.size());
+        for (std::size_t n : lengths)
+            streams_.emplace_back(n);
+        filled_.assign(streams_.size(), 0);
+    }
+
+    void round(BlockId) {}
+    void iteration(BlockId) {}
+    void block(BlockId) {}
+
+    /** Store @p value as port @p port's next word. */
+    void
+    observe(int port, Word value)
+    {
+        const auto k = static_cast<std::size_t>(port);
+        streams_[k][filled_[k]++] = value;
+    }
+
+    /** The filled streams, moved out (the recorder is spent). */
+    std::vector<std::vector<Word>>
+    take()
+    {
+        for (std::size_t k = 0; k < streams_.size(); ++k)
+            MARIONETTE_ASSERT(filled_[k] == streams_[k].size(),
+                              "golden stream %zu: %zu of %zu words",
+                              k, filled_[k], streams_[k].size());
+        return std::move(streams_);
+    }
+
+  private:
+    std::vector<std::vector<Word>> streams_;
+    std::vector<std::size_t> filled_;
 };
 
 /** Everything the models need to know about one benchmark run. */
