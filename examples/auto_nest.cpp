@@ -3,9 +3,9 @@
  * The SPMV imperfect nest on the *unified* pass pipeline: the same
  * kernel as examples/imperfect_loop.cpp, but expressed as a CDFG
  * with a data-dependent inner loop and compiled end to end by
- * Compiler (analyze/predicate/structure/assign/bind/lower/emit) —
- * the closest analogue of the paper's #pragma-annotated source flow
- * (Fig. 9).
+ * Compiler (analyze/predicate/structure/unroll/bind/lower/place/
+ * route/emit) — the closest analogue of the paper's
+ * #pragma-annotated source flow (Fig. 9).
  *
  *     for (i = 0; i < rows; ++i)            // counted outer
  *         for (j = rD[i]; j < rD[i+1]; ++j) // while-form inner

@@ -4,10 +4,10 @@
  *
  * Describes a kernel (out[i] = 3 * a[i] + b[i]) as a one-loop CDFG,
  * compiles it through the unified pass pipeline (analyze /
- * predicate / structure / assign / bind / lower / emit), round-trips
- * the binary configuration stream, runs it on the cycle-accurate
- * Marionette machine, and cross-validates bit-exactly against the
- * golden data the workload spec carries.
+ * predicate / structure / unroll / bind / lower / place / route /
+ * emit), round-trips the binary configuration stream, runs it on
+ * the cycle-accurate Marionette machine, and cross-validates
+ * bit-exactly against the golden data the workload spec carries.
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build

@@ -47,11 +47,6 @@
  *  3. One pass per term.  Entity order is topological, so the
  *     carried-cycle and skew sweeps (PhaseTiming) each visit every
  *     entity once.
- *
- * The Fig. 8 AssignmentPlan informs the tiebreak weighting: when
- * the planner maps every block at II = 1 the pipeline has no timing
- * slack and recurrence hops dominate; blocks already time-extended
- * (II > 1) leave slack, so the weight relaxes.
  */
 
 #include <algorithm>
@@ -477,22 +472,16 @@ class CostPlacer
     }
     std::uint64_t wirelength() const { return wire_; }
     int improvingMoves() const { return improvingMoves_; }
-    std::uint64_t recurrenceWeight() const { return recWeight_; }
 
   private:
-    void
-    chooseWeights()
-    {
-        bool any_ii1 = cc_.plan.blocks.empty();
-        for (const auto &[block, ba] : cc_.plan.blocks)
-            any_ii1 = any_ii1 || ba.ii <= 1;
-        recWeight_ = any_ii1 ? 8 : 4;
-    }
+    /** Tiebreak wirelength weight of a recurrence hop (a feed-
+     *  forward hop weighs 1): recurrence hops set the II, so the
+     *  tiebreak pulls carried cycles tighter than feeds. */
+    static constexpr std::uint64_t kRecurrenceWeight = 8;
 
     void
     buildEntities()
     {
-        chooseWeights();
         for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
             const FlatPhase &phase = cc_.phases[p];
             Entity gen;
@@ -518,7 +507,7 @@ class CostPlacer
                                     {static_cast<int>(p), e.src});
                 int dst =
                     nodeIdx_.at({static_cast<int>(p), e.dst});
-                std::uint64_t w = e.recurrence ? recWeight_ : 1;
+                std::uint64_t w = e.recurrence ? kRecurrenceWeight : 1;
                 entities_[static_cast<std::size_t>(src)]
                     .adj.emplace_back(dst, w);
                 entities_[static_cast<std::size_t>(dst)]
@@ -1355,7 +1344,6 @@ class CostPlacer
     std::vector<std::uint32_t> relocStamp_;
     std::vector<std::uint32_t> swapStamp_;
     std::uint64_t wire_ = 0;
-    std::uint64_t recWeight_ = 8;
     int improvingMoves_ = 0;
 };
 
@@ -1439,8 +1427,7 @@ passPlace(Compilation &cc)
         note << " " << ii;
     note << " cycle(s), weighted wirelength " << placer.wirelength()
          << ", " << placer.improvingMoves()
-         << " improving move(s) (recurrence tiebreak weight "
-         << placer.recurrenceWeight() << " per Fig. 8 plan)";
+         << " improving move(s)";
     cc.report.note(kPassPlace, note.str());
     return true;
 }

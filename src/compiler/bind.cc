@@ -1,7 +1,6 @@
 /**
  * @file
- * Middle passes: the Fig. 8 assignment planner (for the record) and
- * the bind pass that resolves every region's machine data — trip
+ * The bind pass: resolves every region's machine data — trip
  * counts (including geometric-loop simulation and the static caps
  * of while-form loops), region spans, induction ports, and the
  * statically-evaluated init-block seeds.
@@ -14,7 +13,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "compiler/assignment.h"
 #include "compiler/pipeline.h"
 
 namespace marionette
@@ -130,22 +128,6 @@ computeSpan(Region &r)
 }
 
 } // namespace
-
-// ------------------------------------------------------------------
-// Pass 4: assignment (the Fig. 8 planner; the backend's place pass
-// consumes the plan for its recurrence weighting)
-// ------------------------------------------------------------------
-
-bool
-passAssign(Compilation &cc)
-{
-    cc.plan = agileSchedule(cc.cdfg, cc.loops, cc.config.numPes());
-    std::ostringstream note;
-    note << "agile plan over " << cc.plan.blocks.size()
-         << " blocks, total PE waste " << cc.plan.totalWaste;
-    cc.report.note(kPassAssign, note.str());
-    return true;
-}
 
 // ------------------------------------------------------------------
 // Pass 5: bind

@@ -169,7 +169,6 @@ Compiler::compile(const Workload &workload) const
         .add(kPassPredicate, passPredicate)
         .add(kPassStructure, passStructure)
         .add(kPassUnroll, passUnroll)
-        .add(kPassAssign, passAssign)
         .add(kPassBind, passBind)
         .add(kPassLower, passLower)
         .add(kPassPlace, passPlace)

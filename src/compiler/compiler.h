@@ -20,8 +20,8 @@
  *   3. structure   — loop-tree shape checks: serial top-level
  *                    phases, one sub-loop per body, counted-loop
  *                    headers, no unpredicated branches.
- *   4. assign      — the Fig. 8 Agile planner runs for the record
- *                    (waste/II report) and capacity sanity.
+ *   4. unroll      — stripe-safe counted phases get a candidate
+ *                    replication factor (unroll.cc).
  *   5. bind        — workload machine data resolved: trip counts,
  *                    array bases, scalar live-ins, seeds.
  *   6. lower       — every phase's loop nest is *flattened* into a

@@ -1890,7 +1890,7 @@ passLower(Compilation &cc)
     std::vector<int> factors(cc.top.phases.size(), 1);
     for (std::size_t p = 0;
          p < cc.unroll.size() && p < factors.size(); ++p)
-        factors[p] = std::max(1, cc.unroll[p].factor);
+        factors[p] = std::max(1, cc.unroll[p]);
     std::vector<std::set<std::string>> paced(cc.top.phases.size());
 
     // The refinement below shrinks replication factors until the
@@ -1941,7 +1941,7 @@ passLower(Compilation &cc)
         FlatPhase &flat = cc.phases[p];
         const int phase = static_cast<int>(p);
         if (p < cc.unroll.size())
-            cc.unroll[p].factor = factors[p];
+            cc.unroll[p] = factors[p];
         std::vector<char> tainted;
         const std::vector<char> token =
             orderingTokens(cc, flat, phase, tainted);

@@ -9,7 +9,6 @@
  *   predicate  branch diamonds -> selects     (structure.cc)
  *   structure  CDFG -> RegionTree             (structure.cc)
  *   unroll     stripe-safe replication plan   (unroll.cc)
- *   assign     Fig. 8 planner -> AssignmentPlan (bind.cc)
  *   bind       trips, spans, seeds resolved   (bind.cc)
  *   lower      RegionTree -> FlatPhases       (lower.cc)
  *   place      FlatPhases -> Mapping          (backend/placement.cc)
@@ -32,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "compiler/assignment.h"
 #include "compiler/backend/mapping.h"
 #include "compiler/compiler.h"
 #include "compiler/region.h"
@@ -106,21 +104,6 @@ struct Observation
     NodeId node = invalidNode;
 };
 
-/** The unroll pass's replication decision for one phase (indexed
- *  like Compilation::phases after lowering; computed against the
- *  region tree before bind). */
-struct UnrollDecision
-{
-    /** Header block name of the striped counted loop; empty when
-     *  the phase is not replicated. */
-    std::string header;
-    /** Candidate factor (the lower pass may refine it downward to
-     *  fit the PE budget; divisors of the trip count only). */
-    int factor = 1;
-    /** Trip count of the striped loop (for divisor refinement). */
-    Word trips = 0;
-};
-
 /** The compilation state threading every pass. */
 struct Compilation
 {
@@ -134,16 +117,17 @@ struct Compilation
     WorkloadMachineSpec spec;
     RegionTree top;
     std::map<std::string, Word> initEnv;
-    /** Filled by unroll: one decision per top-level phase region. */
-    std::vector<UnrollDecision> unroll;
+    /** Filled by unroll: one replication factor per top-level
+     *  phase region (1 when not replicated; a candidate the lower
+     *  pass refines downward, by divisors of the trip count, to
+     *  fit the PE budget, then records). */
+    std::vector<int> unroll;
     std::vector<FlatPhase> phases;
     std::vector<Observation> observations;
     /** Golden output streams the emit pass hands the kernel —
      *  spec.expectedOutputs reordered for replica-split
      *  observations (identical to the spec streams at factor 1). */
     std::vector<std::vector<Word>> goldenOutputs;
-    /** Filled by assign: the Fig. 8 plan the placer consumes. */
-    AssignmentPlan plan;
     /** Filled by place. */
     Mapping mapping;
     /** Filled by route. */
@@ -169,7 +153,6 @@ inline constexpr const char *kPassAnalyze = "analyze";
 inline constexpr const char *kPassPredicate = "predicate";
 inline constexpr const char *kPassStructure = "structure";
 inline constexpr const char *kPassUnroll = "unroll";
-inline constexpr const char *kPassAssign = "assign";
 inline constexpr const char *kPassBind = "bind";
 inline constexpr const char *kPassLower = "lower";
 inline constexpr const char *kPassPlace = "place";
@@ -532,7 +515,6 @@ bool passAnalyze(Compilation &cc);     // structure.cc
 bool passPredicate(Compilation &cc);   // structure.cc
 bool passStructure(Compilation &cc);   // structure.cc
 bool passUnroll(Compilation &cc);      // unroll.cc
-bool passAssign(Compilation &cc);      // bind.cc
 bool passBind(Compilation &cc);        // bind.cc
 bool passLower(Compilation &cc);       // lower.cc
 bool passPlace(Compilation &cc);       // backend/placement.cc

@@ -331,7 +331,7 @@ largestDivisor(Word trips, int cap)
 bool
 passUnroll(Compilation &cc)
 {
-    cc.unroll.assign(cc.top.phases.size(), UnrollDecision{});
+    cc.unroll.assign(cc.top.phases.size(), 1);
     if (cc.options.unrollFactor == 1) {
         cc.report.note(kPassUnroll, "replication off by option");
         return true;
@@ -384,8 +384,7 @@ passUnroll(Compilation &cc)
                                " trips fits the factor cap");
             continue;
         }
-        cc.unroll[p] =
-            UnrollDecision{phase.headerName, factor, trips};
+        cc.unroll[p] = factor;
         std::ostringstream note;
         note << "phase '" << phase.headerName
              << "': stripe-safe, candidate factor " << factor

@@ -125,144 +125,117 @@ TEST(Placement, MatchesPinnedLayouts)
     const Pinned pinned[] = {
         {"VI", "default", 0xee4b09a70f1ec057ull,
          "cost placer: 42/100 PEs (0 nonlinear), recurrence II 6 6 "
-         "cycle(s), weighted wirelength 161, 117 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 161, 117 improving move(s)\n"},
         {"NW", "default", 0x4048ebaed6a0ada6ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "move(s)\n"},
         {"HT", "default", 0x85ca9b95f53cd124ull,
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 3 "
-         "cycle(s), weighted wirelength 44, 38 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 44, 38 improving move(s)\n"},
         {"CRC", "default", 0xb68e5afe71bc7039ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
-         "cycle(s), weighted wirelength 83, 20 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 83, 20 improving move(s)\n"},
         {"ADPCM", "default", 0x709a21904b682f03ull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
-         "cycle(s), weighted wirelength 334, 95 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 334, 95 improving move(s)\n"},
         {"SCD", "default", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
-         "cycle(s), weighted wirelength 158, 87 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 158, 87 improving move(s)\n"},
         {"LDPC", "default", 0xe668f49f85e3d246ull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 64/100 PEs (0 nonlinear), recurrence II 12 "
          "cycle(s), weighted wirelength 1137, 698 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "move(s)\n"},
         {"GEMM", "default", 0x301a4595584cbcd8ull,
          "cost placer: 81/100 PEs (0 nonlinear), recurrence II 6 "
-         "cycle(s), weighted wirelength 464, 819 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 464, 819 improving move(s)\n"},
         {"CO", "default", 0x9354fba9d1af8ce0ull,
          "cost placer: 26/100 PEs (0 nonlinear), recurrence II 4 "
-         "cycle(s), weighted wirelength 60, 63 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 60, 63 improving move(s)\n"},
         {"SI", "default", 0x1cf67dfab310445dull,
          "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
-         "cycle(s), weighted wirelength 4, 83 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 4, 83 improving move(s)\n"},
         {"GP", "default", 0xa5f810564ef853eull,
          "cost placer: 12/100 PEs (0 nonlinear), recurrence II 2 "
-         "cycle(s), weighted wirelength 18, 0 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 18, 0 improving move(s)\n"},
         {"SI", "faults", 0x78fc2d4ceeae28d6ull,
          "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
-         "cycle(s), weighted wirelength 4, 92 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 4, 92 improving move(s)\n"},
         {"CRC", "faults", 0xb68e5afe71bc7039ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
-         "cycle(s), weighted wirelength 83, 23 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 83, 23 improving move(s)\n"},
         {"SCD", "faults", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
-         "cycle(s), weighted wirelength 158, 75 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 158, 75 improving move(s)\n"},
         {"ADPCM", "faults", 0xb29725aae722271cull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
-         "cycle(s), weighted wirelength 317, 110 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 317, 110 improving move(s)\n"},
         {"NW", "faults", 0x5abe0d399455df80ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 114, 43 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "move(s)\n"},
         {"SI", "unroll1", 0x1cf67dfab310445dull,
          "cost placer: 4/100 PEs (1 nonlinear), recurrence II 1 "
-         "cycle(s), weighted wirelength 4, 83 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 4, 83 improving move(s)\n"},
         {"CRC", "unroll1", 0xb68e5afe71bc7039ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 12 "
-         "cycle(s), weighted wirelength 83, 20 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 83, 20 improving move(s)\n"},
         {"SCD", "unroll1", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 17/100 PEs (0 nonlinear), recurrence II 3 "
-         "cycle(s), weighted wirelength 158, 87 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 158, 87 improving move(s)\n"},
         {"ADPCM", "unroll1", 0x709a21904b682f03ull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 28 "
-         "cycle(s), weighted wirelength 334, 95 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 334, 95 improving move(s)\n"},
         {"NW", "unroll1", 0x4048ebaed6a0ada6ull,
          "cost placer: 35/100 PEs (0 nonlinear), recurrence II 12 "
          "6 cycle(s), weighted wirelength 111, 49 improving "
-         "move(s) (recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "move(s)\n"},
         {"SCD", "hop2", 0xc9ee95c5e6cf1b6bull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 17/100 PEs (0 nonlinear), recurrence II 4 "
-         "cycle(s), weighted wirelength 304, 34 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 304, 34 improving move(s)\n"},
         {"ADPCM", "hop2", 0xd5391176d113beadull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 38 "
-         "cycle(s), weighted wirelength 648, 92 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 648, 92 improving move(s)\n"},
         {"CRC", "hop2", 0xd0bf525d7cbb5ae9ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 16 "
-         "cycle(s), weighted wirelength 172, 24 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 172, 24 improving move(s)\n"},
         {"HT", "hop2", 0x9966fd6b5c6bea5eull,
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 4 "
-         "cycle(s), weighted wirelength 88, 60 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 88, 60 improving move(s)\n"},
         {"LDPC", "hop2", 0xe9753bb305f032a6ull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 64/100 PEs (0 nonlinear), recurrence II 16 "
-         "cycle(s), weighted wirelength 2170, 793 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 2170, 793 improving move(s)\n"},
         {"SCD", "exec1", 0xfc69721eef5f3949ull,
          "fused 3 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 17/100 PEs (0 nonlinear), recurrence II 2 "
-         "cycle(s), weighted wirelength 158, 43 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 158, 43 improving move(s)\n"},
         {"ADPCM", "exec1", 0xd5391176d113beadull,
          "cost placer: 24/100 PEs (0 nonlinear), recurrence II 19 "
-         "cycle(s), weighted wirelength 324, 93 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 324, 93 improving move(s)\n"},
         {"CRC", "exec1", 0x5da0e81167306a21ull,
          "cost placer: 15/100 PEs (0 nonlinear), recurrence II 1 8 "
-         "cycle(s), weighted wirelength 83, 20 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 83, 20 improving move(s)\n"},
         {"HT", "exec1", 0x85ca9b95f53cd124ull,
          "cost placer: 20/100 PEs (0 nonlinear), recurrence II 2 "
-         "cycle(s), weighted wirelength 44, 35 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 44, 35 improving move(s)\n"},
         {"LDPC", "exec1", 0x961d0ab392c83dadull,
          "fused 4 memory-ordering fence(s) into load ordering "
          "operands\n"
          "cost placer: 64/100 PEs (0 nonlinear), recurrence II 8 "
-         "cycle(s), weighted wirelength 1102, 706 improving move(s) "
-         "(recurrence tiebreak weight 8 per Fig. 8 plan)\n"},
+         "cycle(s), weighted wirelength 1102, 706 improving move(s)\n"},
     };
     for (const Pinned &cell : pinned) {
         const std::string variant = cell.variant;
@@ -369,7 +342,6 @@ TEST(RoutePlan, LatenciesMatchTheCycleAccurateMesh)
         pm.add(kPassAnalyze, passAnalyze)
             .add(kPassPredicate, passPredicate)
             .add(kPassStructure, passStructure)
-            .add(kPassAssign, passAssign)
             .add(kPassBind, passBind)
             .add(kPassLower, passLower)
             .add(kPassPlace, passPlace)
@@ -496,7 +468,6 @@ TEST(RoutePlan, PredictsEveryLinkOnTheServeMix)
             .add(kPassPredicate, passPredicate)
             .add(kPassStructure, passStructure)
             .add(kPassUnroll, passUnroll)
-            .add(kPassAssign, passAssign)
             .add(kPassBind, passBind)
             .add(kPassLower, passLower)
             .add(kPassPlace, passPlace)

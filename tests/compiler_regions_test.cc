@@ -186,7 +186,7 @@ TEST(PassManager, TimingNoteListsEveryPass)
         if (n.pass == "timings")
             timings = n.message;
     for (const char *pass : {"analyze", "predicate", "structure",
-                             "assign", "bind", "lower", "place",
+                             "unroll", "bind", "lower", "place",
                              "route", "emit"})
         EXPECT_NE(timings.find(pass), std::string::npos) << pass;
 }
