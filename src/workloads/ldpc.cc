@@ -107,12 +107,15 @@ ldpcGolden(Recorder &rec, const std::vector<int> &var_of)
                r.msg[static_cast<std::size_t>(e)];
     };
 
+    // Each iteration's posteriors: the channel plus every message
+    // the check loop writes, folded in as it is written.
     std::vector<Word> next;
 
     rec.block(bInit);
     rec.round(bIterLoop);
     for (int it = 0; it < kIters; ++it) {
         rec.iteration(bIterLoop);
+        next = r.channel;
         rec.round(bCheckLoop);
         for (int c = 0; c < kChecks; ++c) {
             rec.iteration(bCheckLoop);
@@ -153,16 +156,14 @@ ldpcGolden(Recorder &rec, const std::vector<int> &var_of)
                 // Attenuated min-sum (3/4 scaling).
                 mag = (mag * 3) >> 2;
                 Word s = sign_prod ^ (ext < 0 ? 1 : 0);
-                r.msg[static_cast<std::size_t>(e)] = s ? -mag : mag;
+                Word m = s ? -mag : mag;
+                r.msg[static_cast<std::size_t>(e)] = m;
+                next[static_cast<std::size_t>(
+                    var_of[static_cast<std::size_t>(e)])] += m;
             }
             rec.block(bCheckLatch);
         }
         // Variable update: llr = channel + sum of messages.
-        next = r.channel;
-        for (int e = 0; e < kEdges; ++e)
-            next[static_cast<std::size_t>(
-                var_of[static_cast<std::size_t>(e)])] +=
-                r.msg[static_cast<std::size_t>(e)];
         rec.round(bVarLoop);
         for (int v = 0; v < kVars; ++v) {
             rec.iteration(bVarLoop);

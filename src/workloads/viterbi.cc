@@ -365,6 +365,7 @@ class ViterbiWorkload : public Workload
             {static_cast<std::size_t>(mObs) * kStates * kStates,
              static_cast<std::size_t>(mObs)});
         ViterbiRun r = viterbiForward(rec, mObs);
+        // path starts zeroed; bp and trace lie past the image.
         spec.memoryImage.assign(static_cast<std::size_t>(base_obs),
                                 0);
         spec.memoryImage.insert(spec.memoryImage.end(),
