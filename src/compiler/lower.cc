@@ -1940,8 +1940,6 @@ passLower(Compilation &cc)
     for (std::size_t p = 0; p < cc.phases.size(); ++p) {
         FlatPhase &flat = cc.phases[p];
         const int phase = static_cast<int>(p);
-        if (p < cc.unroll.size())
-            cc.unroll[p] = factors[p];
         std::vector<char> tainted;
         const std::vector<char> token =
             orderingTokens(cc, flat, phase, tainted);

@@ -117,10 +117,10 @@ struct Compilation
     WorkloadMachineSpec spec;
     RegionTree top;
     std::map<std::string, Word> initEnv;
-    /** Filled by unroll: one replication factor per top-level
-     *  phase region (1 when not replicated; a candidate the lower
-     *  pass refines downward, by divisors of the trip count, to
-     *  fit the PE budget, then records). */
+    /** Filled by unroll: one candidate replication factor per
+     *  top-level phase region (1 when not replicated); the lower
+     *  pass refines it downward, by divisors of the trip count,
+     *  to fit the PE budget. */
     std::vector<int> unroll;
     std::vector<FlatPhase> phases;
     std::vector<Observation> observations;

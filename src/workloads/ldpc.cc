@@ -52,10 +52,10 @@ enum Block : BlockId
 
 constexpr int kEdges = kChecks * kCheckDeg;
 
-/** Edge-to-variable map of the trace's (3,6) H matrix: check c
- *  connects to variables (c*2 + k*21 + (k*k*7) mod 128) mod 128 —
- *  a structured construction with full rank properties adequate
- *  for decoding work. */
+/** Edge-to-variable map of the trace's permuted H matrix: edge
+ *  c*6+k joins check c to variable (c*2 + k*21 + (k*k*7) mod 128)
+ *  mod 128.  Every such offset is even, so the edges land on the
+ *  64 even variables, six each. */
 std::vector<int>
 permutedGraph()
 {
